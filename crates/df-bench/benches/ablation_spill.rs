@@ -3,11 +3,9 @@
 //! The paper's storage layer lets "intermediate dataframes exceed main-memory
 //! limitations while not throwing memory errors, unlike pandas". This target runs the
 //! shuffle-dispatched operator suite (JOIN, SORT, DROP_DUPLICATES, DIFFERENCE) plus
-//! GROUPBY over the cross of two budgets — unbounded vs `memory_budget_bytes` capped
-//! at 1/4 of the working set — and two block layouts — `row-block` (layout switch
-//! off: tagged cells, spill format v2) vs `column-block` (typed kernels, spill format
-//! v3). Every arm is verified cell-for-cell identical to the unbounded row-block
-//! ground truth before its record is emitted, and each record reports the spill
+//! GROUPBY under two budgets — unbounded vs `memory_budget_bytes` capped at 1/4 of
+//! the working set. The capped run is verified cell-for-cell identical to the
+//! unbounded run before its record is emitted, and each record reports the spill
 //! store's own statistics (spill-outs, load-backs, resident peak) next to the time.
 
 use df_bench::{render_table, time_once, BenchRecord};
@@ -16,7 +14,6 @@ use df_core::dataframe::DataFrame;
 use df_core::engine::Engine;
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_types::cell::cell;
-use df_types::column::set_columnar_enabled;
 use df_workloads::taxi::{generate_typed, TaxiConfig};
 
 fn queries(taxi: &DataFrame, lookup: &DataFrame) -> Vec<(&'static str, AlgebraExpr)> {
@@ -82,98 +79,45 @@ fn main() {
     let budgets: Vec<(&str, Option<usize>)> = vec![("inf", None), ("ws/4", Some(working_set / 4))];
 
     let mut records = Vec::new();
-    // Ground truth per query: the unbounded row-block run (the first arm).
+    // Ground truth per query: the unbounded run (the first arm).
     let mut ground_truth: std::collections::HashMap<&'static str, DataFrame> =
         std::collections::HashMap::new();
-    for (system, columnar) in [("row-block", false), ("column-block", true)] {
-        set_columnar_enabled(columnar);
-        for (label, budget) in &budgets {
-            let mut config = ModinConfig::default()
-                .with_threads(threads)
-                .with_partition_size((rows / 16).max(256), 8);
-            if let Some(bytes) = budget {
-                config = config.with_memory_budget(*bytes);
-            }
-            for (name, expr) in queries(&taxi, &lookup) {
-                // A fresh engine per query keeps the spill statistics attributable.
-                let engine = ModinEngine::with_config(config.clone());
-                let (outcome, elapsed) = time_once(|| engine.execute_collect(&expr));
-                let result = outcome.expect("query executes");
-                let stats = engine.spill_stats();
-                // Every other arm — bounded, columnar, or both — must agree with
-                // the unbounded row-block run cell-for-cell.
-                match ground_truth.get(name) {
-                    None => {
-                        ground_truth.insert(name, result.clone());
-                    }
-                    Some(expected) => assert!(
-                        result.same_data(expected),
-                        "{name} ({system}, budget={label}) diverged from the \
-                         unbounded row-block run"
-                    ),
-                }
-                records.push(BenchRecord {
-                    experiment: format!("abl-spill/{name}"),
-                    system: system.to_string(),
-                    parameter: format!("budget={label}"),
-                    seconds: Some(elapsed.as_secs_f64()),
-                    note: format!(
-                        "rows={rows}, out={:?}, ws={working_set}B, spill_outs={}, load_backs={}, peak={}B, equivalence=asserted",
-                        result.shape(),
-                        stats.spill_outs,
-                        stats.load_backs,
-                        stats.peak_memory_bytes,
-                    ),
-                });
-            }
+    for (label, budget) in &budgets {
+        let mut config = ModinConfig::default()
+            .with_threads(threads)
+            .with_partition_size((rows / 16).max(256), 8);
+        if let Some(bytes) = budget {
+            config = config.with_memory_budget(*bytes);
         }
-    }
-    set_columnar_enabled(true);
-    // Checksum-overhead arm: the v4 length+FNV-checksum frame versus a raw v3
-    // write of the same block, measured as spill-file round-trips (write + read
-    // back) of the whole taxi working set. The fault-tolerance layer's
-    // acceptance bar is <5% overhead with failpoints unset.
-    {
-        use df_core::columnar::ColumnBlock;
-        use df_storage::spill::{
-            read_spill_part, write_spill_block_v3, write_spill_part, StoredPart,
-        };
-        let block = ColumnBlock::from_frame(&taxi);
-        let part = StoredPart::Block(block.clone());
-        let roundtrips = df_bench::env_usize(
-            "DF_BENCH_CHECKSUM_ROUNDTRIPS",
-            df_bench::smoke_scaled(40, 4),
-        );
-        let dir =
-            std::env::temp_dir().join(format!("rustframe-abl-checksum-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("bench temp dir");
-        let v4_path = dir.join("part.v4.spill");
-        let v3_path = dir.join("part.v3.spill");
-        let (v4_outcome, v4_elapsed) = time_once(|| {
-            for _ in 0..roundtrips {
-                write_spill_part(&part, &v4_path)?;
-                read_spill_part(&v4_path)?;
+        for (name, expr) in queries(&taxi, &lookup) {
+            // A fresh engine per query keeps the spill statistics attributable.
+            let engine = ModinEngine::with_config(config.clone());
+            let (outcome, elapsed) = time_once(|| engine.execute_collect(&expr));
+            let result = outcome.expect("query executes");
+            let stats = engine.spill_stats();
+            match ground_truth.get(name) {
+                None => {
+                    ground_truth.insert(name, result.clone());
+                }
+                Some(expected) => assert!(
+                    result.same_data(expected),
+                    "{name} (budget={label}) diverged from the unbounded run"
+                ),
             }
-            Ok::<(), df_types::error::DfError>(())
-        });
-        v4_outcome.expect("v4 roundtrips");
-        let (v3_outcome, v3_elapsed) = time_once(|| {
-            for _ in 0..roundtrips {
-                write_spill_block_v3(&block, &v3_path)?;
-                read_spill_part(&v3_path)?;
-            }
-            Ok::<(), df_types::error::DfError>(())
-        });
-        v3_outcome.expect("v3 roundtrips");
-        std::fs::remove_dir_all(&dir).ok();
-        let overhead = (v4_elapsed.as_secs_f64() / v3_elapsed.as_secs_f64() - 1.0) * 100.0;
-        for (system, elapsed) in [("v4-framed", v4_elapsed), ("v3-raw", v3_elapsed)] {
             records.push(BenchRecord {
-                experiment: "abl-spill/checksum".to_string(),
-                system: system.to_string(),
-                parameter: format!("roundtrips={roundtrips}"),
+                experiment: format!("abl-spill/{name}"),
+                // The label these records have carried since typed column blocks
+                // became the layout; kept so the snapshot's history stays comparable.
+                system: "column-block".to_string(),
+                parameter: format!("budget={label}"),
                 seconds: Some(elapsed.as_secs_f64()),
-                note: format!("rows={rows}, ws={working_set}B, v4_vs_v3_overhead={overhead:+.1}%"),
+                note: format!(
+                    "rows={rows}, out={:?}, ws={working_set}B, spill_outs={}, load_backs={}, peak={}B, equivalence=asserted",
+                    result.shape(),
+                    stats.spill_outs,
+                    stats.load_backs,
+                    stats.peak_memory_bytes,
+                ),
             });
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The distribution-ready `ExecBackend` seam places the same band tasks either on
 //! the in-process thread pool or on worker processes that receive their inputs as
-//! checksummed spill-v4 frames over pipes. This target runs the shuffle-dispatched
+//! checksummed block frames over pipes. This target runs the shuffle-dispatched
 //! operator suite (JOIN, SORT, DROP_DUPLICATES, DIFFERENCE, GROUPBY) over the cross
 //! of the two backends and two memory budgets (unbounded vs ws/4), asserting every
 //! arm cell-for-cell identical to the threads/unbounded ground truth before its

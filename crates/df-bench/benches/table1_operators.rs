@@ -2,8 +2,7 @@
 //!
 //! The paper's Table 1 is a definition table rather than a measurement, so this target
 //! does three things: (1) it prints the operator roster with its properties as a
-//! conformance check, (2) it wall-clock-times every operator once per block layout
-//! (`row-block` vs `column-block`, asserting the two arms agree cell-for-cell) at a
+//! conformance check, (2) it wall-clock-times every operator once at a
 //! configurable scale (`DF_BENCH_TABLE1_ROWS`, default 30k; `DF_BENCH_TABLE1_THREADS`,
 //! default 4) and emits the records to the `DF_BENCH_JSON` snapshot so the perf
 //! trajectory is tracked per PR, and (3) it micro-benchmarks every operator on the
@@ -19,7 +18,6 @@ use df_core::algebra::{
 use df_core::engine::Engine;
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_types::cell::cell;
-use df_types::column::set_columnar_enabled;
 use df_workloads::taxi::{generate_typed, TaxiConfig};
 
 fn operator_expressions(rows: usize) -> Vec<(&'static str, AlgebraExpr)> {
@@ -128,48 +126,33 @@ fn print_table1() {
     println!();
 }
 
-/// Wall-clock one execution of every operator at measurement scale, once per block
-/// layout: `row-block` pins the global layout switch off (the pre-columnar engine,
-/// tagged cells everywhere) and `column-block` pins it on (typed kernels for
-/// predicate evaluation, groupby accumulation, sort comparison and shuffle hashing).
-/// The two arms must agree cell-for-cell — the record is only emitted after the
-/// equivalence assert — so the speedup column can be trusted to compare equal work.
+/// Wall-clock one execution of every operator at measurement scale. The records keep
+/// the `column-block` system label they have carried since typed column blocks became
+/// the engine's layout, so the snapshot's history stays comparable.
 fn timing_pass() -> Vec<BenchRecord> {
     let rows = df_bench::env_usize("DF_BENCH_TABLE1_ROWS", df_bench::smoke_scaled(30_000, 500));
     let threads = df_bench::env_usize("DF_BENCH_TABLE1_THREADS", 4);
     let mut records = Vec::new();
     for (name, expr) in operator_expressions(rows) {
-        let mut row_block_result: Option<df_core::dataframe::DataFrame> = None;
-        for (system, columnar) in [("row-block", false), ("column-block", true)] {
-            set_columnar_enabled(columnar);
-            let engine = ModinEngine::with_config(
-                ModinConfig::default()
-                    .with_threads(threads)
-                    .with_partition_size((rows / 8).max(512), 8),
-            );
-            let (result, elapsed) = time_once(|| engine.execute_collect(&expr));
-            let result = result.expect("operator executes");
-            match &row_block_result {
-                None => row_block_result = Some(result.clone()),
-                Some(expected) => assert!(
-                    result.same_data(expected),
-                    "table1/{name}: column-block arm diverged from the row-block arm"
-                ),
-            }
-            records.push(BenchRecord {
-                experiment: format!("table1/{name}"),
-                system: system.to_string(),
-                parameter: format!("{rows} rows"),
-                seconds: Some(elapsed.as_secs_f64()),
-                note: format!(
-                    "out={:?}, threads={threads}, shuffles={}, fallbacks={}, equivalence=asserted",
-                    result.shape(),
-                    engine.shuffles_dispatched(),
-                    engine.fallbacks_dispatched()
-                ),
-            });
-        }
-        set_columnar_enabled(true);
+        let engine = ModinEngine::with_config(
+            ModinConfig::default()
+                .with_threads(threads)
+                .with_partition_size((rows / 8).max(512), 8),
+        );
+        let (result, elapsed) = time_once(|| engine.execute_collect(&expr));
+        let result = result.expect("operator executes");
+        records.push(BenchRecord {
+            experiment: format!("table1/{name}"),
+            system: "column-block".to_string(),
+            parameter: format!("{rows} rows"),
+            seconds: Some(elapsed.as_secs_f64()),
+            note: format!(
+                "out={:?}, threads={threads}, shuffles={}, fallbacks={}",
+                result.shape(),
+                engine.shuffles_dispatched(),
+                engine.fallbacks_dispatched()
+            ),
+        });
     }
     records
 }

@@ -3,7 +3,8 @@
 //! A [`ColumnBlock`] is a [`DataFrame`] re-encoded column-by-column into
 //! [`ColumnData`] typed buffers (see `df_types::column` for the layout). It is the
 //! unit the engine's `PartitionHandle` holds when a freshly parsed ingest band is
-//! checked in columnar, and the unit spill format v3 serialises. The block is
+//! checked in columnar, and the unit the block frame (`df-storage::spill`)
+//! serialises for spill files and worker pipes. The block is
 //! intentionally *behind* the narrow waist: `PartitionGrid`, `SpillStore` and
 //! `FrameHandle` callers keep exchanging `DataFrame`s, and a block decodes back to
 //! an identical frame ([`ColumnBlock::to_frame`]) the first time an operator needs
@@ -51,7 +52,7 @@ impl ColumnBlock {
         }
     }
 
-    /// Assemble a block from already-encoded parts (the spill v3 reader uses this).
+    /// Assemble a block from already-encoded parts (the block-frame decoder uses this).
     /// Validates that every column matches the row-label length and that the domain
     /// and column-label vectors match the column count.
     pub fn from_parts(

@@ -1,16 +1,18 @@
 //! Vectorized columnar kernels.
 //!
-//! The reference operators in the sibling modules define the algebra's semantics one
-//! row at a time: SELECTION clones whole rows into [`crate::algebra::RowView`]s, GROUPBY hashes
-//! tagged cells, SORT compares through [`Cell::total_cmp`]'s nested matches. The
-//! functions here are their column-at-a-time counterparts: tight loops over one
-//! column (or one typed [`ColumnData`] buffer) that the compiler can keep in
-//! registers and auto-vectorize. Every kernel is required to agree with the
-//! row-oriented path cell-for-cell — the differential suite in
-//! `tests/columnar_equivalence.rs` runs both paths on random frames and compares.
+//! The algebra's semantics are defined one row at a time: a predicate sees a
+//! [`crate::algebra::RowView`], group keys are tagged cells compared with
+//! [`Cell::key_eq`], SORT orders by [`Cell::total_cmp`]. The functions here are the
+//! column-at-a-time forms the operators in the sibling modules run: tight loops over
+//! one column (or one typed [`ColumnData`] buffer) that the compiler can keep in
+//! registers and auto-vectorize. Every kernel must agree with the row-at-a-time
+//! definition cell-for-cell; `tests/columnar_equivalence.rs` checks each one against
+//! a row-wise oracle (`ops::group::group_by_rowwise`, `drop_duplicates_rowwise`,
+//! `Predicate::matches`, `Cell::total_cmp`, `Cell::hash_key`) on random frames.
 //!
-//! All call sites gate on [`df_types::columnar_enabled`], so flipping the global
-//! switch (or setting `DF_COLUMNAR=0`) restores the reference path everywhere.
+//! A column with no typed layout (mixed domains, plain strings, composite cells) is
+//! read cell by cell inside the same kernel, and a `Predicate::Custom` — which
+//! receives a whole row — runs SELECTION's row loop.
 //!
 //! Kernels:
 //! * [`predicate_mask`] — SELECTION: evaluate a predicate into a boolean mask, one
@@ -32,9 +34,9 @@ use crate::dataframe::{Column, DataFrame};
 /// Probe a column for a typed buffer worth hashing / grouping / sorting through.
 /// Numeric and boolean columns win outright (flat buffer, no enum branches);
 /// `category` columns dictionary-encode so key equality is a code compare. Plain
-/// string columns stay on the reference path — a `Str` buffer would clone the whole
+/// string columns stay as tagged cells — a `Str` buffer would clone the whole
 /// column for no kernel gain — as does anything mixed (the probe refuses without
-/// copying).
+/// copying); the kernels read those columns cell by cell.
 pub fn typed_for_keying(column: &Column) -> Option<ColumnData> {
     match ColumnData::from_cells_typed(column.cells(), column.known_domain().as_ref()) {
         Some(

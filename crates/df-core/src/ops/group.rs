@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 
 use df_types::cell::{Cell, CellKey, StableHasher};
-use df_types::column::{columnar_enabled, ColumnData};
+use df_types::column::ColumnData;
 use df_types::error::{DfError, DfResult};
 use df_types::labels::Labels;
 
@@ -216,6 +216,37 @@ pub fn group_by(
     aggs: &[Aggregation],
     keys_as_labels: bool,
 ) -> DfResult<DataFrame> {
+    group_by_with(df, keys, aggs, keys_as_labels, scan_groups_typed)
+}
+
+/// The row-wise GROUPBY the typed kernel is tested against: same contract as
+/// [`group_by`], but every key is hashed and compared as a tagged [`Cell`] and every
+/// aggregate is fed cell by cell. No engine calls this; it exists so the differential
+/// suites have an oracle that shares no scan code with the kernel.
+#[doc(hidden)]
+pub fn group_by_rowwise(
+    df: &DataFrame,
+    keys: &[Cell],
+    aggs: &[Aggregation],
+    keys_as_labels: bool,
+) -> DfResult<DataFrame> {
+    group_by_with(df, keys, aggs, keys_as_labels, scan_groups_rowwise)
+}
+
+/// Distinct group keys in first-occurrence order, and each group's accumulators.
+type Groups = (Vec<Vec<Cell>>, Vec<Vec<AggState>>);
+
+/// One pass over `df` folding every row into its group. `key_positions` and
+/// `agg_positions` are resolved column positions (`None` = COUNT over whole rows).
+type GroupScan = fn(&DataFrame, &[usize], &[Option<usize>], &[Aggregation]) -> Groups;
+
+fn group_by_with(
+    df: &DataFrame,
+    keys: &[Cell],
+    aggs: &[Aggregation],
+    keys_as_labels: bool,
+    scan: GroupScan,
+) -> DfResult<DataFrame> {
     let key_positions: Vec<usize> = keys
         .iter()
         .map(|k| df.col_position(k))
@@ -237,104 +268,7 @@ pub fn group_by(
         }
     }
 
-    let columns = df.columns();
-    let mut group_keys: Vec<Vec<Cell>> = Vec::new();
-    let mut states: Vec<Vec<AggState>> = Vec::new();
-    if columnar_enabled() {
-        // Vectorized kernel: key and aggregate columns that admit a typed layout are
-        // encoded once, the group table is keyed by the raw stable hash (no second
-        // SipHash pass), and candidate groups are verified against a representative
-        // row instead of cloned key cells.
-        let typed_keys: Vec<Option<ColumnData>> = key_positions
-            .iter()
-            .map(|&j| typed_for_keying(&columns[j]))
-            .collect();
-        let typed_aggs: Vec<Option<ColumnData>> = agg_positions
-            .iter()
-            .map(|p| p.and_then(|j| typed_for_keying(&columns[j])))
-            .collect();
-        let mut table = RawTable::default();
-        let mut reps: Vec<usize> = Vec::new();
-        for i in 0..df.n_rows() {
-            let mut hasher = StableHasher::default();
-            for (typed, &j) in typed_keys.iter().zip(&key_positions) {
-                match typed {
-                    Some(data) => data.hash_value_into(i, &mut hasher),
-                    None => columns[j].cells()[i].hash_key(&mut hasher),
-                }
-            }
-            let candidates = table.entry(hasher.finish()).or_default();
-            let gi = candidates
-                .iter()
-                .copied()
-                .find(|&g| {
-                    typed_keys
-                        .iter()
-                        .zip(&key_positions)
-                        .all(|(typed, &j)| match typed {
-                            Some(data) => data.key_eq_rows(reps[g], i),
-                            None => columns[j].cells()[reps[g]].key_eq(&columns[j].cells()[i]),
-                        })
-                })
-                .unwrap_or_else(|| {
-                    let g = group_keys.len();
-                    group_keys.push(
-                        key_positions
-                            .iter()
-                            .map(|&j| columns[j].cells()[i].clone())
-                            .collect(),
-                    );
-                    reps.push(i);
-                    states.push(aggs.iter().map(|a| AggState::new(&a.func)).collect());
-                    candidates.push(g);
-                    g
-                });
-            for ((state, position), typed) in
-                states[gi].iter_mut().zip(&agg_positions).zip(&typed_aggs)
-            {
-                match (typed, position) {
-                    (Some(data), Some(_)) => state.update_typed(data, i),
-                    (None, Some(j)) => state.update(Some(&columns[*j].cells()[i])),
-                    (_, None) => state.update(None),
-                }
-            }
-        }
-    } else {
-        // Reference kernel: hash-indexed group table (bucket hash -> group ids with
-        // that hash), verified by group-key equality against the stored key cells.
-        let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
-        for i in 0..df.n_rows() {
-            let mut hasher = StableHasher::default();
-            for &j in &key_positions {
-                columns[j].cells()[i].hash_key(&mut hasher);
-            }
-            let candidates = table.entry(hasher.finish()).or_default();
-            let gi = candidates
-                .iter()
-                .copied()
-                .find(|&g| {
-                    key_positions
-                        .iter()
-                        .zip(group_keys[g].iter())
-                        .all(|(&j, key_cell)| key_cell.key_eq(&columns[j].cells()[i]))
-                })
-                .unwrap_or_else(|| {
-                    let g = group_keys.len();
-                    group_keys.push(
-                        key_positions
-                            .iter()
-                            .map(|&j| columns[j].cells()[i].clone())
-                            .collect(),
-                    );
-                    states.push(aggs.iter().map(|a| AggState::new(&a.func)).collect());
-                    candidates.push(g);
-                    g
-                });
-            for (state, position) in states[gi].iter_mut().zip(agg_positions.iter()) {
-                state.update(position.map(|j| &columns[j].cells()[i]));
-            }
-        }
-    }
+    let (mut group_keys, mut states) = scan(df, &key_positions, &agg_positions, aggs);
     if df.n_rows() == 0 && keys.is_empty() {
         // A global aggregate over an empty frame still produces one (empty) group so
         // that COUNT returns 0 rather than an empty frame.
@@ -402,41 +336,163 @@ pub fn group_by(
     DataFrame::from_parts(columns, row_labels, Labels::new(labels))
 }
 
+/// The vectorized scan: key and aggregate columns that admit a typed layout are
+/// encoded once, the group table is keyed by the raw stable hash (no second SipHash
+/// pass), and candidate groups are verified against a representative row instead of
+/// cloned key cells. Columns without a typed layout (mixed, plain strings) are read
+/// cell by cell inside the same loop.
+fn scan_groups_typed(
+    df: &DataFrame,
+    key_positions: &[usize],
+    agg_positions: &[Option<usize>],
+    aggs: &[Aggregation],
+) -> Groups {
+    let columns = df.columns();
+    let mut group_keys: Vec<Vec<Cell>> = Vec::new();
+    let mut states: Vec<Vec<AggState>> = Vec::new();
+    let typed_keys: Vec<Option<ColumnData>> = key_positions
+        .iter()
+        .map(|&j| typed_for_keying(&columns[j]))
+        .collect();
+    let typed_aggs: Vec<Option<ColumnData>> = agg_positions
+        .iter()
+        .map(|p| p.and_then(|j| typed_for_keying(&columns[j])))
+        .collect();
+    let mut table = RawTable::default();
+    let mut reps: Vec<usize> = Vec::new();
+    for i in 0..df.n_rows() {
+        let mut hasher = StableHasher::default();
+        for (typed, &j) in typed_keys.iter().zip(key_positions) {
+            match typed {
+                Some(data) => data.hash_value_into(i, &mut hasher),
+                None => columns[j].cells()[i].hash_key(&mut hasher),
+            }
+        }
+        let candidates = table.entry(hasher.finish()).or_default();
+        let gi = candidates
+            .iter()
+            .copied()
+            .find(|&g| {
+                typed_keys
+                    .iter()
+                    .zip(key_positions)
+                    .all(|(typed, &j)| match typed {
+                        Some(data) => data.key_eq_rows(reps[g], i),
+                        None => columns[j].cells()[reps[g]].key_eq(&columns[j].cells()[i]),
+                    })
+            })
+            .unwrap_or_else(|| {
+                let g = group_keys.len();
+                group_keys.push(
+                    key_positions
+                        .iter()
+                        .map(|&j| columns[j].cells()[i].clone())
+                        .collect(),
+                );
+                reps.push(i);
+                states.push(aggs.iter().map(|a| AggState::new(&a.func)).collect());
+                candidates.push(g);
+                g
+            });
+        for ((state, position), typed) in states[gi].iter_mut().zip(agg_positions).zip(&typed_aggs)
+        {
+            match (typed, position) {
+                (Some(data), Some(_)) => state.update_typed(data, i),
+                (None, Some(j)) => state.update(Some(&columns[*j].cells()[i])),
+                (_, None) => state.update(None),
+            }
+        }
+    }
+    (group_keys, states)
+}
+
+/// The oracle scan behind [`group_by_rowwise`]: a hash-indexed group table (bucket
+/// hash -> group ids with that hash), verified by group-key equality against the
+/// stored key cells.
+fn scan_groups_rowwise(
+    df: &DataFrame,
+    key_positions: &[usize],
+    agg_positions: &[Option<usize>],
+    aggs: &[Aggregation],
+) -> Groups {
+    let columns = df.columns();
+    let mut group_keys: Vec<Vec<Cell>> = Vec::new();
+    let mut states: Vec<Vec<AggState>> = Vec::new();
+    let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
+    for i in 0..df.n_rows() {
+        let mut hasher = StableHasher::default();
+        for &j in key_positions {
+            columns[j].cells()[i].hash_key(&mut hasher);
+        }
+        let candidates = table.entry(hasher.finish()).or_default();
+        let gi = candidates
+            .iter()
+            .copied()
+            .find(|&g| {
+                key_positions
+                    .iter()
+                    .zip(group_keys[g].iter())
+                    .all(|(&j, key_cell)| key_cell.key_eq(&columns[j].cells()[i]))
+            })
+            .unwrap_or_else(|| {
+                let g = group_keys.len();
+                group_keys.push(
+                    key_positions
+                        .iter()
+                        .map(|&j| columns[j].cells()[i].clone())
+                        .collect(),
+                );
+                states.push(aggs.iter().map(|a| AggState::new(&a.func)).collect());
+                candidates.push(g);
+                g
+            });
+        for (state, position) in states[gi].iter_mut().zip(agg_positions.iter()) {
+            state.update(position.map(|j| &columns[j].cells()[i]));
+        }
+    }
+    (group_keys, states)
+}
+
 /// DROP DUPLICATES: remove rows whose full-row value already appeared earlier,
 /// preserving order and keeping the first occurrence (Table 1: order from parent).
 pub fn drop_duplicates(df: &DataFrame) -> DfResult<DataFrame> {
-    if columnar_enabled() {
-        // Vectorized kernel: stream every row through the stable key hash (typed
-        // buffers where available) and verify candidates with key equality against
-        // already-kept rows — no per-row `Vec<CellKey>` clone of the whole row.
-        let typed: Vec<Option<ColumnData>> = df.columns().iter().map(typed_for_keying).collect();
-        let mut table = RawTable::default();
-        let mut keep: Vec<usize> = Vec::new();
-        for i in 0..df.n_rows() {
-            let mut hasher = StableHasher::default();
-            for (typed, column) in typed.iter().zip(df.columns()) {
-                match typed {
-                    Some(data) => data.hash_value_into(i, &mut hasher),
-                    None => column.cells()[i].hash_key(&mut hasher),
-                }
-            }
-            let candidates = table.entry(hasher.finish()).or_default();
-            let duplicate = candidates.iter().any(|&kept| {
-                typed
-                    .iter()
-                    .zip(df.columns())
-                    .all(|(typed, column)| match typed {
-                        Some(data) => data.key_eq_rows(kept, i),
-                        None => column.cells()[kept].key_eq(&column.cells()[i]),
-                    })
-            });
-            if !duplicate {
-                candidates.push(i);
-                keep.push(i);
+    // Vectorized kernel: stream every row through the stable key hash (typed
+    // buffers where available) and verify candidates with key equality against
+    // already-kept rows — no per-row `Vec<CellKey>` clone of the whole row.
+    let typed: Vec<Option<ColumnData>> = df.columns().iter().map(typed_for_keying).collect();
+    let mut table = RawTable::default();
+    let mut keep: Vec<usize> = Vec::new();
+    for i in 0..df.n_rows() {
+        let mut hasher = StableHasher::default();
+        for (typed, column) in typed.iter().zip(df.columns()) {
+            match typed {
+                Some(data) => data.hash_value_into(i, &mut hasher),
+                None => column.cells()[i].hash_key(&mut hasher),
             }
         }
-        return df.take_rows(&keep);
+        let candidates = table.entry(hasher.finish()).or_default();
+        let duplicate = candidates.iter().any(|&kept| {
+            typed
+                .iter()
+                .zip(df.columns())
+                .all(|(typed, column)| match typed {
+                    Some(data) => data.key_eq_rows(kept, i),
+                    None => column.cells()[kept].key_eq(&column.cells()[i]),
+                })
+        });
+        if !duplicate {
+            candidates.push(i);
+            keep.push(i);
+        }
     }
+    df.take_rows(&keep)
+}
+
+/// The row-wise DROP DUPLICATES the typed kernel is tested against: one
+/// `Vec<CellKey>` per row in a `HashSet`. No engine calls this (see
+/// [`group_by_rowwise`]).
+#[doc(hidden)]
+pub fn drop_duplicates_rowwise(df: &DataFrame) -> DfResult<DataFrame> {
     let mut seen: std::collections::HashSet<Vec<CellKey>> = std::collections::HashSet::new();
     let mut keep = Vec::new();
     for i in 0..df.n_rows() {
@@ -463,14 +519,10 @@ pub fn sort(df: &DataFrame, spec: &SortSpec) -> DfResult<DataFrame> {
     // Vectorized kernel: key columns with a typed layout are encoded once and
     // compared straight off the flat buffer ([`ColumnData::cmp_rows`] reproduces
     // `Cell::total_cmp` exactly); other key columns compare cell-to-cell as before.
-    let typed_keys: Vec<Option<ColumnData>> = if columnar_enabled() {
-        key_positions
-            .iter()
-            .map(|&j| typed_for_keying(&df.columns()[j]))
-            .collect()
-    } else {
-        vec![None; key_positions.len()]
-    };
+    let typed_keys: Vec<Option<ColumnData>> = key_positions
+        .iter()
+        .map(|&j| typed_for_keying(&df.columns()[j]))
+        .collect();
     let mut order: Vec<usize> = (0..df.n_rows()).collect();
     let compare = |&a: &usize, &b: &usize| {
         for (idx, &j) in key_positions.iter().enumerate() {

@@ -18,16 +18,14 @@ pub fn selection(df: &DataFrame, predicate: &Predicate) -> DfResult<DataFrame> {
     }
     // Vectorized path: evaluate the predicate column-at-a-time into a mask instead
     // of cloning every row into a `RowView`. `Custom` predicates (which receive the
-    // whole row) fall through to the reference loop below.
-    if df_types::column::columnar_enabled() {
-        if let Some(mask) = super::columnar::predicate_mask(df, predicate) {
-            let keep: Vec<usize> = mask
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &hit)| hit.then_some(i))
-                .collect();
-            return df.take_rows(&keep);
-        }
+    // whole row) fall through to the row loop below.
+    if let Some(mask) = super::columnar::predicate_mask(df, predicate) {
+        let keep: Vec<usize> = mask
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &hit)| hit.then_some(i))
+            .collect();
+        return df.take_rows(&keep);
     }
     let col_labels = df.col_labels().as_slice();
     let mut keep = Vec::new();

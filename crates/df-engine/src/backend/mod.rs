@@ -15,7 +15,8 @@
 //!   (the pre-existing behaviour, bit-for-bit).
 //! * [`proc::ProcBackend`] — serialise the task and its input bands, ship them to
 //!   a spawned `df-band-worker` process over a pipe protocol whose payload is the
-//!   checksummed spill v4 frame ([`df_storage::wire`]), and decode the results.
+//!   spill store's checksummed block frame ([`df_storage::wire`]), and decode the
+//!   results.
 //!   Worker death or a corrupted frame surfaces as a typed
 //!   [`df_types::DfError`] and the pool respawns — a lost worker never hangs a
 //!   statement.
@@ -171,10 +172,10 @@ pub(crate) const EXCHANGE_SITE: &str = "backend.exchange";
 /// The worker process's protocol loop; the `df-band-worker` binary is a thin
 /// wrapper around this. Returns the process exit code.
 ///
-/// Requests arrive on stdin as `T {n_inputs} {task_len}\n`, the task bytes, then
-/// `n_inputs` length-prefixed spill v4 frames; responses leave on stdout as
-/// `O {n_outputs}\n` plus framed outputs, or `E {err_len}\n` plus a wire-encoded
-/// [`DfError`]. The failure model keeps the driver in charge:
+/// Requests arrive on stdin as `T {n_inputs} {task_len}\n`, the task descriptor's
+/// bytes, then `n_inputs` block frames; responses leave on stdout as
+/// `O {n_outputs}\n` plus that many block frames, or `E {err_len}\n` plus a
+/// wire-encoded [`DfError`]. The failure model keeps the driver in charge:
 ///
 /// * clean EOF at a request boundary → exit 0 (the driver closed the pipe);
 /// * any malformed or truncated request → exit 2 (stream sync is unknowable, so
@@ -216,20 +217,16 @@ fn serve_one<R: std::io::BufRead, W: std::io::Write>(
         },
         _ => return Err(2),
     };
-    let mut task_bytes = Vec::new();
+    let mut task_raw = Vec::new();
     if reader
         .take(task_len as u64)
-        .read_to_end(&mut task_bytes)
+        .read_to_end(&mut task_raw)
         .is_err()
-        || task_bytes.len() < task_len
+        || task_raw.len() < task_len
     {
         return Err(2);
     }
-    let task_raw = match String::from_utf8(task_bytes) {
-        Ok(raw) => raw,
-        Err(_) => return Err(2),
-    };
-    let mut inputs = Vec::with_capacity(n_inputs);
+    let mut inputs = Vec::new();
     for _ in 0..n_inputs {
         match wire::read_framed_part(reader, EXCHANGE_SITE) {
             Ok(Some(part)) => inputs.push(part.into_frame()),
@@ -322,7 +319,7 @@ mod tests {
         let encoded = task.encode().unwrap();
         let mut request = Vec::new();
         writeln!(request, "T 1 {}", encoded.len()).unwrap();
-        request.extend_from_slice(encoded.as_bytes());
+        request.extend_from_slice(&encoded);
         wire::write_framed_part(&mut request, &StoredPart::Frame(frame()), EXCHANGE_SITE).unwrap();
 
         let mut reader = std::io::Cursor::new(request);
@@ -351,7 +348,7 @@ mod tests {
         let encoded = task.encode().unwrap();
         let mut request = Vec::new();
         writeln!(request, "T 1 {}", encoded.len()).unwrap();
-        request.extend_from_slice(encoded.as_bytes());
+        request.extend_from_slice(&encoded);
         wire::write_framed_part(&mut request, &StoredPart::Frame(frame()), EXCHANGE_SITE).unwrap();
 
         let mut reader = std::io::Cursor::new(request);

@@ -2,7 +2,7 @@
 //!
 //! [`ProcBackend`] keeps a lazily-grown pool of up to N spawned `df-band-worker`
 //! processes and ships [`BandTask`]s to them over stdin/stdout pipes. The wire
-//! payload for every band is the checksummed spill v4 frame
+//! payload for every band is the spill store's block frame
 //! ([`df_storage::wire`]), so cross-process exchange inherits the spill format's
 //! corruption detection verbatim — a flipped bit in transit fails the FNV-64
 //! checksum exactly as a flipped bit on disk does.
@@ -188,13 +188,13 @@ impl ProcBackend {
     fn exchange(
         &self,
         worker: &mut Worker,
-        task_raw: &str,
+        task_raw: &[u8],
         parts: &[StoredPart],
         mangle_response: bool,
     ) -> Result<DfResult<Vec<DataFrame>>, DfError> {
         let lost = |worker: &Worker, detail: String| DfError::worker_lost(worker.id, detail);
         writeln!(worker.stdin, "T {} {}", parts.len(), task_raw.len())
-            .and_then(|_| worker.stdin.write_all(task_raw.as_bytes()))
+            .and_then(|_| worker.stdin.write_all(task_raw))
             .map_err(|err| lost(worker, format!("request header write failed: {err}")))?;
         for part in parts {
             wire::write_framed_part(&mut worker.stdin, part, EXCHANGE_SITE)
@@ -224,22 +224,16 @@ impl ProcBackend {
                     .map_err(|_| lost(worker, format!("garbled response header {header:?}")))?;
                 let mut outputs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let content = wire::read_frame_bytes(&mut worker.stdout, EXCHANGE_SITE)
-                        .and_then(|content| {
-                            content.ok_or_else(|| {
-                                DfError::worker_lost(
-                                    worker.id,
-                                    "worker closed its pipe mid-response".to_string(),
-                                )
-                            })
+                    let mut frame = wire::read_frame_bytes(&mut worker.stdout, EXCHANGE_SITE)?
+                        .ok_or_else(|| {
+                            lost(worker, "worker closed its pipe mid-response".into())
                         })?;
-                    let mut content = content;
                     if mangle_response {
                         // The `corrupt` failpoint models bit-rot on the wire: the
                         // mangled bytes go through the real checksum verification.
-                        spill::mangle_payload(&mut content);
+                        spill::mangle_payload(&mut frame);
                     }
-                    let part = spill::decode_spill_content(&content, EXCHANGE_SITE)?;
+                    let part = spill::decode_part(&frame, EXCHANGE_SITE)?;
                     outputs.push(part.into_frame());
                 }
                 Ok(Ok(outputs))

@@ -4,17 +4,19 @@
 //! bands: the rowwise operators, the GROUPBY partial phase, the shuffle's
 //! split/concat hops (the band exchange itself), the per-band sort, the CSV chunk
 //! parse and the ingest domain-reconciliation pass. A task is *data*, not a
-//! closure: it can be encoded to a flat string and shipped to a worker process
+//! closure: it can be encoded to a flat byte string and shipped to a worker process
 //! that shares no address space with the driver, which is what lets one plan run
 //! unchanged on the thread backend or the process backend (paper §3.3's
 //! API/execution decoupling).
 //!
-//! The codec is a netstring-style length-prefixed encoding (`{len}:{bytes}`, list
-//! counts ahead of elements) — unambiguous without any escaping, because every
-//! string is read by its byte length. Cell literals (predicate constants, fill
-//! values, rename pairs, group keys) ride in the spill format's own cell dialect
-//! via [`df_storage::spill::encode_cells`], so the wire speaks one value language
-//! end to end.
+//! The descriptor is written with the block frame's own primitives
+//! ([`df_storage::spill::ByteWriter`] / [`ByteReader`]): variant tags as
+//! length-prefixed strings, counts as little-endian integers, floats by bit pattern,
+//! and cell literals (predicate constants, fill values, rename pairs, group keys) in
+//! the frame's tagged-cell encoding — so the wire speaks one value language end to
+//! end. Decoding is as strict as the frame's: every length is checked against the
+//! bytes that remain, and malformed input is a typed
+//! [`DfError::SpillCorruption`] at the `backend.exchange` site.
 //!
 //! Tasks built from opaque closures (`Predicate::Custom`, `MapFunc::Custom`,
 //! `MapFunc::PerCell`) cannot cross a process boundary; [`BandTask::encode`]
@@ -25,9 +27,10 @@ use df_core::algebra::{AggFunc, Aggregation, CmpOp, ColumnSelector, MapFunc, Pre
 use df_core::dataframe::DataFrame;
 use df_core::ops;
 use df_storage::csv::{self, CsvChunk, CsvIngestPlan, CsvOptions};
-use df_storage::spill;
+use df_storage::spill::{ByteReader, ByteWriter};
 use df_types::{Cell, DfError, DfResult, Domain};
 
+use super::EXCHANGE_SITE;
 use crate::shuffle::{self, ShuffleKey};
 
 /// One unit of per-band work, serialisable for cross-process placement.
@@ -148,8 +151,8 @@ impl BandTask {
 
     /// Encode the task for the wire, or `None` when it carries closures (see
     /// [`BandTask::is_remote_safe`]).
-    pub fn encode(&self) -> Option<String> {
-        let mut e = Enc::default();
+    pub fn encode(&self) -> Option<Vec<u8>> {
+        let mut e = ByteWriter::default();
         match self {
             BandTask::Selection(p) => {
                 e.str("sel");
@@ -161,11 +164,10 @@ impl BandTask {
             }
             BandTask::Rename(mapping) => {
                 e.str("ren");
-                e.count(mapping.len());
-                for (old, new) in mapping {
+                e.list(mapping, |e, (old, new)| {
                     e.cell(old);
                     e.cell(new);
-                }
+                });
             }
             BandTask::Map(f) => {
                 e.str("map");
@@ -174,10 +176,7 @@ impl BandTask {
             BandTask::GroupPartial { keys, aggs } => {
                 e.str("grp");
                 e.cells(keys);
-                e.count(aggs.len());
-                for agg in aggs {
-                    enc_aggregation(&mut e, agg);
-                }
+                e.list(aggs, enc_aggregation);
             }
             BandTask::HashSplit { key, parts } => {
                 e.str("split");
@@ -188,10 +187,7 @@ impl BandTask {
             BandTask::SortBand(spec) => {
                 e.str("sort");
                 e.cells(&spec.by);
-                e.count(spec.ascending.len());
-                for &asc in &spec.ascending {
-                    e.bool(asc);
-                }
+                e.list(&spec.ascending, |e, &asc| e.bool(asc));
                 e.bool(spec.stable);
             }
             BandTask::CsvChunk {
@@ -211,59 +207,39 @@ impl BandTask {
                 match header {
                     Some(names) => {
                         e.bool(true);
-                        e.count(names.len());
-                        for name in names {
-                            e.str(name);
-                        }
+                        e.list(names, |e, name| e.str(name));
                     }
                     None => e.bool(false),
                 }
                 e.count(*n_cols);
                 e.count(*total_rows);
-                e.count(*total_bytes as usize);
-                e.count(chunk.start_byte as usize);
-                e.count(chunk.end_byte as usize);
+                e.u64(*total_bytes);
+                e.u64(chunk.start_byte);
+                e.u64(chunk.end_byte);
                 e.count(chunk.rows);
                 e.count(chunk.start_row);
             }
             BandTask::ApplyDomains(domains) => {
                 e.str("domains");
-                e.count(domains.len());
-                for d in domains {
-                    e.str(d.name());
-                }
+                e.list(domains, |e, d| e.str(d.name()));
             }
         }
         Some(e.finish())
     }
 
     /// Decode a task encoded by [`BandTask::encode`]. Malformed input is a typed
-    /// [`DfError::Internal`] (the worker folds it into its protocol error path) —
-    /// never a panic.
-    pub fn decode(raw: &str) -> DfResult<BandTask> {
-        let mut d = Dec::new(raw);
-        let tag = d.str()?.to_string();
-        let task = match tag.as_str() {
+    /// [`DfError::SpillCorruption`] (the worker reports it like any task error) —
+    /// never a panic, and never an allocation the input's own length does not cover.
+    pub fn decode(raw: &[u8]) -> DfResult<BandTask> {
+        let mut d = ByteReader::new(raw, EXCHANGE_SITE);
+        let task = match d.str()? {
             "sel" => BandTask::Selection(dec_predicate(&mut d)?),
             "proj" => BandTask::Projection(dec_selector(&mut d)?),
-            "ren" => {
-                let n = d.count()?;
-                let mut mapping = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let old = d.cell()?;
-                    let new = d.cell()?;
-                    mapping.push((old, new));
-                }
-                BandTask::Rename(mapping)
-            }
+            "ren" => BandTask::Rename(d.list(2, |d| Ok((d.cell()?, d.cell()?)))?),
             "map" => BandTask::Map(dec_map(&mut d)?),
             "grp" => {
                 let keys = d.cells()?;
-                let n = d.count()?;
-                let mut aggs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    aggs.push(dec_aggregation(&mut d)?);
-                }
+                let aggs = d.list(1, dec_aggregation)?;
                 BandTask::GroupPartial { keys, aggs }
             }
             "split" => {
@@ -274,11 +250,7 @@ impl BandTask {
             "concat" => BandTask::Concat,
             "sort" => {
                 let by = d.cells()?;
-                let n = d.count()?;
-                let mut ascending = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ascending.push(d.bool()?);
-                }
+                let ascending = d.list(1, ByteReader::bool)?;
                 let stable = d.bool()?;
                 BandTask::SortBand(SortSpec {
                     by,
@@ -288,30 +260,23 @@ impl BandTask {
             }
             "csv" => {
                 let path = d.str()?.to_string();
-                let delim = d.str()?.to_string();
-                let mut delim_chars = delim.chars();
+                let mut delim_chars = d.str()?.chars();
                 let delimiter = match (delim_chars.next(), delim_chars.next()) {
                     (Some(c), None) => c,
-                    _ => return Err(DfError::internal("band task: bad CSV delimiter")),
+                    _ => return Err(d.corrupt("band task: bad CSV delimiter")),
                 };
                 let has_header = d.bool()?;
                 let infer_schema = d.bool()?;
-                let header = if d.bool()? {
-                    let n = d.count()?;
-                    let mut names = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        names.push(d.str()?.to_string());
-                    }
-                    Some(names)
-                } else {
-                    None
+                let header = match d.bool()? {
+                    true => Some(d.list(8, |d| d.str().map(str::to_string))?),
+                    false => None,
                 };
                 let n_cols = d.count()?;
                 let total_rows = d.count()?;
-                let total_bytes = d.count()? as u64;
+                let total_bytes = d.u64()?;
                 let chunk = CsvChunk {
-                    start_byte: d.count()? as u64,
-                    end_byte: d.count()? as u64,
+                    start_byte: d.u64()?,
+                    end_byte: d.u64()?,
                     rows: d.count()?,
                     start_row: d.count()?,
                 };
@@ -329,23 +294,8 @@ impl BandTask {
                     chunk,
                 }
             }
-            "domains" => {
-                let n = d.count()?;
-                let mut domains = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = d.str()?;
-                    let domain = Domain::from_name(name).ok_or_else(|| {
-                        DfError::internal(format!("band task: unknown domain {name:?}"))
-                    })?;
-                    domains.push(domain);
-                }
-                BandTask::ApplyDomains(domains)
-            }
-            other => {
-                return Err(DfError::internal(format!(
-                    "band task: unknown tag {other:?}"
-                )))
-            }
+            "domains" => BandTask::ApplyDomains(d.list(8, dec_domain)?),
+            other => return Err(d.corrupt(format!("band task: unknown tag {other:?}"))),
         };
         d.end()?;
         Ok(task)
@@ -375,129 +325,10 @@ fn predicate_is_data(p: &Predicate) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Netstring-style encoder / decoder
-// ---------------------------------------------------------------------------
-
-/// Length-prefixed string writer: every atom is `{byte_len}:{bytes}`, so no value
-/// ever needs escaping and the stream needs no delimiters.
-#[derive(Default)]
-struct Enc {
-    out: String,
-}
-
-impl Enc {
-    fn str(&mut self, s: &str) {
-        self.out.push_str(&s.len().to_string());
-        self.out.push(':');
-        self.out.push_str(s);
-    }
-
-    fn count(&mut self, n: usize) {
-        self.str(&n.to_string());
-    }
-
-    fn bool(&mut self, b: bool) {
-        self.str(if b { "1" } else { "0" });
-    }
-
-    fn f64(&mut self, v: f64) {
-        // `{}` on f64 prints the shortest string that parses back to the same bits.
-        self.str(&format!("{v}"));
-    }
-
-    fn cell(&mut self, c: &Cell) {
-        self.str(&spill::encode_cells(std::slice::from_ref(c)));
-    }
-
-    fn cells(&mut self, cs: &[Cell]) {
-        self.count(cs.len());
-        self.str(&spill::encode_cells(cs));
-    }
-
-    fn finish(self) -> String {
-        self.out
-    }
-}
-
-struct Dec<'a> {
-    raw: &'a str,
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(raw: &'a str) -> Dec<'a> {
-        Dec { raw, pos: 0 }
-    }
-
-    fn bad(&self, what: &str) -> DfError {
-        DfError::internal(format!("band task: malformed {what} at byte {}", self.pos))
-    }
-
-    fn str(&mut self) -> DfResult<&'a str> {
-        let rest = &self.raw[self.pos..];
-        let colon = rest.find(':').ok_or_else(|| self.bad("length prefix"))?;
-        let len: usize = rest[..colon]
-            .parse()
-            .map_err(|_| self.bad("length prefix"))?;
-        let start = self.pos + colon + 1;
-        let end = start.checked_add(len).ok_or_else(|| self.bad("length"))?;
-        if end > self.raw.len() || !self.raw.is_char_boundary(end) {
-            return Err(self.bad("atom"));
-        }
-        self.pos = end;
-        Ok(&self.raw[start..end])
-    }
-
-    fn count(&mut self) -> DfResult<usize> {
-        let raw = self.str()?;
-        raw.parse().map_err(|_| self.bad("count"))
-    }
-
-    fn bool(&mut self) -> DfResult<bool> {
-        match self.str()? {
-            "1" => Ok(true),
-            "0" => Ok(false),
-            _ => Err(self.bad("bool")),
-        }
-    }
-
-    fn f64(&mut self) -> DfResult<f64> {
-        let raw = self.str()?;
-        raw.parse().map_err(|_| self.bad("float"))
-    }
-
-    fn cell(&mut self) -> DfResult<Cell> {
-        let raw = self.str()?;
-        let mut cells = spill::decode_cells(raw, 1)?;
-        cells
-            .pop()
-            .ok_or_else(|| DfError::internal("band task: empty cell atom"))
-    }
-
-    fn cells(&mut self) -> DfResult<Vec<Cell>> {
-        let n = self.count()?;
-        let raw = self.str()?;
-        spill::decode_cells(raw, n)
-    }
-
-    /// Assert the stream was fully consumed — trailing bytes mean a codec skew.
-    fn end(&self) -> DfResult<()> {
-        if self.pos == self.raw.len() {
-            Ok(())
-        } else {
-            Err(DfError::internal(format!(
-                "band task: {} trailing bytes after decode",
-                self.raw.len() - self.pos
-            )))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Algebra-type codecs
 // ---------------------------------------------------------------------------
 
-fn enc_predicate(e: &mut Enc, p: &Predicate) -> Option<()> {
+fn enc_predicate(e: &mut ByteWriter, p: &Predicate) -> Option<()> {
     match p {
         Predicate::True => e.str("t"),
         Predicate::ColCmp { column, op, value } => {
@@ -538,13 +369,12 @@ fn enc_predicate(e: &mut Enc, p: &Predicate) -> Option<()> {
     Some(())
 }
 
-fn dec_predicate(d: &mut Dec<'_>) -> DfResult<Predicate> {
-    let tag = d.str()?.to_string();
-    Ok(match tag.as_str() {
+fn dec_predicate(d: &mut ByteReader<'_>) -> DfResult<Predicate> {
+    Ok(match d.str()? {
         "t" => Predicate::True,
         "cmp" => {
             let column = d.cell()?;
-            let op = cmp_from_name(d.str()?)?;
+            let op = dec_cmp(d)?;
             let value = d.cell()?;
             Predicate::ColCmp { column, op, value }
         }
@@ -557,11 +387,7 @@ fn dec_predicate(d: &mut Dec<'_>) -> DfResult<Predicate> {
         "not" => Predicate::Not(Box::new(dec_predicate(d)?)),
         "and" => Predicate::And(Box::new(dec_predicate(d)?), Box::new(dec_predicate(d)?)),
         "or" => Predicate::Or(Box::new(dec_predicate(d)?), Box::new(dec_predicate(d)?)),
-        other => {
-            return Err(DfError::internal(format!(
-                "band task: unknown predicate tag {other:?}"
-            )))
-        }
+        other => return Err(d.corrupt(format!("band task: unknown predicate tag {other:?}"))),
     })
 }
 
@@ -576,23 +402,19 @@ fn cmp_name(op: CmpOp) -> &'static str {
     }
 }
 
-fn cmp_from_name(name: &str) -> DfResult<CmpOp> {
-    Ok(match name {
+fn dec_cmp(d: &mut ByteReader<'_>) -> DfResult<CmpOp> {
+    Ok(match d.str()? {
         "eq" => CmpOp::Eq,
         "ne" => CmpOp::Ne,
         "lt" => CmpOp::Lt,
         "le" => CmpOp::Le,
         "gt" => CmpOp::Gt,
         "ge" => CmpOp::Ge,
-        other => {
-            return Err(DfError::internal(format!(
-                "band task: unknown comparison {other:?}"
-            )))
-        }
+        other => return Err(d.corrupt(format!("band task: unknown comparison {other:?}"))),
     })
 }
 
-fn enc_selector(e: &mut Enc, sel: &ColumnSelector) {
+fn enc_selector(e: &mut ByteWriter, sel: &ColumnSelector) {
     match sel {
         ColumnSelector::All => e.str("all"),
         ColumnSelector::ByLabels(labels) => {
@@ -601,10 +423,7 @@ fn enc_selector(e: &mut Enc, sel: &ColumnSelector) {
         }
         ColumnSelector::ByPositions(positions) => {
             e.str("pos");
-            e.count(positions.len());
-            for &p in positions {
-                e.count(p);
-            }
+            e.list(positions, |e, &p| e.count(p));
         }
         ColumnSelector::Numeric => e.str("numeric"),
         ColumnSelector::Excluding(labels) => {
@@ -614,30 +433,18 @@ fn enc_selector(e: &mut Enc, sel: &ColumnSelector) {
     }
 }
 
-fn dec_selector(d: &mut Dec<'_>) -> DfResult<ColumnSelector> {
-    let tag = d.str()?.to_string();
-    Ok(match tag.as_str() {
+fn dec_selector(d: &mut ByteReader<'_>) -> DfResult<ColumnSelector> {
+    Ok(match d.str()? {
         "all" => ColumnSelector::All,
         "labels" => ColumnSelector::ByLabels(d.cells()?),
-        "pos" => {
-            let n = d.count()?;
-            let mut positions = Vec::with_capacity(n);
-            for _ in 0..n {
-                positions.push(d.count()?);
-            }
-            ColumnSelector::ByPositions(positions)
-        }
+        "pos" => ColumnSelector::ByPositions(d.list(8, ByteReader::count)?),
         "numeric" => ColumnSelector::Numeric,
         "excl" => ColumnSelector::Excluding(d.cells()?),
-        other => {
-            return Err(DfError::internal(format!(
-                "band task: unknown selector tag {other:?}"
-            )))
-        }
+        other => return Err(d.corrupt(format!("band task: unknown selector tag {other:?}"))),
     })
 }
 
-fn enc_map(e: &mut Enc, f: &MapFunc) -> Option<()> {
+fn enc_map(e: &mut ByteWriter, f: &MapFunc) -> Option<()> {
     match f {
         MapFunc::IsNullMask => e.str("isnullmask"),
         MapFunc::FillNull(v) => {
@@ -656,11 +463,10 @@ fn enc_map(e: &mut Enc, f: &MapFunc) -> Option<()> {
         }
         MapFunc::Cast(cols) => {
             e.str("cast");
-            e.count(cols.len());
-            for (label, domain) in cols {
+            e.list(cols, |e, (label, domain)| {
                 e.cell(label);
                 e.str(domain.name());
-            }
+            });
         }
         MapFunc::ParseRaw => e.str("parseraw"),
         MapFunc::NormalizeNumeric => e.str("norm"),
@@ -688,28 +494,15 @@ fn enc_map(e: &mut Enc, f: &MapFunc) -> Option<()> {
     Some(())
 }
 
-fn dec_map(d: &mut Dec<'_>) -> DfResult<MapFunc> {
-    let tag = d.str()?.to_string();
-    Ok(match tag.as_str() {
+fn dec_map(d: &mut ByteReader<'_>) -> DfResult<MapFunc> {
+    Ok(match d.str()? {
         "isnullmask" => MapFunc::IsNullMask,
         "fill" => MapFunc::FillNull(d.cell()?),
         "upper" => MapFunc::StrUpper,
         "lower" => MapFunc::StrLower,
         "add" => MapFunc::NumericAdd(d.f64()?),
         "mul" => MapFunc::NumericMul(d.f64()?),
-        "cast" => {
-            let n = d.count()?;
-            let mut cols = Vec::with_capacity(n);
-            for _ in 0..n {
-                let label = d.cell()?;
-                let name = d.str()?;
-                let domain = Domain::from_name(name).ok_or_else(|| {
-                    DfError::internal(format!("band task: unknown domain {name:?}"))
-                })?;
-                cols.push((label, domain));
-            }
-            MapFunc::Cast(cols)
-        }
+        "cast" => MapFunc::Cast(d.list(9, |d| Ok((d.cell()?, dec_domain(d)?)))?),
         "parseraw" => MapFunc::ParseRaw,
         "norm" => MapFunc::NormalizeNumeric,
         "onehot" => {
@@ -728,12 +521,13 @@ fn dec_map(d: &mut Dec<'_>) -> DfResult<MapFunc> {
             }
         }
         "projvals" => MapFunc::ProjectValues(dec_selector(d)?),
-        other => {
-            return Err(DfError::internal(format!(
-                "band task: unknown map tag {other:?}"
-            )))
-        }
+        other => return Err(d.corrupt(format!("band task: unknown map tag {other:?}"))),
     })
+}
+
+fn dec_domain(d: &mut ByteReader<'_>) -> DfResult<Domain> {
+    let name = d.str()?;
+    Domain::from_name(name).ok_or_else(|| d.corrupt(format!("band task: unknown domain {name:?}")))
 }
 
 fn agg_name(func: &AggFunc) -> &'static str {
@@ -751,8 +545,8 @@ fn agg_name(func: &AggFunc) -> &'static str {
     }
 }
 
-fn agg_from_name(name: &str) -> DfResult<AggFunc> {
-    Ok(match name {
+fn dec_agg_func(d: &mut ByteReader<'_>) -> DfResult<AggFunc> {
+    Ok(match d.str()? {
         "count" => AggFunc::Count,
         "countnn" => AggFunc::CountNonNull,
         "sum" => AggFunc::Sum,
@@ -763,15 +557,11 @@ fn agg_from_name(name: &str) -> DfResult<AggFunc> {
         "first" => AggFunc::First,
         "last" => AggFunc::Last,
         "collect" => AggFunc::Collect,
-        other => {
-            return Err(DfError::internal(format!(
-                "band task: unknown aggregate {other:?}"
-            )))
-        }
+        other => return Err(d.corrupt(format!("band task: unknown aggregate {other:?}"))),
     })
 }
 
-fn enc_aggregation(e: &mut Enc, agg: &Aggregation) {
+fn enc_aggregation(e: &mut ByteWriter, agg: &Aggregation) {
     match &agg.column {
         Some(c) => {
             e.bool(true);
@@ -789,9 +579,9 @@ fn enc_aggregation(e: &mut Enc, agg: &Aggregation) {
     }
 }
 
-fn dec_aggregation(d: &mut Dec<'_>) -> DfResult<Aggregation> {
+fn dec_aggregation(d: &mut ByteReader<'_>) -> DfResult<Aggregation> {
     let column = if d.bool()? { Some(d.cell()?) } else { None };
-    let func = agg_from_name(d.str()?)?;
+    let func = dec_agg_func(d)?;
     let alias = if d.bool()? { Some(d.cell()?) } else { None };
     Ok(Aggregation {
         column,
@@ -800,36 +590,21 @@ fn dec_aggregation(d: &mut Dec<'_>) -> DfResult<Aggregation> {
     })
 }
 
-fn enc_key(e: &mut Enc, key: &ShuffleKey) {
+fn enc_key(e: &mut ByteWriter, key: &ShuffleKey) {
     match key {
         ShuffleKey::Positions(positions) => {
             e.str("pos");
-            e.count(positions.len());
-            for &p in positions {
-                e.count(p);
-            }
+            e.list(positions, |e, &p| e.count(p));
         }
         ShuffleKey::RowLabels => e.str("rowlabels"),
     }
 }
 
-fn dec_key(d: &mut Dec<'_>) -> DfResult<ShuffleKey> {
-    let tag = d.str()?.to_string();
-    Ok(match tag.as_str() {
-        "pos" => {
-            let n = d.count()?;
-            let mut positions = Vec::with_capacity(n);
-            for _ in 0..n {
-                positions.push(d.count()?);
-            }
-            ShuffleKey::Positions(positions)
-        }
+fn dec_key(d: &mut ByteReader<'_>) -> DfResult<ShuffleKey> {
+    Ok(match d.str()? {
+        "pos" => ShuffleKey::Positions(d.list(8, ByteReader::count)?),
         "rowlabels" => ShuffleKey::RowLabels,
-        other => {
-            return Err(DfError::internal(format!(
-                "band task: unknown shuffle key tag {other:?}"
-            )))
-        }
+        other => return Err(d.corrupt(format!("band task: unknown shuffle key tag {other:?}"))),
     })
 }
 
@@ -858,7 +633,7 @@ mod tests {
             BandTask::Projection(ColumnSelector::Excluding(vec![cell("weird\ncol")])),
             BandTask::Rename(vec![(cell("old"), cell("new")), (cell(1), cell("one"))]),
             BandTask::Map(MapFunc::FillNull(cell("∅"))),
-            BandTask::Map(MapFunc::NumericMul(f64::NAN)),
+            BandTask::Map(MapFunc::NumericMul(f64::from_bits(0x7ff8_0000_dead_beef))),
             BandTask::Map(MapFunc::Cast(vec![
                 (cell("a"), Domain::Int),
                 (cell("b"), Domain::Float),
@@ -967,19 +742,25 @@ mod tests {
     }
 
     #[test]
-    fn decoding_garbage_is_a_typed_error() {
-        for raw in [
-            "",
-            "3:zzz",
-            "5:sel",
-            "3:sel3:cmp",
-            "6:concat9:trailing!",
-            "99999:sel",
-        ] {
-            assert!(
-                BandTask::decode(raw).is_err(),
-                "raw {raw:?} should fail to decode"
-            );
+    fn decoding_garbage_is_typed_corruption() {
+        let concat = BandTask::Concat.encode().unwrap();
+        let sort = BandTask::SortBand(SortSpec::ascending(vec![cell("a"), cell(2)]))
+            .encode()
+            .unwrap();
+        let mut cases: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            b"zzz".to_vec(),
+            [&3u64.to_le_bytes()[..], b"zzz"].concat(), // unknown tag
+            [&u64::MAX.to_le_bytes()[..], b"sel"].concat(), // lying tag length
+            [&concat[..], b"trailing!"].concat(),
+        ];
+        // Every proper prefix of a valid descriptor is malformed too.
+        cases.extend((0..sort.len()).map(|cut| sort[..cut].to_vec()));
+        for raw in cases {
+            match BandTask::decode(&raw) {
+                Err(DfError::SpillCorruption { site, .. }) => assert_eq!(site, EXCHANGE_SITE),
+                other => panic!("raw {raw:?} should be corruption, got {other:?}"),
+            }
         }
     }
 

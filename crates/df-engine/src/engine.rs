@@ -87,7 +87,7 @@ pub struct ModinConfig {
     pub memory_budget_bytes: Option<usize>,
     /// Where band tasks execute: the in-process thread pool
     /// ([`BackendKind::Threads`]) or a pool of spawned worker processes exchanging
-    /// checksummed spill-v4 frames over pipes ([`BackendKind::Procs`]). Defaults to
+    /// checksummed block frames over pipes ([`BackendKind::Procs`]). Defaults to
     /// the `DF_BACKEND` environment variable, falling back to threads.
     pub backend: BackendKind,
 }
@@ -154,7 +154,7 @@ impl ModinConfig {
     ///
     /// [`BackendKind::Threads`] runs band tasks on the in-process pool;
     /// [`BackendKind::Procs`] ships them to spawned `df-band-worker` processes
-    /// over the spill-v4 pipe protocol. Results are identical either way.
+    /// over the block-frame pipe protocol. Results are identical either way.
     ///
     /// ```
     /// use df_engine::engine::{ModinConfig, ModinEngine};

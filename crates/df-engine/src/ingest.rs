@@ -120,12 +120,8 @@ pub fn ingest_csv_grid(
         // Typed columns straight out of the parser: each band is encoded once,
         // here, and checked in columnar — the store then accounts (and spills)
         // the compact typed buffers instead of tagged cells.
-        let part = if df_types::column::columnar_enabled() {
-            let block = ColumnBlock::from_frame(&band);
-            Partition::new_columnar_in(block, chunk.start_row, 0, store_owned.as_ref())?
-        } else {
-            Partition::new_in(band, chunk.start_row, 0, store_owned.as_ref())?
-        };
+        let block = ColumnBlock::from_frame(&band);
+        let part = Partition::new_columnar_in(block, chunk.start_row, 0, store_owned.as_ref())?;
         Ok((part, summaries))
     })?;
     let (parts, summaries): (Vec<Partition>, Vec<Option<Vec<InductionSummary>>>) =
@@ -384,14 +380,9 @@ pub fn scan_csv_grid(
             None => band,
         };
         let rows = band.n_rows() as u64;
-        // Mirror the plain ingest path's check-in: typed columnar blocks when the
-        // columnar layout is enabled, tagged-cell bands otherwise.
-        let part = if df_types::column::columnar_enabled() {
-            let block = ColumnBlock::from_frame(&band);
-            Partition::new_columnar_in(block, chunk.start_row, 0, store_owned.as_ref())?
-        } else {
-            Partition::new_in(band, chunk.start_row, 0, store_owned.as_ref())?
-        };
+        // Same check-in as the plain ingest path: a typed column block.
+        let block = ColumnBlock::from_frame(&band);
+        let part = Partition::new_columnar_in(block, chunk.start_row, 0, store_owned.as_ref())?;
         Ok((part, rows))
     })?;
     let mut parts = Vec::with_capacity(parsed.len());

@@ -145,7 +145,7 @@ impl PartitionHandle {
     }
 
     /// Wrap an already-encoded typed column block: checked into `store` when one is
-    /// provided (the store keeps it columnar and spills it as typed v3 buffers),
+    /// provided (the store keeps it columnar and spills its typed buffers as they are),
     /// held columnar in memory otherwise.
     pub fn columnar_in(
         block: ColumnBlock,

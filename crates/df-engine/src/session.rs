@@ -1251,7 +1251,7 @@ mod tests {
         let expr = AlgebraExpr::literal(df).map(MapFunc::IsNullMask);
         session.submit(&expr).unwrap();
         // Corrupt every spill file behind the cached result: appended bytes break
-        // the v4 length frame, so the next load-back reports SpillCorruption.
+        // the frame's declared length, so the next load-back reports SpillCorruption.
         let mut tampered = 0;
         for entry in std::fs::read_dir(&spill_dir).unwrap() {
             let path = entry.unwrap().path();

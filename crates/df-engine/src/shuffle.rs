@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 
 use df_types::cell::{Cell, StableHasher};
-use df_types::column::{columnar_enabled, ColumnData};
+use df_types::column::ColumnData;
 use df_types::error::{DfError, DfResult};
 use df_types::labels::Labels;
 
@@ -125,11 +125,10 @@ struct KeyEncoder<'a> {
 impl<'a> KeyEncoder<'a> {
     fn new(frame: &'a DataFrame, key: &'a ShuffleKey) -> KeyEncoder<'a> {
         let typed = match key {
-            ShuffleKey::Positions(positions) if columnar_enabled() => positions
+            ShuffleKey::Positions(positions) => positions
                 .iter()
                 .map(|&j| typed_for_keying(&frame.columns()[j]))
                 .collect(),
-            ShuffleKey::Positions(positions) => vec![None; positions.len()],
             ShuffleKey::RowLabels => Vec::new(),
         };
         KeyEncoder { frame, key, typed }
@@ -211,7 +210,7 @@ fn assemble_parts(parts: Vec<Partition>) -> DfResult<DataFrame> {
 /// pass then drains those slices one bucket at a time. Both stages place their band
 /// work ([`BandTask::HashSplit`], [`BandTask::Concat`]) on the executor's backend, so
 /// on the process backend every row of a shuffle crosses a process boundary as a
-/// checksummed spill-v4 frame.
+/// checksummed block frame.
 fn shuffle_bands(
     executor: &ParallelExecutor,
     bands: Vec<Partition>,

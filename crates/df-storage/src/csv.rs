@@ -731,9 +731,13 @@ mod tests {
     const SAMPLE: &str = "name,price,rating\niPhone 11,699,4.6\niPhone SE,399,4.5\n";
 
     fn temp_csv(name: &str, content: &str) -> std::path::PathBuf {
+        // Tests run in parallel and several derive the same `name`; the sequence
+        // number keeps one test from deleting the file another is still reading.
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("df_storage_csv_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
+        let path = dir.join(format!("{seq}-{name}"));
         std::fs::write(&path, content).unwrap();
         path
     }

@@ -8,8 +8,10 @@
 //!   parallel out-of-core `read_csv`.
 //! * [`spill`] — the main-memory + spill-to-disk partition store that lets
 //!   intermediate dataframes exceed main memory without the out-of-memory failures
-//!   pandas exhibits, with checksummed (v4) spill files, failpoint-instrumented I/O
-//!   and transient-fault retry.
+//!   pandas exhibits, and the checksummed binary block frame it spills as (the one
+//!   on-disk and on-wire format), with failpoint-instrumented I/O and
+//!   transient-fault retry.
+//! * [`wire`] — block frames over a byte stream, for the process backend's pipes.
 
 // Storage faults must surface as typed `DfError`s, never as panics: a worker that
 // panics mid-spill takes the whole statement down. Tests keep their unwraps.

@@ -1,4 +1,4 @@
-//! The out-of-core partition store ("memory spillover").
+//! The out-of-core partition store ("memory spillover") and the block frame.
 //!
 //! Paper §3.3, storage layer: "MODIN's modular storage layer supports both main memory
 //! and persistent storage out-of-core …, allowing intermediate dataframes to exceed
@@ -11,37 +11,62 @@
 //! session-scoped temporary directory and transparently re-loaded on access. Dropping
 //! the store removes its directory, matching the "freed once a session ends" semantics.
 //!
-//! Spill files use a private *lossless* encoding: a spilled partition reads back
-//! cell-for-cell and schema-slot-for-schema-slot identical, so engines may spill
-//! untyped (raw string) columns without schema induction being forced on reload. The
-//! engine's spill equivalence suite relies on this. Three formats coexist:
+//! A slot holds a [`StoredPart`] — a row-addressable [`DataFrame`] (an operator's
+//! result) or a typed [`ColumnBlock`] (what ingest checks in). Either is written as
+//! the same **block frame**, a self-delimiting binary encoding of typed columns, and
+//! every frame reads back as a block. The frame is *lossless*: a spilled partition
+//! reads back cell-for-cell and schema-slot-for-schema-slot identical (floats by bit
+//! pattern, so NaN payloads and `-0.0` survive; un-induced schema slots stay
+//! un-induced), so engines may spill untyped columns without schema induction being
+//! forced on reload. The same bytes are the process backend's band payload
+//! ([`crate::wire`]). No file outlives its store, so there is one format, no version
+//! field and no fallback reader.
 //!
-//! * **v2** — one tagged-cell line per column (a type tag per cell, per-column domain
-//!   slots, tagged labels). Written when the columnar switch is off; always readable.
-//! * **v3** — typed column buffers: each column is one line carrying its layout tag,
-//!   validity bitmap (hex words) and a flat value buffer (floats as `to_bits` hex, so
-//!   NaN payloads and `-0.0` survive bit-exactly); columns no typed layout can
-//!   represent fall back to a v2-style tagged-cell line. What a [`ColumnBlock`]
-//!   checked in via [`SpillStore::put_block`] spills as without ever converting back
-//!   to tagged cells.
-//! * **v4** — the default on-disk frame since the fault-tolerance work: a
-//!   `rustframe-spill-v4` magic line and a `<payload-bytes> <fnv1a64-hex>` integrity
-//!   line wrapped around an unmodified v2 or v3 payload. Every load-back verifies
-//!   the length and checksum before decoding, so a truncated or bit-flipped spill
-//!   file surfaces as a typed [`DfError::SpillCorruption`] instead of a parse panic
-//!   deep in the decoder. Bare v2/v3 files (pre-v4 sessions) still read back.
+//! # Frame layout
 //!
-//! The store's slots hold a [`StoredPart`] — a row-oriented [`DataFrame`] or a typed
-//! [`ColumnBlock`] — and reads return whichever frame form the caller asked for; the
-//! format on disk matches the slot's form, so a block never pays a decode just to be
-//! spilled.
+//! All integers are little-endian. `len` is a `u64` byte length or element count.
+//!
+//! | offset | size | field |
+//! |---|---|---|
+//! | 0 | 8 | magic `rfblock\n` |
+//! | 8 | 8 | `payload_len`: bytes after the header (`u64`) |
+//! | 16 | 8 | [`frame_checksum`] of the payload (`u64`) |
+//! | 24 | 8 | `n_rows` (`u64`) |
+//! | 32 | 8 | `n_cols` (`u64`) |
+//! | 40 | … | row labels: one *column* of `n_rows` entries |
+//! | … | … | column labels: one *column* of `n_cols` entries |
+//! | … | … | `n_cols` domain slots: `len` + domain name, empty = not yet induced |
+//! | … | … | `n_cols` data *columns* of `n_rows` entries |
+//!
+//! A *column* of `n` entries is a layout tag byte and a body mirroring
+//! [`ColumnData`]; null slots hold the layout's default value and are masked by the
+//! validity words (`n.div_ceil(64)` × `u64`, bit `i` set = row `i` holds a value):
+//!
+//! | tag | layout | body |
+//! |---|---|---|
+//! | 0 | cells | `n` tagged *cells* (mixed or composite columns) |
+//! | 1 | int | validity, `n` × `i64` |
+//! | 2 | float | validity, `n` × `f64::to_bits` as `u64` |
+//! | 3 | bool | validity, `n` × `u8` (0 or 1) |
+//! | 4 | str | validity, `n` × (`len`, UTF-8 bytes) |
+//! | 5 | dict | validity, `n` × `u32` codes, `len` entries, entries × (`len`, UTF-8 bytes) |
+//!
+//! A *cell* is a tag byte and a value: 0 null · 1 str (`len`, bytes) · 2 int (`i64`)
+//! · 3 float (bits as `u64`) · 4 bool (`u8`) · 5 list (`len`, cells; nested at most
+//! 64 deep). Band-task descriptors (`df-engine`'s `backend::task`) carry their literal
+//! cells in this same encoding through [`ByteWriter`] / [`ByteReader`].
+//!
+//! Decoding is total: [`decode_part`] verifies the frame's length and checksum first,
+//! then checks every declared length and count against the bytes that remain before
+//! allocating for it, so truncation, bit-flips and hostile frames all surface as a
+//! typed [`DfError::SpillCorruption`] raised where the fault is detected — never a
+//! panic, and never an allocation larger than a small multiple of the input.
 //!
 //! All store I/O is failpoint-instrumented (`spill.write`, `spill.read` — see
 //! `df_types::fail`) and transient read/write faults are retried under the store's
 //! [`RetryPolicy`] before surfacing.
 
 use std::collections::HashMap;
-use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,7 +74,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use df_types::cell::Cell;
-use df_types::column::{columnar_enabled, ColumnData, Validity};
+use df_types::column::{ColumnData, Validity};
 use df_types::domain::Domain;
 use df_types::error::{DfError, DfResult};
 use df_types::fail::{self, FailAction};
@@ -92,13 +117,13 @@ pub struct SpillStats {
     pub retries: u64,
 }
 
-/// What one store slot physically holds: a row-oriented frame, or a typed column
-/// block (what ingest checks in when the columnar layout is enabled). Either form
-/// decodes to the identical [`DataFrame`] on read; the block form is both smaller in
-/// memory (honest typed accounting) and spills as typed v3 buffers directly.
+/// What one store slot physically holds: a row-addressable frame (an operator's
+/// result) or a typed column block (what ingest checks in, and what every spilled
+/// slot reloads as). Either form decodes to the identical [`DataFrame`] on read; the
+/// block form is smaller in memory (honest typed accounting).
 #[derive(Debug, Clone)]
 pub enum StoredPart {
-    /// A row-oriented tagged-cell frame.
+    /// A row-addressable tagged-cell frame.
     Frame(DataFrame),
     /// A typed column block.
     Block(ColumnBlock),
@@ -244,8 +269,8 @@ impl SpillStore {
     }
 
     /// Insert an already-encoded typed column block. The block stays columnar in the
-    /// slot (smaller resident footprint) and spills as typed v3 buffers; reads decode
-    /// it to the identical frame on demand.
+    /// slot (smaller resident footprint); reads decode it to the identical frame on
+    /// demand.
     pub fn put_block(&self, block: ColumnBlock) -> DfResult<PartitionId> {
         self.put_part(StoredPart::Block(block))
     }
@@ -540,58 +565,36 @@ pub fn gc_orphaned_spill_dirs() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Spill file formats (internal, lossless)
+// The block frame (layout table in the module docs)
 // ---------------------------------------------------------------------------
-//
-// Both formats share a header:
-//
-//   rustframe-spill-v2 | rustframe-spill-v3
-//   <n_rows> <n_cols>
-//   <tagged row labels, unit-separator-joined>
-//   <tagged col labels, unit-separator-joined>
-//   <per-column domain names ("?" for an un-induced slot), unit-separator-joined>
-//
-// v2 follows with one line per column of tagged cells (a one-letter type tag plus a
-// payload per cell, see `encode_cell`), unit-separator-joined. Embedded separators,
-// backslashes and newlines are escaped, so arbitrary strings — including ones that
-// look numeric — survive the round trip without re-running schema induction.
-//
-// v3 follows with one line per *typed* column: a layout tag field, a validity bitmap
-// (the `Validity` words as hex, space-joined), and the flat value buffer —
-//
-//   C <US> <tagged cells as in v2>                         (fallback layout)
-//   I <US> <validity> <US> <i64 values, space-joined>
-//   F <US> <validity> <US> <f64::to_bits as hex, space-joined>   (bit-exact)
-//   B <US> <validity> <US> <one '0'/'1' char per row>
-//   S <US> <validity> <US> <one escaped string field per row>
-//   D <US> <validity> <US> <u32 codes, space-joined> <US> <escaped dict entries>
-//
-// where <US> is the unit separator. Null slots hold the layout's default value and
-// are masked by the validity bitmap, exactly mirroring `ColumnData`'s in-memory
-// layout — so a spilled block re-loads without re-probing any column.
-//
-// v4 is not a new payload encoding but an integrity frame around either payload:
-//
-//   rustframe-spill-v4
-//   <payload byte length> <FNV-1a 64-bit checksum of the payload, hex>
-//   <the complete v2 or v3 file content, unmodified>
-//
-// Load-back verifies length then checksum before handing the payload to the v2/v3
-// decoder, so truncation and bit-flips become typed `SpillCorruption` errors at the
-// frame boundary. The store writes v4 exclusively; bare v2/v3 files still read.
 
-const MAGIC: &str = "rustframe-spill-v2";
-const MAGIC_V3: &str = "rustframe-spill-v3";
-const MAGIC_V4: &str = "rustframe-spill-v4";
+/// The first eight bytes of every frame.
+const MAGIC: [u8; 8] = *b"rfblock\n";
 
-/// FNV-1a-style 64-bit checksum over the raw payload bytes, folded a machine word
-/// at a time: each 8-byte little-endian chunk (and the zero-padded tail, with its
-/// length mixed in so padding cannot collide) is XORed into the state and
-/// multiplied by the FNV prime. Word folding keeps the serial multiply chain 8x
-/// shorter than byte-wise FNV-1a — the integrity check must not dominate the
-/// spill path it protects. Tiny, dependency-free, and plenty to catch the
+/// Bytes in the fixed frame header: magic, payload length, payload checksum.
+pub const FRAME_HEADER_LEN: usize = 24;
+
+/// How deep `Cell::List` values may nest inside a frame. The cell decoder recurses
+/// once per level, so without a bound a hostile frame of nothing but list tags could
+/// exhaust the stack.
+const MAX_LIST_DEPTH: usize = 64;
+
+const TAG_CELLS: u8 = 0;
+const TAG_INT: u8 = 1;
+const TAG_FLOAT: u8 = 2;
+const TAG_BOOL: u8 = 3;
+const TAG_STR: u8 = 4;
+const TAG_DICT: u8 = 5;
+
+/// The frame's integrity checksum: FNV-1a-style, 64-bit, over the raw payload bytes,
+/// folded a machine word at a time. Each 8-byte little-endian chunk (and the
+/// zero-padded tail, with its length mixed in so padding cannot collide) is XORed
+/// into the state and multiplied by the FNV prime. Word folding keeps the serial
+/// multiply chain 8x shorter than byte-wise FNV-1a — the integrity check must not
+/// dominate the spill path it protects. Every step is a bijection of the state, so
+/// any change confined to one word always changes the sum. Plenty to catch the
 /// truncation/bit-rot class of faults (this is not an adversarial MAC).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub fn frame_checksum(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut chunks = bytes.chunks_exact(8);
@@ -621,215 +624,535 @@ fn io_transient(kind: std::io::ErrorKind) -> bool {
     )
 }
 
-/// Flip one character of a rendered payload while keeping it valid UTF-8 — the
-/// `corrupt` failpoint's bit-rot model. The checksum is computed over the original
-/// bytes, so the mangled payload is guaranteed to fail verification on load-back.
-/// Public so the process backend's chaos arm can reuse the same bit-rot model on
-/// wire frames.
-pub fn mangle_payload(payload: &mut String) {
-    let mut idx = payload.len() / 2;
-    while idx > 0 && !payload.is_char_boundary(idx) {
-        idx -= 1;
+/// Flip every bit of the middle byte of an encoded frame — the `corrupt` failpoint's
+/// bit-rot model. The checksum was taken over the original bytes, so the mangled
+/// frame is guaranteed to fail verification on load-back (a flipped header byte
+/// breaks the magic, the length or the stored sum instead). Public so the process
+/// backend's chaos arm can reuse the same model on wire frames.
+pub fn mangle_payload(frame: &mut [u8]) {
+    if let Some(byte) = frame.get_mut(frame.len() / 2) {
+        *byte = !*byte;
     }
-    let replacement = if payload[idx..].starts_with('#') {
-        "%"
-    } else {
-        "#"
-    };
-    let end = payload[idx..]
-        .chars()
-        .next()
-        .map_or(idx, |c| idx + c.len_utf8());
-    payload.replace_range(idx..end, replacement);
-}
-/// Joins cells within a line.
-const UNIT_SEP: char = '\u{1f}';
-/// Joins the elements of a composite (list) cell payload.
-const LIST_SEP: char = '\u{1e}';
-
-fn escape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            UNIT_SEP => out.push_str("\\u"),
-            LIST_SEP => out.push_str("\\l"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
-fn unescape(raw: &str) -> DfResult<String> {
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('u') => out.push(UNIT_SEP),
-            Some('l') => out.push(LIST_SEP),
-            other => {
-                return Err(DfError::internal(format!(
-                    "corrupt spill escape \\{other:?}"
-                )))
+/// Little-endian writer for frame payloads and band-task descriptors; the encoding
+/// of each value is given in the module docs.
+#[derive(Debug, Default)]
+pub struct ByteWriter {
+    out: Vec<u8>,
+}
+
+impl ByteWriter {
+    /// One raw byte.
+    pub fn u8(&mut self, value: u8) {
+        self.out.push(value);
+    }
+
+    /// A `u64`.
+    pub fn u64(&mut self, value: u64) {
+        self.out.extend_from_slice(&value.to_le_bytes());
+    }
+
+    /// A count, byte length or offset, as a `u64`.
+    pub fn count(&mut self, n: usize) {
+        self.u64(n as u64);
+    }
+
+    /// A boolean, as one 0/1 byte.
+    pub fn bool(&mut self, value: bool) {
+        self.u8(u8::from(value));
+    }
+
+    /// A float, by bit pattern.
+    pub fn f64(&mut self, value: f64) {
+        self.u64(value.to_bits());
+    }
+
+    /// A length-prefixed UTF-8 string.
+    pub fn str(&mut self, value: &str) {
+        self.count(value.len());
+        self.out.extend_from_slice(value.as_bytes());
+    }
+
+    /// One tagged cell.
+    pub fn cell(&mut self, cell: &Cell) {
+        match cell {
+            Cell::Null => self.u8(0),
+            Cell::Str(s) => {
+                self.u8(1);
+                self.str(s);
+            }
+            Cell::Int(v) => {
+                self.u8(2);
+                self.out.extend_from_slice(&v.to_le_bytes());
+            }
+            Cell::Float(v) => {
+                self.u8(3);
+                self.f64(*v);
+            }
+            Cell::Bool(b) => {
+                self.u8(4);
+                self.bool(*b);
+            }
+            Cell::List(items) => {
+                self.u8(5);
+                self.cells(items);
             }
         }
     }
-    Ok(out)
-}
 
-/// Encode one cell as a tag plus payload. The result may contain separator
-/// characters; callers escape it before embedding it in a joined line.
-fn encode_cell(cell: &Cell) -> String {
-    match cell {
-        Cell::Null => "n".to_string(),
-        Cell::Str(s) => format!("s{s}"),
-        Cell::Int(v) => format!("i{v}"),
-        // `{}` on f64 prints the shortest string that parses back to the same bits
-        // (and "NaN"/"inf"/"-inf" all round-trip through `str::parse`).
-        Cell::Float(v) => format!("f{v}"),
-        Cell::Bool(b) => format!("b{}", u8::from(*b)),
-        Cell::List(items) => {
-            let parts: Vec<String> = items
-                .iter()
-                .map(|item| escape(&encode_cell(item)))
-                .collect();
-            format!("l{}", parts.join(&LIST_SEP.to_string()))
+    /// A count-prefixed run of items, each written by `item`.
+    pub fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.count(items.len());
+        for it in items {
+            item(self, it);
         }
     }
-}
 
-fn decode_cell(raw: &str) -> DfResult<Cell> {
-    let mut chars = raw.chars();
-    let tag = chars
-        .next()
-        .ok_or_else(|| DfError::internal("empty spill cell"))?;
-    let payload = chars.as_str();
-    let bad = |what: &str| DfError::internal(format!("corrupt spill {what}: {payload:?}"));
-    match tag {
-        'n' => Ok(Cell::Null),
-        's' => Ok(Cell::Str(payload.to_string())),
-        'i' => payload
-            .parse::<i64>()
-            .map(Cell::Int)
-            .map_err(|_| bad("int")),
-        'f' => payload
-            .parse::<f64>()
-            .map(Cell::Float)
-            .map_err(|_| bad("float")),
-        'b' => match payload {
-            "1" => Ok(Cell::Bool(true)),
-            "0" => Ok(Cell::Bool(false)),
-            _ => Err(bad("bool")),
-        },
-        'l' => {
-            if payload.is_empty() {
-                return Ok(Cell::List(Vec::new()));
+    /// A count-prefixed run of tagged cells.
+    pub fn cells(&mut self, cells: &[Cell]) {
+        self.list(cells, Self::cell);
+    }
+
+    /// Fixed-width little-endian values, back to back.
+    fn lanes<T: Copy, const N: usize>(&mut self, values: &[T], to: fn(T) -> [u8; N]) {
+        self.out.reserve(values.len() * N);
+        for value in values {
+            self.out.extend_from_slice(&to(*value));
+        }
+    }
+
+    /// What every typed layout starts with: its tag and the validity words.
+    fn typed_head(&mut self, tag: u8, validity: &Validity) {
+        self.u8(tag);
+        self.lanes(validity.words(), u64::to_le_bytes);
+    }
+
+    /// One column in the layout it already has.
+    fn column(&mut self, data: &ColumnData) {
+        match data {
+            ColumnData::Cells(cells) => self.tagged_cells(cells),
+            ColumnData::Int { values, validity } => {
+                self.typed_head(TAG_INT, validity);
+                self.lanes(values, i64::to_le_bytes);
             }
-            let items: Vec<Cell> = payload
-                .split(LIST_SEP)
-                .map(|item| decode_cell(&unescape(item)?))
-                .collect::<DfResult<_>>()?;
-            Ok(Cell::List(items))
+            ColumnData::Float { values, validity } => {
+                self.typed_head(TAG_FLOAT, validity);
+                self.lanes(values, |v| v.to_bits().to_le_bytes());
+            }
+            ColumnData::Bool { values, validity } => {
+                self.typed_head(TAG_BOOL, validity);
+                self.lanes(values, |b| [u8::from(b)]);
+            }
+            ColumnData::Str { values, validity } => {
+                self.typed_head(TAG_STR, validity);
+                for s in values {
+                    self.str(s);
+                }
+            }
+            ColumnData::Dict {
+                codes,
+                dict,
+                validity,
+            } => {
+                self.typed_head(TAG_DICT, validity);
+                self.lanes(codes, u32::to_le_bytes);
+                self.list(dict, |w, s| w.str(s));
+            }
         }
-        _ => Err(DfError::internal(format!("unknown spill cell tag {tag:?}"))),
+    }
+
+    /// The fallback layout: the column's cells as they are, no count (the frame's
+    /// shape gives it).
+    fn tagged_cells(&mut self, cells: &[Cell]) {
+        self.u8(TAG_CELLS);
+        for cell in cells {
+            self.cell(cell);
+        }
+    }
+
+    /// A column still held as tagged cells (a frame's column, a label vector): probe
+    /// for its typed layout — one column-sized temporary, dropped before the next
+    /// column — and write that; columns without one go out cell by cell.
+    fn cells_column(&mut self, cells: &[Cell], domain: Option<&Domain>) {
+        match ColumnData::from_cells_typed(cells, domain) {
+            Some(typed) => self.column(&typed),
+            None => self.tagged_cells(cells),
+        }
+    }
+
+    /// Shape, both label vectors and the per-column domain slots.
+    fn block_head(
+        &mut self,
+        row_labels: &Labels,
+        col_labels: &Labels,
+        domains: impl Iterator<Item = Option<Domain>>,
+    ) {
+        self.count(row_labels.len());
+        self.count(col_labels.len());
+        self.cells_column(row_labels.as_slice(), None);
+        self.cells_column(col_labels.as_slice(), None);
+        for domain in domains {
+            self.str(domain.map_or("", |d| d.name()));
+        }
+    }
+
+    /// The bytes written so far.
+    pub fn finish(self) -> Vec<u8> {
+        self.out
     }
 }
 
-fn encode_line(cells: &[Cell]) -> String {
-    let parts: Vec<String> = cells.iter().map(|c| escape(&encode_cell(c))).collect();
-    parts.join(&UNIT_SEP.to_string())
+/// Bounds-checked cursor over untrusted bytes — a frame payload or a band-task
+/// descriptor. Every read is checked against the bytes that remain, every element
+/// count against the bytes its elements need at minimum, and every failure is a
+/// [`DfError::SpillCorruption`] tagged with the reader's site and byte position.
+#[derive(Debug)]
+pub struct ByteReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    site: &'a str,
 }
 
-fn decode_line(line: &str, expected: usize) -> DfResult<Vec<Cell>> {
-    if expected == 0 {
-        return Ok(Vec::new());
+impl<'a> ByteReader<'a> {
+    /// A reader over `bytes`; `site` labels the corruption errors it raises
+    /// (`"spill.read"` for the store, `"backend.exchange"` for the process backend).
+    pub fn new(bytes: &'a [u8], site: &'a str) -> ByteReader<'a> {
+        ByteReader {
+            bytes,
+            pos: 0,
+            site,
+        }
     }
-    let cells: Vec<Cell> = line
-        .split(UNIT_SEP)
-        .map(|part| decode_cell(&unescape(part)?))
-        .collect::<DfResult<_>>()?;
-    if cells.len() != expected {
-        return Err(DfError::internal(format!(
-            "corrupt spill line: {} cells, expected {expected}",
-            cells.len()
-        )));
+
+    /// A corruption error at the current position.
+    pub fn corrupt(&self, what: impl std::fmt::Display) -> DfError {
+        DfError::spill_corruption(self.site, format!("{what} at byte {}", self.pos))
     }
-    Ok(cells)
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize) -> DfResult<&'a [u8]> {
+        if n > self.remaining() {
+            return Err(self.corrupt(format!(
+                "truncated: {n} bytes declared, {} remain",
+                self.remaining()
+            )));
+        }
+        let bytes = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(bytes)
+    }
+
+    /// `n` fixed-width little-endian values. The byte length is checked before the
+    /// vector is allocated.
+    fn lanes<T, const N: usize>(&mut self, n: usize, from: fn([u8; N]) -> T) -> DfResult<Vec<T>> {
+        let Some(len) = n.checked_mul(N) else {
+            return Err(self.corrupt("lane length overflows"));
+        };
+        let lanes = self.take(len)?.chunks_exact(N).map(|lane| {
+            let mut bytes = [0u8; N];
+            bytes.copy_from_slice(lane);
+            from(bytes)
+        });
+        Ok(lanes.collect())
+    }
+
+    /// Reject an element count unless `n` elements of at least `min_item_bytes` each
+    /// can still follow, so nothing is ever allocated for elements the input cannot
+    /// hold.
+    fn fits(&self, n: usize, min_item_bytes: usize) -> DfResult<usize> {
+        match n.checked_mul(min_item_bytes) {
+            Some(need) if need <= self.remaining() => Ok(n),
+            _ => Err(self.corrupt(format!(
+                "{n} elements declared, {} bytes remain",
+                self.remaining()
+            ))),
+        }
+    }
+
+    fn array<const N: usize>(&mut self) -> DfResult<[u8; N]> {
+        let mut bytes = [0u8; N];
+        bytes.copy_from_slice(self.take(N)?);
+        Ok(bytes)
+    }
+
+    /// One raw byte.
+    pub fn u8(&mut self) -> DfResult<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// A `u64`.
+    pub fn u64(&mut self) -> DfResult<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A scalar count or offset. Not checked against the remaining bytes: use
+    /// [`ByteReader::list`] for a count of elements that follow.
+    pub fn count(&mut self) -> DfResult<usize> {
+        usize::try_from(self.u64()?).map_err(|_| self.corrupt("count overflows usize"))
+    }
+
+    /// A boolean; any byte other than 0 or 1 is corruption.
+    pub fn bool(&mut self) -> DfResult<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(self.corrupt(format!("bool byte {other:#04x}"))),
+        }
+    }
+
+    /// A float, by bit pattern.
+    pub fn f64(&mut self) -> DfResult<f64> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A count-prefixed run of items, each read by `item` and at least
+    /// `min_item_bytes` long. The count is checked against the bytes that remain
+    /// before any item is read or allocated for.
+    pub fn list<T>(
+        &mut self,
+        min_item_bytes: usize,
+        item: impl FnMut(&mut Self) -> DfResult<T>,
+    ) -> DfResult<Vec<T>> {
+        let n = self.count()?;
+        self.run(n, min_item_bytes, item)
+    }
+
+    /// `n` items in a row, under the same check as [`ByteReader::list`].
+    fn run<T>(
+        &mut self,
+        n: usize,
+        min_item_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> DfResult<T>,
+    ) -> DfResult<Vec<T>> {
+        (0..self.fits(n, min_item_bytes)?)
+            .map(|_| item(self))
+            .collect()
+    }
+
+    /// A length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str(&mut self) -> DfResult<&'a str> {
+        let len = self.count()?;
+        std::str::from_utf8(self.take(len)?).map_err(|_| self.corrupt("string is not UTF-8"))
+    }
+
+    /// One tagged cell.
+    pub fn cell(&mut self) -> DfResult<Cell> {
+        self.cell_at(0)
+    }
+
+    fn cell_at(&mut self, depth: usize) -> DfResult<Cell> {
+        match self.u8()? {
+            0 => Ok(Cell::Null),
+            1 => Ok(Cell::Str(self.str()?.to_owned())),
+            2 => Ok(Cell::Int(i64::from_le_bytes(self.array()?))),
+            3 => Ok(Cell::Float(self.f64()?)),
+            4 => Ok(Cell::Bool(self.bool()?)),
+            5 if depth < MAX_LIST_DEPTH => Ok(Cell::List(self.list(1, |r| r.cell_at(depth + 1))?)),
+            5 => Err(self.corrupt(format!("lists nested deeper than {MAX_LIST_DEPTH}"))),
+            tag => Err(self.corrupt(format!("unknown cell tag {tag}"))),
+        }
+    }
+
+    /// A count-prefixed run of tagged cells.
+    pub fn cells(&mut self) -> DfResult<Vec<Cell>> {
+        self.list(1, Self::cell)
+    }
+
+    /// One column of `n_rows` entries in whichever layout its tag names.
+    fn column(&mut self, n_rows: usize) -> DfResult<ColumnData> {
+        let string = |r: &mut Self| r.str().map(str::to_owned);
+        let tag = self.u8()?;
+        if tag == TAG_CELLS {
+            // Every cell is at least its tag byte.
+            return Ok(ColumnData::Cells(self.run(n_rows, 1, Self::cell)?));
+        }
+        let words = self.lanes(n_rows.div_ceil(64), u64::from_le_bytes)?;
+        let validity = Validity::from_words(words, n_rows)
+            .ok_or_else(|| self.corrupt("validity bits set past the last row"))?;
+        match tag {
+            TAG_INT => Ok(ColumnData::Int {
+                values: self.lanes(n_rows, i64::from_le_bytes)?,
+                validity,
+            }),
+            TAG_FLOAT => Ok(ColumnData::Float {
+                values: self.lanes(n_rows, |bits| f64::from_bits(u64::from_le_bytes(bits)))?,
+                validity,
+            }),
+            TAG_BOOL => Ok(ColumnData::Bool {
+                values: self.run(n_rows, 1, Self::bool)?,
+                validity,
+            }),
+            // A string is at least its eight-byte length.
+            TAG_STR => Ok(ColumnData::Str {
+                values: self.run(n_rows, 8, string)?,
+                validity,
+            }),
+            TAG_DICT => {
+                let codes = self.lanes(n_rows, u32::from_le_bytes)?;
+                let dict = self.list(8, string)?;
+                // Null slots hold an arbitrary code; only rows that are read must
+                // index the dictionary.
+                let stray =
+                    (0..n_rows).find(|&i| validity.get(i) && codes[i] as usize >= dict.len());
+                if let Some(row) = stray {
+                    return Err(self.corrupt(format!(
+                        "dictionary code {} of row {row} out of range ({} entries)",
+                        codes[row],
+                        dict.len()
+                    )));
+                }
+                Ok(ColumnData::Dict {
+                    codes,
+                    dict,
+                    validity,
+                })
+            }
+            tag => Err(self.corrupt(format!("unknown layout tag {tag}"))),
+        }
+    }
+
+    /// Assert the input was fully consumed — trailing bytes mean the writer and the
+    /// reader disagree about the format.
+    pub fn end(&self) -> DfResult<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(self.corrupt(format!("{n} trailing bytes"))),
+        }
+    }
 }
 
-/// Encode a slice of cells as one escaped, separator-joined line — the spill
-/// format's row encoding. Public (with [`decode_cells`]) so the process backend's
-/// band-task codec can ship literal cells (keys, fill values, rename pairs) in the
-/// exact same dialect as the frames themselves.
-pub fn encode_cells(cells: &[Cell]) -> String {
-    encode_line(cells)
-}
-
-/// Decode a line produced by [`encode_cells`] back into cells. `expected` is the
-/// cell count the caller knows from framing; a mismatch or a malformed cell is an
-/// [`DfError::Internal`] shape error, which wire-level callers fold into their own
-/// corruption taxonomy.
-pub fn decode_cells(line: &str, expected: usize) -> DfResult<Vec<Cell>> {
-    decode_line(line, expected)
-}
-
-/// Render one stored part as a v2/v3 payload string: blocks always render v3; frames
-/// render v3 when the columnar switch is on (typed-probing each column at spill
-/// time), v2 otherwise — so disabling the switch restores the pre-columnar payload
-/// byte for byte.
-fn render_spill_payload(part: &StoredPart) -> String {
+/// Encode one stored part as a complete frame: header, then the payload streamed
+/// column by column into the same buffer. A block's typed buffers are written as
+/// they are; a frame's columns are typed one at a time on the way out — one
+/// column-sized temporary, never a whole-block copy. These are exactly the bytes
+/// [`write_spill_part`] puts on disk and [`crate::wire`] puts on a pipe.
+pub fn encode_part(part: &StoredPart) -> Vec<u8> {
+    let mut w = ByteWriter::default();
+    w.out.extend_from_slice(&MAGIC);
+    w.out
+        .extend_from_slice(&[0; FRAME_HEADER_LEN - MAGIC.len()]);
     match part {
-        StoredPart::Block(block) => render_spill_block_v3(block),
-        StoredPart::Frame(frame) if columnar_enabled() => {
-            render_spill_block_v3(&ColumnBlock::from_frame(frame))
+        StoredPart::Block(block) => {
+            w.block_head(
+                block.row_labels(),
+                block.col_labels(),
+                block.domains().iter().copied(),
+            );
+            for column in block.columns() {
+                w.column(column);
+            }
         }
-        StoredPart::Frame(frame) => render_spill_frame_v2(frame),
+        StoredPart::Frame(frame) => {
+            let columns = frame.columns();
+            w.block_head(
+                frame.row_labels(),
+                frame.col_labels(),
+                columns.iter().map(Column::known_domain),
+            );
+            for column in columns {
+                w.cells_column(column.cells(), column.known_domain().as_ref());
+            }
+        }
     }
+    let mut frame = w.finish();
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
+    header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[16..24].copy_from_slice(&frame_checksum(payload).to_le_bytes());
+    frame
 }
 
-/// Write one stored part to `path` in the checksummed v4 frame. This is the only
-/// writer the store itself uses; public so the checksum-overhead bench arm can
-/// measure the framed codec against the raw v3 one. The `spill.write` failpoint
-/// fires here: I/O kinds become typed [`DfError::SpillIo`] before any byte is
-/// written, and the `corrupt` kind mangles the payload *after* the checksum is
-/// taken, modelling bit-rot between write and read.
+/// Check the fixed header at the front of `frame` and return the payload length and
+/// checksum it declares. The stream reader in [`crate::wire`] calls this on the first
+/// [`FRAME_HEADER_LEN`] bytes to learn how many more to read.
+pub fn parse_frame_header(frame: &[u8], site: &str) -> DfResult<(u64, u64)> {
+    let Some(header) = frame.get(..FRAME_HEADER_LEN) else {
+        return Err(DfError::spill_corruption(
+            site,
+            format!("truncated inside the frame header ({} bytes)", frame.len()),
+        ));
+    };
+    if header[..8] != MAGIC {
+        return Err(DfError::spill_corruption(
+            site,
+            "bad magic (not a block frame)",
+        ));
+    }
+    let mut fields = ByteReader::new(&header[MAGIC.len()..], site);
+    Ok((fields.u64()?, fields.u64()?))
+}
+
+/// Decode one complete frame — exactly the bytes [`encode_part`] produced, nothing
+/// before or after. The header's length and checksum are verified before the payload
+/// is looked at; `site` labels any corruption error (`"spill.read"` for the store,
+/// `"backend.exchange"` for the process backend's pipes). Always yields a
+/// [`StoredPart::Block`].
+pub fn decode_part(frame: &[u8], site: &str) -> DfResult<StoredPart> {
+    let (payload_len, checksum) = parse_frame_header(frame, site)?;
+    let payload = &frame[FRAME_HEADER_LEN..];
+    if payload.len() as u64 != payload_len {
+        return Err(DfError::spill_corruption(
+            site,
+            format!(
+                "payload length mismatch: header says {payload_len} bytes, frame has {}",
+                payload.len()
+            ),
+        ));
+    }
+    let actual = frame_checksum(payload);
+    if actual != checksum {
+        return Err(DfError::spill_corruption(
+            site,
+            format!("checksum mismatch: header {checksum:x}, payload {actual:x}"),
+        ));
+    }
+    let mut r = ByteReader::new(payload, site);
+    let n_rows = r.count()?;
+    let n_cols = r.count()?;
+    // Decoding the label columns bounds both counts by the payload size.
+    let row_labels = Labels::new(r.column(n_rows)?.to_cells());
+    let col_labels = Labels::new(r.column(n_cols)?.to_cells());
+    let mut domains = Vec::new();
+    for _ in 0..n_cols {
+        domains.push(match r.str()? {
+            "" => None,
+            name => Some(
+                Domain::from_name(name)
+                    .ok_or_else(|| r.corrupt(format!("unknown domain {name:?}")))?,
+            ),
+        });
+    }
+    let columns = (0..n_cols)
+        .map(|_| r.column(n_rows))
+        .collect::<DfResult<Vec<_>>>()?;
+    r.end()?;
+    ColumnBlock::from_parts(columns, domains, row_labels, col_labels).map(StoredPart::Block)
+}
+
+/// Write one stored part to `path` as a block frame. This is the only writer the
+/// store uses. The `spill.write` failpoint fires here: I/O kinds become typed
+/// [`DfError::SpillIo`] before any byte is written, and the `corrupt` kind mangles
+/// the frame *after* its checksum is taken, modelling bit-rot between write and read.
 pub fn write_spill_part(part: &StoredPart, path: &Path) -> DfResult<()> {
-    let mut payload = render_spill_payload(part);
-    let checksum = fnv1a64(payload.as_bytes());
+    let mut frame = encode_part(part);
     match fail::failpoint("spill.write") {
-        Some(FailAction::Corrupt) => mangle_payload(&mut payload),
+        Some(FailAction::Corrupt) => mangle_payload(&mut frame),
         Some(action) => return Err(action.into_error("spill.write")),
         None => {}
     }
-    let write = || -> std::io::Result<()> {
-        let mut writer = BufWriter::new(std::fs::File::create(path)?);
-        writeln!(writer, "{MAGIC_V4}")?;
-        writeln!(writer, "{} {checksum:x}", payload.len())?;
-        writer.write_all(payload.as_bytes())?;
-        writer.flush()
-    };
-    write()
+    std::fs::write(path, &frame)
         .map_err(|err| DfError::spill_io("spill.write", err.to_string(), io_transient(err.kind())))
 }
 
-/// Read a spill file in whichever format it was written: v4 frames are length- and
-/// checksum-verified and their payload dispatched on its inner magic; bare v2 files
-/// decode to a row-oriented frame and bare v3 files to a typed column block.
-/// Exposed (with the writers) so format-compatibility tests can pin that old files
-/// stay readable. The `spill.read` failpoint fires here: `missing` deletes the file
-/// before the open, `corrupt` mangles the bytes just read so the real checksum path
-/// reports the fault, and the I/O kinds surface as typed [`DfError::SpillIo`].
-/// A file that is genuinely gone (NotFound) classifies as [`DfError::SpillCorruption`]
-/// — lost state is recomputable from lineage, unlike a sick device.
+/// Read a spill file back. The `spill.read` failpoint fires here: `missing` deletes
+/// the file before the open, `corrupt` mangles the bytes just read so the real
+/// checksum path reports the fault, and the I/O kinds surface as typed
+/// [`DfError::SpillIo`]. A file that is genuinely gone (NotFound) classifies as
+/// [`DfError::SpillCorruption`] — lost state is recomputable from lineage, unlike a
+/// sick device.
 pub fn read_spill_part(path: &Path) -> DfResult<StoredPart> {
     let injected = fail::failpoint("spill.read");
     match injected {
@@ -840,426 +1163,24 @@ pub fn read_spill_part(path: &Path) -> DfResult<StoredPart> {
         Some(action) => return Err(action.into_error("spill.read")),
         None => {}
     }
-    let mut content = String::new();
-    let read = std::fs::File::open(path).and_then(|mut f| f.read_to_string(&mut content));
-    if let Err(err) = read {
-        // A vanished spill file is lost *state*, not a sick device: classify it
-        // with corruption so the recovery layer recomputes the block from lineage
-        // instead of surfacing a permanent I/O error.
+    let mut frame = std::fs::read(path).map_err(|err| {
         if err.kind() == std::io::ErrorKind::NotFound {
-            return Err(DfError::spill_corruption(
+            DfError::spill_corruption(
                 "spill.read",
                 format!("spill file missing: {}", path.display()),
-            ));
+            )
+        } else {
+            DfError::spill_io(
+                "spill.read",
+                format!("{}: {err}", path.display()),
+                io_transient(err.kind()),
+            )
         }
-        return Err(DfError::spill_io(
-            "spill.read",
-            format!("{}: {err}", path.display()),
-            io_transient(err.kind()),
-        ));
-    }
+    })?;
     if injected == Some(FailAction::Corrupt) {
-        mangle_payload(&mut content);
+        mangle_payload(&mut frame);
     }
-    decode_spill_content(&content, "spill.read")
-}
-
-/// Decode the full content of a spill frame in whichever format it carries: a v4
-/// frame is length- and checksum-verified and its payload dispatched on its inner
-/// magic; bare v2/v3 payloads decode directly. `site` labels any corruption error
-/// (`"spill.read"` for the store, `"backend.exchange"` for the process backend's
-/// wire protocol, which reuses this codec verbatim as its band-exchange payload).
-pub fn decode_spill_content(content: &str, site: &str) -> DfResult<StoredPart> {
-    let corrupt = |err: DfError| match err {
-        // Shape/parse failures inside the decoders mean the bytes lied; fold them
-        // into the corruption taxonomy with the decoder's message as the detail.
-        DfError::Internal(detail) => DfError::spill_corruption(site, detail),
-        other => other,
-    };
-    match content.split('\n').next().unwrap_or("") {
-        MAGIC_V4 => {
-            let payload = verify_v4(content, site)?;
-            match payload.split('\n').next().unwrap_or("") {
-                MAGIC => Ok(StoredPart::Frame(read_spill_v2(payload).map_err(corrupt)?)),
-                MAGIC_V3 => Ok(StoredPart::Block(read_spill_v3(payload).map_err(corrupt)?)),
-                _ => Err(DfError::spill_corruption(
-                    site,
-                    "v4 payload has no v2/v3 magic",
-                )),
-            }
-        }
-        MAGIC => Ok(StoredPart::Frame(read_spill_v2(content).map_err(corrupt)?)),
-        MAGIC_V3 => Ok(StoredPart::Block(read_spill_v3(content).map_err(corrupt)?)),
-        _ => Err(DfError::spill_corruption(
-            site,
-            "bad magic (not a spill file, or truncated before the header)",
-        )),
-    }
-}
-
-/// Render one stored part as a complete checksummed v4 frame (magic line, integrity
-/// line, payload) — exactly the bytes [`write_spill_part`] puts on disk, minus the
-/// failpoint hook. The process backend uses this as its wire encoding so band
-/// exchange inherits the spill format's corruption detection verbatim.
-pub fn render_spill_part_v4(part: &StoredPart) -> String {
-    let payload = render_spill_payload(part);
-    let checksum = fnv1a64(payload.as_bytes());
-    format!("{MAGIC_V4}\n{} {checksum:x}\n{payload}", payload.len())
-}
-
-/// Check a v4 frame's length and checksum lines and return the verified payload.
-/// `site` labels the corruption errors (see [`decode_spill_content`]).
-fn verify_v4<'a>(content: &'a str, site: &str) -> DfResult<&'a str> {
-    let corrupt = |detail: &str| DfError::spill_corruption(site, detail);
-    let after_magic = content
-        .strip_prefix(MAGIC_V4)
-        .and_then(|rest| rest.strip_prefix('\n'))
-        .ok_or_else(|| corrupt("v4 frame truncated at magic"))?;
-    let (integrity_line, payload) = after_magic
-        .split_once('\n')
-        .ok_or_else(|| corrupt("v4 frame missing integrity line"))?;
-    let (len_raw, sum_raw) = integrity_line
-        .split_once(' ')
-        .ok_or_else(|| corrupt("v4 integrity line malformed"))?;
-    let expected_len: usize = len_raw
-        .parse()
-        .map_err(|_| corrupt("v4 payload length unparseable"))?;
-    let expected_sum =
-        u64::from_str_radix(sum_raw, 16).map_err(|_| corrupt("v4 checksum unparseable"))?;
-    if payload.len() != expected_len {
-        return Err(DfError::spill_corruption(
-            site,
-            format!(
-                "payload length mismatch: header says {expected_len} bytes, file has {}",
-                payload.len()
-            ),
-        ));
-    }
-    let actual_sum = fnv1a64(payload.as_bytes());
-    if actual_sum != expected_sum {
-        return Err(DfError::spill_corruption(
-            site,
-            format!("checksum mismatch: header {expected_sum:x}, payload {actual_sum:x}"),
-        ));
-    }
-    Ok(payload)
-}
-
-/// Render one frame in the legacy v2 tagged-cell format.
-fn render_spill_frame_v2(frame: &DataFrame) -> String {
-    let mut out = String::new();
-    out.push_str(MAGIC);
-    out.push('\n');
-    out.push_str(&format!("{} {}\n", frame.n_rows(), frame.n_cols()));
-    out.push_str(&encode_line(frame.row_labels().as_slice()));
-    out.push('\n');
-    out.push_str(&encode_line(frame.col_labels().as_slice()));
-    out.push('\n');
-    let domains: Vec<&str> = frame
-        .columns()
-        .iter()
-        .map(|c| c.known_domain().map(|d| d.name()).unwrap_or("?"))
-        .collect();
-    out.push_str(&domains.join(&UNIT_SEP.to_string()));
-    out.push('\n');
-    for column in frame.columns() {
-        out.push_str(&encode_line(column.cells()));
-        out.push('\n');
-    }
-    out
-}
-
-/// Render one typed column block in the v3 format (typed buffers, bit-exact floats).
-fn render_spill_block_v3(block: &ColumnBlock) -> String {
-    let mut out = String::new();
-    out.push_str(MAGIC_V3);
-    out.push('\n');
-    out.push_str(&format!("{} {}\n", block.n_rows(), block.n_cols()));
-    out.push_str(&encode_line(block.row_labels().as_slice()));
-    out.push('\n');
-    out.push_str(&encode_line(block.col_labels().as_slice()));
-    out.push('\n');
-    let domains: Vec<&str> = block
-        .domains()
-        .iter()
-        .map(|d| d.as_ref().map(|d| d.name()).unwrap_or("?"))
-        .collect();
-    out.push_str(&domains.join(&UNIT_SEP.to_string()));
-    out.push('\n');
-    for column in block.columns() {
-        out.push_str(&encode_v3_column(column));
-        out.push('\n');
-    }
-    out
-}
-
-fn write_raw(path: &Path, payload: &str) -> DfResult<()> {
-    let write = || -> std::io::Result<()> {
-        let mut writer = BufWriter::new(std::fs::File::create(path)?);
-        writer.write_all(payload.as_bytes())?;
-        writer.flush()
-    };
-    write()
-        .map_err(|err| DfError::spill_io("spill.write", err.to_string(), io_transient(err.kind())))
-}
-
-/// Write one frame as a bare (un-framed) v2 file. Production code spills through
-/// [`write_spill_part`]'s v4 frame; kept public so compatibility tests can produce
-/// pre-v4 files and assert they still read back.
-pub fn write_spill_frame_v2(frame: &DataFrame, path: &Path) -> DfResult<()> {
-    write_raw(path, &render_spill_frame_v2(frame))
-}
-
-/// Write one typed column block as a bare (un-framed) v3 file; see
-/// [`write_spill_frame_v2`] for why this stays public.
-pub fn write_spill_block_v3(block: &ColumnBlock, path: &Path) -> DfResult<()> {
-    write_raw(path, &render_spill_block_v3(block))
-}
-
-/// The header both formats share: shape, labels and per-column domain slots.
-struct SpillHeader {
-    n_rows: usize,
-    n_cols: usize,
-    row_labels: Labels,
-    col_labels: Labels,
-    domains: Vec<Option<Domain>>,
-}
-
-fn parse_spill_header<'a>(
-    next: &mut impl FnMut(&'static str) -> DfResult<&'a str>,
-) -> DfResult<SpillHeader> {
-    let shape_line = next("shape")?;
-    let (rows_raw, cols_raw) = shape_line
-        .split_once(' ')
-        .ok_or_else(|| DfError::internal("corrupt spill file: bad shape line"))?;
-    let n_rows: usize = rows_raw
-        .parse()
-        .map_err(|_| DfError::internal("corrupt spill file: bad row count"))?;
-    let n_cols: usize = cols_raw
-        .parse()
-        .map_err(|_| DfError::internal("corrupt spill file: bad column count"))?;
-    let row_labels = Labels::new(decode_line(next("row labels")?, n_rows)?);
-    let col_labels = Labels::new(decode_line(next("col labels")?, n_cols)?);
-    let domains_line = next("domains")?;
-    let domains: Vec<Option<Domain>> = if n_cols == 0 {
-        Vec::new()
-    } else {
-        domains_line
-            .split(UNIT_SEP)
-            .map(|name| {
-                if name == "?" {
-                    Ok(None)
-                } else {
-                    Domain::from_name(name)
-                        .map(Some)
-                        .ok_or_else(|| DfError::internal(format!("unknown spill domain {name:?}")))
-                }
-            })
-            .collect::<DfResult<_>>()?
-    };
-    if domains.len() != n_cols {
-        return Err(DfError::internal("corrupt spill file: domain count"));
-    }
-    Ok(SpillHeader {
-        n_rows,
-        n_cols,
-        row_labels,
-        col_labels,
-        domains,
-    })
-}
-
-fn read_spill_v2(content: &str) -> DfResult<DataFrame> {
-    let mut lines = content.split('\n');
-    let mut next = move |what: &'static str| {
-        lines
-            .next()
-            .ok_or_else(|| DfError::internal(format!("truncated spill file: missing {what}")))
-    };
-    if next("magic")? != MAGIC {
-        return Err(DfError::internal("corrupt spill file: bad magic"));
-    }
-    let header = parse_spill_header(&mut next)?;
-    let mut columns = Vec::with_capacity(header.n_cols);
-    for domain in header.domains {
-        let cells = decode_line(next("column")?, header.n_rows)?;
-        columns.push(match domain {
-            Some(domain) => Column::with_domain(cells, domain),
-            None => Column::new(cells),
-        });
-    }
-    DataFrame::from_parts(columns, header.row_labels, header.col_labels)
-}
-
-fn read_spill_v3(content: &str) -> DfResult<ColumnBlock> {
-    let mut lines = content.split('\n');
-    let mut next = move |what: &'static str| {
-        lines
-            .next()
-            .ok_or_else(|| DfError::internal(format!("truncated spill file: missing {what}")))
-    };
-    if next("magic")? != MAGIC_V3 {
-        return Err(DfError::internal("corrupt spill file: bad magic"));
-    }
-    let header = parse_spill_header(&mut next)?;
-    let mut columns = Vec::with_capacity(header.n_cols);
-    for _ in 0..header.n_cols {
-        columns.push(decode_v3_column(next("column")?, header.n_rows)?);
-    }
-    ColumnBlock::from_parts(
-        columns,
-        header.domains,
-        header.row_labels,
-        header.col_labels,
-    )
-}
-
-fn encode_validity(validity: &Validity) -> String {
-    let words: Vec<String> = validity.words().iter().map(|w| format!("{w:x}")).collect();
-    words.join(" ")
-}
-
-fn decode_validity(raw: &str, len: usize) -> DfResult<Validity> {
-    let words: Vec<u64> = raw
-        .split_whitespace()
-        .map(|w| {
-            u64::from_str_radix(w, 16)
-                .map_err(|_| DfError::internal(format!("corrupt spill validity word {w:?}")))
-        })
-        .collect::<DfResult<_>>()?;
-    if words.len() != len.div_ceil(64) {
-        return Err(DfError::internal("corrupt spill file: validity length"));
-    }
-    Ok(Validity::from_words(words, len))
-}
-
-fn encode_v3_column(data: &ColumnData) -> String {
-    let u = UNIT_SEP.to_string();
-    match data {
-        ColumnData::Cells(cells) => format!("C{u}{}", encode_line(cells)),
-        ColumnData::Int { values, validity } => {
-            let vals: Vec<String> = values.iter().map(i64::to_string).collect();
-            format!("I{u}{}{u}{}", encode_validity(validity), vals.join(" "))
-        }
-        ColumnData::Float { values, validity } => {
-            let vals: Vec<String> = values
-                .iter()
-                .map(|v| format!("{:x}", v.to_bits()))
-                .collect();
-            format!("F{u}{}{u}{}", encode_validity(validity), vals.join(" "))
-        }
-        ColumnData::Bool { values, validity } => {
-            let vals: String = values.iter().map(|b| if *b { '1' } else { '0' }).collect();
-            format!("B{u}{}{u}{vals}", encode_validity(validity))
-        }
-        ColumnData::Str { values, validity } => {
-            let mut fields = vec!["S".to_string(), encode_validity(validity)];
-            fields.extend(values.iter().map(|s| escape(s)));
-            fields.join(&u)
-        }
-        ColumnData::Dict {
-            codes,
-            dict,
-            validity,
-        } => {
-            let code_field: Vec<String> = codes.iter().map(u32::to_string).collect();
-            let mut fields = vec![
-                "D".to_string(),
-                encode_validity(validity),
-                code_field.join(" "),
-            ];
-            fields.extend(dict.iter().map(|s| escape(s)));
-            fields.join(&u)
-        }
-    }
-}
-
-fn decode_v3_column(line: &str, n_rows: usize) -> DfResult<ColumnData> {
-    let bad = |what: &str| DfError::internal(format!("corrupt spill v3 column: {what}"));
-    let fields: Vec<&str> = line.split(UNIT_SEP).collect();
-    match fields.first().copied() {
-        Some("C") => {
-            // Everything after the two-byte "C<US>" prefix is a v2 tagged-cell line.
-            let rest = line.get(2..).ok_or_else(|| bad("cells"))?;
-            Ok(ColumnData::Cells(decode_line(rest, n_rows)?))
-        }
-        Some("I") if fields.len() == 3 => {
-            let validity = decode_validity(fields[1], n_rows)?;
-            let values: Vec<i64> = fields[2]
-                .split_whitespace()
-                .map(|v| v.parse::<i64>().map_err(|_| bad("int value")))
-                .collect::<DfResult<_>>()?;
-            if values.len() != n_rows {
-                return Err(bad("int value count"));
-            }
-            Ok(ColumnData::Int { values, validity })
-        }
-        Some("F") if fields.len() == 3 => {
-            let validity = decode_validity(fields[1], n_rows)?;
-            let values: Vec<f64> = fields[2]
-                .split_whitespace()
-                .map(|v| {
-                    u64::from_str_radix(v, 16)
-                        .map(f64::from_bits)
-                        .map_err(|_| bad("float bits"))
-                })
-                .collect::<DfResult<_>>()?;
-            if values.len() != n_rows {
-                return Err(bad("float value count"));
-            }
-            Ok(ColumnData::Float { values, validity })
-        }
-        Some("B") if fields.len() == 3 => {
-            let validity = decode_validity(fields[1], n_rows)?;
-            let values: Vec<bool> = fields[2]
-                .chars()
-                .map(|c| match c {
-                    '1' => Ok(true),
-                    '0' => Ok(false),
-                    _ => Err(bad("bool char")),
-                })
-                .collect::<DfResult<_>>()?;
-            if values.len() != n_rows {
-                return Err(bad("bool value count"));
-            }
-            Ok(ColumnData::Bool { values, validity })
-        }
-        Some("S") if fields.len() == 2 + n_rows => {
-            let validity = decode_validity(fields[1], n_rows)?;
-            let values: Vec<String> = fields[2..]
-                .iter()
-                .map(|s| unescape(s))
-                .collect::<DfResult<_>>()?;
-            Ok(ColumnData::Str { values, validity })
-        }
-        Some("D") if fields.len() >= 3 => {
-            let validity = decode_validity(fields[1], n_rows)?;
-            let codes: Vec<u32> = fields[2]
-                .split_whitespace()
-                .map(|v| v.parse::<u32>().map_err(|_| bad("dict code")))
-                .collect::<DfResult<_>>()?;
-            if codes.len() != n_rows {
-                return Err(bad("dict code count"));
-            }
-            let dict: Vec<String> = fields[3..]
-                .iter()
-                .map(|s| unescape(s))
-                .collect::<DfResult<_>>()?;
-            if codes
-                .iter()
-                .enumerate()
-                .any(|(i, &c)| validity.get(i) && c as usize >= dict.len())
-            {
-                return Err(bad("dict code out of range"));
-            }
-            Ok(ColumnData::Dict {
-                codes,
-                dict,
-                validity,
-            })
-        }
-        _ => Err(bad("unknown layout tag")),
-    }
+    decode_part(&frame, "spill.read")
 }
 
 /// Convenience: build a dataframe column-by-column from typed cells (used by tests).
@@ -1429,9 +1350,9 @@ mod tests {
 
     #[test]
     fn typed_blocks_check_in_and_read_back_identically() {
-        // A block checked in via put_block spills as v3 and decodes to the exact
-        // frame it encoded — domains included — and its resident accounting is the
-        // block's (smaller) typed footprint.
+        // A block checked in via put_block decodes to the exact frame it encoded —
+        // domains included — resident or spilled, and its resident accounting is
+        // the block's (smaller) typed footprint.
         let mut df = frame_of(vec![
             ("id", (0..64).map(|i| cell(i as i64)).collect()),
             ("fare", (0..64).map(|i| cell(i as f64 + 0.5)).collect()),
@@ -1462,75 +1383,52 @@ mod tests {
         assert_eq!(tight.stats().load_backs, 1);
     }
 
-    #[test]
-    fn v2_files_still_read_back() {
-        // The v3 writer is the default, but files written in the legacy v2 format
-        // (pre-columnar sessions, or sessions with the switch off) must keep reading.
-        let df = frame_of(vec![
-            ("raw", vec![cell("10"), cell("x\ny"), Cell::Null]),
-            ("v", vec![cell(1), cell(2.5), Cell::Bool(true)]),
-        ])
-        .unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "rustframe-spill-v2-compat-{}.spill",
-            std::process::id()
-        ));
-        write_spill_frame_v2(&df, &path).unwrap();
-        let part = read_spill_part(&path).unwrap();
-        assert!(matches!(part, StoredPart::Frame(_)));
-        assert!(part.into_frame().same_data(&df));
-        std::fs::remove_file(path).ok();
+    /// A frame around a hand-built payload, with an honest length and checksum — what
+    /// a writer with a bug (or an attacker) could produce and the checksum cannot catch.
+    fn sealed(payload: Vec<u8>) -> Vec<u8> {
+        let mut frame = MAGIC.to_vec();
+        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        frame.extend_from_slice(&frame_checksum(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    /// The payload of a 3-row, 1-column frame up to (not including) its data column.
+    fn three_row_head() -> ByteWriter {
+        let mut w = ByteWriter::default();
+        w.block_head(
+            &Labels::positional(3),
+            &Labels::new(vec![cell("c")]),
+            [None].into_iter(),
+        );
+        w
+    }
+
+    fn assert_corrupt(frame: &[u8], needle: &str) {
+        match decode_part(frame, "test.site") {
+            Err(DfError::SpillCorruption { site, detail }) => {
+                assert_eq!(site, "test.site");
+                assert!(detail.contains(needle), "unexpected detail: {detail}");
+            }
+            other => panic!("expected SpillCorruption({needle}), got {other:?}"),
+        }
     }
 
     #[test]
-    fn v3_floats_survive_bit_exactly() {
-        // v3 writes floats as to_bits hex: NaN payloads, -0.0 and infinities all
-        // round-trip to the identical bit pattern (v2's shortest-decimal encoding
-        // canonicalises NaN payloads).
-        let quiet_nan_with_payload = f64::from_bits(0x7ff8_0000_dead_beef);
-        let df = frame_of(vec![(
-            "f",
-            vec![
-                Cell::Float(quiet_nan_with_payload),
-                Cell::Float(-0.0),
-                Cell::Float(f64::INFINITY),
-                Cell::Null,
-            ],
-        )])
-        .unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "rustframe-spill-v3-bits-{}.spill",
-            std::process::id()
-        ));
-        write_spill_block_v3(&ColumnBlock::from_frame(&df), &path).unwrap();
-        let StoredPart::Block(back) = read_spill_part(&path).unwrap() else {
-            panic!("v3 file must decode to a block");
-        };
-        let ColumnData::Float { values, validity } = &back.columns()[0] else {
-            panic!("float column must stay typed");
-        };
-        assert_eq!(values[0].to_bits(), quiet_nan_with_payload.to_bits());
-        assert_eq!(values[1].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(values[2], f64::INFINITY);
-        assert!(!validity.get(3));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn v4_frame_round_trips_and_detects_tampering() {
+    fn frame_round_trips_and_detects_tampering() {
         let df = frame(3, 12);
         let path = std::env::temp_dir().join(format!(
-            "rustframe-spill-v4-test-{}.spill",
+            "rustframe-spill-frame-test-{}.spill",
             std::process::id()
         ));
         write_spill_part(&StoredPart::Frame(df.clone()), &path).unwrap();
 
-        let raw = std::fs::read_to_string(&path).unwrap();
-        assert!(raw.starts_with(MAGIC_V4), "store writes the v4 frame");
+        let raw = std::fs::read(&path).unwrap();
+        assert_eq!(raw, encode_part(&StoredPart::Frame(df.clone())));
         assert!(read_spill_part(&path).unwrap().into_frame().same_data(&df));
 
         // Flip one payload byte: the checksum must catch it as typed corruption.
-        let mut tampered = raw.clone().into_bytes();
+        let mut tampered = raw.clone();
         let idx = tampered.len() - 10;
         tampered[idx] = tampered[idx].wrapping_add(1);
         std::fs::write(&path, &tampered).unwrap();
@@ -1542,13 +1440,17 @@ mod tests {
             other => panic!("expected SpillCorruption, got {other:?}"),
         }
 
-        // Truncate mid-payload: the length check must catch it.
-        std::fs::write(&path, &raw.as_bytes()[..raw.len() - 30]).unwrap();
-        match read_spill_part(&path) {
-            Err(DfError::SpillCorruption { detail, .. }) => {
-                assert!(detail.contains("length"), "unexpected detail: {detail}");
+        // Truncated mid-payload, or grown past it: the length check must catch both.
+        let mut grown = raw.clone();
+        grown.extend_from_slice(b"tampered");
+        for bad in [&raw[..raw.len() - 30], &grown[..]] {
+            std::fs::write(&path, bad).unwrap();
+            match read_spill_part(&path) {
+                Err(DfError::SpillCorruption { detail, .. }) => {
+                    assert!(detail.contains("length"), "unexpected detail: {detail}");
+                }
+                other => panic!("expected SpillCorruption, got {other:?}"),
             }
-            other => panic!("expected SpillCorruption, got {other:?}"),
         }
 
         std::fs::remove_file(&path).ok();
@@ -1564,27 +1466,81 @@ mod tests {
     }
 
     #[test]
+    fn mangling_any_frame_fails_its_verification() {
+        for rows in [0, 1, 40] {
+            let mut bytes = encode_part(&StoredPart::Frame(frame(0, rows)));
+            mangle_payload(&mut bytes);
+            assert!(matches!(
+                decode_part(&bytes, "test.site"),
+                Err(DfError::SpillCorruption { .. })
+            ));
+        }
+    }
+
+    #[test]
     fn garbage_and_bad_magic_are_typed_corruption() {
-        let path = std::env::temp_dir().join(format!(
-            "rustframe-spill-garbage-{}.spill",
-            std::process::id()
-        ));
-        std::fs::write(&path, "not a spill file at all\n").unwrap();
-        assert!(matches!(
-            read_spill_part(&path),
-            Err(DfError::SpillCorruption { .. })
-        ));
-        // A v4 frame whose payload carries no inner magic is corruption too.
-        std::fs::write(
-            &path,
-            format!("{MAGIC_V4}\n7 {:x}\ngarbage", fnv1a64(b"garbage")),
-        )
-        .unwrap();
-        assert!(matches!(
-            read_spill_part(&path),
-            Err(DfError::SpillCorruption { .. })
-        ));
-        std::fs::remove_file(path).ok();
+        assert_corrupt(b"not a block frame at all, but long enough", "magic");
+        assert_corrupt(b"short", "header");
+        // An honest header around a payload that is not a block.
+        assert_corrupt(&sealed(b"garbage".to_vec()), "truncated");
+    }
+
+    #[test]
+    fn decoder_rejects_validity_bits_past_the_last_row() {
+        let mut w = three_row_head();
+        w.u8(TAG_INT);
+        w.u64(0b1111); // bit 3 set, but there are only rows 0..3
+        for v in 0..3u64 {
+            w.u64(v);
+        }
+        assert_corrupt(&sealed(w.finish()), "validity");
+    }
+
+    #[test]
+    fn decoder_range_checks_dictionary_codes_of_valid_rows_only() {
+        let dict_column = |codes: [u32; 3], validity: u64| {
+            let mut w = three_row_head();
+            w.u8(TAG_DICT);
+            w.u64(validity);
+            for code in codes {
+                w.out.extend_from_slice(&code.to_le_bytes());
+            }
+            w.count(1);
+            w.str("only");
+            sealed(w.finish())
+        };
+        assert_corrupt(&dict_column([0, 7, 0], 0b111), "dictionary code 7 of row 1");
+        // The same stray code under a null slot is never read, so it is fine.
+        let part = decode_part(&dict_column([0, 7, 0], 0b101), "test.site").unwrap();
+        assert_eq!(
+            part.into_frame().column(0).unwrap().cells(),
+            &[cell("only"), Cell::Null, cell("only")]
+        );
+    }
+
+    #[test]
+    fn decoder_checks_declared_counts_before_allocating() {
+        // A shape that promises 2^40 rows in a 20-byte payload.
+        let mut w = ByteWriter::default();
+        w.count(1 << 40);
+        w.count(1);
+        w.u8(TAG_INT);
+        assert_corrupt(&sealed(w.finish()), "truncated");
+        // A list cell that promises 2^64 - 1 items.
+        let mut w = three_row_head();
+        w.u8(TAG_CELLS);
+        w.u8(5);
+        w.u64(u64::MAX);
+        assert_corrupt(&sealed(w.finish()), "elements declared");
+        // Lists nested past the depth bound, each level honest about its length.
+        let mut w = three_row_head();
+        w.u8(TAG_CELLS);
+        for _ in 0..=MAX_LIST_DEPTH {
+            w.u8(5);
+            w.count(1);
+        }
+        w.u8(0);
+        assert_corrupt(&sealed(w.finish()), "nested deeper");
     }
 
     #[test]

@@ -1,126 +1,80 @@
-//! Length-prefixed framing of spill v4 parts over a byte stream.
+//! Block frames over a byte stream.
 //!
 //! The process-parallel executor backend ships dataframe bands between the driver
-//! and its worker processes over pipes. Rather than invent a second serialisation
-//! format, the wire payload **is** the checksummed spill v4 frame
-//! ([`spill::render_spill_part_v4`] / [`spill::decode_spill_content`]) — per-part
-//! payload length plus FNV-64 checksum — so band exchange inherits the spill
-//! format's corruption detection verbatim (ROADMAP item 3; the paper's §3.3
-//! decoupling of plan from placement).
+//! and its worker processes over pipes. The wire payload **is** the block frame the
+//! spill store writes to disk ([`spill::encode_part`] / [`spill::decode_part`]; the
+//! layout table is in the [`spill`] module docs), so band exchange inherits the spill
+//! format's length and checksum verification verbatim (the paper's §3.3 decoupling of
+//! plan from placement).
 //!
-//! Framing is a single decimal length line followed by exactly that many bytes of
-//! v4 frame. Everything is length-prefixed, so the reader never scans content for
-//! delimiters and never blocks past the bytes the peer actually promised:
-//!
-//! ```text
-//! {frame_len}\n
-//! rustframe-spill-v4\n
-//! {payload_len} {fnv1a64:x}\n
-//! {payload bytes...}
-//! ```
+//! A frame is self-delimiting — its fixed 24-byte header carries the payload length —
+//! so frames simply follow one another on the stream. The reader never scans content
+//! for delimiters and never blocks past the bytes the peer actually promised.
 //!
 //! Failure model: a clean end-of-stream *at a frame boundary* is `Ok(None)` (the
-//! peer closed its end deliberately); truncation mid-frame, a garbled length line,
-//! a lying length, invalid UTF-8 or a checksum mismatch are all typed
-//! [`DfError::SpillCorruption`] — never a panic, and never an unbounded read
-//! (a huge claimed length reads only what the stream actually delivers).
+//! peer closed its end deliberately); truncation mid-frame, a bad magic, a lying
+//! length or a checksum mismatch are all typed [`DfError::SpillCorruption`] — never a
+//! panic, and never an unbounded read or allocation (a huge claimed length reads only
+//! what the stream actually delivers).
 
 use df_types::{DfError, DfResult};
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 
-use crate::spill::{self, StoredPart};
+use crate::spill::{self, StoredPart, FRAME_HEADER_LEN};
 
-/// The most digits a frame-length line may carry. Twenty digits covers `u64::MAX`;
-/// anything longer is garbage framing, not a big frame.
-const MAX_LEN_DIGITS: usize = 20;
-
-/// Write one stored part to `w` as a length-prefixed spill v4 frame. I/O errors
-/// (e.g. a broken pipe when the peer died) surface as [`DfError::SpillIo`] tagged
-/// with `site`; the process backend folds those into its worker-lost handling.
+/// Write one stored part to `w` as a block frame. I/O errors (e.g. a broken pipe
+/// when the peer died) surface as [`DfError::SpillIo`] tagged with `site`; the
+/// process backend folds those into its worker-lost handling.
 pub fn write_framed_part<W: Write>(w: &mut W, part: &StoredPart, site: &str) -> DfResult<()> {
-    let frame = spill::render_spill_part_v4(part);
-    let io_err =
-        |err: std::io::Error| DfError::spill_io(site, format!("write framed part: {err}"), false);
-    writeln!(w, "{}", frame.len()).map_err(io_err)?;
-    w.write_all(frame.as_bytes()).map_err(io_err)?;
-    Ok(())
+    w.write_all(&spill::encode_part(part))
+        .map_err(|err| DfError::spill_io(site, format!("write framed part: {err}"), false))
 }
 
-/// Read one length-prefixed spill v4 frame from `r` and decode it.
+/// Read one block frame from `r` and decode it.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream at a frame boundary (the peer
-/// closed the pipe between parts). Any malformed framing — truncated length line,
-/// non-decimal length, a length the stream cannot honour, invalid UTF-8, or a
-/// payload that fails the v4 checksum — is [`DfError::SpillCorruption`] tagged
-/// with `site`. The read is bounded by the promised length, so a lying header
-/// cannot make the reader wait for bytes that will never come past EOF.
-pub fn read_framed_part<R: BufRead>(r: &mut R, site: &str) -> DfResult<Option<StoredPart>> {
+/// closed the pipe between parts). Any malformed frame — a short or foreign header,
+/// a length the stream cannot honour, a payload that fails its checksum or does not
+/// decode — is [`DfError::SpillCorruption`] tagged with `site`.
+pub fn read_framed_part<R: Read>(r: &mut R, site: &str) -> DfResult<Option<StoredPart>> {
     match read_frame_bytes(r, site)? {
-        Some(content) => spill::decode_spill_content(&content, site).map(Some),
+        Some(frame) => spill::decode_part(&frame, site).map(Some),
         None => Ok(None),
     }
 }
 
-/// The framing half of [`read_framed_part`]: read one length-prefixed frame and
-/// return its raw text without decoding it. The process backend uses this seam to
-/// apply its `corrupt` failpoint to the exact bytes received before handing them
-/// to [`spill::decode_spill_content`], exercising the real checksum path.
-pub fn read_frame_bytes<R: BufRead>(r: &mut R, site: &str) -> DfResult<Option<String>> {
-    let frame_len = match read_len_line(r, site)? {
-        Some(len) => len,
-        None => return Ok(None),
-    };
-    let mut bytes = Vec::new();
-    r.take(frame_len as u64)
-        .read_to_end(&mut bytes)
-        .map_err(|err| DfError::spill_io(site, format!("read framed part: {err}"), false))?;
-    if bytes.len() < frame_len {
+/// The framing half of [`read_framed_part`]: read one complete frame (header and
+/// payload) and return its raw bytes without verifying or decoding the payload. The
+/// process backend uses this seam to apply its `corrupt` failpoint to the exact
+/// bytes received before handing them to [`spill::decode_part`], exercising the real
+/// checksum path. Both reads are bounded by `take`, and the buffer grows only as
+/// bytes arrive, so a header that lies about its length cannot make the reader
+/// allocate for — or wait past EOF for — bytes that never come.
+pub fn read_frame_bytes<R: Read>(r: &mut R, site: &str) -> DfResult<Option<Vec<u8>>> {
+    let io_err =
+        |err: std::io::Error| DfError::spill_io(site, format!("read framed part: {err}"), false);
+    let mut frame = Vec::new();
+    r.by_ref()
+        .take(FRAME_HEADER_LEN as u64)
+        .read_to_end(&mut frame)
+        .map_err(io_err)?;
+    if frame.is_empty() {
+        return Ok(None);
+    }
+    let (payload_len, _) = spill::parse_frame_header(&frame, site)?;
+    r.take(payload_len)
+        .read_to_end(&mut frame)
+        .map_err(io_err)?;
+    let delivered = (frame.len() - FRAME_HEADER_LEN) as u64;
+    if delivered < payload_len {
         return Err(DfError::spill_corruption(
             site,
             format!(
-                "framed part truncated: header promised {frame_len} bytes, stream ended after {}",
-                bytes.len()
+                "framed part truncated: header promised {payload_len} bytes, stream ended after {delivered}"
             ),
         ));
     }
-    String::from_utf8(bytes)
-        .map(Some)
-        .map_err(|_| DfError::spill_corruption(site, "framed part is not valid UTF-8"))
-}
-
-/// Read the decimal length line that prefixes a frame. `Ok(None)` only when the
-/// stream is already at EOF (a clean frame boundary); EOF or a non-digit mid-line
-/// is corruption. Reads byte-at-a-time (buffered by `BufRead`) with a digit cap,
-/// so garbage without a newline cannot grow the line unboundedly.
-fn read_len_line<R: BufRead>(r: &mut R, site: &str) -> DfResult<Option<usize>> {
-    let corrupt = |detail: String| DfError::spill_corruption(site, detail);
-    let mut digits = String::new();
-    loop {
-        let mut byte = [0u8; 1];
-        let n = r
-            .read(&mut byte)
-            .map_err(|err| DfError::spill_io(site, format!("read frame length: {err}"), false))?;
-        if n == 0 {
-            if digits.is_empty() {
-                return Ok(None);
-            }
-            return Err(corrupt("stream ended inside a frame-length line".into()));
-        }
-        match byte[0] {
-            b'\n' => break,
-            b'0'..=b'9' if digits.len() < MAX_LEN_DIGITS => digits.push(byte[0] as char),
-            b'0'..=b'9' => return Err(corrupt("frame-length line too long".into())),
-            other => {
-                return Err(corrupt(format!(
-                    "frame-length line holds non-digit byte {other:#04x}"
-                )))
-            }
-        }
-    }
-    digits
-        .parse::<usize>()
-        .map(Some)
-        .map_err(|_| corrupt(format!("frame length unparseable: {digits:?}")))
+    Ok(Some(frame))
 }
 
 #[cfg(test)]
@@ -144,57 +98,22 @@ mod tests {
         .unwrap()
     }
 
-    fn roundtrip(part: &StoredPart) -> StoredPart {
+    fn framed(part: &StoredPart) -> Vec<u8> {
         let mut pipe = Vec::new();
         write_framed_part(&mut pipe, part, "test.wire").unwrap();
-        let mut reader = Cursor::new(pipe);
-        let back = read_framed_part(&mut reader, "test.wire").unwrap().unwrap();
-        // The stream is exactly one frame: the next read is a clean EOF.
-        assert!(read_framed_part(&mut reader, "test.wire")
-            .unwrap()
-            .is_none());
-        back
+        pipe
     }
 
     #[test]
-    fn frame_part_round_trips_over_an_in_memory_pipe() {
-        let frame = sample_frame();
-        let back = roundtrip(&StoredPart::Frame(frame.clone()));
-        assert!(back.to_frame().same_data(&frame));
-    }
-
-    #[test]
-    fn block_part_round_trips_with_v3_payload() {
-        // A typed column block renders as a v3 payload inside the v4 wire frame;
-        // read-back must restore the same frame cell-for-cell.
-        let frame = sample_frame();
-        let block = df_core::columnar::ColumnBlock::from_frame(&frame);
-        let back = roundtrip(&StoredPart::Block(block));
-        assert!(back.to_frame().same_data(&frame));
-    }
-
-    #[test]
-    fn multiple_parts_stream_back_in_order() {
-        let frame = sample_frame();
-        let mut pipe = Vec::new();
-        for _ in 0..3 {
-            write_framed_part(&mut pipe, &StoredPart::Frame(frame.clone()), "test.wire").unwrap();
-        }
-        let mut reader = Cursor::new(pipe);
-        for _ in 0..3 {
-            let back = read_framed_part(&mut reader, "test.wire").unwrap().unwrap();
-            assert!(back.to_frame().same_data(&frame));
-        }
-        assert!(read_framed_part(&mut reader, "test.wire")
-            .unwrap()
-            .is_none());
+    fn the_wire_bytes_are_the_spill_frame() {
+        let part = StoredPart::Frame(sample_frame());
+        assert_eq!(framed(&part), spill::encode_part(&part));
     }
 
     #[test]
     fn truncated_frame_is_corruption_not_a_hang() {
-        let mut pipe = Vec::new();
-        write_framed_part(&mut pipe, &StoredPart::Frame(sample_frame()), "test.wire").unwrap();
-        // Drop the tail: the length line promises more bytes than arrive.
+        let mut pipe = framed(&StoredPart::Frame(sample_frame()));
+        // Drop the tail: the header promises more bytes than arrive.
         pipe.truncate(pipe.len() - 10);
         let err = read_framed_part(&mut Cursor::new(pipe), "test.wire").unwrap_err();
         match err {
@@ -208,52 +127,26 @@ mod tests {
 
     #[test]
     fn garbled_payload_fails_the_checksum() {
-        let frame_text = spill::render_spill_part_v4(&StoredPart::Frame(sample_frame()));
-        let mut garbled = frame_text.clone();
-        spill::mangle_payload(&mut garbled);
-        assert_ne!(garbled, frame_text);
-        let mut pipe = Vec::new();
-        writeln!(pipe, "{}", garbled.len()).unwrap();
-        pipe.extend_from_slice(garbled.as_bytes());
+        let mut pipe = framed(&StoredPart::Frame(sample_frame()));
+        spill::mangle_payload(&mut pipe);
         let err = read_framed_part(&mut Cursor::new(pipe), "test.wire").unwrap_err();
         assert!(
-            matches!(&err, DfError::SpillCorruption { site, .. } if site == "test.wire"),
-            "expected SpillCorruption, got {err:?}"
+            matches!(&err, DfError::SpillCorruption { site, detail }
+                if site == "test.wire" && detail.contains("checksum")),
+            "expected a checksum SpillCorruption, got {err:?}"
         );
     }
 
     #[test]
-    fn garbled_length_line_is_corruption() {
-        for bad in ["xyz\nrest", "12a4\npayload", "999999999999999999999\n"] {
-            let err = read_framed_part(&mut Cursor::new(bad.as_bytes().to_vec()), "test.wire")
-                .unwrap_err();
+    fn eof_inside_the_header_is_corruption() {
+        let pipe = framed(&StoredPart::Frame(sample_frame()));
+        for cut in [1, 8, FRAME_HEADER_LEN - 1] {
+            let err =
+                read_framed_part(&mut Cursor::new(pipe[..cut].to_vec()), "test.wire").unwrap_err();
             assert!(
                 matches!(err, DfError::SpillCorruption { .. }),
-                "input {bad:?} should be corruption"
+                "cut at {cut}: got {err:?}"
             );
         }
-    }
-
-    #[test]
-    fn huge_claimed_length_reads_only_what_exists() {
-        // A lying header must not allocate or wait for terabytes: the bounded read
-        // stops at EOF and reports truncation.
-        let mut pipe = Vec::new();
-        writeln!(pipe, "99999999999").unwrap();
-        pipe.extend_from_slice(b"short");
-        let err = read_framed_part(&mut Cursor::new(pipe), "test.wire").unwrap_err();
-        assert!(
-            matches!(&err, DfError::SpillCorruption { detail, .. } if detail.contains("truncated")),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn eof_inside_the_length_line_is_corruption() {
-        let err = read_framed_part(&mut Cursor::new(b"12".to_vec()), "test.wire").unwrap_err();
-        assert!(
-            matches!(err, DfError::SpillCorruption { .. }),
-            "got {err:?}"
-        );
     }
 }

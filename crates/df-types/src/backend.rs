@@ -4,8 +4,8 @@
 //! API from execution, so one logical plan can run on progressively more scalable
 //! backends (§3.3 runs the Python implementation on Ray or Dask). [`BackendKind`]
 //! names the execution backends this workspace ships: the in-process thread pool and
-//! the process-parallel worker pool that exchanges bands over the checksummed spill
-//! v4 wire format. It lives here — below the engine — so service- and engine-level
+//! the process-parallel worker pool that exchanges bands as checksummed block frames
+//! over pipes. It lives here — below the engine — so service- and engine-level
 //! configuration can both speak it without depending on the execution crate.
 
 use std::fmt;
@@ -18,8 +18,8 @@ pub enum BackendKind {
     #[default]
     Threads,
     /// Process-parallel workers: band tasks are serialised and shipped to spawned
-    /// `df-band-worker` processes over a pipe protocol whose payload is the
-    /// checksummed spill v4 frame. Worker death surfaces as a typed error and the
+    /// `df-band-worker` processes over a pipe protocol whose payload is the spill
+    /// store's checksummed block frame. Worker death surfaces as a typed error and the
     /// pool respawns, never hangs.
     Procs,
 }

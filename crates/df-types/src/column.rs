@@ -14,55 +14,17 @@
 //! round-trips cell-for-cell.
 //!
 //! The typed kernels (predicate masks, groupby accumulators, sort comparators, hash
-//! streams) live next to their row-oriented counterparts in `df-core::ops`; this
-//! module provides the storage plus the hash/equality primitives that must stay
-//! byte-identical to [`Cell::hash_key`](crate::cell::Cell::hash_key) so bucket
-//! assignment is the same on both paths.
-//!
-//! The columnar path is on by default and can be disabled globally — per process via
-//! the `DF_COLUMNAR` environment variable (`0`/`false`/`off`), or programmatically
-//! via [`set_columnar_enabled`] (used by the differential tests and benches to run
-//! both paths in one process).
+//! streams) live in `df-core::ops`; this module provides the storage plus the
+//! hash/equality primitives that must stay byte-identical to
+//! [`Cell::hash_key`](crate::cell::Cell::hash_key) so bucket assignment never depends
+//! on the layout. This is the only block layout: ingest checks bands in as typed
+//! blocks, the kernels probe their key and aggregate columns into these buffers, and
+//! the block frame (`df-storage::spill`) writes the buffers out as little-endian lanes.
 
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::cell::Cell;
 use crate::domain::Domain;
-
-// ---------------------------------------------------------------- global switch
-
-/// 0 = not overridden (use the environment default), 1 = forced off, 2 = forced on.
-static COLUMNAR_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn env_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("DF_COLUMNAR").as_deref(),
-            Ok("0") | Ok("false") | Ok("off") | Ok("no")
-        )
-    })
-}
-
-/// True when the typed columnar storage + kernels are enabled (the default). The
-/// row-oriented tagged-cell path is kept as the reference both for fallback cases
-/// and for differential testing.
-pub fn columnar_enabled() -> bool {
-    match COLUMNAR_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => env_default(),
-    }
-}
-
-/// Force the columnar path on or off for this process, overriding `DF_COLUMNAR`.
-/// The differential suite and the columnar-vs-row bench arms call this to exercise
-/// both paths in one process; results must be cell-for-cell identical either way.
-pub fn set_columnar_enabled(enabled: bool) {
-    COLUMNAR_OVERRIDE.store(if enabled { 2 } else { 1 }, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------- validity bitmap
 
@@ -85,9 +47,15 @@ impl Validity {
         Validity { words, len }
     }
 
-    /// Rebuild a bitmap from its raw words (the spill read path).
-    pub fn from_words(words: Vec<u64>, len: usize) -> Validity {
-        Validity { words, len }
+    /// Rebuild a bitmap from raw words read back from a block frame. `None` unless
+    /// there are exactly `len.div_ceil(64)` words and no bit is set at or past `len`
+    /// — otherwise [`Validity::count_valid`] and [`Validity::all_valid`] would lie.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Option<Validity> {
+        let tail_clear = match (words.last(), len % 64) {
+            (Some(last), rem) if rem > 0 => last >> rem == 0,
+            _ => true,
+        };
+        (words.len() == len.div_ceil(64) && tail_clear).then_some(Validity { words, len })
     }
 
     /// Number of rows covered.
@@ -126,7 +94,7 @@ impl Validity {
         self.count_valid() == self.len
     }
 
-    /// The raw bitmap words (the spill write path).
+    /// The raw bitmap words (what the block frame writes).
     pub fn words(&self) -> &[u64] {
         &self.words
     }
@@ -729,10 +697,23 @@ mod tests {
     }
 
     #[test]
-    fn columnar_switch_toggles() {
-        set_columnar_enabled(false);
-        assert!(!columnar_enabled());
-        set_columnar_enabled(true);
-        assert!(columnar_enabled());
+    fn from_words_rejects_a_wrong_word_count() {
+        assert!(Validity::from_words(vec![], 0).is_some());
+        assert!(Validity::from_words(vec![1], 64).is_some());
+        assert!(Validity::from_words(vec![1], 65).is_none());
+        assert!(Validity::from_words(vec![1, 0], 64).is_none());
+        assert!(Validity::from_words(vec![0], 0).is_none());
+    }
+
+    #[test]
+    fn from_words_rejects_bits_past_the_last_row() {
+        let honest = Validity::from_words(vec![0b101], 3).unwrap();
+        assert_eq!(honest.count_valid(), 2);
+        assert!(Validity::from_words(vec![0b1000], 3).is_none());
+        assert!(Validity::from_words(vec![u64::MAX, 1 << 6], 70).is_none());
+        // A full last word has no tail to check.
+        assert!(Validity::from_words(vec![u64::MAX], 64)
+            .unwrap()
+            .all_valid());
     }
 }

@@ -75,7 +75,7 @@ pub enum DfError {
         transient: bool,
     },
     /// A spill block failed its integrity check on load-back: bad magic, truncated
-    /// payload, or an FNV-1a checksum mismatch (format v4). The block is quarantined
+    /// or malformed payload, or an FNV-1a checksum mismatch. The block is quarantined
     /// and, when lineage allows, recomputed from the logical plan.
     SpillCorruption {
         /// The failpoint-style site name, e.g. `"spill.read"`.

@@ -16,7 +16,7 @@
 //!   induction (paper §5.1).
 //! * [`mod@column`] — typed columnar storage (flat `i64`/`f64`/`bool`/string buffers
 //!   with validity bitmaps, dictionary-encoded categoricals) used by the engine's
-//!   column blocks, spill format v3 and the vectorized kernels.
+//!   column blocks, the block frame (spill files and wire) and the vectorized kernels.
 //! * [`labels`] — ordered label vectors with positional and named lookup.
 //! * [`error`] — the shared error type used across the workspace, including the
 //!   fault taxonomy (`SpillIo` / `SpillCorruption` / `WorkerPanic` / `Cancelled`).
@@ -42,7 +42,7 @@ pub mod striped;
 
 pub use cancel::CancelToken;
 pub use cell::{cell, Cell};
-pub use column::{columnar_enabled, set_columnar_enabled, ColumnData, Validity};
+pub use column::{ColumnData, Validity};
 pub use domain::Domain;
 pub use error::{DfError, DfResult};
 pub use fail::FailAction;

@@ -1,8 +1,8 @@
 //! The band-exchange worker process for the process-parallel executor backend.
 //!
 //! `ProcBackend` spawns N of these and ships serialised `BandTask`s plus their
-//! input bands over stdin, framed as checksummed spill v4 parts; results return
-//! over stdout in the same framing. The whole protocol (and its failure model)
+//! input bands over stdin as checksummed block frames; results return over stdout
+//! the same way. The whole protocol (and its failure model)
 //! lives in [`df_engine::backend::worker_main`] — this binary is only the
 //! process entry point around it.
 
