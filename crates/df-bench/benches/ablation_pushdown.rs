@@ -7,6 +7,11 @@
 //! strategy); the "off" arm runs the same plan with every rewrite disabled.
 //! Both arms are asserted cell-for-cell identical, and the pushdown counters
 //! (chunks skipped, columns pruned, join strategy) land in the notes column.
+//!
+//! The `first-look` experiment is the statement an analyst runs first: a cold
+//! session's `read_csv → head(10)`, with the LIMIT folded into the scan leaf
+//! (`push_limits` on) vs left above it (off). Both arms pay the one statistics pass
+//! of first contact; the on arm then parses one band, the off arm all of them.
 
 use df_bench::{render_table, time_once, BenchRecord};
 use df_core::algebra::{AlgebraExpr, CmpOp, ColumnSelector, JoinOn, JoinType, Predicate};
@@ -91,16 +96,20 @@ fn main() {
         ),
     ];
 
+    let budgets = [("inf", None), ("ws/4", Some((file_bytes as usize) / 4))];
+    let config_for = |budget: Option<usize>| {
+        let config = ModinConfig::default().with_partition_size((rows / 16).max(256), 32);
+        match budget {
+            Some(bytes) => config.with_memory_budget(bytes),
+            None => config,
+        }
+    };
     let mut records = Vec::new();
     for (experiment, expr) in &plans {
         let mut results: Vec<DataFrame> = Vec::new();
-        for (label, budget) in [("inf", None), ("ws/4", Some((file_bytes as usize) / 4))] {
+        for (label, budget) in budgets {
             for pushdown in [true, false] {
-                let mut config =
-                    ModinConfig::default().with_partition_size((rows / 16).max(256), 32);
-                if let Some(bytes) = budget {
-                    config = config.with_memory_budget(bytes);
-                }
+                let mut config = config_for(budget);
                 if !pushdown {
                     config.optimizer = OptimizerConfig::disabled();
                 }
@@ -162,6 +171,47 @@ fn main() {
                 "abl-pushdown/{experiment}: arm {i} diverged from arm 0"
             );
         }
+    }
+
+    // First look: every arm is a cold engine (no cached statistics), so the timing is
+    // first contact with the file — plan pass + statistics pass + the limited parse.
+    let mut looks: Vec<DataFrame> = Vec::new();
+    for (label, budget) in budgets {
+        for fold_limit in [true, false] {
+            let mut config = config_for(budget);
+            config.optimizer.push_limits = fold_limit;
+            let engine = ModinEngine::with_config(config);
+            let first_look = scan(&format!("abl-pushdown-first-look-{label}-{fold_limit}"));
+            let (outcome, elapsed) = time_once(|| engine.execute_prefix(&first_look, 10));
+            let head = outcome.expect("first look");
+            let ingest = engine.ingest_stats();
+            if fold_limit {
+                assert_eq!(ingest.bands_parsed, 1, "head(10) parses one band");
+            } else {
+                assert!(ingest.bands_parsed > 1, "the off arm parses every band");
+            }
+            records.push(BenchRecord {
+                experiment: "abl-pushdown/first-look".to_string(),
+                system: if fold_limit { "limit-on" } else { "limit-off" }.to_string(),
+                parameter: format!("budget={label}"),
+                seconds: Some(elapsed.as_secs_f64()),
+                note: format!(
+                    "rows={rows}, out={:?}, bands_parsed={}, parsed={}B, peak={}B, \
+                     equivalence=asserted",
+                    head.shape(),
+                    ingest.bands_parsed,
+                    ingest.ingest_bytes,
+                    engine.spill_stats().peak_memory_bytes,
+                ),
+            });
+            looks.push(head);
+        }
+    }
+    for (i, other) in looks.iter().enumerate().skip(1) {
+        assert!(
+            looks[0].same_data(other),
+            "abl-pushdown/first-look: arm {i} diverged from arm 0"
+        );
     }
 
     std::fs::remove_dir_all(&dir).ok();

@@ -124,8 +124,8 @@ pub fn selectivity(pred: &Predicate) -> f64 {
 }
 
 /// Estimate a scan leaf's output from its cached statistics: rows that survive chunk
-/// pruning, scaled by the residual predicate's selectivity, over the projected
-/// column fraction. `None` until an engine has collected [`crate::scan::ScanStats`].
+/// pruning, scaled by the residual predicate's selectivity and capped by a pushed
+/// limit, over the projected column fraction. `None` until an engine has collected [`crate::scan::ScanStats`].
 pub fn estimate_scan(scan: &ScanCsv) -> Option<Estimate> {
     let stats = scan.stats()?;
     let surviving_rows: usize = stats
@@ -144,7 +144,10 @@ pub fn estimate_scan(scan: &ScanCsv) -> Option<Estimate> {
     } else {
         1.0
     };
-    let rows = surviving_rows as f64 * sel;
+    let mut rows = surviving_rows as f64 * sel;
+    if let Some((k, _)) = scan.limit {
+        rows = rows.min(k as f64);
+    }
     Some(Estimate {
         rows,
         cols: cols as f64,
@@ -305,9 +308,13 @@ fn node_detail(expr: &AlgebraExpr) -> String {
             if let Some(predicate) = &scan.predicate {
                 detail.push_str(&format!(" filter⇩[{predicate:?}]"));
             }
+            if let Some((k, from_end)) = scan.limit {
+                detail.push_str(&format!(" limit⇩[{}]", limit_detail(k, from_end)));
+            }
             if let Some(stats) = scan.stats() {
-                let survivors = stats.surviving_chunks(scan.predicate.as_ref()).len();
-                detail.push_str(&format!(" ({}/{} chunks)", survivors, stats.chunks.len()));
+                let (parsed, exact) = stats.chunks_to_parse(scan.predicate.as_ref(), scan.limit);
+                let bound = if exact { "" } else { "≤" };
+                detail.push_str(&format!(" ({bound}{parsed}/{} chunks)", stats.chunks.len()));
             }
             detail
         }
@@ -323,11 +330,13 @@ fn node_detail(expr: &AlgebraExpr) -> String {
         AlgebraExpr::Map { func, .. } => format!("[{func:?}]"),
         AlgebraExpr::ToLabels { column, .. } => format!("[{column}]"),
         AlgebraExpr::FromLabels { new_column, .. } => format!("[{new_column}]"),
-        AlgebraExpr::Limit { k, from_end, .. } => {
-            format!("[{}{k}]", if *from_end { "last " } else { "first " })
-        }
+        AlgebraExpr::Limit { k, from_end, .. } => format!("[{}]", limit_detail(*k, *from_end)),
         _ => String::new(),
     }
+}
+
+fn limit_detail(k: usize, from_end: bool) -> String {
+    format!("{} {k}", if from_end { "last" } else { "first" })
 }
 
 /// Render a byte count with a binary-unit suffix.
@@ -469,6 +478,17 @@ mod tests {
         assert!((est.rows - 25.0 / 3.0).abs() < 1e-9);
         assert_eq!(est.cols, 1.0);
         assert!(est.bytes < full.bytes / 2.0);
+        // A pushed limit caps the rows (and shows on the rendered node).
+        let limited = AlgebraExpr::scan_csv(scan.with_limit(10, false));
+        let est = estimate(&limited).unwrap();
+        assert_eq!((est.rows, est.bytes), (10.0, 160.0));
+        assert!(render_plan(&limited).contains("limit⇩[first 10]"));
+        assert_eq!(
+            estimate(&AlgebraExpr::scan_csv(scan.with_limit(500, true)))
+                .unwrap()
+                .rows,
+            100.0
+        );
     }
 
     #[test]

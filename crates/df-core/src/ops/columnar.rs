@@ -2,7 +2,7 @@
 //!
 //! The algebra's semantics are defined one row at a time: a predicate sees a
 //! [`crate::algebra::RowView`], group keys are tagged cells compared with
-//! [`Cell::key_eq`], SORT orders by [`Cell::total_cmp`]. The functions here are the
+//! [`Cell::key_eq`], SORT orders by [`Cell::sort_cmp`]. The functions here are the
 //! column-at-a-time forms the operators in the sibling modules run: tight loops over
 //! one column (or one typed [`ColumnData`] buffer) that the compiler can keep in
 //! registers and auto-vectorize. Every kernel must agree with the row-at-a-time

@@ -280,7 +280,7 @@ fn group_by_with(
     let mut order: Vec<usize> = (0..group_keys.len()).collect();
     order.sort_by(|&a, &b| {
         for (x, y) in group_keys[a].iter().zip(group_keys[b].iter()) {
-            let ord = x.total_cmp(y);
+            let ord = x.sort_cmp(y);
             if ord != std::cmp::Ordering::Equal {
                 return ord;
             }
@@ -518,7 +518,7 @@ pub fn sort(df: &DataFrame, spec: &SortSpec) -> DfResult<DataFrame> {
         .collect::<DfResult<_>>()?;
     // Vectorized kernel: key columns with a typed layout are encoded once and
     // compared straight off the flat buffer ([`ColumnData::cmp_rows`] reproduces
-    // `Cell::total_cmp` exactly); other key columns compare cell-to-cell as before.
+    // `Cell::sort_cmp` exactly); other key columns compare cell-to-cell as before.
     let typed_keys: Vec<Option<ColumnData>> = key_positions
         .iter()
         .map(|&j| typed_for_keying(&df.columns()[j]))
@@ -528,7 +528,7 @@ pub fn sort(df: &DataFrame, spec: &SortSpec) -> DfResult<DataFrame> {
         for (idx, &j) in key_positions.iter().enumerate() {
             let mut ord = match &typed_keys[idx] {
                 Some(data) => data.cmp_rows(a, b),
-                None => df.columns()[j].cells()[a].total_cmp(&df.columns()[j].cells()[b]),
+                None => df.columns()[j].cells()[a].sort_cmp(&df.columns()[j].cells()[b]),
             };
             if !spec.is_ascending(idx) {
                 ord = ord.reverse();

@@ -5,10 +5,11 @@
 //! is *before* any byte is parsed. [`ScanCsv`] promotes CSV ingest from an engine
 //! side-door into an algebra leaf the optimizer can rewrite: it carries the file's
 //! chunk plan plus per-chunk column statistics ([`ScanStats`]), a pushed-down
-//! *projection* (only referenced columns are parsed and encoded) and a pushed-down
+//! *projection* (only referenced columns are parsed and encoded), a pushed-down
 //! sargable *predicate* (whole chunks whose min/max bounds cannot satisfy the
 //! predicate are skipped; the survivors evaluate the predicate during the parse loop,
-//! before bands are checked into the spill store).
+//! before bands are checked into the spill store) and a pushed-down *limit* (the
+//! `head`/`tail` first look of §6.1.2 parses only the chunks its rows come from).
 //!
 //! The statistics follow the PEXESO shape — block, filter with cheap per-partition
 //! summaries, verify only survivors — applied to dataframe ingest: a
@@ -108,47 +109,65 @@ pub struct ColumnChunkStats {
 /// effectively unique and the exact count stops mattering for costing.
 pub const DISTINCT_CAP: usize = 256;
 
+/// One chunk column's distinct-value scratch, kept outside [`ColumnChunkStats`] so
+/// the stats struct stays plain data. Text is looked up by slice, so a repeated value
+/// costs a hash probe and no allocation.
+#[derive(Debug, Default)]
+pub struct DistinctSeen {
+    text: std::collections::HashSet<String>,
+    typed: Vec<Cell>,
+}
+
 impl ColumnChunkStats {
-    /// Fold one parsed cell into the summary. `distinct_seen` is the caller's
-    /// per-column scratch set, kept outside so the stats struct stays plain data.
-    pub fn observe(&mut self, cell: &Cell, distinct_seen: &mut Vec<Cell>) {
-        if cell.is_null() {
-            self.nulls += 1;
-        } else {
-            if let Some(text) = cell.as_str() {
-                self.lexical = Some(match self.lexical.take() {
-                    None => (text.to_string(), text.to_string()),
-                    Some((lo, hi)) => (
-                        if text < lo.as_str() {
-                            text.to_string()
-                        } else {
-                            lo
-                        },
-                        if text > hi.as_str() {
-                            text.to_string()
-                        } else {
-                            hi
-                        },
-                    ),
-                });
-                if let Ok(v) = text.trim().parse::<f64>() {
-                    if !v.is_nan() {
-                        self.observe_numeric(v);
-                    }
+    /// Fold one parsed cell into the summary.
+    pub fn observe(&mut self, cell: &Cell, seen: &mut DistinctSeen) {
+        match cell {
+            Cell::Null => self.nulls += 1,
+            Cell::Str(text) => self.observe_text(text, text.trim().parse().ok(), seen),
+            typed => {
+                self.observe_numeric(typed.as_f64());
+                if self.distinct < DISTINCT_CAP && !seen.typed.contains(typed) {
+                    seen.typed.push(typed.clone());
+                    self.distinct += 1;
                 }
-            } else if let Some(v) = cell.as_f64() {
-                if !v.is_nan() {
-                    self.observe_numeric(v);
-                }
-            }
-            if self.distinct < DISTINCT_CAP && !distinct_seen.contains(cell) {
-                distinct_seen.push(cell.clone());
-                self.distinct = distinct_seen.len();
             }
         }
     }
 
-    fn observe_numeric(&mut self, v: f64) {
+    /// Fold one raw field in place: what [`ColumnChunkStats::observe`] does for
+    /// `Cell::Null` when the field is a null spelling and for `Cell::Str(text)`
+    /// otherwise, without building the cell. `numeric` is the `f64` the trimmed text
+    /// parses to, if any — the caller has usually parsed it already for induction.
+    pub fn observe_field(&mut self, text: &str, numeric: Option<f64>, seen: &mut DistinctSeen) {
+        if df_types::domain::is_null_token(text) {
+            self.nulls += 1;
+        } else {
+            self.observe_text(text, numeric, seen);
+        }
+    }
+
+    fn observe_text(&mut self, text: &str, numeric: Option<f64>, seen: &mut DistinctSeen) {
+        match &mut self.lexical {
+            None => self.lexical = Some((text.to_string(), text.to_string())),
+            Some((lo, hi)) => {
+                if text < lo.as_str() {
+                    text.clone_into(lo);
+                } else if text > hi.as_str() {
+                    text.clone_into(hi);
+                }
+            }
+        }
+        self.observe_numeric(numeric);
+        if self.distinct < DISTINCT_CAP && !seen.text.contains(text) {
+            seen.text.insert(text.to_string());
+            self.distinct += 1;
+        }
+    }
+
+    fn observe_numeric(&mut self, value: Option<f64>) {
+        let Some(v) = value.filter(|v| !v.is_nan()) else {
+            return;
+        };
         self.numeric_count += 1;
         self.numeric = Some(match self.numeric {
             None => (v, v),
@@ -243,6 +262,36 @@ impl ScanStats {
                 .collect(),
         }
     }
+
+    /// How many chunks a scan with these pushdowns parses, and whether that count is
+    /// exact. Without a limit every survivor is parsed; a limit with no predicate
+    /// parses exactly the chunks its `k` rows span (the plan's row counts say so); a
+    /// limit behind a predicate stops at the chunk where the `k`-th row passes, which
+    /// only the parse can tell — the survivor count is then an upper bound.
+    pub fn chunks_to_parse(
+        &self,
+        pred: Option<&Predicate>,
+        limit: Option<(usize, bool)>,
+    ) -> (usize, bool) {
+        let mut survivors = self.surviving_chunks(pred);
+        match (limit, pred) {
+            (None, _) => (survivors.len(), true),
+            (Some((0, _)), _) => (0, true),
+            (Some(_), Some(_)) => (survivors.len(), false),
+            (Some((k, from_end)), None) => {
+                if from_end {
+                    survivors.reverse();
+                }
+                let mut covered = 0usize;
+                let spanned = survivors.iter().take_while(|chunk| {
+                    let needed = covered < k;
+                    covered = covered.saturating_add(chunk.rows);
+                    needed
+                });
+                (spanned.count(), true)
+            }
+        }
+    }
 }
 
 /// The CSV scan leaf: a path, parse options, and the pushdowns the optimizer has
@@ -260,6 +309,10 @@ pub struct ScanCsv {
     pub projection: Option<Vec<Cell>>,
     /// Pushed-down predicate, evaluated during the parse loop (after chunk pruning).
     pub predicate: Option<Predicate>,
+    /// Pushed-down LIMIT `(k, from_end)`: the scan emits only the first (or, from the
+    /// end, last) `k` rows that pass the predicate, and parses only as many chunks
+    /// as it takes to find them.
+    pub limit: Option<(usize, bool)>,
     /// Stable identity used in plan fingerprints: the session's content-based CSV
     /// statement key (path + options + file mtime/size), so two scans of the same
     /// on-disk state share cache entries and two different states do not.
@@ -275,6 +328,7 @@ impl ScanCsv {
             options,
             projection: None,
             predicate: None,
+            limit: None,
             identity: identity.into(),
             stats: Arc::new(OnceLock::new()),
         }
@@ -299,6 +353,13 @@ impl ScanCsv {
         scan
     }
 
+    /// This scan with a LIMIT pushed into it (stats still shared).
+    pub fn with_limit(&self, k: usize, from_end: bool) -> Self {
+        let mut scan = self.clone();
+        scan.limit = Some((k, from_end));
+        scan
+    }
+
     /// The cached file statistics, if an engine has collected them.
     pub fn stats(&self) -> Option<Arc<ScanStats>> {
         self.stats.get().cloned()
@@ -314,8 +375,8 @@ impl ScanCsv {
     /// state dedupe in the statement cache).
     pub fn fingerprint_fragment(&self) -> String {
         format!(
-            "scan[{};proj={:?};pred={:?}]",
-            self.identity, self.projection, self.predicate
+            "scan[{};proj={:?};pred={:?};limit={:?}]",
+            self.identity, self.projection, self.predicate, self.limit
         )
     }
 }
@@ -327,6 +388,7 @@ impl fmt::Debug for ScanCsv {
             .field("options", &self.options)
             .field("projection", &self.projection)
             .field("predicate", &self.predicate)
+            .field("limit", &self.limit)
             .field("has_stats", &self.stats.get().is_some())
             .finish()
     }
@@ -534,11 +596,18 @@ mod tests {
     #[test]
     fn observe_tracks_bounds_nulls_and_distincts() {
         let mut stats = ColumnChunkStats::default();
-        let mut seen = Vec::new();
+        let mut seen = DistinctSeen::default();
         for raw in ["5", "12", "5", "zebra"] {
             stats.observe(&cell(raw), &mut seen);
         }
         stats.observe(&Cell::Null, &mut seen);
+        // The in-place form folds a raw field exactly like its cell.
+        let mut streamed = ColumnChunkStats::default();
+        let mut seen = DistinctSeen::default();
+        for raw in ["5", "12", "5", "zebra", "NA"] {
+            streamed.observe_field(raw, raw.trim().parse().ok(), &mut seen);
+        }
+        assert_eq!(streamed, stats);
         assert_eq!(stats.nulls, 1);
         assert_eq!(stats.numeric, Some((5.0, 12.0)));
         assert_eq!(stats.numeric_count, 3);
@@ -760,6 +829,13 @@ mod tests {
         assert_ne!(scan.fingerprint_fragment(), filtered.fingerprint_fragment());
         let projected = scan.with_projection(vec![cell("a")]);
         assert_eq!(projected.projection.as_deref(), Some(&[cell("a")][..]));
+        let limited = scan.with_limit(10, false);
+        assert_eq!(limited.limit, Some((10, false)));
+        assert_ne!(scan.fingerprint_fragment(), limited.fingerprint_fragment());
+        assert_ne!(
+            limited.fingerprint_fragment(),
+            scan.with_limit(10, true).fingerprint_fragment()
+        );
     }
 
     #[test]
@@ -778,6 +854,16 @@ mod tests {
         assert_eq!(stats.surviving_chunks(None).len(), 2);
         let pred = cmp(CmpOp::Ge, cell(6));
         assert_eq!(stats.surviving_chunks(Some(&pred)).len(), 1);
+        // A limit with no predicate reads the chunks its rows span; behind a
+        // predicate the survivor count is only an upper bound.
+        assert_eq!(stats.chunks_to_parse(None, None), (2, true));
+        assert_eq!(stats.chunks_to_parse(None, Some((4, false))), (1, true));
+        assert_eq!(stats.chunks_to_parse(None, Some((5, true))), (2, true));
+        assert_eq!(stats.chunks_to_parse(None, Some((0, true))), (0, true));
+        assert_eq!(
+            stats.chunks_to_parse(Some(&pred), Some((1, false))),
+            (1, false)
+        );
         assert_eq!(stats.bytes_per_row(), 8.0);
         assert_eq!(stats.col_position(&cell("x")), Some(0));
         assert_eq!(stats.col_position(&cell("y")), None);

@@ -262,7 +262,40 @@ pub struct ModinEngine {
     pushdown: PushdownCounters,
     /// Per-file scan statistics, cached by scan identity so repeated statements over
     /// the same file collect them once.
-    scan_stats: Mutex<HashMap<String, Arc<ScanStats>>>,
+    scan_stats: Mutex<ScanStatsCache>,
+}
+
+/// How many files' scan statistics an engine keeps. An identity names one on-disk
+/// state of one file, so every refresh of a table mints a new one; without a bound a
+/// long-lived engine would keep every state it ever scanned.
+const SCAN_STATS_CAPACITY: usize = 64;
+
+/// The [`SCAN_STATS_CAPACITY`] most recently used scan statistics, by scan identity.
+#[derive(Debug, Default)]
+struct ScanStatsCache {
+    /// Bumped on every access; an entry's stamp is the tick of its last use.
+    tick: u64,
+    entries: HashMap<String, (u64, Arc<ScanStats>)>,
+}
+
+impl ScanStatsCache {
+    fn get(&mut self, identity: &str) -> Option<Arc<ScanStats>> {
+        self.tick += 1;
+        let (used, stats) = self.entries.get_mut(identity)?;
+        *used = self.tick;
+        Some(Arc::clone(stats))
+    }
+
+    fn insert(&mut self, identity: String, stats: Arc<ScanStats>) {
+        self.tick += 1;
+        self.entries.insert(identity, (self.tick, stats));
+        if self.entries.len() > SCAN_STATS_CAPACITY {
+            let stalest = self.entries.iter().min_by_key(|(_, (used, _))| *used);
+            if let Some(identity) = stalest.map(|(identity, _)| identity.clone()) {
+                self.entries.remove(&identity);
+            }
+        }
+    }
 }
 
 /// The engine-side accumulators behind [`PushdownSnapshot`].
@@ -323,7 +356,7 @@ impl ModinEngine {
             ingest_bands: AtomicU64::new(0),
             ingest_bytes: AtomicU64::new(0),
             pushdown: PushdownCounters::default(),
-            scan_stats: Mutex::new(HashMap::new()),
+            scan_stats: Mutex::new(ScanStatsCache::default()),
         })
     }
 
@@ -520,7 +553,7 @@ impl ModinEngine {
     /// scan identity (projection and predicate do not affect the statistics, so
     /// every pushed variant of the same file shares one entry).
     fn scan_stats_for(&self, scan: &ScanCsv, options: &CsvOptions) -> DfResult<Arc<ScanStats>> {
-        if let Some(cached) = self.scan_stats.lock().get(scan.identity()).cloned() {
+        if let Some(cached) = self.scan_stats.lock().get(scan.identity()) {
             return Ok(cached);
         }
         let stats = Arc::new(ingest::collect_scan_stats(
@@ -909,12 +942,8 @@ impl ModinEngine {
     }
 
     fn eval_limit(&self, input: &AlgebraExpr, k: usize, from_end: bool) -> DfResult<PartitionGrid> {
-        let grid = self.eval(input)?;
-        if from_end {
-            // Suffix mirror of the prefix path: only trailing bands are materialised.
-            return self.single(grid.suffix(k)?);
-        }
-        self.single(grid.prefix(k)?)
+        // Only the leading (`from_end`: trailing) bands are materialised.
+        self.eval(input)?.limit_in(k, from_end, self.store.as_ref())
     }
 
     fn eval_group_by(
@@ -1618,7 +1647,52 @@ mod tests {
             rendered.contains("SCAN_CSV"),
             "explain lost the scan leaf:\n{rendered}"
         );
-        assert_eq!(engine.scan_stats.lock().len(), 1, "one entry per identity");
+        assert_eq!(
+            engine.scan_stats.lock().entries.len(),
+            1,
+            "one entry per identity"
+        );
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn scan_statistics_cache_keeps_the_most_recently_used_identities() {
+        // Every refresh of a table is a new identity; the engine must not keep them all.
+        let (path, _content) = scan_csv_file("stats_cache_bound.csv");
+        let engine = small_engine();
+        let stats_of = |n: usize| {
+            let expr = scan_expr(&path, &format!("refresh-{n}"));
+            let AlgebraExpr::ScanCsv(scan) = &expr else {
+                unreachable!("scan_expr builds a scan leaf")
+            };
+            engine
+                .scan_stats_for(scan, &csv_options(scan.options))
+                .unwrap()
+        };
+        let first = stats_of(0);
+        for n in 1..SCAN_STATS_CAPACITY {
+            stats_of(n);
+        }
+        assert!(
+            Arc::ptr_eq(&first, &stats_of(0)),
+            "still cached, now freshest"
+        );
+        for n in SCAN_STATS_CAPACITY..SCAN_STATS_CAPACITY + 8 {
+            stats_of(n);
+        }
+        let cache = engine.scan_stats.lock();
+        assert_eq!(cache.entries.len(), SCAN_STATS_CAPACITY);
+        assert!(
+            cache.entries.contains_key("refresh-0"),
+            "recently used survives"
+        );
+        assert!(
+            !cache.entries.contains_key("refresh-1"),
+            "stalest went first"
+        );
+        assert!(!cache.entries.contains_key("refresh-8"));
+        assert!(cache.entries.contains_key("refresh-9"));
+        drop(cache);
         std::fs::remove_file(path).ok();
     }
 

@@ -21,6 +21,13 @@
 //!
 //! The produced [`PartitionGrid`] goes straight behind a `FrameHandle` — the file is
 //! never resident as one `DataFrame` at any point of the ingest.
+//!
+//! A `SCAN_CSV` leaf takes a shorter road. Its first contact with a file is the plan
+//! pass plus **one** statistics pass ([`collect_scan_stats`]: every chunk folded
+//! straight into column statistics and induction summaries, no band built), cached
+//! per file; every evaluation after that ([`scan_csv_grid`]) parses only the chunks
+//! its pushed predicate and limit leave, only the columns its pushed projection
+//! keeps, each field straight into its file-wide reconciled domain.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -147,13 +154,15 @@ pub fn ingest_csv_grid(
 /// counters, and asserted by the pushdown equivalence suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanReport {
-    /// Bands parsed (surviving chunks only).
+    /// Bands parsed: surviving chunks, and of those only the ones a pushed limit reached.
     pub bands: u64,
-    /// Bytes actually read by the parse phase (skipped chunks read nothing).
+    /// Bytes actually read by the parse phase (unparsed chunks read nothing).
     pub bytes: u64,
-    /// Data rows emitted after the pushed predicate.
+    /// Data rows emitted after the pushed predicate and limit.
     pub rows: u64,
-    /// Chunks proven row-free by their min/max statistics and never parsed.
+    /// Chunks proven row-free by their min/max statistics and never parsed. Chunks a
+    /// pushed limit never reached are not counted here — they were not proven
+    /// anything, just not needed.
     pub chunks_skipped: u64,
     /// File columns the parse loop never materialised (outside the pushed
     /// projection and the pushed predicate's reads).
@@ -186,10 +195,11 @@ fn tuned_band_rows(
 
 /// Collect per-chunk column statistics (and, for inferring scans, the reconciled
 /// per-column domains) for a CSV file: plan the chunks — re-planning with a smaller
-/// band when the memory budget and worker count call for it — then parse each chunk
-/// transiently on the worker pool, folding its cells into
-/// [`df_core::scan::ColumnChunkStats`]. Nothing is retained beyond the statistics;
-/// the engine caches the result per scan identity so later statements pay nothing.
+/// band when the memory budget and worker count call for it — then fold each chunk
+/// on the worker pool straight into [`df_core::scan::ColumnChunkStats`] and induction
+/// summaries ([`csv::csv_chunk_stats`]; no band is ever built). Nothing is retained
+/// beyond the statistics; the engine caches the result per scan identity so later
+/// statements pay nothing.
 pub fn collect_scan_stats(
     executor: &ParallelExecutor,
     partitioning: PartitionConfig,
@@ -207,11 +217,7 @@ pub fn collect_scan_stats(
         plan = csv::plan_csv_chunks(path, options, tuned)?;
     }
     let per_chunk = executor.par_map(plan.chunks.clone(), |_, chunk| {
-        let band = csv::read_csv_chunk(path, options, &plan, &chunk)?;
-        let columns = csv::chunk_column_stats(&band);
-        let summaries = options
-            .infer_schema
-            .then(|| csv::band_induction_summaries(&band));
+        let (columns, summaries) = csv::csv_chunk_stats(path, options, &plan, &chunk)?;
         Ok((chunk, columns, summaries))
     })?;
     let mut chunks = Vec::with_capacity(per_chunk.len());
@@ -238,6 +244,16 @@ pub fn collect_scan_stats(
     })
 }
 
+/// The planned chunk a chunk's statistics describe.
+fn planned_chunk(stats: &ChunkStats) -> CsvChunk {
+    CsvChunk {
+        start_byte: stats.start_byte,
+        end_byte: stats.end_byte,
+        rows: stats.rows,
+        start_row: stats.start_row,
+    }
+}
+
 /// Rebuild the chunk plan a statistics pass ran under, so the parse phase seeks the
 /// exact byte ranges the statistics describe without re-planning the file.
 fn rebuild_plan(stats: &ScanStats, options: &CsvOptions) -> CsvIngestPlan {
@@ -248,16 +264,7 @@ fn rebuild_plan(stats: &ScanStats, options: &CsvOptions) -> CsvIngestPlan {
         n_cols: stats.n_cols,
         total_rows: stats.total_rows,
         total_bytes: stats.total_bytes,
-        chunks: stats
-            .chunks
-            .iter()
-            .map(|c| CsvChunk {
-                start_byte: c.start_byte,
-                end_byte: c.end_byte,
-                rows: c.rows,
-                start_row: c.start_row,
-            })
-            .collect(),
+        chunks: stats.chunks.iter().map(planned_chunk).collect(),
     }
 }
 
@@ -267,14 +274,19 @@ fn rebuild_plan(stats: &ScanStats, options: &CsvOptions) -> CsvIngestPlan {
 /// * **chunk skipping** — chunks whose per-column min/max statistics prove no row
 ///   can match the pushed predicate are never read
 ///   ([`df_core::scan::ScanStats::surviving_chunks`]);
-/// * **column pruning** — with a pushed projection, each worker splits and
-///   materialises only the projected columns plus whatever extra columns the pushed
-///   predicate reads ([`csv::read_csv_chunk_cols`]);
+/// * **column pruning and typed parsing** — each worker materialises only the
+///   projected columns plus whatever extra columns the pushed predicate reads, every
+///   field parsed straight into its file-wide reconciled domain
+///   ([`csv::read_csv_chunk_with`]) — so pruning chunks can never change a dtype;
 /// * **residual filtering** — the predicate runs over each parsed band *before* it
-///   checks into the store, so filtered-out rows never occupy budget.
+///   checks into the store, so filtered-out rows never occupy budget;
+/// * **limit** — with a pushed `LIMIT k` only as many surviving chunks are parsed as
+///   `k` rows take, from the end the limit reads from: decided by the plan's row
+///   counts when there is no predicate, in waves of one chunk per worker until `k`
+///   rows have passed when there is one.
 ///
-/// The grid is cell-for-cell identical to evaluating SELECTION and PROJECTION above
-/// an unpushed scan of the whole file.
+/// The grid is cell-for-cell identical to evaluating SELECTION, PROJECTION and LIMIT
+/// above an unpushed scan of the whole file.
 pub fn scan_csv_grid(
     executor: &ParallelExecutor,
     store: Option<&Arc<SpillStore>>,
@@ -305,35 +317,82 @@ pub fn scan_csv_grid(
         .as_ref()
         .map(|k| (stats.n_cols - k.len()) as u64)
         .unwrap_or(0);
-    // Domains for the columns actually parsed (inferring scans recast in-worker with
-    // the *file-wide* reconciled domains, so pruning chunks cannot change a dtype).
+    // The file-wide reconciled domains of the columns actually parsed.
     let parse_domains: Option<Vec<df_types::domain::Domain>> = match (&stats.domains, &keep) {
         (Some(domains), Some(keep)) => Some(keep.iter().map(|&j| domains[j]).collect()),
         (Some(domains), None) => Some(domains.clone()),
         (None, _) => None,
     };
     let projection = scan.projection.clone().map(ColumnSelector::ByLabels);
-    let survivors: Vec<CsvChunk> = stats
+    // Survivors in the order the limit reads them: file order, or last chunk first.
+    let mut survivors: Vec<CsvChunk> = stats
         .surviving_chunks(scan.predicate.as_ref())
         .into_iter()
-        .map(|c| CsvChunk {
-            start_byte: c.start_byte,
-            end_byte: c.end_byte,
-            rows: c.rows,
-            start_row: c.start_row,
-        })
+        .map(planned_chunk)
         .collect();
-    let chunks_skipped = (stats.chunks.len() - survivors.len()) as u64;
+    let (limit, from_end) = scan.limit.unwrap_or((usize::MAX, false));
+    if from_end {
+        survivors.reverse();
+    }
     let mut report = ScanReport {
-        bands: survivors.len() as u64,
-        bytes: survivors.iter().map(|c| c.end_byte - c.start_byte).sum(),
+        bands: 0,
+        bytes: 0,
         rows: 0,
-        chunks_skipped,
+        chunks_skipped: (stats.chunks.len() - survivors.len()) as u64,
         columns_pruned,
     };
-    if survivors.is_empty() {
-        // No chunk can match (or the file holds no data records): one empty band
-        // with the scan's output schema, exactly what the unpushed plan returns.
+    let store_owned = store.cloned();
+    let retry = df_types::retry::RetryPolicy::default();
+    let parse = |_: usize, chunk: CsvChunk| {
+        let band = retry.run(|_| {
+            df_types::fail::check("ingest.read")?;
+            csv::read_csv_chunk_with(
+                &scan.path,
+                options,
+                &plan,
+                &chunk,
+                keep.as_deref(),
+                parse_domains.as_deref(),
+            )
+        })?;
+        let band = match &scan.predicate {
+            Some(pred) => ops::rowwise::selection(&band, pred)?,
+            None => band,
+        };
+        let band = match &projection {
+            Some(proj) => ops::rowwise::projection(&band, proj)?,
+            None => band,
+        };
+        let rows = band.n_rows();
+        // Same check-in as the plain ingest path: a typed column block.
+        let block = ColumnBlock::from_frame(&band);
+        let part = Partition::new_columnar_in(block, chunk.start_row, 0, store_owned.as_ref())?;
+        Ok((part, rows))
+    };
+    let mut parts: Vec<Partition> = Vec::new();
+    let mut found = 0usize;
+    let mut pending = survivors.as_slice();
+    while found < limit && !pending.is_empty() {
+        let wave = match &scan.predicate {
+            // Without a predicate the plan's row counts are what the chunks yield, so
+            // the first wave is exactly the chunks the limit's rows span.
+            None => stats.chunks_to_parse(None, scan.limit).0,
+            Some(_) => executor.threads(),
+        }
+        .clamp(1, pending.len());
+        let (now, later) = pending.split_at(wave);
+        pending = later;
+        report.bands += now.len() as u64;
+        report.bytes += now.iter().map(|c| c.end_byte - c.start_byte).sum::<u64>();
+        for (part, rows) in executor.par_map(now.to_vec(), parse)? {
+            found += rows;
+            parts.push(part);
+        }
+    }
+    let grid = if parts.is_empty() {
+        // No chunk can match, the limit is zero, or the file holds no data records:
+        // one empty band with the scan's output schema, exactly what the unpushed
+        // plan returns.
         let mut empty = plan.empty_frame()?;
         if options.infer_schema {
             match &stats.domains {
@@ -351,52 +410,19 @@ pub fn scan_csv_grid(
             Some(proj) => ops::rowwise::projection(&empty, proj)?,
             None => empty,
         };
-        let (rows, _) = empty.shape();
-        report.rows = rows as u64;
-        let grid = PartitionGrid::single_in(empty, store)?
-            .with_scan_schema(scan_output_schema(stats, scan), scan.predicate.is_none());
-        return Ok((grid, report));
-    }
-    let store_owned = store.cloned();
-    let retry = df_types::retry::RetryPolicy::default();
-    let parsed = executor.par_map(survivors, |_, chunk| {
-        let band = retry.run(|_| {
-            df_types::fail::check("ingest.read")?;
-            match &keep {
-                Some(keep) => csv::read_csv_chunk_cols(path_of(scan), options, &plan, &chunk, keep),
-                None => csv::read_csv_chunk(path_of(scan), options, &plan, &chunk),
-            }
-        })?;
-        let band = match &parse_domains {
-            Some(domains) => csv::apply_domains(band, domains)?,
-            None => band,
-        };
-        let band = match &scan.predicate {
-            Some(pred) => ops::rowwise::selection(&band, pred)?,
-            None => band,
-        };
-        let band = match &projection {
-            Some(proj) => ops::rowwise::projection(&band, proj)?,
-            None => band,
-        };
-        let rows = band.n_rows() as u64;
-        // Same check-in as the plain ingest path: a typed column block.
-        let block = ColumnBlock::from_frame(&band);
-        let part = Partition::new_columnar_in(block, chunk.start_row, 0, store_owned.as_ref())?;
-        Ok((part, rows))
-    })?;
-    let mut parts = Vec::with_capacity(parsed.len());
-    for (part, rows) in parsed {
-        report.rows += rows;
-        parts.push(part);
-    }
-    let grid = PartitionGrid::from_band_partitions(parts)
-        .with_scan_schema(scan_output_schema(stats, scan), scan.predicate.is_none());
+        PartitionGrid::single_in(empty, store)?
+    } else {
+        if from_end {
+            parts.reverse();
+        }
+        PartitionGrid::from_band_partitions(parts)
+    };
+    let grid = match scan.limit {
+        Some((k, from_end)) => grid.limit_in(k, from_end, store)?,
+        None => grid.with_scan_schema(scan_output_schema(stats, scan), scan.predicate.is_none()),
+    };
+    report.rows = found.min(limit) as u64;
     Ok((grid, report))
-}
-
-fn path_of(scan: &ScanCsv) -> &Path {
-    scan.path.as_path()
 }
 
 /// The scan's output schema — projected labels (or all file labels) paired with

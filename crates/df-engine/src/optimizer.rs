@@ -9,10 +9,12 @@
 //!   so incrementally composed statements (§6.2) do not pay one pass per statement.
 //! * **Limit push-down** (§6.1.2) — a LIMIT (the `head`/`tail` inspection) pushes below
 //!   arity-preserving row-wise operators, so prefix inspection of a long pipeline only
-//!   computes the rows that will be displayed.
+//!   computes the rows that will be displayed — and a LIMIT that lands on a
+//!   [`ScanCsv`](df_core::scan::ScanCsv) leaf folds into it, so the first look at a
+//!   file parses only the chunks its rows come from.
 //! * **Schema-induction deferral accounting** (§5.1.1) — the optimizer marks which
 //!   operators are type-agnostic so the engine can skip induction between them.
-//! * **Scan pushdown** — a SELECTION or PROJECTION sitting directly on a
+//! * **Scan pushdown** — a SELECTION, PROJECTION or LIMIT sitting directly on a
 //!   [`ScanCsv`](df_core::scan::ScanCsv) leaf folds *into* the leaf, so the parse loop
 //!   only materialises referenced columns and can skip whole chunks whose statistics
 //!   prove no row can match ([`df_core::scan::chunk_may_match`]).
@@ -28,7 +30,7 @@ pub struct RewriteStats {
     pub transpose_pairs_eliminated: usize,
     /// Adjacent SELECTION pairs fused.
     pub selections_fused: usize,
-    /// LIMIT nodes pushed below row-wise operators.
+    /// LIMIT nodes pushed below row-wise operators or folded into a `ScanCsv` leaf.
     pub limits_pushed: usize,
     /// SELECTION predicates folded into a `ScanCsv` leaf.
     pub predicates_pushed: usize,
@@ -250,6 +252,16 @@ fn limit_transparent(expr: &AlgebraExpr, from_end: bool) -> bool {
 fn push_limits(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
     fn walk(expr: &AlgebraExpr, hits: &mut usize) -> AlgebraExpr {
         if let AlgebraExpr::Limit { input, k, from_end } = expr {
+            // A LIMIT that reached a scan leaf folds into it: the scan evaluates its
+            // predicate and projection first and the limit last, which is exactly
+            // LIMIT above the leaf. A leaf that is already limited keeps the outer
+            // LIMIT above it.
+            if let AlgebraExpr::ScanCsv(scan) = input.as_ref() {
+                if scan.limit.is_none() {
+                    *hits += 1;
+                    return AlgebraExpr::scan_csv(scan.with_limit(*k, *from_end));
+                }
+            }
             if limit_transparent(input, *from_end) {
                 *hits += 1;
                 // Swap: LIMIT(op(x)) → op(LIMIT(x)).
@@ -285,6 +297,8 @@ fn push_limits(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
 /// Soundness guards:
 /// * the scan must not already carry a predicate (fusion produces one SELECTION, so
 ///   this only occurs across separate optimize calls — stay conservative);
+/// * the scan must not carry a limit: the leaf filters *before* it limits, and
+///   SELECTION above a limited leaf filters after;
 /// * the predicate must be [`Predicate::scan_pushable`] (no position- or
 ///   closure-dependent parts) with statically known referenced columns;
 /// * when the scan already has a projection pushed, every referenced column must
@@ -295,7 +309,7 @@ fn push_scan_predicates(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
     fn walk(expr: &AlgebraExpr, hits: &mut usize) -> AlgebraExpr {
         if let AlgebraExpr::Selection { input, predicate } = expr {
             if let AlgebraExpr::ScanCsv(scan) = input.as_ref() {
-                if scan.predicate.is_none() && predicate.scan_pushable() {
+                if scan.predicate.is_none() && scan.limit.is_none() && predicate.scan_pushable() {
                     if let Some(cols) = predicate.referenced_columns() {
                         let survives_projection = match &scan.projection {
                             None => true,
@@ -590,6 +604,72 @@ mod tests {
             assert_eq!(stats.predicates_pushed, 0);
             assert!(matches!(optimized, AlgebraExpr::Selection { .. }));
         }
+    }
+
+    #[test]
+    fn limit_folds_into_scan_leaf_after_the_other_pushdowns() {
+        // head(5) of a filtered, projected scan: everything lands in the leaf.
+        let expr = scan()
+            .select(gt_a(1))
+            .project(ColumnSelector::ByLabels(vec![cell("a")]))
+            .limit(5, false);
+        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        assert_eq!(
+            stats.limits_pushed, 2,
+            "below PROJECTION, then into the leaf"
+        );
+        match &optimized {
+            AlgebraExpr::ScanCsv(s) => {
+                assert_eq!(s.limit, Some((5, false)));
+                assert!(s.predicate.is_some());
+                assert_eq!(s.projection, Some(vec![cell("a")]));
+            }
+            other => panic!("expected a bare scan, got {}", other.name()),
+        }
+        // tail(k) folds too, and a second LIMIT stays above the limited leaf.
+        let (optimized, stats) = optimize(
+            &scan().limit(3, true).limit(2, false),
+            OptimizerConfig::default(),
+        );
+        assert_eq!(stats.limits_pushed, 1);
+        match &optimized {
+            AlgebraExpr::Limit {
+                input,
+                k: 2,
+                from_end: false,
+            } => match input.as_ref() {
+                AlgebraExpr::ScanCsv(s) => assert_eq!(s.limit, Some((3, true))),
+                other => panic!("expected a limited scan, got {}", other.name()),
+            },
+            other => panic!("expected LIMIT over the scan, got {}", other.name()),
+        }
+    }
+
+    #[test]
+    fn selection_above_a_limited_scan_stays_above_it() {
+        // filter(head(5)) must not become head(5) of the filtered file.
+        let expr = scan().limit(5, false).select(gt_a(1));
+        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        assert_eq!(stats.limits_pushed, 1);
+        assert_eq!(stats.predicates_pushed, 0);
+        match &optimized {
+            AlgebraExpr::Selection { input, .. } => match input.as_ref() {
+                AlgebraExpr::ScanCsv(s) => {
+                    assert_eq!(s.limit, Some((5, false)));
+                    assert!(s.predicate.is_none());
+                }
+                other => panic!("expected a limited scan, got {}", other.name()),
+            },
+            other => panic!("expected SELECTION over the scan, got {}", other.name()),
+        }
+        // With push_limits off the LIMIT node stays and the leaf stays unlimited.
+        let config = OptimizerConfig {
+            push_limits: false,
+            ..OptimizerConfig::default()
+        };
+        let (optimized, stats) = optimize(&scan().limit(5, false), config);
+        assert_eq!(stats.limits_pushed, 0);
+        assert!(matches!(optimized, AlgebraExpr::Limit { .. }));
     }
 
     #[test]

@@ -840,7 +840,8 @@ impl PartitionGrid {
         let mut collected: Vec<DataFrame> = Vec::new();
         let mut remaining = k;
         for band in &self.blocks {
-            if remaining == 0 {
+            // `k == 0` still visits one band: the empty result keeps its columns.
+            if remaining == 0 && !collected.is_empty() {
                 break;
             }
             let blocks: Vec<DataFrame> = band
@@ -862,7 +863,7 @@ impl PartitionGrid {
         let mut collected: Vec<DataFrame> = Vec::new();
         let mut remaining = k;
         for band in self.blocks.iter().rev() {
-            if remaining == 0 {
+            if remaining == 0 && !collected.is_empty() {
                 break;
             }
             let blocks: Vec<DataFrame> = band
@@ -876,6 +877,22 @@ impl PartitionGrid {
         }
         collected.reverse();
         setops::union_all(collected)
+    }
+
+    /// LIMIT: the first (`from_end`: last) `k` logical rows as one band, loading only
+    /// the row bands they come from.
+    pub fn limit_in(
+        &self,
+        k: usize,
+        from_end: bool,
+        store: Option<&Arc<SpillStore>>,
+    ) -> DfResult<PartitionGrid> {
+        let rows = if from_end {
+            self.suffix(k)?
+        } else {
+            self.prefix(k)?
+        };
+        PartitionGrid::single_in(rows, store)
     }
 
     /// Number of partitions whose transpose is still deferred (used in tests and the

@@ -1318,6 +1318,48 @@ mod tests {
     }
 
     #[test]
+    fn cached_scan_statistics_over_an_edited_file_fail_as_io() {
+        // The identity promises one on-disk state. A caller that edits the file
+        // under an identity it keeps using meets the cached chunk plan: that is an
+        // environmental fault, reported as `Io` — never a panic, never `Internal`.
+        let dir = std::env::temp_dir().join(format!("df_session_stale_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stale.csv");
+        let rows = |n: usize| {
+            (0..n).fold(String::from("id,v\n"), |mut content, i| {
+                content.push_str(&format!("{i},{}\n", i * 2));
+                content
+            })
+        };
+        std::fs::write(&path, rows(40)).unwrap();
+        let session = QuerySession::new(engine(), EvalMode::Lazy);
+        let scan = || {
+            AlgebraExpr::scan_csv(df_core::scan::ScanCsv::new(
+                &path,
+                df_core::scan::ScanOptions::default(),
+                "stale-scan",
+            ))
+        };
+        assert_eq!(session.head(&scan(), 3).unwrap().shape(), (3, 2));
+        // Truncated: the cached plan's later chunks are gone.
+        std::fs::write(&path, rows(12)).unwrap();
+        let err = session.collect(&scan()).unwrap_err();
+        assert!(matches!(err, DfError::Io(_)), "truncated: {err}");
+        // Grown in place: the first chunk's byte range now holds one record more.
+        std::fs::write(&path, rows(40).replacen("0,0\n", ",\n,\n", 1)).unwrap();
+        let err = session.head(&scan(), 3).unwrap_err();
+        assert!(matches!(err, DfError::Io(_)), "grown: {err}");
+        // A fresh identity sees the file as it is.
+        let fresh = AlgebraExpr::scan_csv(df_core::scan::ScanCsv::new(
+            &path,
+            df_core::scan::ScanOptions::default(),
+            "stale-scan-refreshed",
+        ));
+        assert_eq!(session.collect(&fresh).unwrap().shape(), (41, 2));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn cancel_fails_statements_typed_and_reset_rearms_the_session() {
         let session = QuerySession::new(engine(), EvalMode::Lazy);
         let expr = AlgebraExpr::literal(frame(64)).map(MapFunc::IsNullMask);

@@ -928,7 +928,7 @@ pub fn parallel_sort(
 /// Compare two key tuples under the sort spec's per-key direction.
 fn compare_keys(a: &[Cell], b: &[Cell], spec: &SortSpec) -> Ordering {
     for (idx, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        let mut ord = x.total_cmp(y);
+        let mut ord = x.sort_cmp(y);
         if !spec.is_ascending(idx) {
             ord = ord.reverse();
         }
@@ -948,7 +948,7 @@ fn compare_key_to_row(
     spec: &SortSpec,
 ) -> Ordering {
     for (idx, (k, &j)) in key.iter().zip(key_positions.iter()).enumerate() {
-        let mut ord = k.total_cmp(&frame.columns()[j].cells()[i]);
+        let mut ord = k.sort_cmp(&frame.columns()[j].cells()[i]);
         if !spec.is_ascending(idx) {
             ord = ord.reverse();
         }
@@ -969,7 +969,7 @@ fn compare_rows(
     spec: &SortSpec,
 ) -> Ordering {
     for (idx, &j) in key_positions.iter().enumerate() {
-        let mut ord = a.columns()[j].cells()[ai].total_cmp(&b.columns()[j].cells()[bi]);
+        let mut ord = a.columns()[j].cells()[ai].sort_cmp(&b.columns()[j].cells()[bi]);
         if !spec.is_ascending(idx) {
             ord = ord.reverse();
         }

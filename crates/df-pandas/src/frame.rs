@@ -454,6 +454,13 @@ impl PandasFrame {
     /// assert!(report.contains("predicates pushed into scans: 1"));
     /// assert!(report.contains("projections pushed into scans: 1"));
     /// assert!(report.contains("result not cached"));
+    /// // The first look at the file — the plan `trips.head(10)` runs — folds its LIMIT
+    /// // into the scan leaf too, so only the chunks ten rows come from are parsed.
+    /// let first_look = session.query().explain(&trips.expr().clone().limit(10, false));
+    /// assert!(first_look.contains(
+    ///     "SCAN_CSV trips.csv limit⇩[first 10] (1/4 chunks)  [~10 rows × 4 cols, ~127 B]"
+    /// ));
+    /// assert!(first_look.contains("limits pushed: 1"));
     /// // explain() executed nothing…
     /// assert_eq!(session.stats().executions, 0);
     /// // …and the pushed plan really skips chunks and prunes columns when it runs.

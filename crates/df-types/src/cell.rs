@@ -213,11 +213,25 @@ impl Cell {
         hasher.finish()
     }
 
-    /// Total ordering used by `SORT` and by ordered set operations. Nulls sort last;
+    /// The ordering `Predicate` evaluation and chunk pruning use. Nulls sort last;
     /// values of different domains sort by a fixed domain precedence (bool < numeric <
     /// string < composite), mirroring the permissive ordering pandas applies to
-    /// `Object` columns.
+    /// `Object` columns. A NaN compares `Equal` to every number, so this is *not* a
+    /// total order — sorting goes through [`Cell::sort_cmp`].
     pub fn total_cmp(&self, other: &Cell) -> Ordering {
+        self.cmp_with(other, |_, _| Ordering::Equal)
+    }
+
+    /// The total order `SORT`, GROUPBY output order and the range shuffle use:
+    /// [`Cell::total_cmp`] with NaN ordered after every number and equal to itself
+    /// (`sort_by` may panic on a comparator that is not a total order).
+    pub fn sort_cmp(&self, other: &Cell) -> Ordering {
+        self.cmp_with(other, nan_last)
+    }
+
+    /// `unordered` decides the pairs `f64::partial_cmp` cannot (one side is NaN); it
+    /// runs only on that arm, so ordinary numeric comparisons pay nothing for it.
+    fn cmp_with(&self, other: &Cell, unordered: fn(f64, f64) -> Ordering) -> Ordering {
         fn rank(c: &Cell) -> u8 {
             match c {
                 Cell::Bool(_) => 0,
@@ -233,7 +247,7 @@ impl Cell {
             (Cell::Str(a), Cell::Str(b)) => a.cmp(b),
             (Cell::List(a), Cell::List(b)) => {
                 for (x, y) in a.iter().zip(b.iter()) {
-                    let ord = x.total_cmp(y);
+                    let ord = x.cmp_with(y, unordered);
                     if ord != Ordering::Equal {
                         return ord;
                     }
@@ -241,7 +255,7 @@ impl Cell {
                 a.len().cmp(&b.len())
             }
             (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
+                (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or_else(|| unordered(x, y)),
                 _ => rank(a).cmp(&rank(b)),
             },
         }
@@ -276,6 +290,12 @@ impl Hash for Cell {
         // hasher identically, without the `group_key` allocation the old path paid.
         self.hash_key(state);
     }
+}
+
+/// [`Cell::sort_cmp`]'s verdict on two floats `partial_cmp` cannot order (one is NaN):
+/// NaN after every number, equal to itself. Shared with the typed sort comparator.
+pub(crate) fn nan_last(x: f64, y: f64) -> Ordering {
+    x.is_nan().cmp(&y.is_nan())
 }
 
 /// A deterministic, dependency-free FNV-1a hasher. The shuffle subsystem keys its
@@ -462,7 +482,7 @@ mod tests {
             cell(true),
             cell("a"),
         ];
-        cells.sort_by(|a, b| a.total_cmp(b));
+        cells.sort_by(|a, b| a.sort_cmp(b));
         assert_eq!(
             cells,
             vec![
@@ -474,6 +494,50 @@ mod tests {
                 Cell::Null
             ]
         );
+    }
+
+    #[test]
+    fn sort_cmp_orders_nan_after_every_number_and_is_total() {
+        let nan = Cell::Float(f64::NAN);
+        assert_eq!(nan.total_cmp(&cell(1.0)), Ordering::Equal);
+        assert_eq!(nan.sort_cmp(&cell(f64::INFINITY)), Ordering::Greater);
+        assert_eq!(cell(-3).sort_cmp(&nan), Ordering::Less);
+        assert_eq!(nan.sort_cmp(&nan), Ordering::Equal);
+        assert_eq!(nan.sort_cmp(&cell("a")), Ordering::Less);
+        assert_eq!(nan.sort_cmp(&Cell::Null), Ordering::Less);
+        // Agrees with total_cmp wherever that one is decided by the values.
+        let probes = [cell(true), cell(-1), cell(2.5), cell("x"), Cell::Null, nan];
+        for a in &probes {
+            for b in &probes {
+                assert_eq!(a.sort_cmp(b), b.sort_cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a.total_cmp(b) != Ordering::Equal {
+                    assert_eq!(a.sort_cmp(b), a.total_cmp(b), "{a:?} vs {b:?}");
+                }
+                for c in &probes {
+                    if a.sort_cmp(b) != Ordering::Greater && b.sort_cmp(c) != Ordering::Greater {
+                        assert_ne!(a.sort_cmp(c), Ordering::Greater, "{a:?} {b:?} {c:?}");
+                    }
+                }
+            }
+        }
+        // A long NaN-bearing sort neither panics nor misplaces a number.
+        let mut cells: Vec<Cell> = (0..200)
+            .map(|i| {
+                if i % 3 == 0 {
+                    Cell::Float(f64::NAN)
+                } else {
+                    cell(((i * 37) % 101) as f64)
+                }
+            })
+            .collect();
+        cells.sort_by(|a, b| a.sort_cmp(b));
+        let first_nan = cells
+            .iter()
+            .position(|c| c.as_f64().is_some_and(f64::is_nan));
+        assert_eq!(first_nan, Some(133));
+        assert!(cells[..133]
+            .windows(2)
+            .all(|w| w[0].as_f64() <= w[1].as_f64()));
     }
 
     #[test]

@@ -368,23 +368,25 @@ impl ColumnData {
         }
     }
 
-    /// Ordering of rows `i` and `j` under [`Cell::total_cmp`], evaluated straight off
+    /// Ordering of rows `i` and `j` under [`Cell::sort_cmp`], evaluated straight off
     /// the typed buffers (the vectorized SORT comparator). Matches the reference
-    /// ordering exactly, including its quirks: numeric comparisons go through `f64`
-    /// (`partial_cmp` falling back to `Equal` for NaN) and nulls sort last.
+    /// ordering exactly: numeric comparisons go through `f64`, NaN sorts after every
+    /// number and nulls sort last.
     #[inline]
     pub fn cmp_rows(&self, i: usize, j: usize) -> std::cmp::Ordering {
         use std::cmp::Ordering;
         fn numeric(a: Option<f64>, b: Option<f64>) -> Ordering {
             match (a, b) {
-                (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
+                (Some(x), Some(y)) => x
+                    .partial_cmp(&y)
+                    .unwrap_or_else(|| crate::cell::nan_last(x, y)),
                 (Some(_), None) => Ordering::Less,
                 (None, Some(_)) => Ordering::Greater,
                 (None, None) => Ordering::Equal,
             }
         }
         match self {
-            ColumnData::Cells(cells) => cells[i].total_cmp(&cells[j]),
+            ColumnData::Cells(cells) => cells[i].sort_cmp(&cells[j]),
             ColumnData::Int { values, validity } => numeric(
                 validity.get(i).then(|| values[i] as f64),
                 validity.get(j).then(|| values[j] as f64),
@@ -644,14 +646,16 @@ mod tests {
     }
 
     #[test]
-    fn cmp_rows_matches_cell_total_cmp() {
-        for (cells, domain) in probe_columns() {
+    fn cmp_rows_matches_cell_sort_cmp() {
+        // NaN cannot ride in `probe_columns` (its round-trip check compares by `==`).
+        let nan_lane = vec![cell(2.0), cell(f64::NAN), Cell::Null, cell(f64::NAN)];
+        for (cells, domain) in probe_columns().into_iter().chain([(nan_lane, None)]) {
             let encoded = ColumnData::from_cells(&cells, domain.as_ref());
             for i in 0..cells.len() {
                 for j in 0..cells.len() {
                     assert_eq!(
                         encoded.cmp_rows(i, j),
-                        cells[i].total_cmp(&cells[j]),
+                        cells[i].sort_cmp(&cells[j]),
                         "cmp diverged on rows {i},{j} of {cells:?}"
                     );
                 }

@@ -95,11 +95,17 @@ impl Domain {
         }
         match self {
             Domain::Str | Domain::Category => Ok(Cell::Str(trimmed.to_string())),
-            Domain::Bool => match trimmed.to_ascii_lowercase().as_str() {
-                "true" | "t" | "yes" | "y" | "1" => Ok(Cell::Bool(true)),
-                "false" | "f" | "no" | "n" | "0" => Ok(Cell::Bool(false)),
-                _ => Err(parse_err(self, raw)),
-            },
+            Domain::Bool => {
+                let spelled =
+                    |words: &[&str]| words.iter().any(|w| trimmed.eq_ignore_ascii_case(w));
+                if spelled(&["true", "t", "yes", "y", "1"]) {
+                    Ok(Cell::Bool(true))
+                } else if spelled(&["false", "f", "no", "n", "0"]) {
+                    Ok(Cell::Bool(false))
+                } else {
+                    Err(parse_err(self, raw))
+                }
+            }
             Domain::Int => trimmed
                 .parse::<i64>()
                 .map(Cell::Int)
@@ -199,11 +205,13 @@ fn parse_err(domain: &Domain, value: &str) -> DfError {
 }
 
 /// The spellings of the distinguished null value accepted by every parsing function.
+/// Runs once per ingested field, so it compares in place instead of lower-casing a copy.
 pub fn is_null_token(raw: &str) -> bool {
-    matches!(
-        raw.trim().to_ascii_lowercase().as_str(),
-        "" | "na" | "n/a" | "nan" | "null" | "none"
-    )
+    let trimmed = raw.trim();
+    trimmed.len() <= 4
+        && ["", "na", "n/a", "nan", "null", "none"]
+            .iter()
+            .any(|token| trimmed.eq_ignore_ascii_case(token))
 }
 
 /// Parse an ISO-8601-like date or datetime (`YYYY-MM-DD` or `YYYY-MM-DD HH:MM:SS`,

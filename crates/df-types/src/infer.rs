@@ -24,6 +24,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::cell::Cell;
 use crate::domain::{is_null_token, Domain};
@@ -43,6 +44,20 @@ pub fn reset_induction_scan_count() {
     INDUCTION_SCANS.store(0, Ordering::Relaxed);
 }
 
+#[cfg(test)]
+thread_local! {
+    /// This thread's share of [`INDUCTION_SCANS`]: `cargo test` runs tests on parallel
+    /// threads that all bump the process-wide counter, so an exact delta can only be
+    /// asserted on a per-thread tally.
+    static THREAD_SCANS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn note_scan() {
+    INDUCTION_SCANS.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_SCANS.with(|tally| tally.set(tally.get() + 1));
+}
+
 /// The schema induction function `S` over raw strings.
 ///
 /// Scans the column once and returns the narrowest domain that every non-null entry
@@ -54,7 +69,7 @@ pub fn induce_from_strings<'a, I>(values: I) -> Domain
 where
     I: IntoIterator<Item = &'a str>,
 {
-    INDUCTION_SCANS.fetch_add(1, Ordering::Relaxed);
+    note_scan();
     let mut candidate: Option<Domain> = None;
     let mut distinct: HashSet<&str> = HashSet::new();
     let mut non_null = 0usize;
@@ -67,7 +82,7 @@ where
         if distinct.len() < CATEGORY_DISTINCT_CAP {
             distinct.insert(trimmed);
         }
-        let this = narrowest_domain_of_str(trimmed);
+        let (this, _) = classify(trimmed);
         candidate = Some(match candidate {
             None => this,
             Some(prev) => prev.unify(this),
@@ -94,7 +109,7 @@ pub fn induce_domain<'a, I>(cells: I) -> Domain
 where
     I: IntoIterator<Item = &'a Cell>,
 {
-    INDUCTION_SCANS.fetch_add(1, Ordering::Relaxed);
+    note_scan();
     let mut candidate: Option<Domain> = None;
     for cell in cells {
         let Some(domain) = cell.natural_domain() else {
@@ -116,24 +131,30 @@ const CATEGORY_MIN_ROWS: usize = 16;
 /// A column is categorical when `distinct * RATIO < non_null`.
 const CATEGORY_RATIO: usize = 4;
 
-/// The narrowest domain a single raw string belongs to.
-fn narrowest_domain_of_str(trimmed: &str) -> Domain {
+/// The narrowest domain a single trimmed, non-null raw string belongs to, with the
+/// `f64` it reads as when it is numeric — so a caller that also keeps numeric bounds
+/// (the CSV statistics pass) parses each field once.
+fn classify(trimmed: &str) -> (Domain, Option<f64>) {
     // Only the canonical spellings induce booleans. "Yes"/"No" style columns stay in
     // the string domains (pandas keeps them as Object too); Domain::Bool.parse still
     // accepts them when the user explicitly casts.
-    if matches!(trimmed.to_ascii_lowercase().as_str(), "true" | "false") {
-        return Domain::Bool;
+    if trimmed.eq_ignore_ascii_case("true") || trimmed.eq_ignore_ascii_case("false") {
+        return (Domain::Bool, None);
     }
-    if trimmed.parse::<i64>().is_ok() {
-        return Domain::Int;
-    }
-    if trimmed.parse::<f64>().is_ok() {
-        return Domain::Float;
+    // Every `i64` spelling is also an `f64` spelling, so one failed float parse rules
+    // out both numeric domains.
+    if let Ok(value) = trimmed.parse::<f64>() {
+        let domain = if trimmed.parse::<i64>().is_ok() {
+            Domain::Int
+        } else {
+            Domain::Float
+        };
+        return (domain, Some(value));
     }
     if crate::domain::parse_datetime_seconds(trimmed).is_some() {
-        return Domain::DateTime;
+        return (Domain::DateTime, None);
     }
-    Domain::Str
+    (Domain::Str, None)
 }
 
 /// Number of fold states an [`InductionSummary`] tracks: "no candidate yet" plus one
@@ -141,15 +162,9 @@ fn narrowest_domain_of_str(trimmed: &str) -> Domain {
 const STATE_COUNT: usize = 1 + Domain::ALL.len();
 
 fn encode_state(domain: Option<Domain>) -> u8 {
-    match domain {
-        None => 0,
-        Some(domain) => {
-            1 + Domain::ALL
-                .iter()
-                .position(|d| *d == domain)
-                .expect("Domain::ALL is exhaustive") as u8
-        }
-    }
+    // `Domain::ALL` lists the variants in declaration order, so the discriminant is
+    // the index (pinned by `domain_discriminants_index_domain_all`).
+    domain.map_or(0, |domain| 1 + domain as u8)
 }
 
 fn decode_state(state: u8) -> Option<Domain> {
@@ -157,6 +172,25 @@ fn decode_state(state: u8) -> Option<Domain> {
         0 => None,
         index => Some(Domain::ALL[index as usize - 1]),
     }
+}
+
+/// `step_table()[d][s]` is the fold state after a value of domain `d` arrives in
+/// state `s`: the whole `decode → unify → encode` step as one lookup, because
+/// [`InductionSummary::observe`] takes it [`STATE_COUNT`] times per ingested field.
+fn step_table() -> &'static [[u8; STATE_COUNT]; Domain::ALL.len()] {
+    static TABLE: OnceLock<[[u8; STATE_COUNT]; Domain::ALL.len()]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [[0u8; STATE_COUNT]; Domain::ALL.len()];
+        for (row, this) in table.iter_mut().zip(Domain::ALL) {
+            for (state, next) in row.iter_mut().enumerate() {
+                *next = encode_state(Some(match decode_state(state as u8) {
+                    None => this,
+                    Some(prev) => prev.unify(this),
+                }));
+            }
+        }
+        table
+    })
 }
 
 /// A composable summary of the schema induction scan over one *band* of a column.
@@ -209,30 +243,41 @@ impl InductionSummary {
         }
     }
 
-    /// Summarise one band of raw strings (the per-band half of `S`). Counts as one
-    /// induction scan, like the serial [`induce_from_strings`] it stands in for.
+    /// Start summarising one band of a column value by value (see
+    /// [`InductionSummary::observe`]). Counts as one induction scan, like the serial
+    /// [`induce_from_strings`] it stands in for.
+    pub fn begin() -> Self {
+        note_scan();
+        InductionSummary::empty()
+    }
+
+    /// Fold one raw value into the summary. Returns the `f64` the value reads as when
+    /// it is non-null and numeric (NaN spellings included — the caller filters).
+    pub fn observe(&mut self, raw: &str) -> Option<f64> {
+        let trimmed = raw.trim();
+        if is_null_token(trimmed) {
+            return None;
+        }
+        self.non_null += 1;
+        if self.distinct.len() < CATEGORY_DISTINCT_CAP && !self.distinct.contains(trimmed) {
+            self.distinct.insert(trimmed.to_string());
+        }
+        let (this, numeric) = classify(trimmed);
+        let step = &step_table()[this as usize];
+        for state in self.transition.iter_mut() {
+            *state = step[*state as usize];
+        }
+        numeric
+    }
+
+    /// Summarise one band of raw strings (the per-band half of `S`).
     pub fn of_strings<'a, I>(values: I) -> Self
     where
         I: IntoIterator<Item = &'a str>,
     {
-        INDUCTION_SCANS.fetch_add(1, Ordering::Relaxed);
-        let mut summary = InductionSummary::empty();
+        let mut summary = InductionSummary::begin();
         for raw in values {
-            let trimmed = raw.trim();
-            if is_null_token(trimmed) {
-                continue;
-            }
-            summary.non_null += 1;
-            if summary.distinct.len() < CATEGORY_DISTINCT_CAP {
-                summary.distinct.insert(trimmed.to_string());
-            }
-            let this = narrowest_domain_of_str(trimmed);
-            for state in summary.transition.iter_mut() {
-                *state = encode_state(Some(match decode_state(*state) {
-                    None => this,
-                    Some(prev) => prev.unify(this),
-                }));
-            }
+            summary.observe(raw);
         }
         summary
     }
@@ -439,11 +484,39 @@ mod tests {
 
     #[test]
     fn induction_counter_increments() {
-        reset_induction_scan_count();
+        // Other tests induce concurrently on their own threads: this thread's tally
+        // moves by exactly what it did, the process-wide counter by at least that.
         let before = induction_scan_count();
+        let mine = THREAD_SCANS.with(std::cell::Cell::get);
         induce_from_strings(["1", "2"]);
         induce_domain(&[cell(1)]);
-        assert_eq!(induction_scan_count(), before + 2);
+        InductionSummary::of_strings(["x"]);
+        assert_eq!(THREAD_SCANS.with(std::cell::Cell::get), mine + 3);
+        assert!(induction_scan_count() >= before + 3);
+    }
+
+    #[test]
+    fn domain_discriminants_index_domain_all() {
+        for (index, domain) in Domain::ALL.into_iter().enumerate() {
+            assert_eq!(domain as usize, index);
+            assert_eq!(decode_state(encode_state(Some(domain))), Some(domain));
+        }
+        assert_eq!(decode_state(encode_state(None)), None);
+    }
+
+    #[test]
+    fn classify_reads_numbers_once_and_keeps_the_widening_order() {
+        assert_eq!(classify("TRUE"), (Domain::Bool, None));
+        assert_eq!(classify("007"), (Domain::Int, Some(7.0)));
+        assert_eq!(classify("-0"), (Domain::Int, Some(-0.0)));
+        assert_eq!(classify("1e3"), (Domain::Float, Some(1000.0)));
+        assert_eq!(classify("inf"), (Domain::Float, Some(f64::INFINITY)));
+        assert_eq!(classify("2020"), (Domain::Int, Some(2020.0)));
+        assert_eq!(classify("2020-01-01"), (Domain::DateTime, None));
+        assert_eq!(classify("yes"), (Domain::Str, None));
+        let (domain, value) = classify("-NaN");
+        assert_eq!(domain, Domain::Float);
+        assert!(value.is_some_and(f64::is_nan));
     }
 
     /// Split `values` at every position (and at a few multi-way splits) and check the

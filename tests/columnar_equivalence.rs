@@ -11,7 +11,7 @@
 //!   it cannot catch a kernel that is wrong everywhere. Each typed kernel is therefore
 //!   also checked against a row-at-a-time oracle that shares no scan code with it —
 //!   `group_by_rowwise` / `drop_duplicates_rowwise`, `Predicate::matches` over
-//!   materialised rows, a sort by `Cell::total_cmp`, and bucket assignment by
+//!   materialised rows, a sort by `Cell::sort_cmp`, and bucket assignment by
 //!   `Cell::hash_key`.
 //!
 //! The byte-level properties of the block frame live in `tests/block_codec.rs`.
@@ -115,11 +115,9 @@ fn config(threads: usize, budget: Option<usize>) -> ModinConfig {
 
 /// A random frame dressed up so every typed layout and its edge values occur: a
 /// declared `category` column (dictionary codes), a boolean column, a column mixing
-/// ints with strings (no typed layout), and `-0.0` / `0.0` — plus NaN when `nan` is
-/// set — among the floats. (NaN compares equal to everything under
-/// `Cell::total_cmp`, which is no total order, so the properties that sort by a float
-/// key — SORT itself and GROUPBY's key ordering — leave it out.)
-fn kernel_frame(rows: usize, seed: u64, null_fraction: f64, nan: bool) -> DataFrame {
+/// ints with strings (no typed layout), and `-0.0` / `0.0` / NaN among the floats
+/// (`Cell::sort_cmp` orders NaN after every number, so it rides in sort keys too).
+fn kernel_frame(rows: usize, seed: u64, null_fraction: f64) -> DataFrame {
     let base = random_frame(&RandomFrameConfig {
         rows,
         int_cols: 2,
@@ -133,7 +131,7 @@ fn kernel_frame(rows: usize, seed: u64, null_fraction: f64, nan: bool) -> DataFr
     let mut columns: Vec<Vec<Cell>> = base.columns().iter().map(|c| c.cells().to_vec()).collect();
     for (i, slot) in columns[2].iter_mut().enumerate() {
         match (i + seed as usize) % 11 {
-            0 if nan => *slot = cell(f64::NAN),
+            0 => *slot = cell(f64::NAN),
             1 => *slot = cell(-0.0),
             2 => *slot = cell(0.0),
             _ => {}
@@ -243,7 +241,7 @@ proptest! {
         seed in 0u64..10_000,
         null_fraction in 0.0f64..0.5,
     ) {
-        let frame = kernel_frame(rows, seed, null_fraction, false);
+        let frame = kernel_frame(rows, seed, null_fraction);
         let aggs = vec![
             Aggregation::count_rows(),
             Aggregation::of("int_0", AggFunc::Sum).with_alias("sum"),
@@ -274,7 +272,7 @@ proptest! {
         seed in 0u64..10_000,
         null_fraction in 0.0f64..0.5,
     ) {
-        let frame = kernel_frame(rows, seed, null_fraction, true);
+        let frame = kernel_frame(rows, seed, null_fraction);
         for names in KEY_SETS.iter().filter(|names| !names.is_empty()) {
             // Narrow projections make duplicate rows common.
             let narrow = ops::rowwise::projection(&frame, &ColumnSelector::ByLabels(keys(names))).unwrap();
@@ -288,12 +286,12 @@ proptest! {
     }
 
     #[test]
-    fn typed_sort_matches_a_total_cmp_sort(
+    fn typed_sort_matches_a_sort_cmp_sort(
         rows in 0usize..120,
         seed in 0u64..10_000,
         null_fraction in 0.0f64..0.5,
     ) {
-        let frame = kernel_frame(rows, seed, null_fraction, false);
+        let frame = kernel_frame(rows, seed, null_fraction);
         for names in KEY_SETS.iter().filter(|names| !names.is_empty()) {
             let ascending: Vec<bool> = (0..names.len()).map(|k| (k + seed as usize) % 2 == 0).collect();
             let spec = SortSpec { by: keys(names), ascending: ascending.clone(), stable: true };
@@ -306,7 +304,7 @@ proptest! {
                     .zip(&ascending)
                     .map(|(&j, &asc)| {
                         let cells = frame.columns()[j].cells();
-                        let ord = cells[a].total_cmp(&cells[b]);
+                        let ord = cells[a].sort_cmp(&cells[b]);
                         if asc { ord } else { ord.reverse() }
                     })
                     .find(|ord| ord.is_ne())
@@ -326,7 +324,7 @@ proptest! {
         seed in 0u64..10_000,
         null_fraction in 0.0f64..0.5,
     ) {
-        let frame = kernel_frame(rows, seed, null_fraction, true);
+        let frame = kernel_frame(rows, seed, null_fraction);
         let cmp = |column: &str, op: CmpOp, value: Cell| Predicate::ColCmp {
             column: cell(column),
             op,
@@ -379,7 +377,7 @@ proptest! {
         null_fraction in 0.0f64..0.5,
         parts in 2usize..7,
     ) {
-        let frame = kernel_frame(rows, seed, null_fraction, true);
+        let frame = kernel_frame(rows, seed, null_fraction);
         for names in KEY_SETS.iter().filter(|names| !names.is_empty()) {
             let positions: Vec<usize> =
                 keys(names).iter().map(|k| frame.col_position(k).unwrap()).collect();

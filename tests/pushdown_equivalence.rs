@@ -7,6 +7,11 @@
 //! threads {1, 4} × memory budgets {∞, working-set/4} × schema inference
 //! {off, on} — including NaN/null boundary values and predicates that
 //! reference columns the projection prunes away.
+//!
+//! The same contract holds for a LIMIT folded into the leaf: `head(k)` /
+//! `tail(k)` of a scan is cell-for-cell (labels and dtypes included) the
+//! prefix / suffix of the unlimited scan and of the serial reference, while
+//! parsing only the chunks its rows come from.
 
 use proptest::prelude::*;
 
@@ -317,4 +322,263 @@ fn selective_scan_prunes_chunks_and_columns_with_identical_results() {
     assert_eq!(stats.predicates_pushed, 1);
     assert_eq!(stats.projections_pushed, 1);
     std::fs::remove_file(path).ok();
+}
+
+// ---------------------------------------------------------------------------
+// LIMIT folded into the scan leaf
+// ---------------------------------------------------------------------------
+
+/// `rows` records of `id,late,v,tag`: `id` is sorted (so a range predicate on it is
+/// chunk-prunable), `late` is integer-looking everywhere except one float at
+/// `float_row` — so its file-wide domain is decided by whichever chunk holds that
+/// row, usually not the one a limited scan parses — and `v` walks the boundary
+/// vocabulary.
+fn limited_csv(rows: usize, float_row: usize) -> String {
+    let mut content = String::from("id,late,v,tag\n");
+    for i in 0..rows {
+        let late = if i == float_row {
+            "2.5".to_string()
+        } else {
+            format!("{}", i * 3)
+        };
+        let v = BOUNDARY[(i * 7) % BOUNDARY.len()];
+        content.push_str(&format!("{i},{late},{v},t{}\n", i % 3));
+    }
+    content
+}
+
+/// One cell of the limited-scan matrix: `head(k)` / `tail(k)` with the limit folded
+/// into the leaf must equal the same statement with `push_limits` off (LIMIT above
+/// the unlimited scan) and the serial reference — cells, labels and dtypes. Returns
+/// the folded run's `bands_parsed`.
+#[allow(clippy::too_many_arguments)]
+fn assert_limited_scan_equivalence(
+    name: &str,
+    content: &str,
+    predicate: Option<&Predicate>,
+    (k, from_end): (usize, bool),
+    infer_schema: bool,
+    threads: usize,
+    budgeted: bool,
+    band_rows: usize,
+) -> Result<u64, proptest::test_runner::TestCaseError> {
+    let csv_options = CsvOptions {
+        infer_schema,
+        ..CsvOptions::default()
+    };
+    let serial = read_csv_str(content, &csv_options).unwrap();
+    let filtered = match predicate {
+        Some(pred) => ops::rowwise::selection(&serial, pred).unwrap(),
+        None => serial.clone(),
+    };
+    let mut expected = if from_end {
+        filtered.tail(k)
+    } else {
+        filtered.head(k)
+    };
+
+    let path = write_temp(&format!("{name}.csv"), content);
+    let mut config = ModinConfig::default()
+        .with_threads(threads)
+        .with_partition_size(band_rows, 32);
+    if budgeted {
+        config = config.with_memory_budget((serial.approx_size_bytes() / 4).max(1));
+    }
+    let unfolded_config = ModinConfig {
+        optimizer: OptimizerConfig {
+            push_limits: false,
+            ..OptimizerConfig::default()
+        },
+        ..config.clone()
+    };
+    let mut expr = scan_expr(&path, infer_schema, name);
+    if let Some(pred) = predicate {
+        expr = expr.select(pred.clone());
+    }
+    let run = |engine: &ModinEngine| {
+        if from_end {
+            engine.execute_suffix(&expr, k)
+        } else {
+            engine.execute_prefix(&expr, k)
+        }
+    };
+    let folded_engine = ModinEngine::with_config(config);
+    let mut folded = run(&folded_engine).unwrap();
+    let unfolded_engine = ModinEngine::with_config(unfolded_config);
+    let mut unfolded = run(&unfolded_engine).unwrap();
+    std::fs::remove_file(path).ok();
+
+    let context = format!(
+        "{name}: k={k} from_end={from_end} infer={infer_schema} threads={threads} budgeted={budgeted}"
+    );
+    prop_assert!(
+        folded.same_data(&expected),
+        "{context}: folded limit diverged from the serial reference\nexpected:\n{expected}\nfolded:\n{folded}"
+    );
+    prop_assert!(
+        unfolded.same_data(&expected),
+        "{context}: LIMIT above the scan diverged from the serial reference\nexpected:\n{expected}\nunfolded:\n{unfolded}"
+    );
+    prop_assert!(
+        folded.schema() == unfolded.schema(),
+        "{context}: schema slots diverged"
+    );
+    prop_assert!(
+        folded.schema() == expected.schema(),
+        "{context}: schema slots diverged from serial: {:?} vs {:?}",
+        folded.schema(),
+        expected.schema()
+    );
+    prop_assert!(
+        folded.resolve_schema() == expected.resolve_schema(),
+        "{context}: dtypes diverged from serial"
+    );
+    prop_assert!(unfolded.resolve_schema() == expected.resolve_schema());
+    // A limit never proves a chunk row-free: skipped chunks are the predicate's alone,
+    // so the count is the unlimited scan's.
+    prop_assert_eq!(
+        folded_engine.pushdown_stats().chunks_skipped,
+        unfolded_engine.pushdown_stats().chunks_skipped
+    );
+    Ok(folded_engine.ingest_stats().bands_parsed)
+}
+
+/// The three predicate classes of the matrix over `limited_csv(rows, _)`.
+fn limit_predicates(rows: usize) -> [Option<Predicate>; 3] {
+    [
+        None,
+        Some(col_cmp("id", CmpOp::Ge, cell((rows / 3) as i64))),
+        Some(col_cmp("id", CmpOp::Lt, cell(-1))),
+    ]
+}
+
+#[test]
+fn limited_scans_match_the_unlimited_prefix_across_the_matrix() {
+    let rows = 60;
+    let content = limited_csv(rows, rows - 2);
+    for (p, predicate) in limit_predicates(rows).iter().enumerate() {
+        for k in [0, 1, 10, rows, rows + 1] {
+            for from_end in [false, true] {
+                for infer_schema in [false, true] {
+                    for threads in [1usize, 4] {
+                        for budgeted in [false, true] {
+                            assert_limited_scan_equivalence(
+                                &format!("limit-matrix-{p}-{k}-{from_end}-{infer_schema}-{threads}-{budgeted}"),
+                                &content,
+                                predicate.as_ref(),
+                                (k, from_end),
+                                infer_schema,
+                                threads,
+                                budgeted,
+                                10,
+                            )
+                            .unwrap();
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn first_look_parses_only_the_chunks_its_rows_come_from() {
+    // 60 rows in six 10-row chunks; the float that decides `late` sits in the last.
+    let content = limited_csv(60, 58);
+    let bands =
+        |predicate: Option<Predicate>, limit: (usize, bool), infer: bool, threads: usize| {
+            assert_limited_scan_equivalence(
+                &format!(
+                    "first-look-{limit:?}-{infer}-{threads}-{}",
+                    predicate.is_some()
+                ),
+                &content,
+                predicate.as_ref(),
+                limit,
+                infer,
+                threads,
+                false,
+                10,
+            )
+            .unwrap()
+        };
+    for infer in [false, true] {
+        for threads in [1usize, 4] {
+            assert_eq!(
+                bands(None, (10, false), infer, threads),
+                1,
+                "head(10): one band"
+            );
+            assert_eq!(
+                bands(None, (10, true), infer, threads),
+                1,
+                "tail(10): one band"
+            );
+            assert_eq!(bands(None, (11, false), infer, threads), 2);
+            assert_eq!(
+                bands(None, (0, false), infer, threads),
+                0,
+                "head(0) parses nothing"
+            );
+            assert_eq!(bands(None, (61, true), infer, threads), 6);
+        }
+    }
+    // Behind a predicate the scan parses survivors in waves of one chunk per worker
+    // until k rows have passed: `id >= 25` prunes chunks 0–1 (inferred scans only),
+    // and the first surviving chunk already holds five matches.
+    let ge_25 = || Some(col_cmp("id", CmpOp::Ge, cell(25)));
+    assert_eq!(bands(ge_25(), (5, false), true, 1), 1);
+    assert_eq!(bands(ge_25(), (6, false), true, 1), 2);
+    assert_eq!(
+        bands(ge_25(), (5, false), true, 4),
+        4,
+        "one wave of four survivors"
+    );
+    assert_eq!(
+        bands(ge_25(), (3, true), true, 1),
+        1,
+        "tail reads from the last chunk"
+    );
+    // A predicate matching nothing: statistics prove it on an inferred scan (nothing
+    // parses); an uninferred one has to look at every chunk to learn the same.
+    let none = || Some(col_cmp("id", CmpOp::Lt, cell(-1)));
+    assert_eq!(bands(none(), (5, false), true, 4), 0);
+    assert_eq!(bands(none(), (5, false), false, 4), 6);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Each case draws a document and one cell of the matrix k × predicate class ×
+    // head/tail × infer × threads × budget.
+    #[test]
+    fn proptest_limited_scans_match_unlimited_prefix_and_serial(
+        rows in 0usize..48,
+        float_row in 0usize..48,
+        band_rows in 3usize..17,
+        k_class in 0u8..5,
+        k_free in 0usize..50,
+        cell_of_matrix in 0u8..48,
+    ) {
+        let content = limited_csv(rows, float_row);
+        let k = match k_class {
+            0 => 0,
+            1 => 1,
+            2 => rows,
+            3 => rows + 1,
+            _ => k_free,
+        };
+        let predicate = limit_predicates(rows)[(cell_of_matrix % 3) as usize].clone();
+        let bit = |n: u8| (cell_of_matrix / 3) >> n & 1 == 1;
+        assert_limited_scan_equivalence(
+            &format!("limit-prop-{rows}-{float_row}-{band_rows}-{k}-{cell_of_matrix}"),
+            &content,
+            predicate.as_ref(),
+            (k, bit(0)),
+            bit(1),
+            if bit(2) { 4 } else { 1 },
+            bit(3),
+            band_rows,
+        )?;
+    }
 }

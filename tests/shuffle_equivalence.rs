@@ -3,14 +3,20 @@
 //! cell-for-cell on random mixed-domain frames, across thread counts {1, 4}, all
 //! three partition schemes, and both the broadcast and the forced-shuffle join paths.
 
+mod common;
+
 use proptest::prelude::*;
+
+use common::identical;
 
 use df_baseline::BaselineEngine;
 use df_core::algebra::{AggFunc, Aggregation, AlgebraExpr, JoinOn, JoinType, SortSpec};
 use df_core::engine::Engine;
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_engine::partition::PartitionScheme;
-use df_types::cell::cell;
+use df_engine::session::EvalMode;
+use df_pandas::{PandasFrame, Session};
+use df_types::cell::{cell, Cell};
 use df_workloads::random::{random_frame, RandomFrameConfig};
 
 /// The shuffle-dispatched pipelines, parameterised by a small integer.
@@ -107,6 +113,60 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+/// SORT and GROUPBY order their keys with `Cell::sort_cmp`; under `total_cmp` a NaN
+/// compared `Equal` to every number, which is no total order — `sort_by` may panic
+/// on it, and range splitters chosen under it send equal keys to different buckets.
+#[test]
+fn nan_bearing_float_keys_sort_and_group_like_the_reference() {
+    let rows = 240usize;
+    let key: Vec<Cell> = (0..rows)
+        .map(|i| match i % 7 {
+            0 => cell(f64::NAN),
+            1 => Cell::Null,
+            2 => cell(-0.0),
+            _ => cell(((i * 37) % 23) as f64 - 11.0),
+        })
+        .collect();
+    let id: Vec<Cell> = (0..rows).map(|i| cell(i as i64)).collect();
+    let frame =
+        df_core::dataframe::DataFrame::from_columns(vec!["key", "id"], vec![key, id]).unwrap();
+    let statements = |session: &std::sync::Arc<Session>| {
+        let base = PandasFrame::from_dataframe(session, frame.clone());
+        let aggs = vec![
+            Aggregation::count_rows(),
+            Aggregation::of("id", AggFunc::Sum).with_alias("ids"),
+        ];
+        [
+            base.sort_values(&["key"], true).collect().unwrap(),
+            base.sort_values(&["key"], false).collect().unwrap(),
+            base.groupby_agg(&["key"], aggs, false).collect().unwrap(),
+        ]
+    };
+    let expected = statements(&Session::reference());
+    // Ascending: every number, then the NaNs, then the nulls — ties in input order.
+    let sorted_keys = expected[0].columns()[0].cells();
+    let first_nan = sorted_keys
+        .iter()
+        .position(|c| c.as_f64().is_some_and(f64::is_nan));
+    let first_null = sorted_keys.iter().position(Cell::is_null);
+    assert_eq!((first_nan, first_null), (Some(rows - 70), Some(rows - 35)));
+    assert!(sorted_keys[..rows - 70]
+        .windows(2)
+        .all(|w| w[0].as_f64() <= w[1].as_f64()));
+    for threads in [1usize, 4] {
+        let config = ModinConfig::default()
+            .with_threads(threads)
+            .with_partition_size(16, 3);
+        let got = statements(&Session::modin_with(config, EvalMode::Lazy));
+        for (statement, (got, expected)) in got.iter().zip(&expected).enumerate() {
+            assert!(
+                identical(got, expected),
+                "statement {statement} diverged at threads={threads}\nexpected:\n{expected}\ngot:\n{got}"
+            );
         }
     }
 }
