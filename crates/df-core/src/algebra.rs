@@ -255,6 +255,20 @@ impl Predicate {
         }
     }
 
+    /// True when the predicate reads row *positions* anywhere in its tree. Positions
+    /// are global — row `i` of the whole frame, not of whichever band is being
+    /// filtered — so an engine must evaluate such a predicate with each band's row
+    /// offset, and an optimizer must not move it across anything that renumbers rows
+    /// (`σ_pos(σ_val(x)) ≠ σ_{val ∧ pos}(x)`).
+    pub fn reads_position(&self) -> bool {
+        match self {
+            Predicate::PositionRange { .. } => true,
+            Predicate::Not(inner) => inner.reads_position(),
+            Predicate::And(a, b) | Predicate::Or(a, b) => a.reads_position() || b.reads_position(),
+            _ => false,
+        }
+    }
+
     /// True when the predicate never inspects cell *values* (only positions), in which
     /// case schema induction can be skipped entirely (§5.1.1, "operations which merely
     /// shuffle rows around").
@@ -546,8 +560,10 @@ pub struct SortSpec {
     pub by: Vec<Cell>,
     /// Per-column ascending flag (recycled if shorter than `by`).
     pub ascending: Vec<bool>,
-    /// Whether the sort must be stable (dataframe users rely on stability to preserve
-    /// the prior order of ties — the logical order is part of the data model).
+    /// Advisory: every engine sorts stably (dataframe users rely on stability to
+    /// preserve the prior order of ties — the logical order is part of the data model —
+    /// and a stable order is a valid answer to a request that does not need one), so
+    /// `false` asks for nothing different. The field still rides the task wire.
     pub stable: bool,
 }
 

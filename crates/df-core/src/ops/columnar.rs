@@ -56,12 +56,24 @@ pub fn typed_for_keying(column: &Column) -> Option<ColumnData> {
 /// leaves false, null operands make comparisons false, and cross-domain comparisons
 /// order by domain rank.
 pub fn predicate_mask(df: &DataFrame, predicate: &Predicate) -> Option<Vec<bool>> {
+    predicate_mask_at(df, predicate, 0)
+}
+
+/// [`predicate_mask`] for a band of a larger frame: row `i` of `df` sits at global
+/// position `offset + i`, which is what positional leaves are evaluated against.
+pub fn predicate_mask_at(
+    df: &DataFrame,
+    predicate: &Predicate,
+    offset: usize,
+) -> Option<Vec<bool>> {
     let n = df.n_rows();
     match predicate {
         Predicate::True => Some(vec![true; n]),
-        Predicate::PositionRange { start, end } => {
-            Some((0..n).map(|i| i >= *start && i < *end).collect())
-        }
+        Predicate::PositionRange { start, end } => Some(
+            (offset..offset + n)
+                .map(|i| i >= *start && i < *end)
+                .collect(),
+        ),
         Predicate::ColCmp { column, op, value } => Some(match resolve(df, column) {
             Some(j) => colcmp_mask(df.columns()[j].cells(), *op, value),
             None => vec![false; n],
@@ -79,23 +91,23 @@ pub fn predicate_mask(df: &DataFrame, predicate: &Predicate) -> Option<Vec<bool>
             None => vec![false; n],
         }),
         Predicate::Not(inner) => {
-            let mut mask = predicate_mask(df, inner)?;
+            let mut mask = predicate_mask_at(df, inner, offset)?;
             for b in &mut mask {
                 *b = !*b;
             }
             Some(mask)
         }
         Predicate::And(a, b) => {
-            let mut mask = predicate_mask(df, a)?;
-            let other = predicate_mask(df, b)?;
+            let mut mask = predicate_mask_at(df, a, offset)?;
+            let other = predicate_mask_at(df, b, offset)?;
             for (x, y) in mask.iter_mut().zip(other) {
                 *x = *x && y;
             }
             Some(mask)
         }
         Predicate::Or(a, b) => {
-            let mut mask = predicate_mask(df, a)?;
-            let other = predicate_mask(df, b)?;
+            let mut mask = predicate_mask_at(df, a, offset)?;
+            let other = predicate_mask_at(df, b, offset)?;
             for (x, y) in mask.iter_mut().zip(other) {
                 *x = *x || y;
             }

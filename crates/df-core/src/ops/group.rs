@@ -181,21 +181,25 @@ impl AggState {
                     Cell::Float(total / count as f64)
                 }
             }
-            AggState::Std(values) => {
-                if values.len() < 2 {
-                    Cell::Null
-                } else {
-                    let mean = values.iter().sum::<f64>() / values.len() as f64;
-                    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>()
-                        / (values.len() - 1) as f64;
-                    Cell::Float(var.sqrt())
-                }
-            }
+            AggState::Std(values) => sample_std(&values),
             AggState::Min(best) | AggState::Max(best) => best.unwrap_or(Cell::Null),
             AggState::First(slot) | AggState::Last(slot) => slot.unwrap_or(Cell::Null),
             AggState::Collect(values) => Cell::List(values),
         }
     }
+}
+
+/// The sample standard deviation `Std` is defined by: the exact two-pass formula over
+/// a group's numeric values in row order, null below two values. Public so an engine
+/// that merges per-band partial states can finalize `Std` bit-identically from the
+/// values it collected.
+pub fn sample_std(values: &[f64]) -> Cell {
+    if values.len() < 2 {
+        return Cell::Null;
+    }
+    let mean = values.iter().sum::<f64>() / values.len() as f64;
+    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (values.len() - 1) as f64;
+    Cell::Float(var.sqrt())
 }
 
 /// GROUPBY: group rows by the key columns (an empty key list forms a single global
@@ -509,7 +513,8 @@ pub fn drop_duplicates_rowwise(df: &DataFrame) -> DfResult<DataFrame> {
 }
 
 /// SORT: stable lexicographic sort by the given columns, producing a new order
-/// (Table 1: "Order: New"). Row labels travel with their rows.
+/// (Table 1: "Order: New"). Row labels travel with their rows. The sort is stable
+/// whatever `spec.stable` says: a stable order is a valid unstable one.
 pub fn sort(df: &DataFrame, spec: &SortSpec) -> DfResult<DataFrame> {
     let key_positions: Vec<usize> = spec
         .by
@@ -539,11 +544,7 @@ pub fn sort(df: &DataFrame, spec: &SortSpec) -> DfResult<DataFrame> {
         }
         std::cmp::Ordering::Equal
     };
-    if spec.stable {
-        order.sort_by(compare);
-    } else {
-        order.sort_unstable_by(compare);
-    }
+    order.sort_by(compare);
     df.take_rows(&order)
 }
 

@@ -11,15 +11,22 @@ use crate::dataframe::{Column, DataFrame};
 /// SELECTION: keep the rows satisfying `predicate`, preserving their relative order
 /// and their row labels (Table 1: order comes from the parent).
 pub fn selection(df: &DataFrame, predicate: &Predicate) -> DfResult<DataFrame> {
+    selection_at(df, predicate, 0)
+}
+
+/// SELECTION over one band of a larger frame: row `i` of `df` sits at global position
+/// `offset + i`, and that is the position every positional part of `predicate` sees.
+pub fn selection_at(df: &DataFrame, predicate: &Predicate, offset: usize) -> DfResult<DataFrame> {
     // Position-only predicates never look at values, so we can avoid materialising rows.
     if let Predicate::PositionRange { start, end } = predicate {
-        let positions: Vec<usize> = (*start..(*end).min(df.n_rows())).collect();
+        let local = |position: usize| position.saturating_sub(offset).min(df.n_rows());
+        let positions: Vec<usize> = (local(*start)..local(*end)).collect();
         return df.take_rows(&positions);
     }
     // Vectorized path: evaluate the predicate column-at-a-time into a mask instead
     // of cloning every row into a `RowView`. `Custom` predicates (which receive the
     // whole row) fall through to the row loop below.
-    if let Some(mask) = super::columnar::predicate_mask(df, predicate) {
+    if let Some(mask) = super::columnar::predicate_mask_at(df, predicate, offset) {
         let keep: Vec<usize> = mask
             .iter()
             .enumerate()
@@ -36,7 +43,7 @@ pub fn selection(df: &DataFrame, predicate: &Predicate) -> DfResult<DataFrame> {
             row_label: df.row_labels().get(i).unwrap_or(&Cell::Null),
             cells: &row,
         };
-        if predicate.matches(i, view) {
+        if predicate.matches(offset + i, view) {
             keep.push(i);
         }
     }

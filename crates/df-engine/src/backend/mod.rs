@@ -4,10 +4,13 @@
 //! the API from execution — the Python implementation swaps Ray for Dask without
 //! touching the operators. [`ExecBackend`] is that waist in this codebase: the
 //! engine's operator kernels describe per-band work as serialisable
-//! [`BandTask`]s and hand them to the session's backend for *placement*, while
-//! the [`crate::executor::ParallelExecutor`] keeps owning *fan-out* (its
-//! `par_map` thread pool, cancellation token and panic isolation are shared by
-//! every backend).
+//! [`BandTask`]s, and the one stage entry point,
+//! [`ParallelExecutor::run_stage`](crate::executor::ParallelExecutor::run_stage),
+//! hands each to the session's backend for *placement* (through
+//! [`ParallelExecutor::placed`](crate::executor::ParallelExecutor::placed)) while
+//! keeping *fan-out* — the thread pool, the cancellation token, panic isolation,
+//! loading inputs and checking outputs into the store — to itself, shared by every
+//! backend. A backend therefore sees loaded frames in and frames out, nothing else.
 //!
 //! Two placements ship:
 //!
@@ -52,7 +55,8 @@ pub struct BackendHealth {
     /// Tasks executed in another process via the wire protocol.
     pub tasks_remote: u64,
     /// Tasks executed in the driver process (all of them, for threads; the
-    /// closure-bearing remainder, for procs).
+    /// closure-bearing remainder, for procs). Stage work that never was a task — a
+    /// driver-local closure — is not counted by either backend.
     pub tasks_local: u64,
 }
 
@@ -61,9 +65,9 @@ pub struct BackendHealth {
 /// Implementations must be shareable across the executor's worker threads
 /// (`Send + Sync`) and must never panic on worker failure — death, corruption
 /// and protocol faults are typed [`DfError`]s. Cancellation stays cooperative at
-/// the executor layer: `par_map` checks its [`df_types::CancelToken`] at every
-/// task boundary, so a cancelled statement stops submitting tasks to the backend
-/// rather than interrupting one mid-flight.
+/// the executor layer: a stage checks its [`df_types::CancelToken`] before every
+/// item, so a cancelled statement stops submitting tasks to the backend rather
+/// than interrupting one mid-flight.
 pub trait ExecBackend: Send + Sync {
     /// Which backend this is (mirrors `ModinConfig::backend`).
     fn kind(&self) -> BackendKind;

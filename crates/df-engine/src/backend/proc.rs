@@ -25,8 +25,8 @@
 //! deterministic df-types registry: `missing` kills the checked-out worker before
 //! the exchange (exercising real death detection), `corrupt` mangles the received
 //! response frame before decode (exercising the real checksum), `panic` panics in
-//! the driver's task (exercising `par_map` isolation), and the I/O kinds surface
-//! as typed spill errors.
+//! the driver's task (exercising the executor's panic isolation), and the I/O kinds
+//! surface as typed spill errors.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -285,8 +285,8 @@ impl ExecBackend for ProcBackend {
             let injected = fail::failpoint(EXCHANGE_SITE);
             match injected {
                 // The I/O and panic kinds model driver-side faults around the
-                // exchange; `into_error` panics for Panic (caught by par_map's
-                // isolation boundary) and types the rest.
+                // exchange; `into_error` panics for Panic (caught by the
+                // executor's isolation boundary) and types the rest.
                 Some(action @ (FailAction::IoFull | FailAction::Panic)) => {
                     return Err(action.into_error(EXCHANGE_SITE));
                 }

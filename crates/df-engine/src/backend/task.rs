@@ -18,10 +18,18 @@
 //! bytes that remain, and malformed input is a typed
 //! [`DfError::SpillCorruption`] at the `backend.exchange` site.
 //!
-//! Tasks built from opaque closures (`Predicate::Custom`, `MapFunc::Custom`,
-//! `MapFunc::PerCell`) cannot cross a process boundary; [`BandTask::encode`]
-//! returns `None` for them and the process backend runs them in-place on the
-//! driver instead (counted as local tasks in [`super::BackendHealth`]).
+//! A task reaches a backend one way: as
+//! [`ParallelExecutor::placed`](crate::executor::ParallelExecutor::placed) work inside
+//! a [`run_stage`](crate::executor::ParallelExecutor::run_stage) call, which has
+//! already loaded the task's inputs and will check its outputs into the store.
+//! "Driver-local" is what is left over, and it is two cases. Tasks built from opaque
+//! closures (`Predicate::Custom`, `MapFunc::Custom`, `MapFunc::PerCell`) cannot cross a
+//! process boundary; [`BandTask::encode`] returns `None` for them and the process
+//! backend runs them in-place on the driver instead (counted as local tasks in
+//! [`super::BackendHealth`]). And stage work that depends on more than its inputs — a
+//! band's global row offset, a broadcast build side, range splitters — is not a task
+//! at all: it is a closure handed to `run_stage` that borrows that state from the
+//! driver's stack, and it runs on the driver's pool under every backend.
 
 use df_core::algebra::{AggFunc, Aggregation, CmpOp, ColumnSelector, MapFunc, Predicate, SortSpec};
 use df_core::dataframe::DataFrame;
@@ -136,6 +144,15 @@ impl BandTask {
                 Ok(vec![csv::read_csv_chunk(path, options, &plan, chunk)?])
             }
             BandTask::ApplyDomains(domains) => Ok(vec![csv::apply_domains(one(inputs)?, domains)?]),
+        }
+    }
+
+    /// How many output frames [`BandTask::run`] yields: `parts` bucket slices for the
+    /// shuffle's scatter hop, one frame for everything else.
+    pub fn output_arity(&self) -> usize {
+        match self {
+            BandTask::HashSplit { parts, .. } => *parts,
+            _ => 1,
         }
     }
 
@@ -302,8 +319,8 @@ impl BandTask {
     }
 }
 
-/// Extract the single input a 1-ary task expects.
-fn one(inputs: Vec<DataFrame>) -> DfResult<DataFrame> {
+/// Extract the single input a 1-ary task (or a one-partition stage item) expects.
+pub(crate) fn one(inputs: Vec<DataFrame>) -> DfResult<DataFrame> {
     let mut inputs = inputs;
     match (inputs.pop(), inputs.pop()) {
         (Some(band), None) => Ok(band),

@@ -10,25 +10,36 @@
 //! points (`collect` / `execute_collect` / `head_of` / `tail_of`).
 //!
 //! Operator strategies (paper §3.1 "different internal mechanisms for exploiting
-//! parallelism depending on the data dimensions and operations"):
+//! parallelism depending on the data dimensions and operations"). Every one of them
+//! fans out through the same call,
+//! [`ParallelExecutor::run_stage`](crate::executor::ParallelExecutor::run_stage),
+//! which owns the load → run → store lifecycle of each item; the strategies differ
+//! only in what an item is and what runs on it:
 //!
-//! * *Embarrassingly parallel row-wise operators* (SELECTION, arity-preserving MAP,
-//!   PROJECTION, RENAME, LIMIT) run independently on each row band.
-//! * *GROUPBY* runs as partial aggregation per row band followed by a merge of the
-//!   partial states — the map/combine structure that gives the paper's groupby
-//!   speedups. Aggregates whose partial states cannot be merged (e.g. Std) fall back
-//!   to single-pass execution over the assembled frame.
+//! * *Row-wise operators* (SELECTION, row-generic MAP, PROJECTION, RENAME, TOLABELS,
+//!   FROMLABELS) run one item per row band. Those that are a pure function of the
+//!   band are placed on the backend as [`BandTask`]s; those that read *global* row
+//!   positions (positional predicates, FROMLABELS' positional labels) run
+//!   driver-local with the band's row offset, which is grid metadata.
+//! * *Per-cell MAPs* commute with TRANSPOSE, so they run one item per *block*, in
+//!   stored orientation, and every output takes over its input's slot in the grid.
+//! * *GROUPBY* runs as partial aggregation per row band followed by a driver-side
+//!   merge of the (group-sized) partial states — the map/combine structure that gives
+//!   the paper's groupby speedups. Every aggregate merges: Mean as sum/count, Std as
+//!   the group's collected values fed to the reference's two-pass formula at finalize.
 //! * *TRANSPOSE* is metadata-only: the partition grid swaps its axes and each block
 //!   flips an orientation flag (paper §3.1), deferring any physical block transposes
-//!   to the operators that actually read the data.
+//!   to the operators that actually read the data. *LIMIT* and *UNION* are metadata
+//!   plus at most the bands the limit reads.
 //! * *JOIN, SORT, DROP_DUPLICATES and DIFFERENCE* run partition-parallel through the
 //!   [`crate::shuffle`] subsystem: hash (or sampled range) exchanges co-locate keys,
 //!   the per-bucket kernels run in parallel, and the ordered semantics are restored
 //!   from position tags. Small join/difference build sides are broadcast instead of
 //!   shuffled.
-//! * The remaining operators (WINDOW, CROSS_PRODUCT, TOLABELS, FROMLABELS) assemble
-//!   their input and reuse the reference semantics; the engine counts those
-//!   assemblies in [`ModinEngine::fallbacks_dispatched`] so tests and the README's
+//! * *WINDOW and CROSS_PRODUCT* (and JOIN / DIFFERENCE / DROP_DUPLICATES over
+//!   zero-column inputs, which cannot carry a position tag) assemble their input and
+//!   reuse the reference semantics; the engine counts those assemblies in
+//!   [`ModinEngine::fallbacks_dispatched`] so tests and the README's
 //!   execution-strategy table stay honest.
 
 use std::collections::HashMap;
@@ -42,21 +53,22 @@ use df_storage::csv::CsvOptions;
 use df_storage::spill::{SpillStats, SpillStore};
 use df_types::backend::BackendKind;
 use df_types::cell::Cell;
-use df_types::error::{DfError, DfResult};
+use df_types::error::DfResult;
+use df_types::labels::Labels;
 
-use df_core::algebra::{AggFunc, Aggregation, AlgebraExpr, MapFunc, Predicate};
+use df_core::algebra::{AggFunc, Aggregation, AlgebraExpr, MapFunc, Predicate, SortSpec};
 use df_core::cost;
-use df_core::dataframe::DataFrame;
+use df_core::dataframe::{Column, DataFrame};
 use df_core::engine::{Capabilities, Engine, EngineKind, PushdownSnapshot};
 use df_core::handle::{FrameHandle, PartitionedResult};
 use df_core::ops;
 use df_core::scan::{ScanCsv, ScanOptions, ScanStats};
 
 use crate::backend::{BackendHealth, BandTask, ExecBackend, ProcBackend, ThreadsBackend};
-use crate::executor::{default_threads, ParallelExecutor};
+use crate::executor::{default_threads, outputs, CheckIn, ParallelExecutor, StageResults};
 use crate::ingest::{self, IngestStats};
 use crate::optimizer::{optimize, OptimizerConfig, RewriteStats};
-use crate::partition::{hstack_all, Partition, PartitionConfig, PartitionGrid, PartitionScheme};
+use crate::partition::{hstack_all, PartitionConfig, PartitionGrid, PartitionScheme};
 use crate::shuffle;
 
 /// Configuration of the scalable engine.
@@ -332,7 +344,7 @@ impl ModinEngine {
     /// The fallible form of [`ModinEngine::with_config`]: creating an out-of-core
     /// engine touches the filesystem (the session's spill directory) and, for the
     /// process backend, resolves the worker binary; this constructor propagates
-    /// those errors as typed [`DfError`]s instead of panicking.
+    /// those errors as typed [`df_types::error::DfError`]s instead of panicking.
     pub fn try_with_config(config: ModinConfig) -> DfResult<Self> {
         let store = match config.memory_budget_bytes {
             Some(budget) => Some(Arc::new(SpillStore::new(budget)?)),
@@ -491,7 +503,6 @@ impl ModinEngine {
     ) -> DfResult<PartitionGrid> {
         let (grid, report) = ingest::ingest_csv_grid(
             &self.executor,
-            self.store.as_ref(),
             self.config.partitioning,
             path.as_ref(),
             options,
@@ -535,8 +546,7 @@ impl ModinEngine {
         let options = csv_options(scan.options);
         let stats = self.scan_stats_for(scan, &options)?;
         scan.set_stats(Arc::clone(&stats));
-        let (grid, report) =
-            ingest::scan_csv_grid(&self.executor, self.store.as_ref(), scan, &options, &stats)?;
+        let (grid, report) = ingest::scan_csv_grid(&self.executor, scan, &options, &stats)?;
         self.ingest_files.fetch_add(1, Ordering::Relaxed);
         self.ingest_bands.fetch_add(report.bands, Ordering::Relaxed);
         self.ingest_bytes.fetch_add(report.bytes, Ordering::Relaxed);
@@ -704,11 +714,31 @@ impl ModinEngine {
             AlgebraExpr::Selection { input, predicate } => self.eval_selection(input, predicate),
             AlgebraExpr::Projection { input, columns } => {
                 let grid = self.eval(input)?;
-                self.band_task(grid, BandTask::Projection(columns.clone()))
+                self.band_task(
+                    "kernel.projection",
+                    grid,
+                    BandTask::Projection(columns.clone()),
+                )
             }
             AlgebraExpr::Rename { input, mapping } => {
                 let grid = self.eval(input)?;
-                self.band_task(grid, BandTask::Rename(mapping.clone()))
+                self.band_task("kernel.rename", grid, BandTask::Rename(mapping.clone()))
+            }
+            AlgebraExpr::ToLabels { input, column } => {
+                let grid = self.eval(input)?;
+                self.band_kernel("kernel.to_labels", grid, |band, _| {
+                    ops::reshape::to_labels(&band, column)
+                })
+            }
+            AlgebraExpr::FromLabels { input, new_column } => {
+                // Band-local but for the positional labels the result carries, which
+                // continue across bands from the band's global row offset.
+                let grid = self.eval(input)?;
+                self.band_kernel("kernel.from_labels", grid, |band, offset| {
+                    let positions = (offset..offset + band.n_rows()).map(|i| Cell::Int(i as i64));
+                    ops::reshape::from_labels(&band, new_column)?
+                        .with_row_labels(positions.collect::<Labels>())
+                })
             }
             AlgebraExpr::Limit { input, k, from_end } => self.eval_limit(input, *k, *from_end),
             AlgebraExpr::GroupBy {
@@ -736,30 +766,35 @@ impl ModinEngine {
                 on,
                 how,
             } => self.eval_join(left, right, on, *how),
-            // Operators without a partitioned strategy: assemble and delegate to the
-            // reference semantics, then re-partition the result.
-            other => {
+            // The two operators without a partitioned strategy (each needs a genuinely
+            // new one: a banded left × broadcast-right product, a halo of neighbouring
+            // rows per band): assemble the inputs, delegate to the reference
+            // semantics, and re-partition the result.
+            other @ (AlgebraExpr::CrossProduct { .. } | AlgebraExpr::Window { .. }) => {
                 self.note_fallback();
-                let rewritten = self.assemble_children(other)?;
-                let result = ops::execute_reference(&rewritten)?;
-                self.repartition(&result)
+                let assembled = |child: &AlgebraExpr| -> DfResult<Box<AlgebraExpr>> {
+                    let value = self.eval(child)?.into_dataframe()?;
+                    Ok(Box::new(AlgebraExpr::literal(value)))
+                };
+                let mut rewritten = other.clone();
+                match &mut rewritten {
+                    AlgebraExpr::CrossProduct { left, right } => {
+                        *left = assembled(left)?;
+                        *right = assembled(right)?;
+                    }
+                    AlgebraExpr::Window { input, .. } => *input = assembled(input)?,
+                    _ => {}
+                }
+                self.repartition(&ops::execute_reference(&rewritten)?)
             }
         }
     }
 
-    /// Partition-parallel stable SORT via range shuffle. Unstable sorts delegate to
-    /// the reference so tie order stays bit-for-bit identical to `sort_unstable`.
-    fn eval_sort(
-        &self,
-        input: &AlgebraExpr,
-        spec: &df_core::algebra::SortSpec,
-    ) -> DfResult<PartitionGrid> {
+    /// Partition-parallel SORT via range shuffle. The sort is always stable — a
+    /// stable order is a valid answer to an unstable request — so `spec.stable` is
+    /// advisory.
+    fn eval_sort(&self, input: &AlgebraExpr, spec: &SortSpec) -> DfResult<PartitionGrid> {
         let grid = self.eval(input)?;
-        if !spec.stable {
-            self.note_fallback();
-            let result = ops::group::sort(&grid.into_dataframe()?, spec)?;
-            return self.repartition(&result);
-        }
         let buckets = self.bucket_count(&grid);
         shuffle::parallel_sort(&self.executor, grid, spec, buckets)
     }
@@ -830,83 +865,67 @@ impl ModinEngine {
         shuffle::parallel_join(&self.executor, left_grid, right_grid, on, how, options)
     }
 
-    /// Replace each child with a literal holding its assembled value.
-    fn assemble_children(&self, expr: &AlgebraExpr) -> DfResult<AlgebraExpr> {
-        let mut rewritten = expr.clone();
-        match &mut rewritten {
-            AlgebraExpr::Literal(_) | AlgebraExpr::Handle(_) | AlgebraExpr::ScanCsv(_) => {}
-            AlgebraExpr::Selection { input, .. }
-            | AlgebraExpr::Projection { input, .. }
-            | AlgebraExpr::DropDuplicates { input }
-            | AlgebraExpr::GroupBy { input, .. }
-            | AlgebraExpr::Sort { input, .. }
-            | AlgebraExpr::Rename { input, .. }
-            | AlgebraExpr::Window { input, .. }
-            | AlgebraExpr::Transpose { input }
-            | AlgebraExpr::Map { input, .. }
-            | AlgebraExpr::ToLabels { input, .. }
-            | AlgebraExpr::FromLabels { input, .. }
-            | AlgebraExpr::Limit { input, .. } => {
-                let value = self.eval(input)?.into_dataframe()?;
-                **input = AlgebraExpr::literal(value);
-            }
-            AlgebraExpr::Union { left, right }
-            | AlgebraExpr::Difference { left, right }
-            | AlgebraExpr::CrossProduct { left, right }
-            | AlgebraExpr::Join { left, right, .. } => {
-                let left_value = self.eval(left)?.into_dataframe()?;
-                let right_value = self.eval(right)?.into_dataframe()?;
-                **left = AlgebraExpr::literal(left_value);
-                **right = AlgebraExpr::literal(right_value);
-            }
-        }
-        Ok(rewritten)
+    /// Run `work` once per full-width row band of `grid`: a band's blocks are one
+    /// item, loaded and stitched side by side inside the item's worker.
+    fn run_bands<B: Send>(
+        &self,
+        stage: &'static str,
+        grid: PartitionGrid,
+        work: impl Fn(usize, DataFrame) -> DfResult<(Vec<DataFrame>, B)> + Send + Sync,
+    ) -> DfResult<StageResults<B>> {
+        self.executor
+            .run_stage(stage, CheckIn::Frame, grid.into_blocks(), |i, blocks| {
+                work(i, hstack_all(blocks)?)
+            })
     }
 
-    /// Apply one [`BandTask`] per row band, in parallel across bands, under the
-    /// out-of-core lifecycle: each worker loads one band, places the task on the
-    /// configured backend (inline on threads, over the pipe protocol on worker
-    /// processes), and checks the result into the session store (when a budget is
-    /// set). Fan-out, cancellation and panic isolation still come from the
-    /// executor's `par_map`; the backend only decides *where* each band runs.
-    fn band_task(&self, grid: PartitionGrid, task: BandTask) -> DfResult<PartitionGrid> {
-        grid.map_bands(&self.executor, self.store.as_ref(), move |_, band| {
-            self.executor
-                .run_task(&task, vec![band])?
-                .pop()
-                .ok_or_else(|| DfError::internal("band task returned no output band"))
-        })
+    /// One [`BandTask`] per row band, placed on the configured backend; the outputs
+    /// are the next grid's bands.
+    fn band_task(
+        &self,
+        stage: &'static str,
+        grid: PartitionGrid,
+        task: BandTask,
+    ) -> DfResult<PartitionGrid> {
+        let place = self.executor.placed(&task);
+        let results = self.run_bands(stage, grid, |i, band| place(i, vec![band]))?;
+        Ok(PartitionGrid::from_band_partitions(outputs(results)))
+    }
+
+    /// One driver-local kernel per row band, handed the band and its *global* row
+    /// offset. The offset is grid metadata, not a property of the band alone, so
+    /// there is no self-contained task to ship.
+    fn band_kernel(
+        &self,
+        stage: &'static str,
+        grid: PartitionGrid,
+        kernel: impl Fn(DataFrame, usize) -> DfResult<DataFrame> + Send + Sync,
+    ) -> DfResult<PartitionGrid> {
+        let offsets = grid.band_row_offsets();
+        let results = self.run_bands(stage, grid, |i, band| {
+            Ok((vec![kernel(band, offsets[i])?], ()))
+        })?;
+        Ok(PartitionGrid::from_band_partitions(outputs(results)))
     }
 
     fn eval_map(&self, input: &AlgebraExpr, func: &MapFunc) -> DfResult<PartitionGrid> {
         let grid = self.eval(input)?;
-        // Per-cell maps are orientation- and band-agnostic: run them on every block
-        // without resolving deferred transposes or gathering whole rows. Each worker
-        // loads its block, maps it, and stores the result.
+        let task = BandTask::Map(func.clone());
+        // Per-cell maps are orientation- and band-agnostic: one item per block, in
+        // stored orientation, without resolving deferred transposes or gathering
+        // whole rows.
         if per_cell_safe(func) {
-            let store = self.store.clone();
-            let task = BandTask::Map(func.clone());
-            let blocks = grid.into_blocks();
-            let flat: Vec<_> = blocks.into_iter().flatten().collect();
-            let mapped = self.executor.par_map(flat, |_, part| {
-                let block = part.load_stored()?;
-                let result = self
-                    .executor
-                    .run_task(&task, vec![block])?
-                    .pop()
-                    .ok_or_else(|| DfError::internal("map task returned no output block"))?;
-                let mapped_part =
-                    Partition::new_in(result, part.row_offset, part.col_offset, store.as_ref())?;
-                // A per-cell map commutes with transpose, so a block whose transpose
-                // was deferred stays logically transposed; the flag rides along and
-                // `rebuild_grid_like` resolves it.
-                Ok((mapped_part, part.is_deferred_transpose()))
-            })?;
-            // Rebuild the grid structure: blocks were flattened row-band-major.
-            return rebuild_grid_like(mapped, self.store.as_ref());
+            return grid.replace_blocks(|blocks| {
+                let items = blocks.into_iter().map(|block| vec![block]).collect();
+                let place = self.executor.placed(&task);
+                let results =
+                    self.executor
+                        .run_stage("kernel.map", CheckIn::Frame, items, place)?;
+                Ok(outputs(results))
+            });
         }
         // Row-generic maps need whole rows: work per row band.
-        self.band_task(grid, BandTask::Map(func.clone()))
+        self.band_task("kernel.map", grid, task)
     }
 
     fn eval_selection(
@@ -915,30 +934,19 @@ impl ModinEngine {
         predicate: &Predicate,
     ) -> DfResult<PartitionGrid> {
         let grid = self.eval(input)?;
-        if let Predicate::PositionRange { start, end } = predicate {
-            // Positional selection: adjust the range per band using band offsets,
-            // which come from grid metadata — no band is loaded outside its worker.
-            let counts = grid.band_row_counts();
-            let offsets: Vec<usize> = counts
-                .iter()
-                .scan(0usize, |acc, &len| {
-                    let offset = *acc;
-                    *acc += len;
-                    Some(offset)
-                })
-                .collect();
-            let (start, end) = (*start, *end);
-            // This stays a driver-side closure: the per-band range depends on grid
-            // metadata (band offsets), not on the band alone, so there is no
-            // self-contained task to ship.
-            return grid.map_bands(&self.executor, self.store.as_ref(), move |i, band| {
-                let len = band.n_rows();
-                let band_start = start.saturating_sub(offsets[i]).min(len);
-                let band_end = end.saturating_sub(offsets[i]).min(len);
-                Ok(band.slice_rows(band_start, band_end))
+        if predicate.reads_position() {
+            // Positions in predicates are global: evaluate row `i` of a band at
+            // position `offset + i`, wherever in the predicate tree the position is
+            // read.
+            return self.band_kernel("kernel.selection", grid, |band, offset| {
+                ops::rowwise::selection_at(&band, predicate, offset)
             });
         }
-        self.band_task(grid, BandTask::Selection(predicate.clone()))
+        self.band_task(
+            "kernel.selection",
+            grid,
+            BandTask::Selection(predicate.clone()),
+        )
     }
 
     fn eval_limit(&self, input: &AlgebraExpr, k: usize, from_end: bool) -> DfResult<PartitionGrid> {
@@ -954,36 +962,24 @@ impl ModinEngine {
         keys_as_labels: bool,
     ) -> DfResult<PartitionGrid> {
         let grid = self.eval(input)?;
-        if !aggs.iter().all(|a| mergeable(&a.func)) {
-            // Fall back: single-pass over the assembled frame.
-            self.note_fallback();
-            let assembled = grid.into_dataframe()?;
-            let result = ops::group::group_by(&assembled, keys, aggs, keys_as_labels)?;
-            return self.single(result);
-        }
-        // Phase 1 (map): partial aggregation per row band, keys kept as data columns.
-        // Bands are loaded inside their workers, so only the bands being aggregated
-        // are resident; the partial states are group-sized, not band-sized. Each
-        // band's partial aggregation is a self-contained task, so it is placed on
-        // the configured backend.
-        let partial_aggs: Vec<Aggregation> = aggs.iter().flat_map(partial_plan).collect();
+        // Phase 1 (map): partial aggregation per row band, keys kept as data columns —
+        // a self-contained task, placed on the configured backend. The partial states
+        // are group-sized, not band-sized, and the driver merges them at once, so
+        // they ride back beside the (empty) output list instead of being checked in.
         let task = BandTask::GroupPartial {
             keys: keys.to_vec(),
-            aggs: partial_aggs,
+            aggs: aggs.iter().flat_map(partial_plan).collect(),
         };
-        let partials = grid.par_bands(&self.executor, |_, band| {
-            self.executor
-                .run_task(&task, vec![band])?
-                .pop()
-                .ok_or_else(|| DfError::internal("group task returned no partial state"))
+        let place = self.executor.placed(&task);
+        let partials = self.run_bands("kernel.groupby", grid, |i, band| {
+            Ok((Vec::new(), place(i, vec![band])?.0))
         })?;
         // Phase 2 (reduce): concatenate partials and merge per key.
-        let combined = ops::setops::union_all(partials)?;
+        let combined =
+            ops::setops::union_all(partials.into_iter().flat_map(|(_, state)| state).collect())?;
         let merge_aggs: Vec<Aggregation> = aggs.iter().flat_map(merge_plans).collect();
-        let mut result = ops::group::group_by(&combined, keys, &merge_aggs, keys_as_labels)?;
-        // Post-process Mean (sum of sums / sum of counts) and restore output labels.
-        result = finalize_merged(result, keys, aggs, keys_as_labels)?;
-        self.single(result)
+        let merged = ops::group::group_by(&combined, keys, &merge_aggs, keys_as_labels)?;
+        self.single(finalize_merged(merged, keys, aggs, keys_as_labels)?)
     }
 }
 
@@ -1085,206 +1081,107 @@ fn per_cell_safe(func: &MapFunc) -> bool {
     )
 }
 
-/// Whether an aggregate's partial results can be merged associatively.
-fn mergeable(func: &AggFunc) -> bool {
-    matches!(
-        func,
-        AggFunc::Count
-            | AggFunc::CountNonNull
-            | AggFunc::Sum
-            | AggFunc::Mean
-            | AggFunc::Min
-            | AggFunc::Max
-            | AggFunc::First
-            | AggFunc::Last
-            | AggFunc::Collect
-    )
+/// The label a partial state of `agg` travels under between the phases of GROUPBY.
+fn partial_label(agg: &Aggregation, part: &str) -> Cell {
+    let label = agg.output_label().to_raw_string();
+    Cell::Str(format!("__partial_{label}_{part}"))
+}
+
+/// How one logical aggregation splits into mergeable parts: per part, its name, the
+/// function folding a band into the partial state, and the function merging partial
+/// states. Mean travels as sum and count; Std as the group's values themselves, in
+/// row order — the reference's two-pass formula needs them all at finalize.
+fn merge_parts(func: &AggFunc) -> Vec<(&'static str, AggFunc, AggFunc)> {
+    match func {
+        AggFunc::Mean => vec![
+            ("sum", AggFunc::Sum, AggFunc::Sum),
+            ("count", AggFunc::CountNonNull, AggFunc::Sum),
+        ],
+        AggFunc::Count | AggFunc::CountNonNull | AggFunc::Sum => {
+            vec![("value", func.clone(), AggFunc::Sum)]
+        }
+        AggFunc::Std => vec![("value", AggFunc::Collect, AggFunc::Collect)],
+        // Min, Max, First, Last and Collect merge with themselves.
+        same => vec![("value", same.clone(), same.clone())],
+    }
 }
 
 /// The partial (per-band) aggregations needed to later merge one logical aggregation.
 fn partial_plan(agg: &Aggregation) -> Vec<Aggregation> {
-    let label = agg.output_label();
-    let partial_label =
-        |suffix: &str| Cell::Str(format!("__partial_{}_{suffix}", label.to_raw_string()));
-    match agg.func {
-        AggFunc::Mean => vec![
-            Aggregation {
-                column: agg.column.clone(),
-                func: AggFunc::Sum,
-                alias: Some(partial_label("sum")),
-            },
-            Aggregation {
-                column: agg.column.clone(),
-                func: AggFunc::CountNonNull,
-                alias: Some(partial_label("count")),
-            },
-        ],
-        _ => vec![Aggregation {
-            column: agg.column.clone(),
-            func: agg.func.clone(),
-            alias: Some(partial_label("value")),
-        }],
-    }
+    let part = |(part, fold, _): (&str, AggFunc, AggFunc)| Aggregation {
+        column: agg.column.clone(),
+        func: fold,
+        alias: Some(partial_label(agg, part)),
+    };
+    merge_parts(&agg.func).into_iter().map(part).collect()
 }
 
 /// The merge-phase aggregations for one logical aggregation (applied to the partials).
 fn merge_plans(agg: &Aggregation) -> Vec<Aggregation> {
-    let label = agg.output_label();
-    let partial_label =
-        |suffix: &str| Cell::Str(format!("__partial_{}_{suffix}", label.to_raw_string()));
-    match agg.func {
-        // Mean is finalized later from the merged sum and the merged count.
-        AggFunc::Mean => vec![
-            Aggregation {
-                column: Some(partial_label("sum")),
-                func: AggFunc::Sum,
-                alias: Some(partial_label("sum")),
-            },
-            Aggregation {
-                column: Some(partial_label("count")),
-                func: AggFunc::Sum,
-                alias: Some(partial_label("count")),
-            },
-        ],
-        _ => {
-            let merged_func = match agg.func {
-                AggFunc::Count | AggFunc::CountNonNull | AggFunc::Sum => AggFunc::Sum,
-                AggFunc::Min => AggFunc::Min,
-                AggFunc::Max => AggFunc::Max,
-                AggFunc::First => AggFunc::First,
-                AggFunc::Last => AggFunc::Last,
-                AggFunc::Collect => AggFunc::Collect,
-                AggFunc::Mean | AggFunc::Std => AggFunc::Sum,
-            };
-            vec![Aggregation {
-                column: Some(partial_label("value")),
-                func: merged_func,
-                alias: Some(label),
-            }]
-        }
-    }
+    let part = |(part, _, merge): (&str, AggFunc, AggFunc)| Aggregation {
+        column: Some(partial_label(agg, part)),
+        func: merge,
+        alias: Some(partial_label(agg, part)),
+    };
+    merge_parts(&agg.func).into_iter().map(part).collect()
 }
 
-/// Finalize merged aggregates: compute Mean from its sum/count partials, flatten
-/// Collect-of-Collect nesting, and coerce integer-valued counts back to ints.
+/// Finalize merged aggregates into the requested columns: Mean from its sum and count,
+/// counts back to ints, Collect-of-Collect nesting flattened — and Std's collected
+/// values folded through the reference formula.
 fn finalize_merged(
-    mut result: DataFrame,
+    merged: DataFrame,
     keys: &[Cell],
     aggs: &[Aggregation],
     keys_as_labels: bool,
 ) -> DfResult<DataFrame> {
-    // The merge pass produced columns named either by the final label or by the partial
-    // labels (for Mean). Assemble the final column set in the requested order.
-    let key_columns: Vec<Cell> = if keys_as_labels {
-        vec![]
-    } else {
-        keys.to_vec()
-    };
-    let mut final_columns: Vec<(Cell, Vec<Cell>)> = Vec::new();
-    for key in &key_columns {
-        let j = result.col_position(key)?;
-        final_columns.push((key.clone(), result.columns()[j].cells().to_vec()));
+    let mut labels: Vec<Cell> = Vec::new();
+    let mut columns: Vec<Column> = Vec::new();
+    if !keys_as_labels {
+        for key in keys {
+            labels.push(key.clone());
+            columns.push(Column::new(merged.column_by_label(key)?.cells().to_vec()));
+        }
     }
-    // Recompute the per-group mean from the merged sum and the merged count.
-    let partial_label = |label: &Cell, suffix: &str| {
-        Cell::Str(format!("__partial_{}_{suffix}", label.to_raw_string()))
-    };
     for agg in aggs {
-        let label = agg.output_label();
-        match agg.func {
-            AggFunc::Mean => {
-                let sum_col = result.column_by_label(&partial_label(&label, "sum"))?;
-                let count_col = result.column_by_label(&partial_label(&label, "count"))?;
-                let cells: Vec<Cell> = sum_col
-                    .cells()
-                    .iter()
-                    .zip(count_col.cells())
-                    .map(|(s, c)| match (s.as_f64(), c.as_f64()) {
-                        (Some(s), Some(c)) if c > 0.0 => Cell::Float(s / c),
-                        _ => Cell::Null,
-                    })
-                    .collect();
-                final_columns.push((label, cells));
-            }
-            AggFunc::Count | AggFunc::CountNonNull => {
-                let col = result.column_by_label(&label)?;
-                let cells: Vec<Cell> = col
-                    .cells()
-                    .iter()
-                    .map(|c| match c.as_f64() {
-                        Some(v) => Cell::Int(v as i64),
-                        None => Cell::Null,
-                    })
-                    .collect();
-                final_columns.push((label, cells));
-            }
-            AggFunc::Collect => {
-                let col = result.column_by_label(&label)?;
-                let cells: Vec<Cell> = col
-                    .cells()
-                    .iter()
-                    .map(|c| match c {
-                        Cell::List(outer) => {
-                            let mut flat = Vec::new();
-                            for item in outer {
-                                match item {
-                                    Cell::List(inner) => flat.extend(inner.iter().cloned()),
-                                    other => flat.push(other.clone()),
-                                }
-                            }
-                            Cell::List(flat)
+        let part = |part: &str| -> DfResult<&[Cell]> {
+            Ok(merged.column_by_label(&partial_label(agg, part))?.cells())
+        };
+        let cells: Vec<Cell> = match agg.func {
+            AggFunc::Mean => (part("sum")?.iter().zip(part("count")?))
+                .map(|(s, c)| match (s.as_f64(), c.as_f64()) {
+                    (Some(s), Some(c)) if c > 0.0 => Cell::Float(s / c),
+                    _ => Cell::Null,
+                })
+                .collect(),
+            AggFunc::Count | AggFunc::CountNonNull => (part("value")?.iter())
+                .map(|c| c.as_f64().map_or(Cell::Null, |v| Cell::Int(v as i64)))
+                .collect(),
+            AggFunc::Collect | AggFunc::Std => (part("value")?.iter())
+                .map(|c| {
+                    let Cell::List(per_band) = c else {
+                        return c.clone();
+                    };
+                    let mut flat = Vec::new();
+                    for item in per_band {
+                        match item {
+                            Cell::List(inner) => flat.extend(inner.iter().cloned()),
+                            other => flat.push(other.clone()),
                         }
-                        other => other.clone(),
-                    })
-                    .collect();
-                final_columns.push((label, cells));
-            }
-            _ => {
-                let col = result.column_by_label(&label)?;
-                final_columns.push((label, col.cells().to_vec()));
-            }
-        }
+                    }
+                    if agg.func == AggFunc::Collect {
+                        return Cell::List(flat);
+                    }
+                    let values: Vec<f64> = flat.iter().filter_map(Cell::as_f64).collect();
+                    ops::group::sample_std(&values)
+                })
+                .collect(),
+            _ => part("value")?.to_vec(),
+        };
+        labels.push(agg.output_label());
+        columns.push(Column::new(cells));
     }
-    let row_labels = result.row_labels().clone();
-    let labels: Vec<Cell> = final_columns.iter().map(|(l, _)| l.clone()).collect();
-    let columns: Vec<df_core::dataframe::Column> = final_columns
-        .into_iter()
-        .map(|(_, cells)| df_core::dataframe::Column::new(cells))
-        .collect();
-    result = DataFrame::from_parts(columns, row_labels, df_types::labels::Labels::new(labels))?;
-    Ok(result)
-}
-
-/// Rebuild a grid from flattened `(partition, deferred_transpose)` pairs produced by a
-/// per-cell block map. The pairs arrive in row-band-major order with their original
-/// offsets intact, so the band structure can be recovered by grouping on `row_offset`.
-/// Bands are assembled one at a time (consuming each block's handle as it goes), and
-/// the rebuilt full-width bands are checked back into the store.
-fn rebuild_grid_like(
-    parts: Vec<(Partition, bool)>,
-    store: Option<&Arc<SpillStore>>,
-) -> DfResult<PartitionGrid> {
-    use std::collections::BTreeMap;
-    let mut bands: BTreeMap<usize, Vec<Partition>> = BTreeMap::new();
-    for (mut part, was_transposed) in parts {
-        if was_transposed {
-            // Re-materialise orientation: the block data is still stored transposed, so
-            // resolve it now to keep the rebuilt grid simple.
-            let logical = ops::reshape::transpose(&part.load_stored()?)?;
-            part.replace(logical);
-        }
-        bands.entry(part.row_offset).or_default().push(part);
-    }
-    let mut band_parts: Vec<Partition> = Vec::with_capacity(bands.len());
-    for (_, mut band) in bands {
-        band.sort_by_key(|p| p.col_offset);
-        let materialized: Vec<DataFrame> = band
-            .into_iter()
-            .map(Partition::into_materialized)
-            .collect::<DfResult<_>>()?;
-        band_parts.push(Partition::new_in(hstack_all(materialized)?, 0, 0, store)?);
-    }
-    Ok(PartitionGrid::from_band_partitions(band_parts))
+    DataFrame::from_parts(columns, merged.row_labels().clone(), Labels::new(labels))
 }
 
 #[cfg(test)]
@@ -1371,7 +1268,7 @@ mod tests {
     }
 
     #[test]
-    fn groupby_with_collect_and_std_falls_back_correctly() {
+    fn groupby_with_collect_and_std_merges_correctly() {
         let base = AlgebraExpr::literal(trips(60));
         assert_matches_reference(&base.clone().group_by(
             vec![cell("vendor")],

@@ -9,9 +9,11 @@
 //! 1. **Plan** — one streaming, quote-aware pass cuts the file's byte range into
 //!    band-sized chunks at record boundaries, counting rows per chunk
 //!    ([`df_storage::csv::plan_csv_chunks`]). No cells are allocated.
-//! 2. **Parse** — each worker seeks to its chunk, parses it into a raw (`Σ*`) band,
-//!    and checks the band straight into the session's [`SpillStore`] (when a memory
-//!    budget is set). Peak residency therefore stays within *budget + one band per
+//! 2. **Parse** — one zero-input stage item per chunk
+//!    ([`ParallelExecutor::run_stage`]): each worker seeks to its chunk, parses it into
+//!    a raw (`Σ*`) band, and the executor checks the band straight into the session's
+//!    [`SpillStore`](df_storage::spill::SpillStore) (when a memory budget is set) as a
+//!    typed column block. Peak residency therefore stays within *budget + one band per
 //!    worker thread* — the same bound every other operator obeys — no matter how much
 //!    larger than memory the file is.
 //! 3. **Reconcile** — for `infer_schema` ingests, each worker also returns its band's
@@ -30,20 +32,17 @@
 //! keeps, each field straight into its file-wide reconciled domain.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use df_core::algebra::ColumnSelector;
-use df_core::columnar::ColumnBlock;
 use df_core::ops;
 use df_core::scan::{ChunkStats, ScanCsv, ScanStats};
 use df_storage::csv::{self, CsvChunk, CsvIngestPlan, CsvOptions};
-use df_storage::spill::SpillStore;
 use df_types::cell::Cell;
-use df_types::error::{DfError, DfResult};
+use df_types::error::DfResult;
 use df_types::infer::InductionSummary;
 
 use crate::backend::BandTask;
-use crate::executor::ParallelExecutor;
+use crate::executor::{outputs, CheckIn, ParallelExecutor};
 use crate::partition::{Partition, PartitionConfig, PartitionGrid};
 
 /// Cumulative ingest counters, surfaced by `ModinEngine::ingest_stats` next to the
@@ -70,13 +69,12 @@ pub struct IngestReport {
 }
 
 /// Ingest a CSV file into a row-banded [`PartitionGrid`], parsing chunks on the
-/// executor's worker pool and storing each finished band through `store` (when the
-/// session runs under a memory budget). The grid is cell-for-cell identical to
-/// serially reading the file and partitioning the result — without the full frame
+/// executor's worker pool and storing each finished band through the executor's store
+/// (when the session runs under a memory budget). The grid is cell-for-cell identical
+/// to serially reading the file and partitioning the result — without the full frame
 /// ever existing in memory.
 pub fn ingest_csv_grid(
     executor: &ParallelExecutor,
-    store: Option<&Arc<SpillStore>>,
     partitioning: PartitionConfig,
     path: &Path,
     options: &CsvOptions,
@@ -94,60 +92,67 @@ pub fn ingest_csv_grid(
         if options.infer_schema {
             empty.parse_all();
         }
-        return Ok((PartitionGrid::single_in(empty, store)?, report));
+        return Ok((PartitionGrid::single_in(empty, executor.store())?, report));
     }
-    // Parse phase: every chunk independently, each worker seeking to its own byte
-    // range and checking its band into the store before picking up the next chunk.
-    // The parse itself is a self-contained [`BandTask::CsvChunk`] placed on the
+    // Parse phase: one zero-input item per chunk, each worker seeking to its own byte
+    // range. The parse itself is a self-contained [`BandTask::CsvChunk`] placed on the
     // executor's backend (worker processes parse from their own file descriptors on
     // the procs backend); the failpoint (`ingest.read`) and the retry policy stay
-    // driver-side, so a transient fault costs a backoff, not the statement.
-    let store_owned = store.cloned();
+    // driver-side, so a transient fault costs a backoff, not the statement. Bands
+    // check in columnar — encoded once, here — and each band's induction summaries
+    // ride back beside it, so reconciliation never re-loads a band.
     let retry = df_types::retry::RetryPolicy::default();
-    let parsed = executor.par_map(plan.chunks.clone(), |_, chunk| {
-        let task = BandTask::CsvChunk {
-            path: path.to_string_lossy().into_owned(),
-            options: options.clone(),
-            header: plan.header.clone(),
-            n_cols: plan.n_cols,
-            total_rows: plan.total_rows,
-            total_bytes: plan.total_bytes,
-            chunk,
-        };
-        let band = retry.run(|_| {
-            df_types::fail::check("ingest.read")?;
-            executor
-                .run_task(&task, Vec::new())?
-                .pop()
-                .ok_or_else(|| DfError::internal("csv chunk task returned no band"))
-        })?;
-        let summaries = options
-            .infer_schema
-            .then(|| csv::band_induction_summaries(&band));
-        // Typed columns straight out of the parser: each band is encoded once,
-        // here, and checked in columnar — the store then accounts (and spills)
-        // the compact typed buffers instead of tagged cells.
-        let block = ColumnBlock::from_frame(&band);
-        let part = Partition::new_columnar_in(block, chunk.start_row, 0, store_owned.as_ref())?;
-        Ok((part, summaries))
-    })?;
-    let (parts, summaries): (Vec<Partition>, Vec<Option<Vec<InductionSummary>>>) =
+    let parsed = executor.run_stage(
+        "ingest.parse",
+        CheckIn::Columnar,
+        no_inputs(plan.chunks.len()),
+        |i, _| {
+            let task = BandTask::CsvChunk {
+                path: path.to_string_lossy().into_owned(),
+                options: options.clone(),
+                header: plan.header.clone(),
+                n_cols: plan.n_cols,
+                total_rows: plan.total_rows,
+                total_bytes: plan.total_bytes,
+                chunk: plan.chunks[i],
+            };
+            let place = executor.placed(&task);
+            let (band, ()) = retry.run(|_| {
+                df_types::fail::check("ingest.read")?;
+                place(i, Vec::new())
+            })?;
+            let summaries = options.infer_schema.then(|| {
+                band.iter()
+                    .flat_map(csv::band_induction_summaries)
+                    .collect()
+            });
+            Ok((band, summaries))
+        },
+    )?;
+    let (bands, summaries): (Vec<Vec<Partition>>, Vec<Option<Vec<InductionSummary>>>) =
         parsed.into_iter().unzip();
-    let mut grid = PartitionGrid::from_band_partitions(parts);
     if options.infer_schema {
         // Reconcile phase: join the per-band induction summaries in band order and
         // re-cast every band (load → cast → store) with the final domains — the
         // re-cast is a [`BandTask::ApplyDomains`] placed on the backend.
         let band_summaries: Vec<Vec<InductionSummary>> = summaries.into_iter().flatten().collect();
         let task = BandTask::ApplyDomains(csv::reconcile_domains(&band_summaries));
-        grid = grid.map_bands(executor, store, move |_, band| {
-            executor
-                .run_task(&task, vec![band])?
-                .pop()
-                .ok_or_else(|| DfError::internal("domain task returned no band"))
-        })?;
+        let recast = executor.run_stage(
+            "ingest.reconcile",
+            CheckIn::Frame,
+            bands,
+            executor.placed(&task),
+        )?;
+        return Ok((PartitionGrid::from_band_partitions(outputs(recast)), report));
     }
-    Ok((grid, report))
+    let bands = bands.into_iter().flatten().collect();
+    Ok((PartitionGrid::from_band_partitions(bands), report))
+}
+
+/// `n` stage items that read no partition: a CSV chunk's worker reads its byte range
+/// from the file itself.
+fn no_inputs(n: usize) -> Vec<Vec<Partition>> {
+    (0..n).map(|_| Vec::new()).collect()
 }
 
 /// What one pushdown-aware scan did — merged into the engine's ingest and pushdown
@@ -216,13 +221,19 @@ pub fn collect_scan_stats(
     ) {
         plan = csv::plan_csv_chunks(path, options, tuned)?;
     }
-    let per_chunk = executor.par_map(plan.chunks.clone(), |_, chunk| {
-        let (columns, summaries) = csv::csv_chunk_stats(path, options, &plan, &chunk)?;
-        Ok((chunk, columns, summaries))
-    })?;
+    // One zero-input, zero-output item per chunk: the statistics are the by-product.
+    let per_chunk = executor.run_stage(
+        "ingest.stats",
+        CheckIn::Frame,
+        no_inputs(plan.chunks.len()),
+        |i, _| {
+            let stats = csv::csv_chunk_stats(path, options, &plan, &plan.chunks[i])?;
+            Ok((Vec::new(), stats))
+        },
+    )?;
     let mut chunks = Vec::with_capacity(per_chunk.len());
     let mut band_summaries: Vec<Vec<InductionSummary>> = Vec::new();
-    for (chunk, columns, summaries) in per_chunk {
+    for (chunk, (_, (columns, summaries))) in plan.chunks.iter().zip(per_chunk) {
         chunks.push(ChunkStats {
             start_byte: chunk.start_byte,
             end_byte: chunk.end_byte,
@@ -289,7 +300,6 @@ fn rebuild_plan(stats: &ScanStats, options: &CsvOptions) -> CsvIngestPlan {
 /// above an unpushed scan of the whole file.
 pub fn scan_csv_grid(
     executor: &ParallelExecutor,
-    store: Option<&Arc<SpillStore>>,
     scan: &ScanCsv,
     options: &CsvOptions,
     stats: &ScanStats,
@@ -341,34 +351,7 @@ pub fn scan_csv_grid(
         chunks_skipped: (stats.chunks.len() - survivors.len()) as u64,
         columns_pruned,
     };
-    let store_owned = store.cloned();
     let retry = df_types::retry::RetryPolicy::default();
-    let parse = |_: usize, chunk: CsvChunk| {
-        let band = retry.run(|_| {
-            df_types::fail::check("ingest.read")?;
-            csv::read_csv_chunk_with(
-                &scan.path,
-                options,
-                &plan,
-                &chunk,
-                keep.as_deref(),
-                parse_domains.as_deref(),
-            )
-        })?;
-        let band = match &scan.predicate {
-            Some(pred) => ops::rowwise::selection(&band, pred)?,
-            None => band,
-        };
-        let band = match &projection {
-            Some(proj) => ops::rowwise::projection(&band, proj)?,
-            None => band,
-        };
-        let rows = band.n_rows();
-        // Same check-in as the plain ingest path: a typed column block.
-        let block = ColumnBlock::from_frame(&band);
-        let part = Partition::new_columnar_in(block, chunk.start_row, 0, store_owned.as_ref())?;
-        Ok((part, rows))
-    };
     let mut parts: Vec<Partition> = Vec::new();
     let mut found = 0usize;
     let mut pending = survivors.as_slice();
@@ -384,8 +367,37 @@ pub fn scan_csv_grid(
         pending = later;
         report.bands += now.len() as u64;
         report.bytes += now.iter().map(|c| c.end_byte - c.start_byte).sum::<u64>();
-        for (part, rows) in executor.par_map(now.to_vec(), parse)? {
-            found += rows;
+        // One zero-input item per chunk of the wave; bands check in columnar, the
+        // same form as the plain ingest path.
+        let parsed = executor.run_stage(
+            "ingest.parse",
+            CheckIn::Columnar,
+            no_inputs(now.len()),
+            |i, _| {
+                let band = retry.run(|_| {
+                    df_types::fail::check("ingest.read")?;
+                    csv::read_csv_chunk_with(
+                        &scan.path,
+                        options,
+                        &plan,
+                        &now[i],
+                        keep.as_deref(),
+                        parse_domains.as_deref(),
+                    )
+                })?;
+                let band = match &scan.predicate {
+                    Some(pred) => ops::rowwise::selection(&band, pred)?,
+                    None => band,
+                };
+                let band = match &projection {
+                    Some(proj) => ops::rowwise::projection(&band, proj)?,
+                    None => band,
+                };
+                Ok((vec![band], ()))
+            },
+        )?;
+        for part in outputs(parsed) {
+            found += part.n_rows();
             parts.push(part);
         }
     }
@@ -410,7 +422,7 @@ pub fn scan_csv_grid(
             Some(proj) => ops::rowwise::projection(&empty, proj)?,
             None => empty,
         };
-        PartitionGrid::single_in(empty, store)?
+        PartitionGrid::single_in(empty, executor.store())?
     } else {
         if from_end {
             parts.reverse();
@@ -418,7 +430,7 @@ pub fn scan_csv_grid(
         PartitionGrid::from_band_partitions(parts)
     };
     let grid = match scan.limit {
-        Some((k, from_end)) => grid.limit_in(k, from_end, store)?,
+        Some((k, from_end)) => grid.limit_in(k, from_end, executor.store())?,
         None => grid.with_scan_schema(scan_output_schema(stats, scan), scan.predicate.is_none()),
     };
     report.rows = found.min(limit) as u64;
@@ -450,8 +462,10 @@ fn scan_output_schema(stats: &ScanStats, scan: &ScanCsv) -> df_core::handle::Fra
 mod tests {
     use super::*;
     use df_storage::csv::read_csv_str;
+    use df_storage::spill::SpillStore;
     use df_types::cell::cell;
     use df_types::domain::Domain;
+    use std::sync::Arc;
 
     fn temp_csv(name: &str, content: &str) -> std::path::PathBuf {
         let dir =
@@ -487,7 +501,7 @@ mod tests {
             for threads in [1usize, 4] {
                 let executor = ParallelExecutor::new(threads);
                 let (grid, report) =
-                    ingest_csv_grid(&executor, None, config(10), &path, &options).unwrap();
+                    ingest_csv_grid(&executor, config(10), &path, &options).unwrap();
                 assert_eq!(report.rows, 53);
                 assert_eq!(report.bands, 6);
                 assert!(grid.n_row_bands() > 1, "ingest lost its partitioning");
@@ -514,9 +528,8 @@ mod tests {
         let serial = read_csv_str(&content, &options).unwrap();
         let budget = serial.approx_size_bytes() / 4;
         let store = Arc::new(SpillStore::new(budget).unwrap());
-        let executor = ParallelExecutor::new(4);
-        let (grid, _) =
-            ingest_csv_grid(&executor, Some(&store), config(32), &path, &options).unwrap();
+        let executor = ParallelExecutor::new(4).with_store(Some(Arc::clone(&store)));
+        let (grid, _) = ingest_csv_grid(&executor, config(32), &path, &options).unwrap();
         let stats = store.stats();
         assert!(stats.spill_outs > 0, "ws/4 budget never spilled: {stats:?}");
         assert!(
@@ -544,7 +557,7 @@ mod tests {
             ] {
                 let serial = read_csv_str(content, &options).unwrap();
                 let (grid, report) =
-                    ingest_csv_grid(&executor, None, config(8), &path, &options).unwrap();
+                    ingest_csv_grid(&executor, config(8), &path, &options).unwrap();
                 assert_eq!(report.bands, 0);
                 let assembled = grid.into_dataframe().unwrap();
                 assert!(assembled.same_data(&serial), "{name} diverged");
@@ -565,7 +578,7 @@ mod tests {
             ..CsvOptions::default()
         };
         let executor = ParallelExecutor::new(2);
-        let (grid, _) = ingest_csv_grid(&executor, None, config(2), &path, &options).unwrap();
+        let (grid, _) = ingest_csv_grid(&executor, config(2), &path, &options).unwrap();
         let assembled = grid.into_dataframe().unwrap();
         assert_eq!(assembled.schema(), vec![Some(Domain::Float)]);
         assert_eq!(assembled.cell(0, 0).unwrap(), &cell(1.0));
@@ -649,8 +662,7 @@ mod tests {
                 let scan = ScanCsv::new(&path, scan_opts, "pushdown-test")
                     .with_projection(vec![cell("score"), cell("id")])
                     .with_predicate(id_lt(7));
-                let (grid, report) =
-                    scan_csv_grid(&executor, None, &scan, &csv_opts, &stats).unwrap();
+                let (grid, report) = scan_csv_grid(&executor, &scan, &csv_opts, &stats).unwrap();
                 if infer {
                     // Only chunk 0 (ids 0..10) can match id < 7; 5 of 6 chunks skip.
                     assert_eq!(report.chunks_skipped, 5, "threads={threads}");
@@ -682,7 +694,7 @@ mod tests {
         let stats =
             Arc::new(collect_scan_stats(&executor, config(10), None, &path, &csv_opts).unwrap());
         let scan = ScanCsv::new(&path, scan_opts, "plain-scan-test");
-        let (grid, report) = scan_csv_grid(&executor, None, &scan, &csv_opts, &stats).unwrap();
+        let (grid, report) = scan_csv_grid(&executor, &scan, &csv_opts, &stats).unwrap();
         assert_eq!(report.chunks_skipped, 0);
         assert_eq!(report.columns_pruned, 0);
         assert_eq!(report.rows, 60);
@@ -703,7 +715,7 @@ mod tests {
         let stats =
             Arc::new(collect_scan_stats(&executor, config(10), None, &path, &csv_opts).unwrap());
         let scan = ScanCsv::new(&path, scan_opts, "all-skipped-test").with_predicate(id_lt(-1));
-        let (grid, report) = scan_csv_grid(&executor, None, &scan, &csv_opts, &stats).unwrap();
+        let (grid, report) = scan_csv_grid(&executor, &scan, &csv_opts, &stats).unwrap();
         assert_eq!(report.chunks_skipped, 6);
         assert_eq!(report.rows, 0);
         let assembled = grid.into_dataframe().unwrap();

@@ -196,6 +196,10 @@ fn eliminate_double_transpose(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
     (out, hits)
 }
 
+/// Fuse `σ_outer(σ_inner(x))` into `σ_{inner ∧ outer}(x)` — unless the outer predicate
+/// reads row positions: it numbers the rows the inner selection *kept*, the fused
+/// conjunction would number the rows of `x`. An inner positional predicate is fine
+/// (both forms number the rows of `x`).
 fn fuse_selections(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
     fn walk(expr: &AlgebraExpr, hits: &mut usize) -> AlgebraExpr {
         if let AlgebraExpr::Selection { input, predicate } = expr {
@@ -204,16 +208,18 @@ fn fuse_selections(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
                 predicate: inner_predicate,
             } = input.as_ref()
             {
-                *hits += 1;
-                // Inner predicate applies first, so it goes on the left of the AND.
-                let fused = AlgebraExpr::Selection {
-                    input: inner_input.clone(),
-                    predicate: Predicate::And(
-                        Box::new(inner_predicate.clone()),
-                        Box::new(predicate.clone()),
-                    ),
-                };
-                return walk(&fused, hits);
+                if !predicate.reads_position() {
+                    *hits += 1;
+                    // Inner predicate applies first, so it goes on the left of the AND.
+                    let fused = AlgebraExpr::Selection {
+                        input: inner_input.clone(),
+                        predicate: Predicate::And(
+                            Box::new(inner_predicate.clone()),
+                            Box::new(predicate.clone()),
+                        ),
+                    };
+                    return walk(&fused, hits);
+                }
             }
         }
         map_children(expr, &mut |child| walk(child, hits))

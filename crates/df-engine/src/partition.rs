@@ -7,8 +7,9 @@
 //! transpose requires no communication.
 //!
 //! [`PartitionGrid`] is that representation: a 2-D grid of [`Partition`]s, each holding
-//! a rectangular block of the logical frame plus its `(row_offset, col_offset)` and an
-//! orientation flag. `PartitionGrid::transpose` flips the grid and the flags without
+//! a rectangular block of the logical frame and an orientation flag; a block's place
+//! in the frame is its place in the grid, nothing else records it.
+//! `PartitionGrid::transpose` flips the grid and the flags without
 //! touching any cell; blocks materialise their transposed form lazily when an operator
 //! actually needs their data.
 //!
@@ -18,9 +19,15 @@
 //! byte budget and transparently spills the least-recently-used ones to disk. Handles
 //! are cheap to clone (stored blocks are reference-counted) and the block is removed
 //! from the store when its last handle drops, so intermediate results never leak.
-//! Operators built on [`PartitionGrid::par_bands`] / [`PartitionGrid::map_bands`]
-//! follow the out-of-core lifecycle: each worker *loads* one band, *computes*, and
-//! *stores* the result — pinning only the bands actively being transformed.
+//!
+//! This module is data and metadata only. The band lifecycle — each worker *loads*
+//! its item's partitions, *computes*, and *stores* the outputs, pinning only what is
+//! actively being transformed — lives in one place,
+//! [`ParallelExecutor::run_stage`](crate::executor::ParallelExecutor::run_stage);
+//! operators hand it partitions taken out of a grid ([`PartitionGrid::into_blocks`],
+//! [`PartitionGrid::into_band_partitions`], [`PartitionGrid::replace_blocks`]) and
+//! build the next grid from the partitions it returns
+//! ([`PartitionGrid::from_band_partitions`]).
 
 use std::fmt;
 use std::sync::Arc;
@@ -34,8 +41,6 @@ use df_core::columnar::ColumnBlock;
 use df_core::dataframe::{Column, DataFrame};
 use df_core::ops::reshape;
 use df_core::ops::setops;
-
-use crate::executor::ParallelExecutor;
 
 /// How a frame is split into partitions (paper §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -252,10 +257,6 @@ impl PartitionHandle {
 #[derive(Debug, Clone)]
 pub struct Partition {
     handle: PartitionHandle,
-    /// Global row offset of this block's first row.
-    pub row_offset: usize,
-    /// Global column offset of this block's first column.
-    pub col_offset: usize,
     /// When true the stored frame is the transpose of the logical block: the logical
     /// data is obtained by transposing on access (the deferred half of the metadata
     /// transpose).
@@ -263,47 +264,29 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Wrap a materialised block held in memory.
-    pub fn new(frame: DataFrame, row_offset: usize, col_offset: usize) -> Self {
+    fn of(handle: PartitionHandle) -> Self {
         Partition {
-            handle: PartitionHandle::Resident(Arc::new(frame)),
-            row_offset,
-            col_offset,
+            handle,
             transposed: false,
         }
     }
 
+    /// Wrap a materialised block held in memory.
+    pub fn new(frame: DataFrame) -> Self {
+        Partition::of(PartitionHandle::Resident(Arc::new(frame)))
+    }
+
     /// Wrap a materialised block, checking it into `store` when one is provided (the
     /// "store-and-maybe-spill" step of the out-of-core lifecycle).
-    pub fn new_in(
-        frame: DataFrame,
-        row_offset: usize,
-        col_offset: usize,
-        store: Option<&Arc<SpillStore>>,
-    ) -> DfResult<Self> {
-        Ok(Partition {
-            handle: PartitionHandle::new_in(frame, store)?,
-            row_offset,
-            col_offset,
-            transposed: false,
-        })
+    pub fn new_in(frame: DataFrame, store: Option<&Arc<SpillStore>>) -> DfResult<Self> {
+        Ok(Partition::of(PartitionHandle::new_in(frame, store)?))
     }
 
     /// Wrap a typed column block, checking it into `store` when one is provided.
     /// This is how ingest's per-band parse checks typed columns straight into the
     /// session store.
-    pub fn new_columnar_in(
-        block: ColumnBlock,
-        row_offset: usize,
-        col_offset: usize,
-        store: Option<&Arc<SpillStore>>,
-    ) -> DfResult<Self> {
-        Ok(Partition {
-            handle: PartitionHandle::columnar_in(block, store)?,
-            row_offset,
-            col_offset,
-            transposed: false,
-        })
+    pub fn new_columnar_in(block: ColumnBlock, store: Option<&Arc<SpillStore>>) -> DfResult<Self> {
+        Ok(Partition::of(PartitionHandle::columnar_in(block, store)?))
     }
 
     /// Logical number of rows of the block.
@@ -356,13 +339,6 @@ impl Partition {
         &self.handle
     }
 
-    /// Load the block in its *stored* orientation, without resolving a deferred
-    /// transpose (used by operators that are orientation-agnostic, e.g. per-cell
-    /// maps).
-    pub fn load_stored(&self) -> DfResult<DataFrame> {
-        self.handle.load()
-    }
-
     /// Materialise the logical block, resolving any deferred transpose.
     pub fn materialize(&self) -> DfResult<DataFrame> {
         let frame = self.handle.load()?;
@@ -382,18 +358,6 @@ impl Partition {
         } else {
             Ok(frame)
         }
-    }
-
-    /// Replace the block's contents with an already-materialised in-memory frame.
-    pub fn replace(&mut self, frame: DataFrame) {
-        self.handle = PartitionHandle::Resident(Arc::new(frame));
-        self.transposed = false;
-    }
-
-    /// Flip the logical orientation without touching the data.
-    fn flip(&mut self) {
-        self.transposed = !self.transposed;
-        std::mem::swap(&mut self.row_offset, &mut self.col_offset);
     }
 }
 
@@ -478,7 +442,7 @@ impl PartitionGrid {
                 let col_labels =
                     Labels::new(df.col_labels().as_slice()[col_start..col_end].to_vec());
                 let block = DataFrame::from_parts(columns, row_labels.clone(), col_labels)?;
-                band.push(Partition::new_in(block, row_start, col_start, store)?);
+                band.push(Partition::new_in(block, store)?);
             }
             blocks.push(band);
         }
@@ -492,7 +456,7 @@ impl PartitionGrid {
     /// Wrap a single frame as a 1×1 grid.
     pub fn single(df: DataFrame) -> PartitionGrid {
         PartitionGrid {
-            blocks: vec![vec![Partition::new(df, 0, 0)]],
+            blocks: vec![vec![Partition::new(df)]],
             scheme: PartitionScheme::Block,
             scan_schema: None,
         }
@@ -501,7 +465,7 @@ impl PartitionGrid {
     /// Wrap a single frame as a 1×1 grid, checked into `store` when one is provided.
     pub fn single_in(df: DataFrame, store: Option<&Arc<SpillStore>>) -> DfResult<PartitionGrid> {
         Ok(PartitionGrid {
-            blocks: vec![vec![Partition::new_in(df, 0, 0, store)?]],
+            blocks: vec![vec![Partition::new_in(df, store)?]],
             scheme: PartitionScheme::Block,
             scan_schema: None,
         })
@@ -586,6 +550,12 @@ impl PartitionGrid {
         self.blocks.iter().map(|band| band[0].n_rows()).collect()
     }
 
+    /// Each band's global row offset — the position of its first row in the whole
+    /// frame — from metadata only.
+    pub fn band_row_offsets(&self) -> Vec<usize> {
+        row_offsets(self.band_row_counts().into_iter())
+    }
+
     /// Logical column labels paired with their known domains, from metadata only: no
     /// block is loaded (and in particular no spilled block is read back), mirroring
     /// what [`PartitionGrid::shape`] does for dimensions. `None` when a deferred
@@ -639,14 +609,50 @@ impl PartitionGrid {
         self.blocks
     }
 
+    /// Run a block-by-block operator over the grid: `f` receives every block in
+    /// row-band-major order and in *stored* orientation (pending transposes are set
+    /// aside, not resolved — the operator must commute with transpose, as per-cell maps
+    /// do) and returns one same-shaped output per block. Each output takes over its
+    /// input's place in the grid by band and column *index*, pending transpose
+    /// included, so an emptied band keeps its own slot.
+    pub fn replace_blocks(
+        self,
+        f: impl FnOnce(Vec<Partition>) -> DfResult<Vec<Partition>>,
+    ) -> DfResult<PartitionGrid> {
+        let (bands, width) = (self.n_row_bands(), self.n_col_bands());
+        let (stored, pending): (Vec<Partition>, Vec<bool>) = self
+            .blocks
+            .into_iter()
+            .flatten()
+            .map(|mut part| {
+                let pending = std::mem::take(&mut part.transposed);
+                (part, pending)
+            })
+            .unzip();
+        let outputs = f(stored)?;
+        if outputs.len() != pending.len() {
+            return Err(DfError::shape(
+                format!("{} blocks", pending.len()),
+                format!("{} blocks", outputs.len()),
+            ));
+        }
+        let mut outputs = outputs.into_iter().zip(pending).map(|(mut part, pending)| {
+            part.transposed = pending;
+            part
+        });
+        let blocks = (0..bands)
+            .map(|_| outputs.by_ref().take(width).collect())
+            .collect();
+        Ok(PartitionGrid {
+            blocks,
+            scheme: self.scheme,
+            scan_schema: None,
+        })
+    }
+
     /// Build a grid from row bands that each hold a full-width in-memory frame.
     pub fn from_row_bands(bands: Vec<DataFrame>) -> PartitionGrid {
-        PartitionGrid::from_band_partitions(
-            bands
-                .into_iter()
-                .map(|frame| Partition::new(frame, 0, 0))
-                .collect(),
-        )
+        PartitionGrid::from_band_partitions(bands.into_iter().map(Partition::new).collect())
     }
 
     /// Like [`PartitionGrid::from_row_bands`], but each band is checked into `store`
@@ -657,26 +663,15 @@ impl PartitionGrid {
     ) -> DfResult<PartitionGrid> {
         let parts: Vec<Partition> = bands
             .into_iter()
-            .map(|frame| Partition::new_in(frame, 0, 0, store))
+            .map(|frame| Partition::new_in(frame, store))
             .collect::<DfResult<_>>()?;
         Ok(PartitionGrid::from_band_partitions(parts))
     }
 
-    /// Build a row-partitioned grid from full-width band partitions, re-deriving each
-    /// band's global row offset from the metadata shapes.
+    /// Build a row-partitioned grid from full-width band partitions, in order.
     pub fn from_band_partitions(parts: Vec<Partition>) -> PartitionGrid {
-        let mut offset = 0usize;
-        let blocks = parts
-            .into_iter()
-            .map(|mut part| {
-                part.row_offset = offset;
-                part.col_offset = 0;
-                offset += part.n_rows();
-                vec![part]
-            })
-            .collect();
         PartitionGrid {
-            blocks,
+            blocks: parts.into_iter().map(|part| vec![part]).collect(),
             scheme: PartitionScheme::Row,
             scan_schema: None,
         }
@@ -687,62 +682,13 @@ impl PartitionGrid {
     /// are assembled one at a time and checked into `store` — so the conversion never
     /// holds more than one assembled band in memory beyond the store's budget.
     pub fn into_band_partitions(self, store: Option<&Arc<SpillStore>>) -> DfResult<Vec<Partition>> {
-        let mut parts = Vec::with_capacity(self.blocks.len());
-        for band in self.blocks {
-            if band.len() == 1 {
-                let Some(mut part) = band.into_iter().next() else {
-                    return Err(DfError::internal("grid band lost its only partition"));
-                };
-                part.col_offset = 0;
-                parts.push(part);
-                continue;
-            }
-            let row_offset = band[0].row_offset;
-            let materialized: Vec<DataFrame> = band
-                .into_iter()
-                .map(Partition::into_materialized)
-                .collect::<DfResult<_>>()?;
-            parts.push(Partition::new_in(
-                hstack_all(materialized)?,
-                row_offset,
-                0,
-                store,
-            )?);
-        }
-        Ok(parts)
-    }
-
-    /// Fan one closure out over the grid's full-width row bands, loading each band
-    /// *inside* its worker task: at most `executor.threads()` bands are materialised
-    /// at any moment, and consumed store entries are freed as the workers drain them.
-    pub fn par_bands<T: Send>(
-        self,
-        executor: &ParallelExecutor,
-        f: impl Fn(usize, DataFrame) -> DfResult<T> + Send + Sync,
-    ) -> DfResult<Vec<T>> {
-        executor.par_map(self.blocks, |index, band| {
-            let materialized: Vec<DataFrame> = band
-                .into_iter()
-                .map(Partition::into_materialized)
-                .collect::<DfResult<_>>()?;
-            f(index, hstack_all(materialized)?)
-        })
-    }
-
-    /// The out-of-core band map: for every row band, *load* it, apply `f`, and *store*
-    /// the result (into `store` when provided, else resident) — the
-    /// load → compute → store-and-maybe-spill lifecycle of paper §3.3.
-    pub fn map_bands(
-        self,
-        executor: &ParallelExecutor,
-        store: Option<&Arc<SpillStore>>,
-        f: impl Fn(usize, DataFrame) -> DfResult<DataFrame> + Send + Sync,
-    ) -> DfResult<PartitionGrid> {
-        let store = store.cloned();
-        let parts = self.par_bands(executor, move |index, band| {
-            Partition::new_in(f(index, band)?, 0, 0, store.as_ref())
-        })?;
-        Ok(PartitionGrid::from_band_partitions(parts))
+        self.blocks
+            .into_iter()
+            .map(|mut band| match band.len() {
+                1 => Ok(band.remove(0)),
+                _ => Partition::new_in(stitch_owned(band)?, store),
+            })
+            .collect()
     }
 
     /// Materialise one full-width row band by index (resolving deferred transposes),
@@ -755,41 +701,25 @@ impl PartitionGrid {
             index,
             len: self.blocks.len(),
         })?;
-        let blocks: Vec<DataFrame> = band
-            .iter()
-            .map(Partition::materialize)
-            .collect::<DfResult<_>>()?;
-        hstack_all(blocks)
+        hstack_all(
+            band.iter()
+                .map(Partition::materialize)
+                .collect::<DfResult<_>>()?,
+        )
     }
 
     /// Materialise every row band as a full-width frame (resolving deferred
     /// transposes), returned in order. This is the repartitioning step operators that
     /// need whole rows use.
     pub fn row_bands(&self) -> DfResult<Vec<DataFrame>> {
-        let mut bands = Vec::with_capacity(self.n_row_bands());
-        for band in &self.blocks {
-            let blocks: Vec<DataFrame> = band
-                .iter()
-                .map(Partition::materialize)
-                .collect::<DfResult<_>>()?;
-            bands.push(hstack_all(blocks)?);
-        }
-        Ok(bands)
+        (0..self.n_row_bands()).map(|i| self.band(i)).collect()
     }
 
     /// Like [`PartitionGrid::row_bands`], but consuming the grid: blocks that need no
     /// deferred transpose are moved instead of cloned (and their store entries freed),
     /// so assembling an owned grid copies no cells on the common row-partitioned path.
     pub fn into_row_bands(self) -> DfResult<Vec<DataFrame>> {
-        let mut bands = Vec::with_capacity(self.blocks.len());
-        for band in self.blocks {
-            let materialized: Vec<DataFrame> = band
-                .into_iter()
-                .map(Partition::into_materialized)
-                .collect::<DfResult<_>>()?;
-            bands.push(hstack_all(materialized)?);
-        }
-        Ok(bands)
+        self.blocks.into_iter().map(stitch_owned).collect()
     }
 
     /// Assemble the full logical dataframe.
@@ -815,7 +745,7 @@ impl PartitionGrid {
             let mut band = Vec::with_capacity(row_bands);
             for r in 0..row_bands {
                 let mut part = self.blocks[r][c].clone();
-                part.flip();
+                part.transposed = !part.transposed;
                 band.push(part);
             }
             blocks.push(band);
@@ -837,45 +767,35 @@ impl PartitionGrid {
     /// First `k` logical rows, touching only the row bands needed to produce them
     /// (the partition-aware half of §6.1.2 prefix execution).
     pub fn prefix(&self, k: usize) -> DfResult<DataFrame> {
-        let mut collected: Vec<DataFrame> = Vec::new();
-        let mut remaining = k;
-        for band in &self.blocks {
-            // `k == 0` still visits one band: the empty result keeps its columns.
-            if remaining == 0 && !collected.is_empty() {
-                break;
-            }
-            let blocks: Vec<DataFrame> = band
-                .iter()
-                .map(Partition::materialize)
-                .collect::<DfResult<_>>()?;
-            let band_frame = hstack_all(blocks)?;
-            let take = band_frame.head(remaining);
-            remaining = remaining.saturating_sub(take.n_rows());
-            collected.push(take);
-        }
-        setops::union_all(collected)
+        self.edge_rows(k, false)
     }
 
     /// Last `k` logical rows, touching only the trailing row bands needed to produce
     /// them — the suffix mirror of [`PartitionGrid::prefix`], so `tail` inspection
     /// (§6.1.2) never assembles the whole frame either.
     pub fn suffix(&self, k: usize) -> DfResult<DataFrame> {
+        self.edge_rows(k, true)
+    }
+
+    /// The `k` rows at one end of the frame, walking bands inward from that end.
+    fn edge_rows(&self, k: usize, from_end: bool) -> DfResult<DataFrame> {
         let mut collected: Vec<DataFrame> = Vec::new();
         let mut remaining = k;
-        for band in self.blocks.iter().rev() {
+        for step in 0..self.n_row_bands() {
+            // `k == 0` still visits one band: the empty result keeps its columns.
             if remaining == 0 && !collected.is_empty() {
                 break;
             }
-            let blocks: Vec<DataFrame> = band
-                .iter()
-                .map(Partition::materialize)
-                .collect::<DfResult<_>>()?;
-            let band_frame = hstack_all(blocks)?;
-            let take = band_frame.tail(remaining);
+            let take = match from_end {
+                true => self.band(self.n_row_bands() - 1 - step)?.tail(remaining),
+                false => self.band(step)?.head(remaining),
+            };
             remaining = remaining.saturating_sub(take.n_rows());
             collected.push(take);
         }
-        collected.reverse();
+        if from_end {
+            collected.reverse();
+        }
         setops::union_all(collected)
     }
 
@@ -887,12 +807,7 @@ impl PartitionGrid {
         from_end: bool,
         store: Option<&Arc<SpillStore>>,
     ) -> DfResult<PartitionGrid> {
-        let rows = if from_end {
-            self.suffix(k)?
-        } else {
-            self.prefix(k)?
-        };
-        PartitionGrid::single_in(rows, store)
+        PartitionGrid::single_in(self.edge_rows(k, from_end)?, store)
     }
 
     /// Number of partitions whose transpose is still deferred (used in tests and the
@@ -952,6 +867,25 @@ pub fn hstack_all(frames: Vec<DataFrame>) -> DfResult<DataFrame> {
         columns,
         row_labels.unwrap_or_default(),
         Labels::new(col_labels),
+    )
+}
+
+/// Running offsets of consecutive runs of rows: where each run starts.
+pub(crate) fn row_offsets(counts: impl Iterator<Item = usize>) -> Vec<usize> {
+    counts
+        .scan(0usize, |next, len| {
+            Some(std::mem::replace(next, *next + len))
+        })
+        .collect()
+}
+
+/// Consume one row band's blocks into its full-width frame, moving blocks out of
+/// their handles (and freeing their store entries) where no transpose is pending.
+fn stitch_owned(band: Vec<Partition>) -> DfResult<DataFrame> {
+    hstack_all(
+        band.into_iter()
+            .map(Partition::into_materialized)
+            .collect::<DfResult<_>>()?,
     )
 }
 
@@ -1122,38 +1056,6 @@ mod tests {
     }
 
     #[test]
-    fn par_bands_and_map_bands_follow_the_band_lifecycle() {
-        let df = frame(60, 3);
-        let store = Arc::new(SpillStore::new(1).unwrap());
-        let executor = ParallelExecutor::new(2);
-        let grid = PartitionGrid::from_dataframe_in(
-            &df,
-            PartitionScheme::Row,
-            PartitionConfig {
-                target_rows: 20,
-                target_cols: 8,
-            },
-            Some(&store),
-        )
-        .unwrap();
-        let counts = grid.band_row_counts();
-        assert_eq!(counts, vec![20, 20, 20]);
-        let mapped = grid
-            .clone()
-            .map_bands(&executor, Some(&store), |_, band| Ok(band.head(5)))
-            .unwrap();
-        assert_eq!(mapped.shape(), (15, 3));
-        assert_eq!(mapped.stored_partitions(), 3);
-        let heads = mapped.into_row_bands().unwrap();
-        assert!(heads.iter().all(|b| b.n_rows() == 5));
-        // par_bands over the original grid still sees every band.
-        let sizes = grid
-            .par_bands(&executor, |i, band| Ok((i, band.n_rows())))
-            .unwrap();
-        assert_eq!(sizes, vec![(0, 20), (1, 20), (2, 20)]);
-    }
-
-    #[test]
     fn prefix_touches_only_leading_bands() {
         let df = frame(100, 3);
         let grid = PartitionGrid::from_dataframe(
@@ -1237,7 +1139,6 @@ mod tests {
         let bands = PartitionGrid::from_row_bands(vec![df.head(6), df.tail(6)]);
         assert_eq!(bands.n_row_bands(), 2);
         assert_eq!(bands.shape(), (12, 2));
-        assert_eq!(bands.blocks()[1][0].row_offset, 6);
         let store = Arc::new(SpillStore::unbounded().unwrap());
         let stored =
             PartitionGrid::from_row_bands_in(vec![df.head(6), df.tail(6)], Some(&store)).unwrap();
@@ -1252,7 +1153,7 @@ mod tests {
         let block = ColumnBlock::from_frame(&df);
 
         // Resident columnar handle: shape, labels and domains answer in place…
-        let resident = Partition::new_columnar_in(block.clone(), 0, 0, None).unwrap();
+        let resident = Partition::new_columnar_in(block.clone(), None).unwrap();
         assert_eq!((resident.n_rows(), resident.n_cols()), (24, 3));
         assert_eq!(
             resident.col_domains().unwrap()[1],
@@ -1263,7 +1164,7 @@ mod tests {
 
         // …and a tight store spills the typed buffers, not a decoded frame.
         let store = Arc::new(SpillStore::new(1).unwrap());
-        let stored = Partition::new_columnar_in(block, 0, 0, Some(&store)).unwrap();
+        let stored = Partition::new_columnar_in(block, Some(&store)).unwrap();
         assert_eq!(store.stats().spilled, 1);
         let loads_before = store.stats().load_backs;
         assert_eq!((stored.n_rows(), stored.n_cols()), (24, 3));
@@ -1284,8 +1185,8 @@ mod tests {
         let head = ColumnBlock::from_frame(&df.head(20));
         let tail = ColumnBlock::from_frame(&df.tail(20));
         let parts = vec![
-            Partition::new_columnar_in(head, 0, 0, Some(&store)).unwrap(),
-            Partition::new_columnar_in(tail, 20, 0, Some(&store)).unwrap(),
+            Partition::new_columnar_in(head, Some(&store)).unwrap(),
+            Partition::new_columnar_in(tail, Some(&store)).unwrap(),
         ];
         let grid = PartitionGrid::from_band_partitions(parts);
         assert_eq!(grid.stored_partitions(), 2);
@@ -1315,10 +1216,8 @@ mod tests {
             (cell("c1"), Some(Domain::Int)),
         ];
         let parts = vec![
-            Partition::new_columnar_in(ColumnBlock::from_frame(&df.head(6)), 0, 0, Some(&store))
-                .unwrap(),
-            Partition::new_columnar_in(ColumnBlock::from_frame(&df.tail(6)), 6, 0, Some(&store))
-                .unwrap(),
+            Partition::new_columnar_in(ColumnBlock::from_frame(&df.head(6)), Some(&store)).unwrap(),
+            Partition::new_columnar_in(ColumnBlock::from_frame(&df.tail(6)), Some(&store)).unwrap(),
         ];
         let grid =
             PartitionGrid::from_band_partitions(parts).with_scan_schema(scan_schema.clone(), true);
@@ -1341,10 +1240,7 @@ mod tests {
         // parity still declines.
         let df2 = frame(12, 2);
         let parts2 =
-            vec![
-                Partition::new_columnar_in(ColumnBlock::from_frame(&df2), 0, 0, Some(&store))
-                    .unwrap(),
-            ];
+            vec![Partition::new_columnar_in(ColumnBlock::from_frame(&df2), Some(&store)).unwrap()];
         let filtered =
             PartitionGrid::from_band_partitions(parts2).with_scan_schema(scan_schema, false);
         assert!(filtered.transpose().schema().is_none());

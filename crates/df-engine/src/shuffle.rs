@@ -3,30 +3,39 @@
 //!
 //! Paper §3.1 calls these the expensive operators of Table 1, and §3.3 runs them on a
 //! task-parallel engine by *exchanging* rows between partitions so that every key
-//! lands in exactly one partition. This module is that exchange layer:
+//! lands in exactly one partition. This module is that exchange layer, built from two
+//! shapes and three kernels.
 //!
-//! * [`PartitionGrid::shuffle`] is the primitive: every row band is split into `P`
-//!   key-hashed buckets in parallel (via [`ParallelExecutor::par_map`]), and bucket
-//!   `b` of the output concatenates the `b`-th slice of every band, so equal keys are
-//!   co-located while rows within a bucket keep their global order.
-//! * [`parallel_join`] hash-joins co-partitioned buckets (or broadcasts the build side
-//!   when it is small), [`parallel_drop_duplicates`] and [`parallel_difference`]
-//!   deduplicate/anti-join per bucket, and [`parallel_sort`] runs per-band sorts, a
-//!   sampled range partitioning, and a stable k-way merge per range.
+//! **One exchange.** `exchange` is scatter → gather: a stage that splits every
+//! band into slices, the transposition that hands slice `b` of every band to item `b`,
+//! and a stage that combines each item's slices. The hash shuffle
+//! ([`PartitionGrid::shuffle`]: [`BandTask::HashSplit`] → [`BandTask::Concat`], so on
+//! the process backend every row crosses a process boundary as a checksummed block
+//! frame), the order restoration (tag-range bins → sort by tag) and the range
+//! partitioning of [`parallel_sort`] (splitter runs → stable k-way merge) are its three
+//! callers.
 //!
-//! The dataframe algebra is *ordered* (Table 1: result order comes from the parent or
-//! the left argument), so the hash operators restore order afterwards: inputs are
-//! tagged with their global row position before the shuffle, and the result is sorted
-//! back by that tag — rangewise over the tag span, so the combined result is never
-//! materialised in one piece — and the tag projected away. Bucket hashing uses
-//! [`Cell::hash_key`] through the deterministic [`StableHasher`], which makes results
-//! identical across thread counts and runs.
+//! **One skeleton.** The dataframe algebra is *ordered* (Table 1: result order comes
+//! from the parent or the left argument), so the hash operators share
+//! `ordered_shuffle`: *tag* every input row with its global position, *shuffle* on the
+//! key so equal keys are co-located while rows within a bucket keep their global order,
+//! run a per-bucket *kernel*, and *restore* order by sorting back on the tags —
+//! rangewise over the tag span, so the combined result is never materialised in one
+//! piece — projecting the tags away. The three kernels are the hash-join probe
+//! ([`parallel_join`]), first-occurrence de-duplication ([`parallel_drop_duplicates`])
+//! and the anti-join ([`parallel_difference`]). Small JOIN / DIFFERENCE build sides are
+//! broadcast instead: the same probe / anti-join kernels run per left band against one
+//! shared index, and left order is preserved outright.
 //!
-//! Every stage moves data as [`Partition`] handles and loads a band only *inside* its
-//! worker task (load → compute → store-and-maybe-spill): when the executor carries a
-//! [`SpillStore`](df_storage::spill::SpillStore), intermediate bands, bucket slices
-//! and per-bucket results all live under the store's memory budget, so the shuffle
-//! operators run out-of-core on inputs larger than memory.
+//! Bucket hashing uses [`Cell::hash_key`] through the deterministic [`StableHasher`],
+//! which makes results identical across thread counts and runs.
+//!
+//! Every stage here is one [`ParallelExecutor::run_stage`] call: data moves as
+//! [`Partition`] handles, is loaded only *inside* the worker that runs its item, and
+//! every stage output is checked into the executor's
+//! [`SpillStore`](df_storage::spill::SpillStore) when there is one — so intermediate
+//! bands, bucket slices and per-bucket results all live under the store's memory
+//! budget, and the shuffle operators run out-of-core on inputs larger than memory.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -42,9 +51,10 @@ use df_core::dataframe::{Column, DataFrame};
 use df_core::ops::columnar::typed_for_keying;
 use df_core::ops::setops;
 
+use crate::backend::task::one;
 use crate::backend::BandTask;
-use crate::executor::ParallelExecutor;
-use crate::partition::{Partition, PartitionGrid};
+use crate::executor::{outputs, CheckIn, ParallelExecutor, StageResults};
+use crate::partition::{row_offsets, Partition, PartitionGrid};
 
 /// Column label used to tag the left/only input's global row positions.
 const POS_LABEL: &str = "__shuffle:pos";
@@ -196,63 +206,65 @@ fn validate_key(frame: &DataFrame, key: &ShuffleKey) -> DfResult<()> {
     Ok(())
 }
 
-/// Assemble band partitions into one frame, consuming (and store-freeing) each band.
-fn assemble_parts(parts: Vec<Partition>) -> DfResult<DataFrame> {
-    let frames: Vec<DataFrame> = parts
-        .into_iter()
-        .map(Partition::into_materialized)
-        .collect::<DfResult<_>>()?;
-    setops::union_all(frames)
+/// One stage item per partition.
+fn singles(parts: Vec<Partition>) -> Vec<Vec<Partition>> {
+    parts.into_iter().map(|part| vec![part]).collect()
 }
 
-/// Shuffle full-width band partitions into `buckets` key-hashed bands. Each worker
-/// loads one band, splits it, and checks the slices back in; the bucket-concatenation
-/// pass then drains those slices one bucket at a time. Both stages place their band
-/// work ([`BandTask::HashSplit`], [`BandTask::Concat`]) on the executor's backend, so
-/// on the process backend every row of a shuffle crosses a process boundary as a
-/// checksummed block frame.
+/// Scatter → gather: `scatter` turns each of `parts` into a list of slices, slice `b`
+/// of every part becomes the input list of item `b` (in part order), and `gather`
+/// combines each item's slices. Both halves are ordinary stages, so slices live in the
+/// store between them and each gather item loads only its own.
+fn exchange<S, G>(
+    executor: &ParallelExecutor,
+    (scatter_stage, gather_stage): (&'static str, &'static str),
+    parts: Vec<Partition>,
+    scatter: S,
+    gather: G,
+) -> DfResult<StageResults<()>>
+where
+    S: Fn(usize, Vec<DataFrame>) -> DfResult<(Vec<DataFrame>, ())> + Send + Sync,
+    G: Fn(usize, Vec<DataFrame>) -> DfResult<(Vec<DataFrame>, ())> + Send + Sync,
+{
+    let scattered = executor.run_stage(scatter_stage, CheckIn::Frame, singles(parts), scatter)?;
+    let mut gathered: Vec<Vec<Partition>> = Vec::new();
+    for (slices, ()) in scattered {
+        gathered.resize_with(gathered.len().max(slices.len()), Vec::new);
+        for (item, slice) in gathered.iter_mut().zip(slices) {
+            item.push(slice);
+        }
+    }
+    executor.run_stage(gather_stage, CheckIn::Frame, gathered, gather)
+}
+
+/// Shuffle full-width band partitions into `buckets` key-hashed bands: the exchange
+/// whose scatter is [`BandTask::HashSplit`] and whose gather is [`BandTask::Concat`],
+/// both placed on the executor's backend.
 fn shuffle_bands(
     executor: &ParallelExecutor,
     bands: Vec<Partition>,
     key: &ShuffleKey,
     buckets: usize,
 ) -> DfResult<Vec<Partition>> {
-    let store = executor.store().cloned();
-    let p = buckets.max(1);
     executor.record_shuffle();
     let split_task = BandTask::HashSplit {
         key: key.clone(),
-        parts: p,
+        parts: buckets.max(1),
     };
-    let split = executor.par_map(bands, |_, part| {
-        // Band exchange is the one place every row crosses worker boundaries; the
-        // failpoint makes that hop chaos-testable like the storage hops.
-        df_types::fail::check("shuffle.exchange")?;
-        let band = part.into_materialized()?;
-        executor
-            .run_task(&split_task, vec![band])?
-            .into_iter()
-            .map(|frame| Partition::new_in(frame, 0, 0, store.as_ref()))
-            .collect::<DfResult<Vec<_>>>()
-    })?;
-    let mut per_bucket: Vec<Vec<Partition>> =
-        (0..p).map(|_| Vec::with_capacity(split.len())).collect();
-    for band_buckets in split {
-        for (b, part) in band_buckets.into_iter().enumerate() {
-            per_bucket[b].push(part);
-        }
-    }
-    executor.par_map(per_bucket, |_, parts| {
-        let frames: Vec<DataFrame> = parts
-            .into_iter()
-            .map(Partition::into_materialized)
-            .collect::<DfResult<_>>()?;
-        let merged = executor
-            .run_task(&BandTask::Concat, frames)?
-            .pop()
-            .ok_or_else(|| DfError::internal("concat task returned no output band"))?;
-        Partition::new_in(merged, 0, 0, store.as_ref())
-    })
+    let split = executor.placed(&split_task);
+    let shuffled = exchange(
+        executor,
+        ("shuffle.split", "shuffle.concat"),
+        bands,
+        |i, band| {
+            // Band exchange is the one place every row crosses worker boundaries; the
+            // failpoint makes that hop chaos-testable like the storage hops.
+            df_types::fail::check("shuffle.exchange")?;
+            split(i, band)
+        },
+        executor.placed(&BandTask::Concat),
+    )?;
+    Ok(outputs(shuffled))
 }
 
 /// Split one band into `p` key-hashed bucket slices, preserving row order per bucket.
@@ -302,26 +314,18 @@ impl RowIndex {
 fn tag_bands(
     executor: &ParallelExecutor,
     bands: Vec<Partition>,
-    label: &Cell,
+    label: &str,
 ) -> DfResult<Vec<Partition>> {
-    let store = executor.store().cloned();
-    let mut offset = 0usize;
-    let items: Vec<(Partition, usize)> = bands
-        .into_iter()
-        .map(|part| {
-            let start = offset;
-            offset += part.n_rows();
-            (part, start)
-        })
-        .collect();
-    executor.par_map(items, |_, (part, start)| {
-        let mut band = part.into_materialized()?;
-        let cells: Vec<Cell> = (0..band.n_rows())
-            .map(|i| Cell::Int((start + i) as i64))
+    let starts = row_offsets(bands.iter().map(Partition::n_rows));
+    let tagged = executor.run_stage("shuffle.tag", CheckIn::Frame, singles(bands), |i, band| {
+        let mut band = one(band)?;
+        let cells: Vec<Cell> = (starts[i]..starts[i] + band.n_rows())
+            .map(|position| Cell::Int(position as i64))
             .collect();
-        band.push_column(label.clone(), Column::new(cells))?;
-        Partition::new_in(band, start, 0, store.as_ref())
-    })
+        band.push_column(Cell::Str(label.to_string()), Column::new(cells))?;
+        Ok((vec![band], ()))
+    })?;
+    Ok(outputs(tagged))
 }
 
 /// Sort per-bucket result partitions back into input order by their integer
@@ -331,13 +335,14 @@ fn tag_bands(
 /// partition parallelism. Null primary tags (the OUTER join's unmatched-right block)
 /// sort last, minor tags breaking the tie.
 ///
-/// The restoration itself is banded, so the combined result is never materialised in
-/// one piece: primary tags lie in `0..tag_span`, so that span is carved into
-/// contiguous value ranges (sized from the total row count so a range holds
-/// ~`band_rows` rows); each bucket is loaded once and split into per-range slices,
-/// then each range assembles only its own slices, sorts them by the full tag tuple
-/// and projects the tags away. Concatenating the ranges in order is a global sort
-/// because the range of a row is monotone in its primary tag.
+/// The restoration is itself an exchange, so the combined result is never
+/// materialised in one piece: primary tags lie in `0..tag_span`, so that span is
+/// carved into contiguous value ranges (sized from the total row count so a range
+/// holds ~`band_rows` rows); the scatter splits each bucket into per-range slices
+/// (plus a trailing range for null primary tags), the gather assembles one range's
+/// slices, sorts them by the full tag tuple and projects the tags away. Concatenating
+/// the ranges in order is a global sort because the range of a row is monotone in its
+/// primary tag.
 fn restore_order(
     executor: &ParallelExecutor,
     parts: Vec<Partition>,
@@ -345,15 +350,13 @@ fn restore_order(
     tag_span: usize,
     band_rows: usize,
 ) -> DfResult<Vec<Partition>> {
-    let store = executor.store().cloned();
+    let band_rows = band_rows.max(1);
     let total_rows: usize = parts.iter().map(Partition::n_rows).sum();
-    let n_ranges = total_rows.div_ceil(band_rows.max(1)).max(1);
+    let n_ranges = total_rows.div_ceil(band_rows).max(1);
     let primary = tag_positions[0];
     let span = tag_span.max(1);
-    // Phase 1: split every bucket into per-range slices (plus a trailing range for
-    // null primary tags), loading one bucket per worker at a time.
-    let split = executor.par_map(parts, |_, part| {
-        let frame = part.into_materialized()?;
+    let split_by_range = |_: usize, bucket: Vec<DataFrame>| {
+        let frame = one(bucket)?;
         let mut bins: Vec<Vec<usize>> = vec![Vec::new(); n_ranges + 1];
         for i in 0..frame.n_rows() {
             let bin = match frame.columns()[primary].cells()[i].as_i64() {
@@ -362,28 +365,17 @@ fn restore_order(
             };
             bins[bin].push(i);
         }
-        bins.into_iter()
-            .map(|rows| Partition::new_in(frame.take_rows(&rows)?, 0, 0, store.as_ref()))
-            .collect::<DfResult<Vec<_>>>()
-    })?;
-    let mut per_range: Vec<Vec<Partition>> = (0..n_ranges + 1)
-        .map(|_| Vec::with_capacity(split.len()))
-        .collect();
-    for bucket_ranges in split {
-        for (r, slice) in bucket_ranges.into_iter().enumerate() {
-            per_range[r].push(slice);
-        }
-    }
-    // Phase 2: per range, assemble only that range's slices, sort by the tag tuple,
-    // project the tags away, and re-band.
-    let tag_positions = tag_positions.to_vec();
-    let banded = executor.par_map(per_range, |_, slices| {
-        let frame = assemble_parts(slices)?;
+        let slices: DfResult<Vec<DataFrame>> =
+            bins.iter().map(|rows| frame.take_rows(rows)).collect();
+        Ok((slices?, ()))
+    };
+    let sort_range = |_: usize, slices: Vec<DataFrame>| {
+        let frame = setops::union_all(slices)?;
         let tag = |j: usize, i: usize| frame.columns()[j].cells()[i].as_i64();
         let mut order: Vec<usize> = (0..frame.n_rows()).collect();
         // Tag tuples are unique by construction, so an unstable sort is deterministic.
         order.sort_unstable_by(|&a, &b| {
-            for &j in &tag_positions {
+            for &j in tag_positions {
                 let ord = match (tag(j, a), tag(j, b)) {
                     (Some(x), Some(y)) => x.cmp(&y),
                     (Some(_), None) => Ordering::Less,
@@ -404,32 +396,38 @@ fn restore_order(
                 .map(|&j| frame.col_labels().get(j).cloned().unwrap_or(Cell::Null))
                 .collect(),
         );
-        let mut bands = Vec::with_capacity(order.len().div_ceil(band_rows.max(1)).max(1));
-        let mut chunks: Vec<&[usize]> = order.chunks(band_rows.max(1)).collect();
+        let mut chunks: Vec<&[usize]> = order.chunks(band_rows).collect();
         if chunks.is_empty() {
             // Keep an explicit empty band so the grid preserves the column structure.
             chunks.push(&[]);
         }
+        let mut bands = Vec::with_capacity(chunks.len());
         for positions in chunks {
             let columns: Vec<Column> = keep
                 .iter()
                 .map(|&j| gather(&frame.columns()[j], positions))
                 .collect();
             let row_labels = frame.row_labels().select(positions)?;
-            bands.push(Partition::new_in(
-                DataFrame::from_parts(columns, row_labels, col_labels.clone())?,
-                0,
-                0,
-                store.as_ref(),
+            bands.push(DataFrame::from_parts(
+                columns,
+                row_labels,
+                col_labels.clone(),
             )?);
         }
-        Ok(bands)
-    })?;
+        Ok((bands, ()))
+    };
+    let banded = exchange(
+        executor,
+        ("shuffle.order_split", "shuffle.order_merge"),
+        parts,
+        split_by_range,
+        sort_range,
+    )?;
     // Flatten in range order, dropping the empty bands empty ranges produce (but
     // keeping one so an all-empty result still carries its column structure).
     let mut bands: Vec<Partition> = Vec::new();
     let mut structural_empty: Option<Partition> = None;
-    for part in banded.into_iter().flatten() {
+    for part in outputs(banded) {
         if part.n_rows() > 0 {
             bands.push(part);
         } else if structural_empty.is_none() {
@@ -633,36 +631,81 @@ fn broadcast_join(
     on: &JoinOn,
     how: JoinType,
 ) -> DfResult<PartitionGrid> {
-    let store = executor.store().cloned();
     let right_frame = right.into_dataframe()?;
-    let bands = left.into_band_partitions(store.as_ref())?;
+    let bands = left.into_band_partitions(executor.store())?;
     // The layout is resolved from band metadata (handle-cached column labels), so no
     // band is loaded outside its own worker task.
     let left_labels = bands[0].col_labels()?;
     let layout = join_layout(&left_labels, right_frame.col_labels(), on)?;
     let index = RowIndex::build(&right_frame, &layout.right_key)?;
-    let results = executor.par_map(bands, |_, part| {
-        let band = part.into_materialized()?;
-        let (frame, band_matched) = join_band(&band, &right_frame, &index, &layout, how)?;
-        drop(band);
-        Ok((
-            Partition::new_in(frame, 0, 0, store.as_ref())?,
-            band_matched,
-        ))
-    })?;
+    // Each band's matched-right bitmap rides back beside its joined band: the OUTER
+    // tail needs their union, and nothing is re-loaded to recompute it.
+    let probed = executor.run_stage(
+        "kernel.join_probe",
+        CheckIn::Frame,
+        singles(bands),
+        |_, band| {
+            let (frame, matched) = join_band(&one(band)?, &right_frame, &index, &layout, how)?;
+            Ok((vec![frame], matched))
+        },
+    )?;
     let mut matched = vec![false; right_frame.n_rows()];
-    let mut parts = Vec::with_capacity(results.len() + 1);
-    for (part, band_matched) in results {
+    let mut parts = Vec::with_capacity(probed.len() + 1);
+    for (band, band_matched) in probed {
         for (slot, hit) in matched.iter_mut().zip(band_matched) {
             *slot |= hit;
         }
-        parts.push(part);
+        parts.extend(band);
     }
     if matches!(how, JoinType::Outer) {
         let tail = unmatched_right_frame(&left_labels, &right_frame, &layout, &matched)?;
-        parts.push(Partition::new_in(tail, 0, 0, store.as_ref())?);
+        parts.push(Partition::new_in(tail, executor.store())?);
     }
     Ok(PartitionGrid::from_band_partitions(parts))
+}
+
+/// The skeleton under the three ordered hash operators: *tag* the left input's rows
+/// (and the right's, when its rows reach the output) with their global positions,
+/// hash-*shuffle* every input on its key into co-partitioned buckets, run `kernel` on
+/// each left bucket (with the matching right bucket, when there is a right input), and
+/// *restore* the left-then-right input order from the tags, projecting them away.
+///
+/// `kernel` receives one bucket's sides — `[left]` or `[left, right]` — still tagged,
+/// and must carry the tags through: the left tag is the column right after the left
+/// input's own columns, a right tag is the last column of the kernel's output.
+fn ordered_shuffle(
+    executor: &ParallelExecutor,
+    stage: &'static str,
+    (left, left_key): (Vec<Partition>, &ShuffleKey),
+    right: Option<(Vec<Partition>, &ShuffleKey, bool)>,
+    options: ShuffleOptions,
+    kernel: impl Fn(&[DataFrame]) -> DfResult<DataFrame> + Send + Sync,
+) -> DfResult<PartitionGrid> {
+    let left_rows: usize = left.iter().map(Partition::n_rows).sum();
+    let left_tag_at = left[0].n_cols();
+    let right_tagged = matches!(right, Some((_, _, true)));
+    let left = tag_bands(executor, left, POS_LABEL)?;
+    let mut buckets = singles(shuffle_bands(executor, left, left_key, options.buckets)?);
+    if let Some((right, right_key, tagged)) = right {
+        let right = match tagged {
+            true => tag_bands(executor, right, RIGHT_POS_LABEL)?,
+            false => right,
+        };
+        let right = shuffle_bands(executor, right, right_key, options.buckets)?;
+        for (bucket, right_part) in buckets.iter_mut().zip(right) {
+            bucket.push(right_part);
+        }
+    }
+    let results = executor.run_stage(stage, CheckIn::Frame, buckets, |_, sides| {
+        Ok((vec![kernel(&sides)?], ()))
+    })?;
+    let results = outputs(results);
+    let mut tags = vec![left_tag_at];
+    if right_tagged {
+        tags.push(results[0].n_cols() - 1);
+    }
+    let bands = restore_order(executor, results, &tags, left_rows, options.band_rows)?;
+    Ok(PartitionGrid::from_band_partitions(bands))
 }
 
 fn shuffle_join(
@@ -673,52 +716,41 @@ fn shuffle_join(
     how: JoinType,
     options: ShuffleOptions,
 ) -> DfResult<PartitionGrid> {
-    let store = executor.store().cloned();
-    let (left_rows, _) = left.shape();
-    let lpos = Cell::Str(POS_LABEL.to_string());
-    let rpos = Cell::Str(RIGHT_POS_LABEL.to_string());
-    let left_bands = tag_bands(executor, left.into_band_partitions(store.as_ref())?, &lpos)?;
-    let right_bands = tag_bands(executor, right.into_band_partitions(store.as_ref())?, &rpos)?;
-    let left_tagged_cols = left_bands[0].n_cols();
+    let left = left.into_band_partitions(executor.store())?;
+    let right = right.into_band_partitions(executor.store())?;
+    // The kernel joins *tagged* buckets, so the layout is resolved against the tagged
+    // labels: the right tag is then a value column — the output's last, since value
+    // columns keep their relative order — and key positions are unaffected because
+    // tags trail.
+    let tagged = |bands: &[Partition], tag: &str| -> DfResult<Labels> {
+        let tag = Labels::new(vec![Cell::Str(tag.to_string())]);
+        Ok(bands[0].col_labels()?.concat(&tag))
+    };
     let layout = join_layout(
-        &left_bands[0].col_labels()?,
-        &right_bands[0].col_labels()?,
+        &tagged(&left, POS_LABEL)?,
+        &tagged(&right, RIGHT_POS_LABEL)?,
         on,
     )?;
-    let left_shuffled = shuffle_bands(executor, left_bands, &layout.left_key, options.buckets)?;
-    let right_shuffled = shuffle_bands(executor, right_bands, &layout.right_key, options.buckets)?;
-    let pairs: Vec<(Partition, Partition)> =
-        left_shuffled.into_iter().zip(right_shuffled).collect();
-    let joined = executor.par_map(pairs, |_, (left_part, right_part)| {
-        let left_bucket = left_part.into_materialized()?;
-        let right_bucket = right_part.into_materialized()?;
-        let index = RowIndex::build(&right_bucket, &layout.right_key)?;
-        let (frame, matched) = join_band(&left_bucket, &right_bucket, &index, &layout, how)?;
-        let result = if matches!(how, JoinType::Outer) {
+    ordered_shuffle(
+        executor,
+        "kernel.join_probe",
+        (left, &layout.left_key),
+        Some((right, &layout.right_key, true)),
+        options,
+        |sides| {
+            let (left_bucket, right_bucket) = (&sides[0], &sides[1]);
+            let index = RowIndex::build(right_bucket, &layout.right_key)?;
+            let (frame, matched) = join_band(left_bucket, right_bucket, &index, &layout, how)?;
+            if !matches!(how, JoinType::Outer) {
+                return Ok(frame);
+            }
             // Keys are co-partitioned, so a right row unmatched in its bucket is
             // unmatched globally.
             let tail =
-                unmatched_right_frame(left_bucket.col_labels(), &right_bucket, &layout, &matched)?;
-            setops::union_all(vec![frame, tail])?
-        } else {
-            frame
-        };
-        Partition::new_in(result, 0, 0, store.as_ref())
-    })?;
-    // The tags sit at structurally known positions: the left tag is the last left
-    // column, the right tag is the last column overall (it is the right input's
-    // trailing column, and value columns keep their relative order). Left tags span
-    // the left input's row count.
-    let lpos_at = left_tagged_cols - 1;
-    let rpos_at = joined[0].n_cols() - 1;
-    let bands = restore_order(
-        executor,
-        joined,
-        &[lpos_at, rpos_at],
-        left_rows,
-        options.band_rows,
-    )?;
-    Ok(PartitionGrid::from_band_partitions(bands))
+                unmatched_right_frame(left_bucket.col_labels(), right_bucket, &layout, &matched)?;
+            setops::union_all(vec![frame, tail])
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -734,34 +766,53 @@ pub fn parallel_drop_duplicates(
     grid: PartitionGrid,
     options: ShuffleOptions,
 ) -> DfResult<PartitionGrid> {
-    let store = executor.store().cloned();
-    let (n_rows, n_cols) = grid.shape();
-    let pos = Cell::Str(POS_LABEL.to_string());
-    let tagged = tag_bands(executor, grid.into_band_partitions(store.as_ref())?, &pos)?;
-    let key = ShuffleKey::Positions((0..n_cols).collect());
-    let shuffled = shuffle_bands(executor, tagged, &key, options.buckets)?;
-    let kept = executor.par_map(shuffled, |_, part| {
-        let bucket = part.into_materialized()?;
-        let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut keep: Vec<usize> = Vec::new();
-        let encoder = KeyEncoder::new(&bucket, &key);
-        for i in 0..bucket.n_rows() {
-            let candidates = seen.entry(encoder.hash(i)).or_default();
-            let duplicate = candidates
-                .iter()
-                .any(|&j| keys_match(&bucket, i, &key, &bucket, j, &key));
-            if !duplicate {
-                candidates.push(i);
-                keep.push(i);
+    // The key is the row's own columns; the trailing position tag is not part of it.
+    let key = ShuffleKey::Positions((0..grid.shape().1).collect());
+    let bands = grid.into_band_partitions(executor.store())?;
+    ordered_shuffle(
+        executor,
+        "kernel.dedup",
+        (bands, &key),
+        None,
+        options,
+        |sides| {
+            let bucket = &sides[0];
+            let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
+            let mut keep: Vec<usize> = Vec::new();
+            let encoder = KeyEncoder::new(bucket, &key);
+            for i in 0..bucket.n_rows() {
+                let candidates = seen.entry(encoder.hash(i)).or_default();
+                let duplicate = candidates
+                    .iter()
+                    .any(|&j| keys_match(bucket, i, &key, bucket, j, &key));
+                if !duplicate {
+                    candidates.push(i);
+                    keep.push(i);
+                }
             }
-        }
-        Partition::new_in(bucket.take_rows(&keep)?, 0, 0, store.as_ref())
-    })?;
-    // The position tag is the trailing column appended by tag_bands; tags span the
-    // input's row count.
-    let pos_at = kept[0].n_cols() - 1;
-    let bands = restore_order(executor, kept, &[pos_at], n_rows, options.band_rows)?;
-    Ok(PartitionGrid::from_band_partitions(bands))
+            bucket.take_rows(&keep)
+        },
+    )
+}
+
+/// The anti-join kernel: the rows of `left` whose key matches no indexed row of
+/// `right`, in left order.
+fn anti_join(
+    left: &DataFrame,
+    right: &DataFrame,
+    index: &RowIndex,
+    key: &ShuffleKey,
+) -> DfResult<DataFrame> {
+    let encoder = KeyEncoder::new(left, key);
+    let keep: Vec<usize> = (0..left.n_rows())
+        .filter(|&i| {
+            !index
+                .candidates(encoder.hash(i))
+                .iter()
+                .any(|&rp| keys_match(left, i, key, right, rp, key))
+        })
+        .collect();
+    left.take_rows(&keep)
 }
 
 /// Partition-parallel ordered DIFFERENCE (anti-join on whole rows). Small right sides
@@ -774,60 +825,32 @@ pub fn parallel_difference(
     right: PartitionGrid,
     options: ShuffleOptions,
 ) -> DfResult<PartitionGrid> {
-    let store = executor.store().cloned();
-    let (left_rows, _) = left.shape();
     let (right_rows, n_cols) = right.shape();
     let key = ShuffleKey::Positions((0..n_cols).collect());
+    let left = left.into_band_partitions(executor.store())?;
     if right_rows <= options.broadcast_rows {
-        let right_frame = right.into_dataframe()?;
-        let index = RowIndex::build(&right_frame, &key)?;
-        let filtered =
-            executor.par_map(left.into_band_partitions(store.as_ref())?, |_, part| {
-                let band = part.into_materialized()?;
-                let encoder = KeyEncoder::new(&band, &key);
-                let keep: Vec<usize> = (0..band.n_rows())
-                    .filter(|&i| {
-                        !index
-                            .candidates(encoder.hash(i))
-                            .iter()
-                            .any(|&rp| keys_match(&band, i, &key, &right_frame, rp, &key))
-                    })
-                    .collect();
-                drop(encoder);
-                Partition::new_in(band.take_rows(&keep)?, 0, 0, store.as_ref())
-            })?;
-        return Ok(PartitionGrid::from_band_partitions(filtered));
+        let right = right.into_dataframe()?;
+        let index = RowIndex::build(&right, &key)?;
+        let filtered = executor.run_stage(
+            "kernel.difference",
+            CheckIn::Frame,
+            singles(left),
+            |_, band| Ok((vec![anti_join(&one(band)?, &right, &index, &key)?], ())),
+        )?;
+        return Ok(PartitionGrid::from_band_partitions(outputs(filtered)));
     }
-    let pos = Cell::Str(POS_LABEL.to_string());
-    let tagged = tag_bands(executor, left.into_band_partitions(store.as_ref())?, &pos)?;
-    let left_shuffled = shuffle_bands(executor, tagged, &key, options.buckets)?;
-    let right_shuffled = shuffle_bands(
+    let right = right.into_band_partitions(executor.store())?;
+    ordered_shuffle(
         executor,
-        right.into_band_partitions(store.as_ref())?,
-        &key,
-        options.buckets,
-    )?;
-    let pairs: Vec<(Partition, Partition)> =
-        left_shuffled.into_iter().zip(right_shuffled).collect();
-    let filtered = executor.par_map(pairs, |_, (left_part, right_part)| {
-        let left_bucket = left_part.into_materialized()?;
-        let right_bucket = right_part.into_materialized()?;
-        let index = RowIndex::build(&right_bucket, &key)?;
-        let encoder = KeyEncoder::new(&left_bucket, &key);
-        let keep: Vec<usize> = (0..left_bucket.n_rows())
-            .filter(|&i| {
-                !index
-                    .candidates(encoder.hash(i))
-                    .iter()
-                    .any(|&rp| keys_match(&left_bucket, i, &key, &right_bucket, rp, &key))
-            })
-            .collect();
-        drop(encoder);
-        Partition::new_in(left_bucket.take_rows(&keep)?, 0, 0, store.as_ref())
-    })?;
-    let pos_at = filtered[0].n_cols() - 1;
-    let bands = restore_order(executor, filtered, &[pos_at], left_rows, options.band_rows)?;
-    Ok(PartitionGrid::from_band_partitions(bands))
+        "kernel.difference",
+        (left, &key),
+        Some((right, &key, false)),
+        options,
+        |sides| {
+            let index = RowIndex::build(&sides[1], &key)?;
+            anti_join(&sides[0], &sides[1], &index, &key)
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -840,17 +863,16 @@ const SORT_OVERSAMPLE: usize = 8;
 
 /// Partition-parallel stable SORT: sort every band in parallel (collecting splitter
 /// samples in the same pass, so no band is loaded twice for sampling), pick range
-/// splitters from the sorted sample, carve each sorted band into contiguous per-range
-/// runs, and k-way-merge each range's runs in parallel. The output grid's bands are
-/// the sorted ranges in order, so assembly is a plain concatenation.
+/// splitters from the sorted sample, then exchange — carve each sorted band into
+/// contiguous per-range runs, k-way-merge each range's runs. The output grid's bands
+/// are the sorted ranges in order, so assembly is a plain concatenation.
 pub fn parallel_sort(
     executor: &ParallelExecutor,
     grid: PartitionGrid,
     spec: &SortSpec,
     buckets: usize,
 ) -> DfResult<PartitionGrid> {
-    let store = executor.store().cloned();
-    let bands = grid.into_band_partitions(store.as_ref())?;
+    let bands = grid.into_band_partitions(executor.store())?;
     // Key columns are resolved from band metadata — no sample band is loaded.
     let band_labels = bands[0].col_labels()?;
     let key_positions: Vec<usize> = spec
@@ -864,16 +886,13 @@ pub fn parallel_sort(
     // executor's backend; splitter *sampling* stays driver-side because it feeds
     // the cross-band splitter choice, which no single band can compute.
     let sort_task = BandTask::SortBand(spec.clone());
-    let sorted_with_samples = executor.par_map(bands, |_, part| {
-        let band = part.into_materialized()?;
-        let sorted = executor
-            .run_task(&sort_task, vec![band])?
-            .pop()
-            .ok_or_else(|| DfError::internal("sort task returned no output band"))?;
+    let sort = executor.placed(&sort_task);
+    let sorted = executor.run_stage("kernel.sort", CheckIn::Frame, singles(bands), |i, band| {
+        let (sorted, ()) = sort(i, band)?;
         let mut samples: Vec<Vec<Cell>> = Vec::new();
-        let n = sorted.n_rows();
-        if p > 1 && n > 0 {
-            let take = per_band.min(n);
+        for sorted in &sorted {
+            let n = sorted.n_rows();
+            let take = if p > 1 { per_band.min(n) } else { 0 };
             for s in 0..take {
                 let i = s * n / take;
                 samples.push(
@@ -884,45 +903,23 @@ pub fn parallel_sort(
                 );
             }
         }
-        Ok((Partition::new_in(sorted, 0, 0, store.as_ref())?, samples))
+        Ok((sorted, samples))
     })?;
-    let mut sorted_bands = Vec::with_capacity(sorted_with_samples.len());
-    let mut samples: Vec<Vec<Cell>> = Vec::new();
-    for (part, band_samples) in sorted_with_samples {
-        sorted_bands.push(part);
-        samples.extend(band_samples);
-    }
-    let splitters = splitters_from_samples(samples, spec, p);
+    let (sorted_bands, samples): (Vec<Vec<Partition>>, Vec<Vec<Vec<Cell>>>) =
+        sorted.into_iter().unzip();
+    let splitters = splitters_from_samples(samples.into_iter().flatten().collect(), spec, p);
     executor.record_shuffle();
-    let ranged = executor.par_map(sorted_bands, |_, part| {
-        let band = part.into_materialized()?;
-        split_sorted_band(&band, &key_positions, spec, &splitters)
-            .into_iter()
-            .map(|run| Partition::new_in(run, 0, 0, store.as_ref()))
-            .collect::<DfResult<Vec<_>>>()
-    })?;
-    let n_ranges = splitters.len() + 1;
-    let mut per_range: Vec<Vec<Partition>> = (0..n_ranges)
-        .map(|_| Vec::with_capacity(ranged.len()))
-        .collect();
-    for band_ranges in ranged {
-        for (r, run) in band_ranges.into_iter().enumerate() {
-            per_range[r].push(run);
-        }
-    }
-    let merged = executor.par_map(per_range, |_, parts| {
-        let runs: Vec<DataFrame> = parts
-            .into_iter()
-            .map(Partition::into_materialized)
-            .collect::<DfResult<_>>()?;
-        Partition::new_in(
-            merge_sorted_runs(runs, &key_positions, spec)?,
-            0,
-            0,
-            store.as_ref(),
-        )
-    })?;
-    Ok(PartitionGrid::from_band_partitions(merged))
+    let merged = exchange(
+        executor,
+        ("shuffle.range_split", "shuffle.range_merge"),
+        sorted_bands.into_iter().flatten().collect(),
+        |_, band| {
+            let runs = split_sorted_band(&one(band)?, &key_positions, spec, &splitters);
+            Ok((runs, ()))
+        },
+        |_, runs| Ok((vec![merge_sorted_runs(runs, &key_positions, spec)?], ())),
+    )?;
+    Ok(PartitionGrid::from_band_partitions(outputs(merged)))
 }
 
 /// Compare two key tuples under the sort spec's per-key direction.

@@ -5,6 +5,8 @@
 //! or on spawned worker processes speaking the spill-v4 pipe protocol. Arms:
 //! backends {threads, procs} × threads {1, 4} × memory budgets {∞, ws/4}.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use df_baseline::BaselineEngine;
@@ -12,10 +14,16 @@ use df_core::algebra::{
     AggFunc, Aggregation, AlgebraExpr, CmpOp, ColumnSelector, JoinOn, JoinType, MapFunc, Predicate,
     SortSpec,
 };
+use df_core::dataframe::DataFrame;
 use df_core::engine::Engine;
+use df_engine::backend::{BandTask, ExecBackend, ProcBackend, ThreadsBackend};
 use df_engine::engine::{ModinConfig, ModinEngine};
+use df_engine::executor::{CheckIn, ParallelExecutor};
+use df_engine::partition::{Partition, PartitionConfig, PartitionGrid, PartitionScheme};
+use df_storage::spill::SpillStore;
 use df_types::backend::BackendKind;
 use df_types::cell::cell;
+use df_types::error::DfError;
 use df_workloads::random::{random_frame, RandomFrameConfig};
 
 /// Point the process backend at the worker binary Cargo built for this test run.
@@ -191,4 +199,82 @@ fn csv_ingest_is_identical_across_backends() {
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();
+}
+
+/// Resource invariants of the executor's one entry point (ROADMAP needle 3): whichever
+/// way a stage fails at item 7 of 12 — a typed error, a panic, a cancellation in
+/// mid-flight — dropping the returned error leaves the session store empty, and the
+/// pool runs the next stage as if nothing had happened. On both backends, sequential
+/// and parallel.
+#[test]
+fn a_failed_stage_leaves_the_store_empty_and_the_pool_usable() {
+    ensure_worker_bin();
+    let frame = DataFrame::from_columns(
+        vec!["id", "payload"],
+        vec![
+            (0..240).map(|i| cell(i as i64)).collect(),
+            (0..240).map(|i| cell(format!("payload-{i}"))).collect(),
+        ],
+    )
+    .unwrap();
+    for backend in [BackendKind::Threads, BackendKind::Procs] {
+        for threads in [1usize, 4] {
+            let store = Arc::new(SpillStore::new(frame.approx_size_bytes() / 4).unwrap());
+            let placement: Arc<dyn ExecBackend> = match backend {
+                BackendKind::Threads => Arc::new(ThreadsBackend::new(threads)),
+                BackendKind::Procs => Arc::new(ProcBackend::new(threads).unwrap()),
+            };
+            let executor = ParallelExecutor::new(threads)
+                .with_store(Some(Arc::clone(&store)))
+                .with_backend(placement);
+            let bands = || -> Vec<Vec<Partition>> {
+                let config = PartitionConfig {
+                    target_rows: 20,
+                    target_cols: 8,
+                };
+                PartitionGrid::from_dataframe_in(&frame, PartitionScheme::Row, config, Some(&store))
+                    .unwrap()
+                    .into_blocks()
+            };
+            let held = || {
+                let stats = store.stats();
+                stats.in_memory + stats.spilled
+            };
+            let task = BandTask::Map(MapFunc::IsNullMask);
+            let place = executor.placed(&task);
+            for failure in ["typed error", "panic", "cancellation"] {
+                let err = executor
+                    .run_stage("test.failing", CheckIn::Frame, bands(), |i, inputs| {
+                        match (i, failure) {
+                            (7, "typed error") => {
+                                return Err(DfError::unsupported("item 7 refuses"))
+                            }
+                            (7, "panic") => panic!("item 7 panics"),
+                            (7, _) => executor.cancel_token().cancel(),
+                            _ => {}
+                        }
+                        place(i, inputs)
+                    })
+                    .unwrap_err();
+                let arm = format!("backend={backend} threads={threads} failure={failure}");
+                match failure {
+                    "typed error" => {
+                        assert!(matches!(err, DfError::Unsupported(_)), "{arm}: {err}")
+                    }
+                    "panic" => assert!(matches!(err, DfError::WorkerPanic(_)), "{arm}: {err}"),
+                    _ => assert!(err.is_cancelled(), "{arm}: {err}"),
+                }
+                drop(err);
+                executor.cancel_token().reset();
+                assert_eq!(held(), 0, "{arm}: the failed stage left partitions behind");
+            }
+            let ok = executor
+                .run_stage("test.healthy", CheckIn::Frame, bands(), &place)
+                .unwrap();
+            assert_eq!(ok.len(), 12, "backend={backend} threads={threads}");
+            assert_eq!(held(), 12);
+            drop(ok);
+            assert_eq!(held(), 0);
+        }
+    }
 }

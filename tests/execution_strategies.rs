@@ -146,8 +146,8 @@ fn readme_table_matches_observed_dispatch() {
 }
 
 #[test]
-fn documented_fallback_edge_cases_do_fall_back() {
-    // Non-stable SORT mirrors the reference's sort_unstable tie order.
+fn retired_fallback_edge_cases_stay_partition_parallel() {
+    // A stable order is a valid answer to a non-stable SORT: no assembly.
     let engine = ModinEngine::with_config(ModinConfig::sequential().with_partition_size(16, 2));
     engine
         .execute(&AlgebraExpr::literal(sample_frame(40)).sort(SortSpec {
@@ -156,9 +156,10 @@ fn documented_fallback_edge_cases_do_fall_back() {
             stable: false,
         }))
         .unwrap();
-    assert_eq!(engine.fallbacks_dispatched(), 1);
+    assert_eq!(engine.fallbacks_dispatched(), 0);
+    assert!(engine.shuffles_dispatched() > 0);
 
-    // GROUPBY with a non-mergeable aggregate assembles.
+    // Every aggregate merges, `Std` included.
     let engine = ModinEngine::with_config(ModinConfig::sequential().with_partition_size(16, 2));
     engine
         .execute(&AlgebraExpr::literal(sample_frame(40)).group_by(
@@ -167,5 +168,5 @@ fn documented_fallback_edge_cases_do_fall_back() {
             false,
         ))
         .unwrap();
-    assert_eq!(engine.fallbacks_dispatched(), 1);
+    assert_eq!(engine.fallbacks_dispatched(), 0);
 }

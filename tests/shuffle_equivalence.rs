@@ -1,5 +1,6 @@
 //! Differential suite for the shuffle subsystem: the partition-parallel JOIN,
-//! GROUPBY, SORT, DROP_DUPLICATES and DIFFERENCE must match the baseline engine
+//! GROUPBY (every aggregate, `Std` included), SORT (whatever stability is requested),
+//! DROP_DUPLICATES and DIFFERENCE must match the baseline engine
 //! cell-for-cell on random mixed-domain frames, across thread counts {1, 4}, all
 //! three partition schemes, and both the broadcast and the forced-shuffle join paths.
 
@@ -21,7 +22,7 @@ use df_workloads::random::{random_frame, RandomFrameConfig};
 
 /// The shuffle-dispatched pipelines, parameterised by a small integer.
 fn pipeline(choice: u8, base: AlgebraExpr, other: AlgebraExpr) -> AlgebraExpr {
-    match choice % 8 {
+    match choice % 10 {
         0 => base.join(other, JoinOn::Columns(vec![cell("cat_0")]), JoinType::Inner),
         1 => base.join(other, JoinOn::Columns(vec![cell("cat_0")]), JoinType::Left),
         2 => base.join(other, JoinOn::Columns(vec![cell("cat_0")]), JoinType::Outer),
@@ -34,6 +35,21 @@ fn pipeline(choice: u8, base: AlgebraExpr, other: AlgebraExpr) -> AlgebraExpr {
         // UNION against a prefix of itself manufactures duplicate rows to drop.
         5 => base.clone().union(base.limit(13, false)).drop_duplicates(),
         6 => base.clone().difference(other),
+        // A request that does not need stability gets the stable order all the same.
+        8 => base.sort(SortSpec {
+            by: vec![cell("cat_0")],
+            ascending: vec![true],
+            stable: false,
+        }),
+        // Std merges from collected values: bit-identical to the single-pass kernel.
+        9 => base.group_by(
+            vec![cell("cat_0")],
+            vec![
+                Aggregation::of("float_0", AggFunc::Std).with_alias("std"),
+                Aggregation::of("int_0", AggFunc::Collect).with_alias("all"),
+            ],
+            false,
+        ),
         _ => base.group_by(
             vec![cell("cat_0")],
             vec![
@@ -48,7 +64,7 @@ fn pipeline(choice: u8, base: AlgebraExpr, other: AlgebraExpr) -> AlgebraExpr {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn shuffled_operators_match_the_baseline_engine(
@@ -56,7 +72,7 @@ proptest! {
         other_rows in 0usize..40,
         seed in 0u64..10_000,
         null_fraction in 0.0f64..0.4,
-        choice in 0u8..8,
+        choice in 0u8..10,
     ) {
         let frame = random_frame(&RandomFrameConfig {
             rows,
@@ -97,7 +113,7 @@ proptest! {
                     let result = engine.execute_collect(&expr).unwrap();
                     // GROUPBY partial sums may re-associate floats across bands;
                     // everything else moves cells verbatim and must be bit-exact.
-                    let agrees = if choice % 8 == 7 {
+                    let agrees = if choice % 10 == 7 {
                         result.approx_same_data(&expected, 1e-9)
                     } else {
                         result.same_data(&expected)

@@ -6,13 +6,15 @@
 //! (`peak <= budget + max_insert`). A concurrent-access test hammers one `SpillStore`
 //! from multiple executor threads.
 
+mod common;
+
 use std::sync::Arc;
 
 use df_core::algebra::{AggFunc, Aggregation, AlgebraExpr, JoinOn, JoinType, SortSpec};
 use df_core::dataframe::DataFrame;
 use df_core::engine::Engine;
 use df_engine::engine::{ModinConfig, ModinEngine};
-use df_engine::ParallelExecutor;
+use df_engine::executor::{CheckIn, ParallelExecutor};
 use df_storage::spill::SpillStore;
 use df_types::cell::{cell, Cell};
 
@@ -125,6 +127,64 @@ fn capped_budget_matches_unlimited_and_spills() {
     }
 }
 
+/// The four operators that used to assemble their whole input (unstable SORT, GROUPBY
+/// with `Std`, TOLABELS, FROMLABELS) now hold the budget like everything else: on a
+/// frame four times the budget they never fall back, their peak stays within one
+/// band per worker of the budget, and they still equal the reference — `Std`
+/// bit for bit.
+#[test]
+fn operators_that_left_the_fallback_hold_the_budget() {
+    let base = working_frame(320);
+    let budget = base.approx_size_bytes() / 4;
+    let lit = || AlgebraExpr::literal(base.clone());
+    let retired: Vec<(&str, AlgebraExpr)> = vec![
+        (
+            "SORT[unstable request]",
+            lit().sort(SortSpec {
+                by: vec![cell("k")],
+                ascending: vec![true],
+                stable: false,
+            }),
+        ),
+        (
+            "GROUPBY[std]",
+            lit().group_by(
+                vec![cell("k")],
+                vec![Aggregation::of("v", AggFunc::Std).with_alias("v_std")],
+                false,
+            ),
+        ),
+        ("TOLABELS", lit().to_labels("s")),
+        ("FROMLABELS", lit().to_labels("s").from_labels("s")),
+    ];
+    for threads in [1, 4] {
+        for (name, expr) in &retired {
+            let expected = df_core::engine::ReferenceEngine
+                .execute_collect(expr)
+                .unwrap();
+            let bounded = ModinEngine::with_config(config(threads).with_memory_budget(budget));
+            let got = bounded.execute_collect(expr).unwrap();
+            assert!(
+                common::identical(&got, &expected),
+                "{name} (threads={threads}) diverged from the reference"
+            );
+            assert_eq!(
+                bounded.fallbacks_dispatched(),
+                0,
+                "{name} (threads={threads}) assembled its input"
+            );
+            let stats = bounded.spill_stats();
+            assert!(stats.spill_outs > 0, "{name} never spilled: {stats:?}");
+            assert!(
+                stats.peak_memory_bytes <= budget + threads * stats.max_insert_bytes,
+                "{name} (threads={threads}) peak {} exceeds budget {budget} + {threads} bands of {}",
+                stats.peak_memory_bytes,
+                stats.max_insert_bytes
+            );
+        }
+    }
+}
+
 #[test]
 fn engine_frees_spilled_partitions_when_results_are_consumed() {
     let base = working_frame(200);
@@ -149,9 +209,10 @@ fn spill_store_survives_concurrent_executor_access() {
     // cycles; every frame must round-trip intact and the store must end empty.
     let store = Arc::new(SpillStore::new(512).unwrap());
     let executor = ParallelExecutor::new(8);
-    let items: Vec<usize> = (0..64).collect();
+    // 64 zero-input, zero-output driver-local items of the executor's one entry point.
+    let items = (0..64).map(|_| Vec::new()).collect();
     let results = executor
-        .par_map(items, |_, tag| {
+        .run_stage("test.store_cycle", CheckIn::Frame, items, |tag, _| {
             let frame = DataFrame::from_columns(
                 vec!["id", "name"],
                 vec![
@@ -170,7 +231,7 @@ fn spill_store_survives_concurrent_executor_access() {
                 "concurrent take corrupted a frame"
             );
             assert!(store.get(id).is_err(), "taken id still resolves");
-            Ok(tag)
+            Ok((Vec::new(), tag))
         })
         .unwrap();
     assert_eq!(results.len(), 64);
