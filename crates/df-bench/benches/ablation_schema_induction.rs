@@ -2,10 +2,9 @@
 //!
 //! The workload ingests the *raw* (untyped string) taxi trace and runs a pipeline
 //! whose operators are type-agnostic (null-mask map, positional selection, groupby
-//! count). Four arms are measured:
+//! count). Three arms are measured:
 //!
-//! * modin, deferred induction (default) — `S` never runs for this pipeline;
-//! * modin, eager induction — literals are parsed up front;
+//! * modin, which always defers induction — `S` never runs for this pipeline;
 //! * baseline, eager induction (pandas behaviour) — `S` + parsing re-run per operator;
 //! * baseline, induction disabled — isolates how much of the baseline's cost is
 //!   schema work versus copies.
@@ -48,17 +47,9 @@ fn main() {
     let arms: Vec<(&str, Box<dyn Engine>)> = vec![
         (
             "modin (deferred S)",
-            Box::new(ModinEngine::with_config(ModinConfig {
-                defer_schema_induction: true,
-                ..ModinConfig::default().with_partition_size(8_192, 8)
-            })),
-        ),
-        (
-            "modin (eager S)",
-            Box::new(ModinEngine::with_config(ModinConfig {
-                defer_schema_induction: false,
-                ..ModinConfig::default().with_partition_size(8_192, 8)
-            })),
+            Box::new(ModinEngine::with_config(
+                ModinConfig::default().with_partition_size(8_192, 8),
+            )),
         ),
         (
             "baseline (eager S)",

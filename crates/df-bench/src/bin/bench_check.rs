@@ -8,8 +8,11 @@
 //! Records are matched on `(experiment, system, parameter)`; a current record slower
 //! than `max_ratio` × its baseline (default 3.0 — a deliberately generous bound that
 //! only catches accidental quadratic blowups, not machine noise) is a violation.
-//! Records missing from either side are reported but never fail the check, so
+//! A current record without a matching baseline record is counted but passes, so
 //! snapshots from bigger measurement runs can coexist with CI's smoke-scale records.
+//! A baseline *experiment* the current run produced no record for at all (matched on
+//! `experiment` only) is an orphaned gate — a deleted or renamed bench arm — and is
+//! a violation too.
 
 use std::process::ExitCode;
 
@@ -84,9 +87,21 @@ fn main() -> ExitCode {
             record.experiment, record.system, record.parameter, seconds, base_seconds
         );
     }
+    let mut orphans: Vec<&str> = baseline
+        .iter()
+        .map(|b| b.experiment.as_str())
+        .filter(|experiment| !current.iter().any(|c| c.experiment == *experiment))
+        .collect();
+    orphans.sort_unstable();
+    orphans.dedup();
+    for experiment in orphans {
+        violations.push(format!(
+            "{experiment}: in the baseline but not in the current run (orphaned record)"
+        ));
+    }
     println!("bench_check: compared {compared} records ({skipped} without a matching baseline)");
     if violations.is_empty() {
-        println!("bench_check: no regressions beyond {max_ratio:.1}x");
+        println!("bench_check: no regressions beyond {max_ratio:.1}x, no orphaned records");
         ExitCode::SUCCESS
     } else {
         for violation in &violations {

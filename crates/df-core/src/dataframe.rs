@@ -573,12 +573,6 @@ impl DataFrame {
             + self.col_labels.approx_size_bytes()
     }
 
-    /// Positional ranks of all rows — exposed because several operators (FROMLABELS,
-    /// opportunistic prefix execution) need "the default labels" of a frame this size.
-    pub fn positional_labels(&self) -> Labels {
-        Labels::positional(self.n_rows())
-    }
-
     /// Cell-for-cell equality that also compares labels but ignores schema slots.
     /// Engines may differ in how much schema they have induced; results should still
     /// count as equal if the visible data agrees.

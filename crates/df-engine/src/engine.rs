@@ -83,10 +83,6 @@ pub struct ModinConfig {
     pub scheme: PartitionScheme,
     /// Logical rewrite rules to apply before execution.
     pub optimizer: OptimizerConfig,
-    /// Defer schema induction: leave untyped (raw string) columns untyped until an
-    /// operator actually needs their domains (paper §5.1.1). When false the engine
-    /// eagerly parses literals like the baseline does — the ablation arm.
-    pub defer_schema_induction: bool,
     /// JOIN / DIFFERENCE build sides with at most this many rows are broadcast to
     /// every partition instead of hash-shuffling both inputs. Set to 0 to force the
     /// shuffle path (differential tests do this).
@@ -111,7 +107,6 @@ impl Default for ModinConfig {
             partitioning: PartitionConfig::default(),
             scheme: PartitionScheme::Row,
             optimizer: OptimizerConfig::default(),
-            defer_schema_induction: true,
             broadcast_threshold_rows: 4096,
             memory_budget_bytes: None,
             backend: BackendKind::from_env(),
@@ -458,7 +453,8 @@ impl ModinEngine {
         }
     }
 
-    /// Re-partition an assembled fallback result under the engine's configuration.
+    /// Partition a frame (a literal, a foreign handle's result, an assembled
+    /// fallback result) under the engine's configuration.
     fn repartition(&self, frame: &DataFrame) -> DfResult<PartitionGrid> {
         PartitionGrid::from_dataframe_in(
             frame,
@@ -678,17 +674,6 @@ impl ModinEngine {
         }
     }
 
-    fn partition_literal(&self, df: &Arc<DataFrame>) -> DfResult<PartitionGrid> {
-        if self.config.defer_schema_induction {
-            // Deferred induction touches nothing: partition the shared literal
-            // directly instead of paying a defensive whole-frame clone first.
-            return self.repartition(df);
-        }
-        let mut frame = df.as_ref().clone();
-        frame.parse_all();
-        self.repartition(&frame)
-    }
-
     /// Resume a handle leaf: the engine's own grids are cloned by reference count —
     /// both stored and resident blocks are `Arc`-backed, so crossing a statement
     /// boundary is O(bands), with data copied only if a later consuming operator
@@ -706,7 +691,10 @@ impl ModinEngine {
 
     fn eval(&self, expr: &AlgebraExpr) -> DfResult<PartitionGrid> {
         match expr {
-            AlgebraExpr::Literal(df) => self.partition_literal(df),
+            // Schema induction stays deferred (paper §5.1.1): the shared literal is
+            // partitioned as is, and untyped columns stay untyped until an operator
+            // needs their domains.
+            AlgebraExpr::Literal(df) => self.repartition(df),
             AlgebraExpr::Handle(handle) => self.resume_handle(handle),
             AlgebraExpr::ScanCsv(scan) => self.eval_scan(scan),
             AlgebraExpr::Transpose { input } => Ok(self.eval(input)?.transpose()),
@@ -1454,17 +1442,10 @@ mod tests {
         )
         .unwrap();
         let deferred = small_engine()
-            .execute_collect(&AlgebraExpr::literal(raw.clone()))
-            .unwrap();
-        assert_eq!(deferred.schema(), vec![None]);
-        let eager_config = ModinConfig {
-            defer_schema_induction: false,
-            ..ModinConfig::sequential()
-        };
-        let eager = ModinEngine::with_config(eager_config)
             .execute_collect(&AlgebraExpr::literal(raw))
             .unwrap();
-        assert_eq!(eager.cell(0, 0).unwrap(), &cell(10));
+        assert_eq!(deferred.schema(), vec![None]);
+        assert_eq!(deferred.cell(0, 0).unwrap(), &cell("10"));
     }
 
     fn scan_csv_file(name: &str) -> (std::path::PathBuf, String) {

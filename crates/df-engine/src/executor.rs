@@ -26,8 +26,7 @@
 //!    output partitions instead.
 //!
 //! A `threads = 1` configuration runs the items in place, in order, which the tests
-//! use for determinism and the ablations use to isolate layout effects from
-//! parallelism.
+//! use for determinism.
 //!
 //! ## Fault isolation
 //!
@@ -169,13 +168,6 @@ impl ParallelExecutor {
     /// The session's spill store, when the engine runs with a memory budget.
     pub fn store(&self) -> Option<&Arc<SpillStore>> {
         self.store.as_ref()
-    }
-
-    /// Replace the cooperative cancel token (builder style). The session shares one
-    /// token across the engine so its timeout/cancel entry points reach every batch.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
     }
 
     /// The executor's cooperative cancel token: `cancel()` makes in-flight batches

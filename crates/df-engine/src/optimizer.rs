@@ -52,7 +52,9 @@ impl RewriteStats {
     }
 }
 
-/// Which rewrite rules an optimization pass may apply. Ablation benches toggle these.
+/// Which rewrite rules an optimization pass may apply. Tests toggle these: the
+/// differential suites use [`OptimizerConfig::disabled`] as the unoptimised reference
+/// plan, and the limit-pushdown suite switches `push_limits` alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizerConfig {
     /// Enable `TRANSPOSE(TRANSPOSE(x)) → x`.
@@ -80,7 +82,7 @@ impl Default for OptimizerConfig {
 }
 
 impl OptimizerConfig {
-    /// A configuration with every rule disabled (the "no optimizer" ablation arm).
+    /// A configuration with every rule disabled (the unoptimised reference plan).
     pub fn disabled() -> Self {
         OptimizerConfig {
             eliminate_double_transpose: false,

@@ -599,11 +599,6 @@ impl PartitionGrid {
         &self.blocks
     }
 
-    /// Mutably borrow all partitions.
-    pub fn blocks_mut(&mut self) -> &mut [Vec<Partition>] {
-        &mut self.blocks
-    }
-
     /// Consume the grid, returning its partitions.
     pub fn into_blocks(self) -> Vec<Vec<Partition>> {
         self.blocks
@@ -902,12 +897,6 @@ fn split_ranges(len: usize, chunk: usize) -> Vec<(usize, usize)> {
         start = end;
     }
     ranges
-}
-
-/// Re-derive global row labels for a grid whose bands were replaced by operator output:
-/// positional labels offset by each band's starting position.
-pub fn positional_labels(total: usize) -> Labels {
-    Labels::positional(total)
 }
 
 #[cfg(test)]

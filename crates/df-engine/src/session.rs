@@ -59,7 +59,9 @@ pub enum EvalMode {
     Opportunistic,
 }
 
-/// Counters describing a session's behaviour, used by the §6 ablation benches.
+/// Counters describing a session's behaviour: its own scheduling and cache counters
+/// plus live mirrors of the engine's pushdown and the cache's eviction counters (see
+/// [`QuerySession::stats`]). `df-service` reports one per tenant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Statements submitted.
@@ -229,7 +231,6 @@ pub struct QuerySession {
     pending: Mutex<HashMap<String, QueryFuture>>,
     stats: Arc<SharedSessionStats>,
     last_submit_error: Mutex<Option<DfError>>,
-    cache_enabled: bool,
     /// The tenant this session acts for inside a shared service (`None` for a
     /// standalone session). Used for cache attribution and gate fairness.
     tenant: Option<String>,
@@ -241,19 +242,6 @@ impl QuerySession {
     /// unbounded cache and no admission gate (the single-user configuration).
     pub fn new(engine: Arc<dyn Engine>, mode: EvalMode) -> Self {
         QuerySession::with_shared_state(engine, mode, Arc::new(ResultCache::new()), None, None)
-    }
-
-    /// A session whose private cache is bounded to `budget` bytes: entries are
-    /// costed via [`FrameHandle::approx_size_bytes`] and evicted LRU-first past
-    /// the budget (counted in [`SessionStats::evictions`]).
-    pub fn with_cache_budget(engine: Arc<dyn Engine>, mode: EvalMode, budget: usize) -> Self {
-        QuerySession::with_shared_state(
-            engine,
-            mode,
-            Arc::new(ResultCache::with_budget(Some(budget))),
-            None,
-            None,
-        )
     }
 
     /// The multi-tenant constructor: a session over a (typically shared) engine
@@ -277,16 +265,9 @@ impl QuerySession {
             pending: Mutex::new(HashMap::new()),
             stats: Arc::new(SharedSessionStats::default()),
             last_submit_error: Mutex::new(None),
-            cache_enabled: true,
             tenant,
             gate,
         }
-    }
-
-    /// Disable the materialisation cache (ablation arm).
-    pub fn without_cache(mut self) -> Self {
-        self.cache_enabled = false;
-        self
     }
 
     /// The evaluation mode this session uses.
@@ -429,9 +410,6 @@ impl QuerySession {
     /// in-flight key reports `None` — inspection paths deliberately do not wait
     /// out another caller's pending full execution.
     fn cached_handle(&self, key: &str) -> Option<FrameHandle> {
-        if !self.cache_enabled {
-            return None;
-        }
         self.cache.lookup(key, self.tenant.as_deref())
     }
 
@@ -455,16 +433,6 @@ impl QuerySession {
         key: &str,
         key_source: Option<&AlgebraExpr>,
     ) -> DfResult<FrameHandle> {
-        if !self.cache_enabled {
-            let pending = self.pending.lock().remove(key);
-            if let Some(future) = pending {
-                if future.is_ready() {
-                    self.stats.background_ready_on_request.incr();
-                }
-                return future.wait();
-            }
-            return self.execute_gated(expr);
-        }
         match self.cache.begin(key, self.tenant.as_deref()) {
             Lookup::Hit(handle) => {
                 self.stats.cache_hits.incr();
@@ -508,11 +476,6 @@ impl QuerySession {
         ingest: impl FnOnce() -> DfResult<FrameHandle>,
     ) -> DfResult<FrameHandle> {
         self.stats.statements.incr();
-        if !self.cache_enabled {
-            let _permit = GatePermit::acquire(&self.gate, self.tenant.as_deref())?;
-            self.stats.executions.incr();
-            return ingest();
-        }
         // Single-flight like any fingerprinted statement: two tenants reading the
         // same file concurrently scan it once.
         match self.cache.begin(key, self.tenant.as_deref()) {
@@ -546,9 +509,6 @@ impl QuerySession {
     /// already-computed handle (no statistics are counted — this is plan
     /// construction, not a user-visible fetch).
     pub fn handle_for(&self, key: &str) -> Option<FrameHandle> {
-        if !self.cache_enabled {
-            return None;
-        }
         self.cache.peek(key)
     }
 
@@ -795,9 +755,6 @@ impl QuerySession {
         key: &str,
         key_source: Option<&AlgebraExpr>,
     ) -> DfResult<FrameHandle> {
-        if !self.cache_enabled {
-            return self.execute_gated(expr);
-        }
         match self.cache.begin(key, self.tenant.as_deref()) {
             // Another session can have repopulated the key since the caller
             // evicted it (corruption recovery): its fresh result is as good as
@@ -832,25 +789,23 @@ impl QuerySession {
         key_source: Option<&AlgebraExpr>,
         handle: &FrameHandle,
     ) {
-        if self.cache_enabled {
-            // A quota rejection here only means the promoted background result is
-            // not retained; the handle itself is already on its way to the caller.
-            self.cache
-                .insert(
-                    key,
-                    QuerySession::pins_for(plan, key_source),
-                    handle.clone(),
-                    self.tenant.as_deref(),
-                )
-                .ok();
-        }
+        // A quota rejection here only means the promoted background result is not
+        // retained; the handle itself is already on its way to the caller.
+        self.cache
+            .insert(
+                key,
+                QuerySession::pins_for(plan, key_source),
+                handle.clone(),
+                self.tenant.as_deref(),
+            )
+            .ok();
     }
 
     fn spawn_background(&self, expr: &AlgebraExpr, key: &str, key_source: Option<&AlgebraExpr>) {
         // `contains` covers in-flight keys too: when another session is already
         // producing this fingerprint, a background duplicate would waste the
         // single-flight guarantee.
-        if self.cache_enabled && self.cache.contains(key) {
+        if self.cache.contains(key) {
             return;
         }
         if self.pending.lock().contains_key(key) {
@@ -1143,8 +1098,13 @@ mod tests {
             .unwrap()
             .approx_size_bytes();
         assert!(unit > 0);
-        let session =
-            QuerySession::with_cache_budget(engine(), EvalMode::Eager, unit * 2 + unit / 2);
+        let session = QuerySession::with_shared_state(
+            engine(),
+            EvalMode::Eager,
+            Arc::new(ResultCache::with_budget(Some(unit * 2 + unit / 2))),
+            None,
+            None,
+        );
         let exprs: Vec<AlgebraExpr> = (0..4)
             .map(|_| AlgebraExpr::literal(frame(40)).map(MapFunc::IsNullMask))
             .collect();
@@ -1216,14 +1176,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_can_be_disabled_and_cleared() {
-        let session = QuerySession::new(engine(), EvalMode::Eager).without_cache();
+    fn cache_can_be_cleared() {
         let expr = AlgebraExpr::literal(frame(10)).select(Predicate::True);
-        session.submit(&expr).unwrap();
-        session.collect(&expr).unwrap();
-        assert_eq!(session.stats().cache_hits, 0);
-        assert_eq!(session.cached_results(), 0);
-        assert!(session.handle_for(&expr.fingerprint()).is_none());
         let cached = QuerySession::new(engine(), EvalMode::Eager);
         cached.submit(&expr).unwrap();
         assert_eq!(cached.cached_results(), 1);

@@ -40,15 +40,8 @@ pub struct ServiceConfig {
     /// Longest a queued statement waits before failing with
     /// [`df_types::error::DfError::Cancelled`].
     pub queue_timeout: Duration,
-    /// Byte budget of the result cache (`None` = unbounded).
+    /// Byte budget of the result cache every tenant shares (`None` = unbounded).
     pub cache_budget_bytes: Option<usize>,
-    /// Share one result cache across tenants (identical statements execute once,
-    /// service-wide). When `false` each tenant gets a private cache with the same
-    /// byte budget — the ablation arm benchmarks compare against.
-    pub shared_cache: bool,
-    /// Retained-bytes quota applied to every tenant that is not given an explicit
-    /// quota via [`QueryService::tenant_with_quota`].
-    pub default_tenant_quota: Option<usize>,
 }
 
 impl Default for ServiceConfig {
@@ -60,8 +53,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             queue_timeout: Duration::from_secs(30),
             cache_budget_bytes: None,
-            shared_cache: true,
-            default_tenant_quota: None,
         }
     }
 }
@@ -107,18 +98,6 @@ impl ServiceConfig {
         self.cache_budget_bytes = Some(bytes);
         self
     }
-
-    /// Give every tenant a private result cache instead of the shared one.
-    pub fn without_shared_cache(mut self) -> ServiceConfig {
-        self.shared_cache = false;
-        self
-    }
-
-    /// Apply `quota` retained cache bytes to tenants without an explicit quota.
-    pub fn with_default_tenant_quota(mut self, quota: usize) -> ServiceConfig {
-        self.default_tenant_quota = Some(quota);
-        self
-    }
 }
 
 /// One service-wide stats snapshot: admission, cache, and per-tenant counters.
@@ -126,8 +105,8 @@ impl ServiceConfig {
 pub struct ServiceStats {
     /// Run-queue counters (grants, refusals, timeouts, peaks).
     pub admission: AdmissionStats,
-    /// Shared result-cache counters; `None` when the service runs per-tenant
-    /// private caches ([`ServiceConfig::shared_cache`] = false).
+    /// Shared result-cache counters (always `Some`; the `Option` keeps the field's
+    /// type stable for readers that unwrap it).
     pub cache: Option<CacheStats>,
     /// Per-tenant session counters, in the order sessions were opened.
     pub tenants: Vec<(String, SessionStats)>,
@@ -157,10 +136,7 @@ pub struct QueryService {
     engine: Arc<ModinEngine>,
     mode: EvalMode,
     gate: Arc<FairGate>,
-    /// `Some` when tenants share one cache; `None` when each gets a private one.
-    shared_cache: Option<Arc<ResultCache>>,
-    cache_budget: Option<usize>,
-    default_tenant_quota: Option<usize>,
+    cache: Arc<ResultCache>,
     tenants: Mutex<Vec<TenantEntry>>,
 }
 
@@ -174,45 +150,27 @@ impl QueryService {
             config.queue_capacity,
             config.queue_timeout,
         ));
-        let shared_cache = config
-            .shared_cache
-            .then(|| Arc::new(ResultCache::with_budget(config.cache_budget_bytes)));
         Ok(Arc::new(QueryService {
             engine,
             mode: config.mode,
             gate,
-            shared_cache,
-            cache_budget: config.cache_budget_bytes,
-            default_tenant_quota: config.default_tenant_quota,
+            cache: Arc::new(ResultCache::with_budget(config.cache_budget_bytes)),
             tenants: Mutex::new(Vec::new()),
         }))
     }
 
-    /// Open a session for `tenant` under the service-wide default quota.
+    /// Open a session for `tenant`. Each call opens an independent session handle;
+    /// a tenant reconnecting gets fresh session counters but the same shared cache
+    /// attribution. The tenant's retained-cache-bytes quota is left as it is:
+    /// unbounded for a new tenant, and whatever the last
+    /// [`QueryService::tenant_with_quota`] set for a returning one.
     pub fn tenant(self: &Arc<QueryService>, tenant: &str) -> TenantSession {
-        self.tenant_with_quota(tenant, self.default_tenant_quota)
-    }
-
-    /// Open a session for `tenant` with an explicit retained-cache-bytes quota
-    /// (`None` = unbounded). Each call opens an independent session handle; a
-    /// tenant reconnecting gets fresh session counters but the same shared cache
-    /// attribution and quota key.
-    pub fn tenant_with_quota(
-        self: &Arc<QueryService>,
-        tenant: &str,
-        quota: Option<usize>,
-    ) -> TenantSession {
-        let cache = match &self.shared_cache {
-            Some(cache) => Arc::clone(cache),
-            None => Arc::new(ResultCache::with_budget(self.cache_budget)),
-        };
-        cache.set_tenant_quota(tenant, quota);
         let engine: Arc<dyn Engine> = Arc::clone(&self.engine) as Arc<dyn Engine>;
         let gate: Arc<dyn StatementGate> = Arc::clone(&self.gate) as Arc<dyn StatementGate>;
         let query = QuerySession::with_shared_state(
             engine,
             self.mode,
-            Arc::clone(&cache),
+            Arc::clone(&self.cache),
             Some(tenant.to_string()),
             Some(gate),
         );
@@ -224,7 +182,19 @@ impl QueryService {
                 name: tenant.to_string(),
                 session: Arc::clone(&session),
             });
-        TenantSession::new(tenant.to_string(), session, cache)
+        TenantSession::new(tenant.to_string(), session)
+    }
+
+    /// Set `tenant`'s retained-cache-bytes quota (`None` = unbounded), then open a
+    /// session for it as [`QueryService::tenant`] does. The quota outlives the
+    /// session: later `tenant` calls for the same name keep it.
+    pub fn tenant_with_quota(
+        self: &Arc<QueryService>,
+        tenant: &str,
+        quota: Option<usize>,
+    ) -> TenantSession {
+        self.cache.set_tenant_quota(tenant, quota);
+        self.tenant(tenant)
     }
 
     /// The shared engine (one thread pool, one spill budget, service-wide).
@@ -235,11 +205,6 @@ impl QueryService {
     /// Out-of-core counters of the shared spill store.
     pub fn spill_stats(&self) -> SpillStats {
         self.engine.spill_stats()
-    }
-
-    /// The shared result cache, when the service runs one.
-    pub fn shared_cache(&self) -> Option<&Arc<ResultCache>> {
-        self.shared_cache.as_ref()
     }
 
     /// Run-queue counters.
@@ -264,7 +229,7 @@ impl QueryService {
             .collect();
         ServiceStats {
             admission: self.gate.stats(),
-            cache: self.shared_cache.as_ref().map(|cache| cache.stats()),
+            cache: Some(self.cache.stats()),
             tenants,
         }
     }
@@ -291,9 +256,7 @@ impl QueryService {
                 token.reset();
             }
         }
-        if let Some(cache) = &self.shared_cache {
-            cache.clear();
-        }
+        self.cache.clear();
         ShutdownReport {
             drained_cleanly: drained,
             cancelled_stragglers: cancelled,
@@ -307,7 +270,6 @@ impl std::fmt::Debug for QueryService {
         f.debug_struct("QueryService")
             .field("mode", &self.mode)
             .field("gate", &self.gate)
-            .field("shared_cache", &self.shared_cache.is_some())
             .field(
                 "tenants",
                 &self
@@ -393,23 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn private_caches_keep_tenants_apart() {
-        let service = service(ServiceConfig::default().without_shared_cache());
-        let alpha = service.tenant("alpha");
-        let beta = service.tenant("beta");
-        let expr = group_expr(64);
-        alpha.query().collect(&expr).expect("alpha collects");
-        beta.query().collect(&expr).expect("beta collects");
-        let stats = service.stats();
-        assert!(stats.cache.is_none());
-        let executions: u64 = stats.tenants.iter().map(|(_, s)| s.executions).sum();
-        assert_eq!(
-            executions, 2,
-            "no cross-tenant reuse without a shared cache"
-        );
-    }
-
-    #[test]
     fn tenant_quota_violations_surface_typed_and_stay_contained() {
         let service = service(ServiceConfig::default());
         // A 1-byte quota: no result fits, so the statement fails typed and
@@ -433,6 +378,19 @@ mod tests {
         // Another tenant is untouched by the neighbour's quota trouble.
         let roomy = service.tenant("roomy");
         assert!(roomy.query().collect(&group_expr(64)).is_ok());
+    }
+
+    #[test]
+    fn reopening_a_tenant_keeps_its_quota() {
+        let service = service(ServiceConfig::default());
+        service.tenant_with_quota("thrifty", Some(1));
+        // A second connection from the same tenant must not lift the cap.
+        let again = service.tenant("thrifty");
+        let err = again.query().collect(&group_expr(64)).unwrap_err();
+        assert!(
+            matches!(err, df_types::error::DfError::ResourceExhausted(_)),
+            "{err}"
+        );
     }
 
     #[test]

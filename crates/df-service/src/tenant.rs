@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use df_engine::cache::{CacheStats, ResultCache, TenantCacheStats};
 use df_engine::session::{QuerySession, SessionStats};
 use df_pandas::Session;
 
@@ -19,20 +18,11 @@ use df_pandas::Session;
 pub struct TenantSession {
     name: String,
     session: Arc<Session>,
-    cache: Arc<ResultCache>,
 }
 
 impl TenantSession {
-    pub(crate) fn new(
-        name: String,
-        session: Arc<Session>,
-        cache: Arc<ResultCache>,
-    ) -> TenantSession {
-        TenantSession {
-            name,
-            session,
-            cache,
-        }
+    pub(crate) fn new(name: String, session: Arc<Session>) -> TenantSession {
+        TenantSession { name, session }
     }
 
     /// The tenant this session is attributed to.
@@ -55,31 +45,6 @@ impl TenantSession {
     /// This session's scheduling/caching counters (statements, executions, hits).
     pub fn stats(&self) -> SessionStats {
         self.session.stats()
-    }
-
-    /// Counters of the result cache this tenant runs against (the shared cache,
-    /// or the tenant's private one when the service was configured without
-    /// sharing).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// This tenant's slice of the cache counters (hits, produced entries,
-    /// retained bytes, quota).
-    pub fn tenant_cache_stats(&self) -> TenantCacheStats {
-        self.cache
-            .stats()
-            .tenants
-            .into_iter()
-            .find(|(name, _)| name == &self.name)
-            .map(|(_, stats)| stats)
-            .unwrap_or_default()
-    }
-
-    /// Drop every cache entry this tenant produced, releasing its retained bytes
-    /// back to the shared budget. In-flight productions are unaffected.
-    pub fn release_cached_results(&self) {
-        self.cache.evict_tenant(&self.name);
     }
 }
 

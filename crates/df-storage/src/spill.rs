@@ -88,7 +88,7 @@ use df_core::dataframe::{Column, DataFrame};
 pub type PartitionId = u64;
 
 /// Statistics describing the store's behaviour, used by tests, the engine's stats
-/// surface and the storage ablation.
+/// surface and the benchmark's `spill.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Partitions currently resident in memory.
@@ -237,13 +237,6 @@ impl SpillStore {
             retry: RetryPolicy::default(),
             retries: AtomicU64::new(0),
         })
-    }
-
-    /// Replace the transient-fault retry policy (builder style; tests inject a
-    /// recording sleeper or `RetryPolicy::none()`).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// A store that effectively never spills (large budget) — used when out-of-core

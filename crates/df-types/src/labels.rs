@@ -208,7 +208,7 @@ mod tests {
     use crate::cell::cell;
 
     #[test]
-    fn positional_labels_are_order_ranks() {
+    fn labels_positional_are_order_ranks() {
         let labels = Labels::positional(3);
         assert_eq!(labels.as_slice(), &[cell(0), cell(1), cell(2)]);
         assert_eq!(labels.len(), 3);

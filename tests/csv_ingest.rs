@@ -137,7 +137,7 @@ fn engine_default_threads_follow_df_threads_matrix() {
 fn budgeted_ingest_of_a_file_larger_than_the_budget() {
     // A file whose parsed working set is ~4x the session's memory budget must ingest
     // completely, spill during ingest, respect the peak-residency bound, and still be
-    // cell-for-cell identical to the serial read.
+    // cell-for-cell identical to the serial read — sequentially and in parallel.
     let mut content = String::from("k,payload,score\n");
     for i in 0..2_000 {
         content.push_str(&format!(
@@ -151,33 +151,34 @@ fn budgeted_ingest_of_a_file_larger_than_the_budget() {
     let serial = read_csv_str(&content, &CsvOptions::default()).unwrap();
     let working_set = serial.approx_size_bytes();
     let budget = working_set / 4;
-    let threads = 4usize;
     let path = write_temp("bigger-than-budget.csv", &content);
 
-    let engine = ModinEngine::with_config(
-        ModinConfig::default()
-            .with_threads(threads)
-            .with_partition_size(128, 32)
-            .with_memory_budget(budget),
-    );
-    let handle = engine
-        .read_csv_handle(&path, &CsvOptions::default())
-        .unwrap();
-    let spill = engine.spill_stats();
-    assert!(
-        spill.spill_outs > 0,
-        "ingest at ws/4 budget never spilled: {spill:?}"
-    );
-    assert!(
-        spill.peak_memory_bytes <= budget + threads * spill.max_insert_bytes,
-        "ingest peak exceeded budget + threads x band: {spill:?} (budget {budget})"
-    );
-    let ingest = engine.ingest_stats();
-    assert!(ingest.bands_parsed >= 4, "too few bands: {ingest:?}");
-    assert_eq!(ingest.ingest_bytes, content.len() as u64);
-    // The handle stays partitioned and spill-backed until a materialisation point.
-    assert_eq!(handle.shape(), serial.shape());
-    assert!(handle.to_dataframe().unwrap().same_data(&serial));
+    for threads in [1usize, 4] {
+        let engine = ModinEngine::with_config(
+            ModinConfig::default()
+                .with_threads(threads)
+                .with_partition_size(128, 32)
+                .with_memory_budget(budget),
+        );
+        let handle = engine
+            .read_csv_handle(&path, &CsvOptions::default())
+            .unwrap();
+        let spill = engine.spill_stats();
+        assert!(
+            spill.spill_outs > 0,
+            "ingest at ws/4 budget never spilled: {spill:?}"
+        );
+        assert!(
+            spill.peak_memory_bytes <= budget + threads * spill.max_insert_bytes,
+            "ingest peak exceeded budget + threads x band: {spill:?} (budget {budget})"
+        );
+        let ingest = engine.ingest_stats();
+        assert!(ingest.bands_parsed >= 4, "too few bands: {ingest:?}");
+        assert_eq!(ingest.ingest_bytes, content.len() as u64);
+        // The handle stays partitioned and spill-backed until a materialisation point.
+        assert_eq!(handle.shape(), serial.shape());
+        assert!(handle.to_dataframe().unwrap().same_data(&serial));
+    }
     std::fs::remove_file(path).ok();
 }
 

@@ -8,6 +8,10 @@
 //! {off, on} — including NaN/null boundary values and predicates that
 //! reference columns the projection prunes away.
 //!
+//! Plans that join the pushed scan to a small dimension table (the optimizer then
+//! also picks the join strategy from the scan's statistics) are held to the same
+//! contract.
+//!
 //! The same contract holds for a LIMIT folded into the leaf: `head(k)` /
 //! `tail(k)` of a scan is cell-for-cell (labels and dtypes included) the
 //! prefix / suffix of the unlimited scan and of the serial reference, while
@@ -15,8 +19,9 @@
 
 use proptest::prelude::*;
 
-use df_core::algebra::{AlgebraExpr, CmpOp, ColumnSelector, Predicate};
-use df_core::engine::Engine;
+use df_core::algebra::{AlgebraExpr, CmpOp, ColumnSelector, JoinOn, JoinType, Predicate};
+use df_core::dataframe::DataFrame;
+use df_core::engine::{Engine, ReferenceEngine};
 use df_core::ops;
 use df_core::scan::{ScanCsv, ScanOptions};
 use df_engine::engine::{ModinConfig, ModinEngine};
@@ -55,14 +60,25 @@ fn col_cmp(column: &str, op: CmpOp, value: Cell) -> Predicate {
     }
 }
 
-/// Evaluate `scan → [select] → [project]` on a pushdown engine and on an
-/// optimizer-disabled engine, across the full configuration matrix, and
+/// Inner-join `expr` to `dim` on `dim`'s first column.
+fn join_dim(expr: AlgebraExpr, dim: &DataFrame) -> AlgebraExpr {
+    let key = dim.col_labels().get(0).unwrap().clone();
+    expr.join(
+        AlgebraExpr::literal(dim.clone()),
+        JoinOn::Columns(vec![key]),
+        JoinType::Inner,
+    )
+}
+
+/// Evaluate `scan → [select] → [project] [→ join dim]` on a pushdown engine and
+/// on an optimizer-disabled engine, across the full configuration matrix, and
 /// require both to agree cell-for-cell with the serial reference.
 fn assert_pushdown_equivalence(
     name: &str,
     content: &str,
     predicate: Option<Predicate>,
     projection: Option<&[&str]>,
+    dim: Option<&DataFrame>,
     band_rows: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     for infer_schema in [false, true] {
@@ -79,6 +95,11 @@ fn assert_pushdown_equivalence(
             let selector =
                 ColumnSelector::ByLabels(labels.iter().map(|label| cell(*label)).collect());
             expected = ops::rowwise::projection(&expected, &selector).unwrap();
+        }
+        if let Some(dim) = dim {
+            expected = ReferenceEngine
+                .execute_collect(&join_dim(AlgebraExpr::literal(expected), dim))
+                .unwrap();
         }
 
         let path = write_temp(&format!("{name}-{infer_schema}.csv"), content);
@@ -105,6 +126,9 @@ fn assert_pushdown_equivalence(
                     expr = expr.project(ColumnSelector::ByLabels(
                         labels.iter().map(|label| cell(*label)).collect(),
                     ));
+                }
+                if let Some(dim) = dim {
+                    expr = join_dim(expr, dim);
                 }
 
                 let pushed_engine = ModinEngine::with_config(config);
@@ -202,6 +226,7 @@ proptest! {
             &content,
             predicate,
             projection,
+            None,
             band_rows,
         )?;
     }
@@ -226,6 +251,7 @@ fn nan_and_null_boundaries_survive_pushdown() {
             &content,
             Some(col_cmp("v", CmpOp::Le, value)),
             Some(&["w", "v"]),
+            None,
             4,
         )
         .unwrap();
@@ -246,6 +272,7 @@ fn predicate_on_pruned_column_still_filters_before_projection() {
         &content,
         Some(col_cmp("id", CmpOp::Lt, cell(9))),
         Some(&["c", "a"]),
+        None,
         8,
     )
     .unwrap();
@@ -297,6 +324,25 @@ fn selective_scan_prunes_chunks_and_columns_with_identical_results() {
         &content,
         Some(predicate.clone()),
         Some(projection),
+        None,
+        16,
+    )
+    .unwrap();
+    // The same selective scan feeding a join against a small dimension table.
+    let dim = DataFrame::from_columns(
+        vec!["c7", "bucket"],
+        vec![
+            vec![cell("t0"), cell("t1"), cell("t2")],
+            vec![cell("small"), cell("medium"), cell("large")],
+        ],
+    )
+    .unwrap();
+    assert_pushdown_equivalence(
+        "selective-join",
+        &content,
+        Some(predicate.clone()),
+        Some(&["c7", "id"]),
+        Some(&dim),
         16,
     )
     .unwrap();
