@@ -8,7 +8,7 @@
 //! * **single-threaded** — no partitioning, no parallelism (paper §3.1: "most pandas
 //!   operators are single-threaded");
 //! * **row-copy heavy** — each operator round-trips the frame through a row-major
-//!   [`row_table::RowTable`], modelling pandas' block consolidation copies;
+//!   `row_table::RowTable`, modelling pandas' block consolidation copies;
 //! * **eagerly typed** — after every operator the full schema is re-induced and raw
 //!   string columns are re-parsed, modelling pandas' per-operator dtype resolution;
 //! * **memory-capped** — a configurable cell budget models pandas' failure modes:
@@ -20,7 +20,7 @@
 //! Figure 2 contrasts pandas' algorithmic overheads with MODIN's partitioned engine,
 //! and that contrast is what the benchmark harness reproduces.
 
-pub mod row_table;
+mod row_table;
 
 use df_types::error::{DfError, DfResult};
 
@@ -92,11 +92,6 @@ impl BaselineEngine {
     /// An engine with an explicit configuration.
     pub fn with_config(config: BaselineConfig) -> Self {
         BaselineEngine { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &BaselineConfig {
-        &self.config
     }
 
     /// Enforce the in-memory cell budget on an intermediate result.
@@ -309,7 +304,7 @@ mod tests {
     #[test]
     fn unconstrained_config_disables_modelling_overheads() {
         let engine = BaselineEngine::with_config(BaselineConfig::unconstrained());
-        assert_eq!(engine.config().max_transpose_cells, None);
+        assert_eq!(engine.config.max_transpose_cells, None);
         let out = engine
             .execute_collect(&AlgebraExpr::literal(trips()).map(MapFunc::IsNullMask))
             .unwrap();

@@ -15,7 +15,7 @@ use df_core::dataframe::{Column, DataFrame};
 
 /// A row-major copy of a dataframe.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RowTable {
+pub(crate) struct RowTable {
     /// Column labels.
     pub col_labels: Vec<Cell>,
     /// Row labels, aligned with `rows`.
@@ -26,7 +26,7 @@ pub struct RowTable {
 
 impl RowTable {
     /// Copy a columnar dataframe into row-major form (an O(m·n) clone).
-    pub fn from_dataframe(df: &DataFrame) -> RowTable {
+    pub(crate) fn from_dataframe(df: &DataFrame) -> RowTable {
         let rows = df.iter_rows().collect();
         RowTable {
             col_labels: df.col_labels().as_slice().to_vec(),
@@ -35,29 +35,13 @@ impl RowTable {
         }
     }
 
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Number of columns.
-    pub fn n_cols(&self) -> usize {
+    pub(crate) fn n_cols(&self) -> usize {
         self.col_labels.len()
     }
 
-    /// Total number of cells.
-    pub fn n_cells(&self) -> usize {
-        self.n_rows() * self.n_cols()
-    }
-
-    /// Position of a column label.
-    pub fn col_position(&self, label: &Cell) -> Option<usize> {
-        let key = label.group_key();
-        self.col_labels.iter().position(|l| l.group_key() == key)
-    }
-
     /// Copy the row-major table back into a columnar dataframe (another O(m·n) clone).
-    pub fn into_dataframe(self) -> DfResult<DataFrame> {
+    pub(crate) fn into_dataframe(self) -> DfResult<DataFrame> {
         let n_cols = self.n_cols();
         let mut columns: Vec<Vec<Cell>> = vec![Vec::with_capacity(self.rows.len()); n_cols];
         for row in self.rows {
@@ -92,12 +76,8 @@ mod tests {
     fn round_trip_preserves_data_and_labels() {
         let df = sample();
         let table = RowTable::from_dataframe(&df);
-        assert_eq!(table.n_rows(), 2);
-        assert_eq!(table.n_cols(), 2);
-        assert_eq!(table.n_cells(), 4);
+        assert_eq!((table.rows.len(), table.n_cols()), (2, 2));
         assert_eq!(table.rows[1], vec![cell(2), cell("y")]);
-        assert_eq!(table.col_position(&cell("b")), Some(1));
-        assert_eq!(table.col_position(&cell("zz")), None);
         let back = table.into_dataframe().unwrap();
         assert!(back.same_data(&df));
     }

@@ -19,7 +19,7 @@ use df_engine::engine::ModinConfig;
 use df_engine::session::EvalMode;
 use df_pandas::{PandasFrame, Session};
 use df_types::cell::cell;
-use df_workloads::taxi::{generate_typed, TaxiConfig};
+use df_workloads::{generate_typed, TaxiConfig};
 
 fn lookup() -> DataFrame {
     let keys: Vec<df_types::cell::Cell> = (0..8).map(|i| cell(i as i64)).collect();

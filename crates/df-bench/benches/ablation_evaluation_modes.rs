@@ -15,7 +15,7 @@ use df_core::algebra::{Aggregation, AlgebraExpr, CmpOp, MapFunc, Predicate};
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_engine::session::{EvalMode, QuerySession};
 use df_types::cell::cell;
-use df_workloads::taxi::{generate_typed, TaxiConfig};
+use df_workloads::{generate_typed, TaxiConfig};
 
 fn scripted_session(
     mode: EvalMode,

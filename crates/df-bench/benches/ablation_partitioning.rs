@@ -12,7 +12,7 @@ use df_core::engine::Engine;
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_engine::partition::PartitionScheme;
 use df_types::cell::cell;
-use df_workloads::taxi::{generate_typed, TaxiConfig};
+use df_workloads::{generate_typed, TaxiConfig};
 
 fn main() {
     let rows = df_bench::env_usize(

@@ -18,8 +18,8 @@ use df_core::algebra::{Aggregation, AlgebraExpr, MapFunc, Predicate};
 use df_core::engine::Engine;
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_types::cell::cell;
-use df_types::infer::{induction_scan_count, reset_induction_scan_count};
-use df_workloads::taxi::{generate_raw, TaxiConfig};
+use df_types::{induction_scan_count, reset_induction_scan_count};
+use df_workloads::{generate_raw, TaxiConfig};
 
 fn pipeline(taxi: &df_core::dataframe::DataFrame) -> AlgebraExpr {
     AlgebraExpr::literal(taxi.clone())

@@ -6,7 +6,7 @@
 //! also timing how long corpus analysis takes at increasing corpus sizes.
 
 use df_bench::{render_table, time_once, BenchRecord};
-use df_workloads::notebooks::{analyze_corpus, generate_corpus, usage_dataframe, CorpusConfig};
+use df_workloads::{analyze_corpus, generate_corpus, usage_dataframe, CorpusConfig};
 
 fn main() {
     let notebooks = df_bench::env_usize("DF_BENCH_NOTEBOOKS", df_bench::smoke_scaled(2_000, 200));

@@ -8,9 +8,9 @@
 //! cost-based chooser (`choose_pivot_plan`) would pick.
 
 use df_bench::{render_table, time_once, BenchRecord};
-use df_engine::optimizer::{choose_pivot_plan, PivotPlan};
+use df_engine::{choose_pivot_plan, PivotPlan};
 use df_pandas::{PandasFrame, Session};
-use df_workloads::sales::{generate_sales, SalesConfig};
+use df_workloads::{generate_sales, SalesConfig};
 
 fn main() {
     let years = df_bench::env_usize("DF_BENCH_PIVOT_YEARS", df_bench::smoke_scaled(200, 20));

@@ -18,7 +18,7 @@ use df_core::algebra::{
 use df_core::engine::Engine;
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_types::cell::cell;
-use df_workloads::taxi::{generate_typed, TaxiConfig};
+use df_workloads::{generate_typed, TaxiConfig};
 
 fn operator_expressions(rows: usize) -> Vec<(&'static str, AlgebraExpr)> {
     let taxi = generate_typed(&TaxiConfig {

@@ -13,7 +13,7 @@ use df_core::engine::Engine;
 use df_engine::engine::ModinEngine;
 use df_pandas::{extended_rewrites, render_catalogue, table2_rewrites, PandasFrame, Session};
 use df_types::cell::Cell;
-use df_workloads::taxi::{generate_typed, TaxiConfig};
+use df_workloads::{generate_typed, TaxiConfig};
 
 /// The expression the pandas-style API builds for a Table 2 operator (the rewrite under
 /// test). Each engine executes this expression *and* the hand-built algebra expression,

@@ -18,7 +18,7 @@ use df_core::engine::Engine;
 
 use df_baseline::{BaselineConfig, BaselineEngine};
 use df_engine::engine::{ModinConfig, ModinEngine};
-use df_workloads::taxi::{generate_raw, TaxiConfig};
+use df_workloads::{generate_raw, TaxiConfig};
 
 /// One measured point of an experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +37,7 @@ pub struct BenchRecord {
 
 impl BenchRecord {
     /// Render the time column the way the tables print it.
-    pub fn time_display(&self) -> String {
+    pub(crate) fn time_display(&self) -> String {
         match self.seconds {
             Some(s) => format!("{s:.4}"),
             None => "DNF".to_string(),
@@ -46,7 +46,7 @@ impl BenchRecord {
 }
 
 /// Environment variable naming the JSON file bench targets append their records to.
-pub const JSON_ENV_VAR: &str = "DF_BENCH_JSON";
+pub(crate) const JSON_ENV_VAR: &str = "DF_BENCH_JSON";
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -65,7 +65,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Serialise records as a JSON array, one object per line.
-pub fn records_to_json(records: &[BenchRecord]) -> String {
+pub(crate) fn records_to_json(records: &[BenchRecord]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
         let seconds = match r.seconds {
@@ -87,7 +87,7 @@ pub fn records_to_json(records: &[BenchRecord]) -> String {
 }
 
 /// Parse a JSON array of [`BenchRecord`] objects (the subset of JSON that
-/// [`records_to_json`] emits — flat objects with string / number / null fields).
+/// `records_to_json` emits — flat objects with string / number / null fields).
 pub fn parse_records_json(text: &str) -> Result<Vec<BenchRecord>, String> {
     let mut parser = JsonParser {
         bytes: text.as_bytes(),
@@ -245,7 +245,7 @@ impl JsonParser<'_> {
 /// Append records to the JSON file at `path`, merging with any records already in it
 /// (several bench targets write to one snapshot file). Parse/IO problems are reported
 /// on stderr rather than failing the bench run.
-pub fn emit_json_to(path: &str, records: &[BenchRecord]) {
+pub(crate) fn emit_json_to(path: &str, records: &[BenchRecord]) {
     let mut all = match std::fs::read_to_string(path) {
         Ok(existing) => match parse_records_json(&existing) {
             Ok(records) => records,
@@ -262,7 +262,7 @@ pub fn emit_json_to(path: &str, records: &[BenchRecord]) {
     }
 }
 
-/// [`emit_json_to`] the file named by `DF_BENCH_JSON`; a no-op when the variable is
+/// `emit_json_to` the file named by `DF_BENCH_JSON`; a no-op when the variable is
 /// unset or empty.
 pub fn emit_json_env(records: &[BenchRecord]) {
     let Ok(path) = std::env::var(JSON_ENV_VAR) else {
@@ -312,7 +312,7 @@ pub fn env_usize(name: &str, default: usize) -> usize {
 
 /// True when the bench target was invoked in Criterion-style test mode
 /// (`cargo bench -- --test`): compile-and-run-check the target, don't measure.
-pub fn smoke_test_mode() -> bool {
+pub(crate) fn smoke_test_mode() -> bool {
     std::env::args().any(|arg| arg == "--test")
 }
 
@@ -329,7 +329,7 @@ pub fn smoke_scaled(full: usize, smoke: usize) -> usize {
 
 /// The four queries of Figure 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fig2Query {
+pub(crate) enum Fig2Query {
     /// Null-check map over every cell.
     Map,
     /// Group by `passenger_count`, count rows per group.
@@ -342,7 +342,7 @@ pub enum Fig2Query {
 
 impl Fig2Query {
     /// All four panels in paper order.
-    pub const ALL: [Fig2Query; 4] = [
+    pub(crate) const ALL: [Fig2Query; 4] = [
         Fig2Query::Map,
         Fig2Query::GroupByN,
         Fig2Query::GroupBy1,
@@ -350,7 +350,7 @@ impl Fig2Query {
     ];
 
     /// The panel label used in the output table.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Fig2Query::Map => "map",
             Fig2Query::GroupByN => "groupby_n",
@@ -360,7 +360,7 @@ impl Fig2Query {
     }
 
     /// Build the query expression over a taxi frame.
-    pub fn expression(&self, frame: &DataFrame) -> AlgebraExpr {
+    pub(crate) fn expression(&self, frame: &DataFrame) -> AlgebraExpr {
         let base = AlgebraExpr::literal(frame.clone());
         match self {
             Fig2Query::Map => base.map(MapFunc::IsNullMask),

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use df_types::cell::Cell;
 use df_types::domain::Domain;
-use df_types::error::{DfError, DfResult};
+use df_types::error::{Axis, DfError, DfResult};
 
 use crate::dataframe::DataFrame;
 use crate::handle::FrameHandle;
@@ -62,14 +62,14 @@ pub enum ColumnSelector {
 
 impl ColumnSelector {
     /// Resolve the selector to concrete column positions for a frame.
-    pub fn resolve(&self, df: &DataFrame) -> DfResult<Vec<usize>> {
+    pub(crate) fn resolve(&self, df: &DataFrame) -> DfResult<Vec<usize>> {
         match self {
             ColumnSelector::All => Ok((0..df.n_cols()).collect()),
             ColumnSelector::ByPositions(positions) => {
                 for &p in positions {
                     if p >= df.n_cols() {
                         return Err(DfError::IndexOutOfBounds {
-                            axis: "column",
+                            axis: Axis::Column,
                             index: p,
                             len: df.n_cols(),
                         });
@@ -111,7 +111,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Evaluate the comparison between two cells using the total cell ordering.
-    pub fn eval(&self, left: &Cell, right: &Cell) -> bool {
+    pub(crate) fn eval(&self, left: &Cell, right: &Cell) -> bool {
         if left.is_null() || right.is_null() {
             return false;
         }
@@ -122,7 +122,7 @@ impl CmpOp {
     /// predicate kernel computes orderings straight off typed values and funnels
     /// them through here so both paths share one decision table.
     #[inline]
-    pub fn eval_ord(&self, ord: std::cmp::Ordering) -> bool {
+    pub(crate) fn eval_ord(&self, ord: std::cmp::Ordering) -> bool {
         match self {
             CmpOp::Eq => ord == std::cmp::Ordering::Equal,
             CmpOp::Ne => ord != std::cmp::Ordering::Equal,

@@ -1,7 +1,7 @@
 //! Typed column blocks: the columnar physical form of one partition.
 //!
 //! A [`ColumnBlock`] is a [`DataFrame`] re-encoded column-by-column into
-//! [`ColumnData`] typed buffers (see `df_types::column` for the layout). It is the
+//! [`ColumnData`] typed buffers (see `df_types::ColumnData` for the layout). It is the
 //! unit the engine's `PartitionHandle` holds when a freshly parsed ingest band is
 //! checked in columnar, and the unit the block frame (`df-storage::spill`)
 //! serialises for spill files and worker pipes. The block is
@@ -14,10 +14,10 @@
 //! what lets `FrameHandle::schema()` answer dtype questions without loading or
 //! assembling anything — the same trick `shape()` already plays.
 
-use df_types::column::ColumnData;
 use df_types::domain::Domain;
 use df_types::error::{DfError, DfResult};
 use df_types::labels::Labels;
+use df_types::ColumnData;
 
 use crate::dataframe::{Column, DataFrame};
 
@@ -98,12 +98,12 @@ impl ColumnBlock {
     }
 
     /// Number of rows.
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.row_labels.len()
     }
 
     /// Number of columns.
-    pub fn n_cols(&self) -> usize {
+    pub(crate) fn n_cols(&self) -> usize {
         self.col_labels.len()
     }
 

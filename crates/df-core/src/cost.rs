@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use df_core::algebra::{AlgebraExpr, CmpOp, Predicate};
-//! use df_core::cost::{estimate, render_plan};
+//! use df_core::{estimate, render_plan};
 //! use df_core::dataframe::DataFrame;
 //! use df_types::cell::cell;
 //!
@@ -93,15 +93,15 @@ impl Estimate {
 pub const DEFAULT_CELL_BYTES: f64 = 16.0;
 
 /// Fraction of rows an equality (or `IsNull`) predicate is assumed to keep.
-pub const EQ_SELECTIVITY: f64 = 0.10;
+pub(crate) const EQ_SELECTIVITY: f64 = 0.10;
 /// Fraction of rows an inequality comparison (`<`, `≤`, `>`, `≥`) is assumed to keep.
-pub const RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
+pub(crate) const RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
 /// Fraction of rows an opaque (`Custom`) predicate is assumed to keep.
-pub const OPAQUE_SELECTIVITY: f64 = 0.50;
+pub(crate) const OPAQUE_SELECTIVITY: f64 = 0.50;
 
 /// Estimated fraction of rows `pred` keeps (the fixed factors documented in the
 /// module header).
-pub fn selectivity(pred: &Predicate) -> f64 {
+pub(crate) fn selectivity(pred: &Predicate) -> f64 {
     use crate::algebra::CmpOp;
     match pred {
         Predicate::True => 1.0,
@@ -126,7 +126,7 @@ pub fn selectivity(pred: &Predicate) -> f64 {
 /// Estimate a scan leaf's output from its cached statistics: rows that survive chunk
 /// pruning, scaled by the residual predicate's selectivity and capped by a pushed
 /// limit, over the projected column fraction. `None` until an engine has collected [`crate::scan::ScanStats`].
-pub fn estimate_scan(scan: &ScanCsv) -> Option<Estimate> {
+pub(crate) fn estimate_scan(scan: &ScanCsv) -> Option<Estimate> {
     let stats = scan.stats()?;
     let surviving_rows: usize = stats
         .surviving_chunks(scan.predicate.as_ref())
@@ -340,7 +340,7 @@ fn limit_detail(k: usize, from_end: bool) -> String {
 }
 
 /// Render a byte count with a binary-unit suffix.
-pub fn human_bytes(bytes: f64) -> String {
+pub(crate) fn human_bytes(bytes: f64) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
     let mut value = bytes.max(0.0);
     let mut unit = 0;

@@ -16,9 +16,9 @@ use std::fmt;
 
 use df_types::cell::Cell;
 use df_types::domain::Domain;
-use df_types::error::{DfError, DfResult};
-use df_types::infer::{induce_domain, induce_from_strings, SchemaSlot};
+use df_types::error::{Axis, DfError, DfResult};
 use df_types::labels::Labels;
+use df_types::{induce_domain, induce_from_strings, SchemaSlot};
 
 /// One column of a dataframe: its cells plus the (possibly lazy) domain slot.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -44,22 +44,6 @@ impl Column {
         }
     }
 
-    /// A column ingested from raw strings (the `Σ*` state of `A_mn`): every non-null
-    /// entry is kept as [`Cell::Str`] and the domain is left unspecified.
-    pub fn from_raw_strings(values: impl IntoIterator<Item = String>) -> Self {
-        let cells = values
-            .into_iter()
-            .map(|s| {
-                if df_types::domain::is_null_token(&s) {
-                    Cell::Null
-                } else {
-                    Cell::Str(s)
-                }
-            })
-            .collect();
-        Column::new(cells)
-    }
-
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -82,17 +66,17 @@ impl Column {
     }
 
     /// Consume the column, returning its cells.
-    pub fn into_cells(self) -> Vec<Cell> {
+    pub(crate) fn into_cells(self) -> Vec<Cell> {
         self.cells
     }
 
     /// The cell at `index`, if in bounds.
-    pub fn get(&self, index: usize) -> Option<&Cell> {
+    pub(crate) fn get(&self, index: usize) -> Option<&Cell> {
         self.cells.get(index)
     }
 
     /// Replace the cell at `index`, invalidating any induced domain.
-    pub fn set(&mut self, index: usize, value: Cell) -> DfResult<()> {
+    pub(crate) fn set(&mut self, index: usize, value: Cell) -> DfResult<()> {
         let len = self.cells.len();
         match self.cells.get_mut(index) {
             Some(slot) => {
@@ -101,7 +85,7 @@ impl Column {
                 Ok(())
             }
             None => Err(DfError::IndexOutOfBounds {
-                axis: "row",
+                axis: Axis::Row,
                 index,
                 len,
             }),
@@ -115,7 +99,7 @@ impl Column {
 
     /// Resolve the domain, running the schema induction function `S` if needed and
     /// caching the result.
-    pub fn resolve_domain(&mut self) -> Domain {
+    pub(crate) fn resolve_domain(&mut self) -> Domain {
         let cells = &self.cells;
         self.schema.resolve_with(|| {
             // Raw (string) columns are induced through the string-based S so numeric
@@ -164,7 +148,7 @@ impl Column {
     /// function `p_i`, converting the column from the `Σ*` state to typed cells.
     /// Unparseable entries become null rather than failing, matching pandas' lenient
     /// `to_numeric(errors="coerce")` behaviour used during exploration.
-    pub fn parse_in_place(&mut self) -> Domain {
+    pub(crate) fn parse_in_place(&mut self) -> Domain {
         let domain = self.resolve_domain();
         if matches!(domain, Domain::Str | Domain::Composite) {
             return domain;
@@ -184,7 +168,7 @@ impl Column {
     }
 
     /// Approximate memory footprint in bytes.
-    pub fn approx_size_bytes(&self) -> usize {
+    pub(crate) fn approx_size_bytes(&self) -> usize {
         self.cells.iter().map(Cell::approx_size_bytes).sum()
     }
 }
@@ -342,7 +326,7 @@ impl DataFrame {
     /// The column at position `j`.
     pub fn column(&self, j: usize) -> DfResult<&Column> {
         self.columns.get(j).ok_or(DfError::IndexOutOfBounds {
-            axis: "column",
+            axis: Axis::Column,
             index: j,
             len: self.columns.len(),
         })
@@ -359,16 +343,11 @@ impl DataFrame {
         self.column(j)
     }
 
-    /// The position of the row with the given label (first match).
-    pub fn row_position(&self, label: &Cell) -> DfResult<usize> {
-        self.row_labels.position_of(label, "row")
-    }
-
     /// The cell at `(row i, column j)` — positional notation (`iloc`).
     pub fn cell(&self, i: usize, j: usize) -> DfResult<&Cell> {
         let column = self.column(j)?;
         column.get(i).ok_or(DfError::IndexOutOfBounds {
-            axis: "row",
+            axis: Axis::Row,
             index: i,
             len: column.len(),
         })
@@ -379,7 +358,7 @@ impl DataFrame {
     pub fn set_cell(&mut self, i: usize, j: usize, value: Cell) -> DfResult<()> {
         let len = self.columns.len();
         let column = self.columns.get_mut(j).ok_or(DfError::IndexOutOfBounds {
-            axis: "column",
+            axis: Axis::Column,
             index: j,
             len,
         })?;
@@ -390,7 +369,7 @@ impl DataFrame {
     pub fn row(&self, i: usize) -> DfResult<Vec<Cell>> {
         if i >= self.n_rows() {
             return Err(DfError::IndexOutOfBounds {
-                axis: "row",
+                axis: Axis::Row,
                 index: i,
                 len: self.n_rows(),
             });
@@ -423,38 +402,6 @@ impl DataFrame {
             .iter_mut()
             .map(Column::parse_in_place)
             .collect()
-    }
-
-    /// Declare the full schema a priori (relational style). Lengths must match.
-    pub fn declare_schema(&mut self, domains: &[Domain]) -> DfResult<()> {
-        if domains.len() != self.n_cols() {
-            return Err(DfError::shape(
-                format!("{} domains", self.n_cols()),
-                format!("{} domains", domains.len()),
-            ));
-        }
-        for (column, domain) in self.columns.iter_mut().zip(domains) {
-            column.declare_domain(*domain);
-        }
-        Ok(())
-    }
-
-    /// True when every column has the same (known or peeked) domain — the paper's
-    /// *homogeneous dataframe*.
-    pub fn is_homogeneous(&self) -> bool {
-        let mut domains = self.columns.iter().map(Column::peek_domain);
-        match domains.next() {
-            None => true,
-            Some(first) => domains.all(|d| d == first),
-        }
-    }
-
-    /// True when the dataframe is homogeneous over a numeric domain — the paper's
-    /// *matrix dataframe*, eligible for linear-algebra operators such as covariance.
-    pub fn is_matrix(&self) -> bool {
-        !self.columns.is_empty()
-            && self.is_homogeneous()
-            && self.columns[0].peek_domain().is_numeric()
     }
 
     /// First `k` rows, preserving labels and schema slots (the `head` inspection the
@@ -498,7 +445,7 @@ impl DataFrame {
         for &p in positions {
             if p >= self.n_rows() {
                 return Err(DfError::IndexOutOfBounds {
-                    axis: "row",
+                    axis: Axis::Row,
                     index: p,
                     len: self.n_rows(),
                 });
@@ -532,7 +479,7 @@ impl DataFrame {
                     .get(p)
                     .cloned()
                     .ok_or(DfError::IndexOutOfBounds {
-                        axis: "column",
+                        axis: Axis::Column,
                         index: p,
                         len: self.columns.len(),
                     })?,
@@ -746,7 +693,13 @@ mod tests {
         let df = sample();
         assert_eq!(df.row_labels().as_slice(), &[cell(0), cell(1), cell(2)]);
         let relabelled = df.with_row_labels(vec!["a", "b", "c"]).unwrap();
-        assert_eq!(relabelled.row_position(&cell("b")).unwrap(), 1);
+        assert_eq!(
+            relabelled
+                .row_labels()
+                .position_of(&cell("b"), "row")
+                .unwrap(),
+            1
+        );
         assert!(relabelled.clone().with_row_labels(vec!["x"]).is_err());
     }
 
@@ -773,31 +726,6 @@ mod tests {
         assert_eq!(domains, vec![Domain::Int]);
         assert_eq!(df.cell(0, 0).unwrap(), &cell(699));
         assert_eq!(df.cell(2, 0).unwrap(), &Cell::Null);
-    }
-
-    #[test]
-    fn declared_schema_skips_induction() {
-        let mut df = sample();
-        df.declare_schema(&[Domain::Str, Domain::Float, Domain::Float])
-            .unwrap();
-        assert_eq!(df.schema()[1], Some(Domain::Float));
-        assert!(df.declare_schema(&[Domain::Int]).is_err());
-    }
-
-    #[test]
-    fn homogeneous_and_matrix_classification() {
-        let numeric = DataFrame::from_rows(
-            vec!["a", "b"],
-            vec![vec![cell(1), cell(2)], vec![cell(3), cell(4)]],
-        )
-        .unwrap();
-        assert!(numeric.is_homogeneous());
-        assert!(numeric.is_matrix());
-        let mixed = sample();
-        assert!(!mixed.is_homogeneous());
-        assert!(!mixed.is_matrix());
-        assert!(DataFrame::empty().is_homogeneous());
-        assert!(!DataFrame::empty().is_matrix());
     }
 
     #[test]
@@ -881,7 +809,7 @@ mod tests {
 
     #[test]
     fn column_raw_ingest_and_counting() {
-        let col = Column::from_raw_strings(vec!["1".into(), "".into(), "3".into()]);
+        let col = Column::new(vec![cell("1"), Cell::Null, cell("3")]);
         assert_eq!(col.count_non_null(), 2);
         assert_eq!(col.peek_domain(), Domain::Int);
         assert!(col.approx_size_bytes() > 0);

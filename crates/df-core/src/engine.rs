@@ -42,18 +42,6 @@ pub enum EngineKind {
     RelationalLike,
 }
 
-impl EngineKind {
-    /// Human-readable name used in benchmark tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EngineKind::Reference => "reference",
-            EngineKind::Baseline => "pandas-baseline",
-            EngineKind::Modin => "modin-engine",
-            EngineKind::RelationalLike => "relational-like",
-        }
-    }
-}
-
 /// The feature matrix of paper Table 3, one flag per row of the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
@@ -216,7 +204,7 @@ pub trait Engine: Send + Sync {
     /// session's timeout/cancel entry points reach in-flight worker batches through
     /// this; the default (no token) makes cancellation a clean no-op for engines
     /// that execute synchronously in one shot.
-    fn cancel_token(&self) -> Option<df_types::cancel::CancelToken> {
+    fn cancel_token(&self) -> Option<df_types::CancelToken> {
         None
     }
 
@@ -280,7 +268,6 @@ mod tests {
     fn reference_engine_executes_and_reports_kind() {
         let engine = ReferenceEngine;
         assert_eq!(engine.kind(), EngineKind::Reference);
-        assert_eq!(engine.kind().label(), "reference");
         let handle = engine
             .execute(&AlgebraExpr::literal(frame()).map(MapFunc::IsNullMask))
             .unwrap();
@@ -329,19 +316,5 @@ mod tests {
         assert!(restricted.supports(&AlgebraExpr::literal(frame()).select(Predicate::True)));
         assert!(restricted.supports(&AlgebraExpr::literal(frame()).map(MapFunc::IsNullMask)));
         assert!(!restricted.supports(&AlgebraExpr::literal(frame()).limit(5, false)));
-    }
-
-    #[test]
-    fn engine_kind_labels_are_distinct() {
-        let labels: std::collections::HashSet<_> = [
-            EngineKind::Reference,
-            EngineKind::Baseline,
-            EngineKind::Modin,
-            EngineKind::RelationalLike,
-        ]
-        .iter()
-        .map(|k| k.label())
-        .collect();
-        assert_eq!(labels.len(), 4);
     }
 }

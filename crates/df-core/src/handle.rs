@@ -102,7 +102,6 @@ pub trait PartitionedResult: fmt::Debug + Send + Sync {
 /// let df = DataFrame::from_columns(vec!["v"], vec![vec![cell(1), cell(2), cell(3)]])?;
 /// let handle = FrameHandle::from_dataframe(df);
 /// assert_eq!(handle.shape(), (3, 1)); // metadata only — nothing is assembled
-/// assert_eq!(handle.head(2)?.n_rows(), 2); // partition-aware prefix inspection
 /// let materialised = handle.into_dataframe()?; // the explicit materialisation point
 /// assert_eq!(materialised.cell(2, 0)?, &cell(3));
 /// # Ok::<(), df_types::error::DfError>(())
@@ -122,7 +121,7 @@ impl FrameHandle {
     }
 
     /// Wrap an already-shared materialised dataframe.
-    pub fn from_shared(df: Arc<DataFrame>) -> FrameHandle {
+    pub(crate) fn from_shared(df: Arc<DataFrame>) -> FrameHandle {
         FrameHandle::Materialized(df)
     }
 
@@ -200,7 +199,7 @@ impl FrameHandle {
     }
 
     /// First `k` rows, using the partition-aware prefix path when available.
-    pub fn head(&self, k: usize) -> DfResult<DataFrame> {
+    pub(crate) fn head(&self, k: usize) -> DfResult<DataFrame> {
         match self {
             FrameHandle::Materialized(df) => Ok(df.head(k)),
             FrameHandle::Partitioned(p) => p.prefix(k),
@@ -208,7 +207,7 @@ impl FrameHandle {
     }
 
     /// Last `k` rows, using the partition-aware suffix path when available.
-    pub fn tail(&self, k: usize) -> DfResult<DataFrame> {
+    pub(crate) fn tail(&self, k: usize) -> DfResult<DataFrame> {
         match self {
             FrameHandle::Materialized(df) => Ok(df.tail(k)),
             FrameHandle::Partitioned(p) => p.suffix(k),

@@ -13,17 +13,17 @@
 //! * [`ops`] — reference implementations of every operator, defining the semantics all
 //!   engines must agree with (plus vectorized columnar fast paths that must match
 //!   them cell-for-cell).
-//! * [`scan`] — the first-class CSV scan leaf ([`scan::ScanCsv`]) carrying chunk
+//! * [`ScanCsv`] — the first-class CSV scan leaf carrying chunk
 //!   plans and per-chunk column statistics: the target of the optimizer's
 //!   projection/predicate pushdown.
-//! * [`cost`] — the cost model: size estimation from leaf shapes and scan
-//!   statistics, and the plan rendering behind `explain()`.
+//! * [`estimate`] / [`render_plan`] — the cost model: size estimation from leaf
+//!   shapes and scan statistics, and the plan rendering behind `explain()`.
 //! * [`engine`] — the "narrow waist" [`engine::Engine`] trait and the Table 3
 //!   capability matrix.
 //! * [`handle`] — the opaque [`handle::FrameHandle`] results that cross the waist:
 //!   engine-owned, possibly partitioned/spilled, materialised only at explicit
 //!   collection points (§3.3, §6.1).
-//! * [`linalg`] — covariance / correlation / matmul over *matrix dataframes* (§4.2).
+//! * [`covariance`] / [`correlation`] — linear algebra over *matrix dataframes* (§4.2).
 //!
 //! The crate is deliberately free of any parallelism or storage concerns: those live in
 //! `df-engine` and `df-storage`. Everything here is the shared vocabulary the rest of
@@ -31,18 +31,21 @@
 
 pub mod algebra;
 pub mod columnar;
-pub mod cost;
+mod cost;
 pub mod dataframe;
 pub mod engine;
 pub mod handle;
-pub mod linalg;
+mod linalg;
 pub mod ops;
-pub mod scan;
+mod scan;
 
 pub use algebra::AlgebraExpr;
 pub use columnar::ColumnBlock;
-pub use cost::Estimate;
+pub use cost::{estimate, render_plan, Estimate, DEFAULT_CELL_BYTES};
 pub use dataframe::{Column, DataFrame};
 pub use engine::{Capabilities, Engine, EngineKind, PushdownSnapshot, ReferenceEngine};
 pub use handle::{FrameHandle, FrameSchema, PartitionedResult};
-pub use scan::{ScanCsv, ScanOptions, ScanStats};
+pub use linalg::{correlation, covariance};
+pub use scan::{
+    chunk_may_match, ChunkStats, ColumnChunkStats, DistinctSeen, ScanCsv, ScanOptions, ScanStats,
+};

@@ -4,7 +4,7 @@
 //! properties required of a matrix, and can participate in linear algebra operations
 //! simply by parsing its values and ignoring its labels". The workflow of Figure 1
 //! ends with a covariance computation (step A3, pandas `cov`); this module provides
-//! that plus the small set of dense kernels the examples and benches need.
+//! that and its normalised form, correlation.
 
 use df_types::cell::Cell;
 use df_types::domain::Domain;
@@ -15,7 +15,7 @@ use crate::dataframe::{Column, DataFrame};
 
 /// Extract the named (or all) numeric columns as dense `f64` vectors, skipping the
 /// frame's labels. Null cells become `NaN`.
-pub fn to_dense(df: &DataFrame) -> DfResult<(Vec<Cell>, Vec<Vec<f64>>)> {
+pub(crate) fn to_dense(df: &DataFrame) -> DfResult<(Vec<Cell>, Vec<Vec<f64>>)> {
     let numeric: Vec<usize> = (0..df.n_cols())
         .filter(|&j| df.columns()[j].peek_domain().is_numeric())
         .collect();
@@ -84,46 +84,6 @@ pub fn correlation(df: &DataFrame) -> DfResult<DataFrame> {
         .map(|cells| Column::with_domain(cells, Domain::Float))
         .collect();
     DataFrame::from_parts(columns, Labels::new(labels.clone()), Labels::new(labels))
-}
-
-/// Matrix multiplication of two matrix dataframes (`left @ right`): the inner
-/// dimensions must agree; labels come from the outer dimensions.
-pub fn matmul(left: &DataFrame, right: &DataFrame) -> DfResult<DataFrame> {
-    if !left.is_matrix() || !right.is_matrix() {
-        return Err(DfError::type_mismatch(
-            "matrix dataframes (homogeneous numeric)",
-            "non-numeric or heterogeneous frame",
-        ));
-    }
-    if left.n_cols() != right.n_rows() {
-        return Err(DfError::shape(
-            format!("inner dimensions to agree ({} columns)", left.n_cols()),
-            format!("{} rows", right.n_rows()),
-        ));
-    }
-    let (m, k) = left.shape();
-    let n = right.n_cols();
-    let mut columns: Vec<Vec<Cell>> = vec![Vec::with_capacity(m); n];
-    for (j, column) in columns.iter_mut().enumerate() {
-        for i in 0..m {
-            let mut acc = 0.0;
-            for p in 0..k {
-                let a = left.columns()[p].cells()[i].as_f64().unwrap_or(0.0);
-                let b = right.columns()[j].cells()[p].as_f64().unwrap_or(0.0);
-                acc += a * b;
-            }
-            column.push(Cell::Float(acc));
-        }
-    }
-    let columns = columns
-        .into_iter()
-        .map(|cells| Column::with_domain(cells, Domain::Float))
-        .collect();
-    DataFrame::from_parts(
-        columns,
-        left.row_labels().clone(),
-        right.col_labels().clone(),
-    )
 }
 
 fn pairwise_cov(a: &[f64], b: &[f64]) -> Cell {
@@ -207,25 +167,5 @@ mod tests {
         let cov = covariance(&df).unwrap();
         let cov_xy = cov.cell(0, 1).unwrap().as_f64().unwrap();
         assert!((cov_xy - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn matmul_multiplies_matrix_dataframes() {
-        let a = DataFrame::from_rows(
-            vec!["c1", "c2"],
-            vec![vec![cell(1.0), cell(2.0)], vec![cell(3.0), cell(4.0)]],
-        )
-        .unwrap();
-        let b = DataFrame::from_rows(vec!["d1"], vec![vec![cell(5.0)], vec![cell(6.0)]]).unwrap();
-        let product = matmul(&a, &b).unwrap();
-        assert_eq!(product.shape(), (2, 1));
-        assert_eq!(product.cell(0, 0).unwrap(), &cell(17.0));
-        assert_eq!(product.cell(1, 0).unwrap(), &cell(39.0));
-        // Shape and type errors.
-        assert!(matmul(&a, &a).is_ok());
-        let text = DataFrame::from_rows(vec!["s"], vec![vec![cell("a")]]).unwrap();
-        assert!(matmul(&a, &text).is_err());
-        let wrong = DataFrame::from_rows(vec!["z"], vec![vec![cell(1.0)]]).unwrap();
-        assert!(matmul(&a, &wrong).is_err());
     }
 }

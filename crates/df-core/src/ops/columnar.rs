@@ -15,10 +15,10 @@
 //! receives a whole row — runs SELECTION's row loop.
 //!
 //! Kernels:
-//! * [`predicate_mask`] — SELECTION: evaluate a predicate into a boolean mask, one
+//! * `predicate_mask_at` — SELECTION: evaluate a predicate into a boolean mask, one
 //!   column scan per leaf, without materialising a row or a `Cell` per comparison.
 //! * Grouping tables keyed by the raw 64-bit [`StableHasher`](df_types::cell::StableHasher)
-//!   stream ([`RawTable`]): GROUPBY / DROP DUPLICATES probe on the already-mixed
+//!   stream (`RawTable`): GROUPBY / DROP DUPLICATES probe on the already-mixed
 //!   hash instead of re-hashing a `Vec<CellKey>` clone of every row.
 //! * Typed sort keys and single-pass aggregation feeds live with their operators in
 //!   `ops::group`, built on [`ColumnData::cmp_rows`] / [`ColumnData::f64_at`].
@@ -26,7 +26,7 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 use df_types::cell::Cell;
-use df_types::column::ColumnData;
+use df_types::ColumnData;
 
 use crate::algebra::{CmpOp, Predicate};
 use crate::dataframe::{Column, DataFrame};
@@ -54,14 +54,9 @@ pub fn typed_for_keying(column: &Column) -> Option<ColumnData> {
 /// predicates receive a whole-row view). Semantics match
 /// [`Predicate::matches`] exactly: missing columns make `ColCmp`/`IsNull`/`NotNull`
 /// leaves false, null operands make comparisons false, and cross-domain comparisons
-/// order by domain rank.
-pub fn predicate_mask(df: &DataFrame, predicate: &Predicate) -> Option<Vec<bool>> {
-    predicate_mask_at(df, predicate, 0)
-}
-
-/// [`predicate_mask`] for a band of a larger frame: row `i` of `df` sits at global
-/// position `offset + i`, which is what positional leaves are evaluated against.
-pub fn predicate_mask_at(
+/// order by domain rank. `df` may be a band of a larger frame: its row `i` sits at
+/// global position `offset + i`, which is what positional leaves are evaluated against.
+pub(crate) fn predicate_mask_at(
     df: &DataFrame,
     predicate: &Predicate,
     offset: usize,
@@ -177,7 +172,7 @@ fn colcmp_mask(cells: &[Cell], op: CmpOp, value: &Cell) -> Vec<bool> {
 /// anyway (that hash must be stable for shuffles), so feeding the result through
 /// SipHash again — as `HashMap`'s default would — is pure overhead.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct PassthroughHasher(u64);
+pub(crate) struct PassthroughHasher(u64);
 
 impl Hasher for PassthroughHasher {
     #[inline]
@@ -198,7 +193,7 @@ impl Hasher for PassthroughHasher {
 /// Hash table from a pre-mixed 64-bit group hash to the group/row ids carrying it.
 /// Collisions are resolved by the caller with `key_eq` verification, same as the
 /// reference kernels.
-pub type RawTable =
+pub(crate) type RawTable =
     std::collections::HashMap<u64, Vec<usize>, BuildHasherDefault<PassthroughHasher>>;
 
 #[cfg(test)]
@@ -298,7 +293,7 @@ mod tests {
         ];
         for predicate in &predicates {
             assert_eq!(
-                predicate_mask(&df, predicate).unwrap(),
+                predicate_mask_at(&df, predicate, 0).unwrap(),
                 reference_mask(&df, predicate),
                 "mask diverged for {predicate:?}"
             );
@@ -311,10 +306,11 @@ mod tests {
             name: "p".into(),
             func: std::sync::Arc::new(|_| true),
         };
-        assert!(predicate_mask(&frame(), &custom).is_none());
-        assert!(predicate_mask(
+        assert!(predicate_mask_at(&frame(), &custom, 0).is_none());
+        assert!(predicate_mask_at(
             &frame(),
-            &Predicate::And(Box::new(Predicate::True), Box::new(custom.clone()))
+            &Predicate::And(Box::new(Predicate::True), Box::new(custom.clone())),
+            0
         )
         .is_none());
     }
@@ -322,13 +318,14 @@ mod tests {
     #[test]
     fn float_zero_signs_compare_equal() {
         let df = frame();
-        let mask = predicate_mask(
+        let mask = predicate_mask_at(
             &df,
             &Predicate::ColCmp {
                 column: cell("fare"),
                 op: CmpOp::Eq,
                 value: cell(0.0),
             },
+            0,
         )
         .unwrap();
         assert_eq!(mask, vec![false, false, false, true]);

@@ -4,9 +4,9 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 
 use df_types::cell::{Cell, CellKey, StableHasher};
-use df_types::column::ColumnData;
 use df_types::error::{DfError, DfResult};
 use df_types::labels::Labels;
+use df_types::ColumnData;
 
 use super::columnar::{typed_for_keying, RawTable};
 use crate::algebra::{AggFunc, Aggregation, SortSpec};

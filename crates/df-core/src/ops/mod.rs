@@ -10,7 +10,7 @@ pub mod group;
 pub mod reshape;
 pub mod rowwise;
 pub mod setops;
-pub mod window;
+mod window;
 
 use df_types::error::{DfError, DfResult};
 

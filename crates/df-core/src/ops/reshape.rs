@@ -60,7 +60,7 @@ pub fn from_labels(df: &DataFrame, new_column: &Cell) -> DfResult<DataFrame> {
 
 /// LIMIT: the first (or last) `k` rows. Expressible as a positional SELECTION; kept as
 /// its own operator so engines can prioritise prefix/suffix production (§6.1.2).
-pub fn limit(df: &DataFrame, k: usize, from_end: bool) -> DataFrame {
+pub(crate) fn limit(df: &DataFrame, k: usize, from_end: bool) -> DataFrame {
     if from_end {
         df.tail(k)
     } else {

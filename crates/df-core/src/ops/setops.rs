@@ -122,7 +122,7 @@ pub fn difference(left: &DataFrame, right: &DataFrame) -> DfResult<DataFrame> {
 
 /// CROSS PRODUCT: every left row paired with every right row, nested order (left outer,
 /// right inner). Row labels are reset to positional ranks; column labels concatenate.
-pub fn cross_product(left: &DataFrame, right: &DataFrame) -> DfResult<DataFrame> {
+pub(crate) fn cross_product(left: &DataFrame, right: &DataFrame) -> DfResult<DataFrame> {
     let n = left.n_rows() * right.n_rows();
     let mut columns: Vec<Vec<Cell>> = Vec::with_capacity(left.n_cols() + right.n_cols());
     for col in left.columns() {

@@ -11,7 +11,11 @@ use crate::algebra::{ColumnSelector, WindowFunc};
 use crate::dataframe::{Column, DataFrame};
 
 /// Apply `func` to each selected column, leaving the other columns untouched.
-pub fn window(df: &DataFrame, columns: &ColumnSelector, func: &WindowFunc) -> DfResult<DataFrame> {
+pub(crate) fn window(
+    df: &DataFrame,
+    columns: &ColumnSelector,
+    func: &WindowFunc,
+) -> DfResult<DataFrame> {
     let targets = columns.resolve(df)?;
     let mut out = df.clone();
     for &j in &targets {

@@ -26,7 +26,7 @@
 //! changes a result, only skips work.
 //!
 //! ```
-//! use df_core::scan::{ScanCsv, ScanOptions};
+//! use df_core::{ScanCsv, ScanOptions};
 //! use df_core::algebra::{AlgebraExpr, CmpOp, Predicate};
 //! use df_types::cell::cell;
 //!
@@ -56,7 +56,7 @@ use crate::algebra::{CmpOp, Predicate};
 /// copy and the engine translates when it actually opens the file.
 ///
 /// ```
-/// use df_core::scan::ScanOptions;
+/// use df_core::ScanOptions;
 /// let options = ScanOptions::default();
 /// assert_eq!(options.delimiter, ',');
 /// assert!(options.has_header);
@@ -100,14 +100,14 @@ pub struct ColumnChunkStats {
     pub numeric_count: usize,
     /// `(min, max)` over string cells; `None` when the chunk column has none.
     pub lexical: Option<(String, String)>,
-    /// Distinct values seen, capped at [`DISTINCT_CAP`] (a saturated count means "at
+    /// Distinct values seen, capped at `DISTINCT_CAP` (a saturated count means "at
     /// least this many").
     pub distinct: usize,
 }
 
 /// Cap on the per-chunk distinct-value counter: beyond this a column is treated as
 /// effectively unique and the exact count stops mattering for costing.
-pub const DISTINCT_CAP: usize = 256;
+pub(crate) const DISTINCT_CAP: usize = 256;
 
 /// One chunk column's distinct-value scratch, kept outside [`ColumnChunkStats`] so
 /// the stats struct stays plain data. Text is looked up by slice, so a repeated value
@@ -198,7 +198,7 @@ pub struct ChunkStats {
 /// the "per-band `InductionSummary`" of the paper's metadata-driven rewrites, §5.1).
 ///
 /// ```
-/// use df_core::scan::{ChunkStats, ColumnChunkStats, ScanStats};
+/// use df_core::{ChunkStats, ColumnChunkStats, ScanStats};
 /// use df_types::cell::cell;
 ///
 /// let stats = ScanStats {
@@ -216,7 +216,6 @@ pub struct ChunkStats {
 ///     }],
 /// };
 /// assert_eq!(stats.chunks.len(), 1);
-/// assert_eq!(stats.bytes_per_row(), 8.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanStats {
@@ -237,7 +236,7 @@ pub struct ScanStats {
 
 impl ScanStats {
     /// Average encoded bytes per data row (for sizing estimates).
-    pub fn bytes_per_row(&self) -> f64 {
+    pub(crate) fn bytes_per_row(&self) -> f64 {
         if self.total_rows == 0 {
             0.0
         } else {
@@ -373,7 +372,7 @@ impl ScanCsv {
     /// Fingerprint fragment: identity plus the pushdowns (content-based, unlike the
     /// pointer-identity used for literal leaves, so equal scans of the same file
     /// state dedupe in the statement cache).
-    pub fn fingerprint_fragment(&self) -> String {
+    pub(crate) fn fingerprint_fragment(&self) -> String {
         format!(
             "scan[{};proj={:?};pred={:?};limit={:?}]",
             self.identity, self.projection, self.predicate, self.limit
@@ -402,7 +401,7 @@ impl fmt::Debug for ScanCsv {
 /// (inference on), `None` when every data cell stays a string/null.
 ///
 /// ```
-/// use df_core::scan::{chunk_may_match, ChunkStats, ColumnChunkStats};
+/// use df_core::{chunk_may_match, ChunkStats, ColumnChunkStats};
 /// use df_core::algebra::{CmpOp, Predicate};
 /// use df_types::cell::cell;
 /// use df_types::domain::Domain;

@@ -37,10 +37,11 @@ use df_storage::wire;
 use df_types::backend::BackendKind;
 use df_types::{DfError, DfResult};
 
-pub mod proc;
-pub mod task;
+mod proc;
+mod task;
 
 pub use proc::ProcBackend;
+pub(crate) use task::one;
 pub use task::BandTask;
 
 /// A snapshot of a backend's worker-pool health and task placement counters.
@@ -135,7 +136,7 @@ impl ExecBackend for ThreadsBackend {
 /// workspace `target/` two levels up). A missing binary is a
 /// typed [`DfError::Unsupported`] — never a silent fallback to threads, because
 /// a test matrix arm that asked for procs must fail loudly if it cannot get them.
-pub fn resolve_worker_bin() -> DfResult<PathBuf> {
+pub(crate) fn resolve_worker_bin() -> DfResult<PathBuf> {
     if let Ok(explicit) = std::env::var("DF_WORKER_BIN") {
         let path = PathBuf::from(explicit);
         if path.is_file() {

@@ -85,7 +85,7 @@ pub struct ProcBackend {
 
 impl ProcBackend {
     /// A process backend with `workers` worker processes, spawning the
-    /// `df-band-worker` binary found by [`super::resolve_worker_bin`]. Fails with
+    /// `df-band-worker` binary found by `super::resolve_worker_bin`. Fails with
     /// a typed [`DfError::Unsupported`] when the binary cannot be located — a
     /// configuration that asked for process parallelism must never silently run
     /// on threads instead.

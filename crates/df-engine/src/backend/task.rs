@@ -41,6 +41,11 @@ use df_types::{Cell, DfError, DfResult, Domain};
 use super::EXCHANGE_SITE;
 use crate::shuffle::{self, ShuffleKey};
 
+/// The most buckets a decoded [`BandTask::HashSplit`] may ask for. The engine asks
+/// for `max(threads, min(bands, 8))`, so a larger count is a corrupt descriptor, not
+/// a request.
+const MAX_SPLIT_PARTS: usize = 1 << 16;
+
 /// One unit of per-band work, serialisable for cross-process placement.
 #[derive(Debug, Clone)]
 pub enum BandTask {
@@ -149,25 +154,15 @@ impl BandTask {
 
     /// How many output frames [`BandTask::run`] yields: `parts` bucket slices for the
     /// shuffle's scatter hop, one frame for everything else.
-    pub fn output_arity(&self) -> usize {
+    pub(crate) fn output_arity(&self) -> usize {
         match self {
             BandTask::HashSplit { parts, .. } => *parts,
             _ => 1,
         }
     }
 
-    /// True when the task can be encoded and shipped to another process. False for
-    /// tasks carrying opaque closures, which the process backend runs in-place.
-    pub fn is_remote_safe(&self) -> bool {
-        match self {
-            BandTask::Selection(p) => predicate_is_data(p),
-            BandTask::Map(f) => !matches!(f, MapFunc::Custom { .. } | MapFunc::PerCell { .. }),
-            _ => true,
-        }
-    }
-
-    /// Encode the task for the wire, or `None` when it carries closures (see
-    /// [`BandTask::is_remote_safe`]).
+    /// Encode the task for the wire, or `None` when it carries opaque closures, which
+    /// the process backend runs in-place.
     pub fn encode(&self) -> Option<Vec<u8>> {
         let mut e = ByteWriter::default();
         match self {
@@ -262,6 +257,11 @@ impl BandTask {
             "split" => {
                 let key = dec_key(&mut d)?;
                 let parts = d.count()?;
+                // Zero buckets would divide by zero in the split, and a count no
+                // executor asks for would have the worker allocate a bucket per unit.
+                if !(1..=MAX_SPLIT_PARTS).contains(&parts) {
+                    return Err(d.corrupt(format!("band task: {parts} split buckets")));
+                }
                 BandTask::HashSplit { key, parts }
             }
             "concat" => BandTask::Concat,
@@ -297,6 +297,25 @@ impl BandTask {
                     rows: d.count()?,
                     start_row: d.count()?,
                 };
+                // A planned chunk lies inside its plan, and every record in it has
+                // `n_cols` fields: a header fixes the arity, a headerless one is
+                // bounded by the chunk's length. The parse allocates by these counts.
+                let bytes_fit = chunk.start_byte <= chunk.end_byte && chunk.end_byte <= total_bytes;
+                let rows_fit = chunk
+                    .start_row
+                    .checked_add(chunk.rows)
+                    .is_some_and(|end| end <= total_rows);
+                let arity_fits = match &header {
+                    Some(fields) => fields.len() == n_cols,
+                    None => {
+                        bytes_fit
+                            && (n_cols as u64).saturating_sub(1)
+                                <= chunk.end_byte - chunk.start_byte
+                    }
+                };
+                if !(bytes_fit && rows_fit && arity_fits) {
+                    return Err(d.corrupt("band task: CSV chunk outside its plan"));
+                }
                 BandTask::CsvChunk {
                     path,
                     options: CsvOptions {
@@ -325,19 +344,6 @@ pub(crate) fn one(inputs: Vec<DataFrame>) -> DfResult<DataFrame> {
     match (inputs.pop(), inputs.pop()) {
         (Some(band), None) => Ok(band),
         _ => Err(DfError::internal("band task expects exactly one input")),
-    }
-}
-
-fn predicate_is_data(p: &Predicate) -> bool {
-    match p {
-        Predicate::True
-        | Predicate::ColCmp { .. }
-        | Predicate::IsNull { .. }
-        | Predicate::NotNull { .. }
-        | Predicate::PositionRange { .. } => true,
-        Predicate::Not(inner) => predicate_is_data(inner),
-        Predicate::And(a, b) | Predicate::Or(a, b) => predicate_is_data(a) && predicate_is_data(b),
-        Predicate::Custom { .. } => false,
     }
 }
 
@@ -705,12 +711,12 @@ mod tests {
                 options: CsvOptions::default(),
                 header: None,
                 n_cols: 3,
-                total_rows: 0,
-                total_bytes: 0,
+                total_rows: 4,
+                total_bytes: 24,
                 chunk: CsvChunk {
                     start_byte: 0,
-                    end_byte: 0,
-                    rows: 0,
+                    end_byte: 24,
+                    rows: 4,
                     start_row: 0,
                 },
             },
@@ -731,7 +737,6 @@ mod tests {
                 encoded,
                 "re-encode mismatch for {task:?}"
             );
-            assert!(task.is_remote_safe());
         }
     }
 
@@ -746,7 +751,6 @@ mod tests {
             func: Arc::new(|c| c.clone()),
         });
         for task in [custom_pred, custom_map] {
-            assert!(!task.is_remote_safe());
             assert!(task.encode().is_none());
         }
         // Closures nested inside combinators are caught too.
@@ -754,7 +758,6 @@ mod tests {
             name: "udf".into(),
             func: Arc::new(|_| false),
         })));
-        assert!(!nested.is_remote_safe());
         assert!(nested.encode().is_none());
     }
 

@@ -231,7 +231,7 @@ impl CacheInner {
 
 /// Result of [`ResultCache::begin`]: either a ready handle, or this caller is the
 /// key's producer and must execute (then [`FlightGuard::complete`] or drop).
-pub enum Lookup {
+pub(crate) enum Lookup {
     /// The key was cached (possibly after waiting out another tenant's pending
     /// execution of it).
     Hit(FrameHandle),
@@ -243,7 +243,7 @@ pub enum Lookup {
 /// the computed handle and wakes every waiter; dropping the guard without
 /// completing (execution failed or was cancelled) withdraws the claim and wakes
 /// the waiters to race for a retry — so a failed producer never wedges a key.
-pub struct FlightGuard {
+pub(crate) struct FlightGuard {
     cache: Arc<ResultCache>,
     key: String,
     tenant: Option<String>,
@@ -256,7 +256,7 @@ impl FlightGuard {
     /// [`crate::session::QuerySession`]). Fails typed when the producing tenant's
     /// quota cannot fit the result — the handle is then *not* retained and the
     /// statement surfaces the quota error.
-    pub fn complete(mut self, pins: Vec<FrameHandle>, handle: FrameHandle) -> DfResult<()> {
+    pub(crate) fn complete(mut self, pins: Vec<FrameHandle>, handle: FrameHandle) -> DfResult<()> {
         self.completed = true;
         let cache = Arc::clone(&self.cache);
         let mut inner = cache.lock_inner();
@@ -339,7 +339,7 @@ impl Default for ResultCache {
 impl ResultCache {
     /// An unbounded cache (the single-session default — same retention behaviour
     /// the private per-session map had).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ResultCache::with_budget(None)
     }
 
@@ -381,7 +381,7 @@ impl ResultCache {
     /// in-flight entry blocks until its producer publishes or withdraws (counted
     /// as a single-flight wait); an absent entry makes this caller the producer
     /// and returns a [`Lookup::Miss`] guard.
-    pub fn begin(self: &Arc<Self>, key: &str, tenant: Option<&str>) -> Lookup {
+    pub(crate) fn begin(self: &Arc<Self>, key: &str, tenant: Option<&str>) -> Lookup {
         let mut inner = self.lock_inner();
         loop {
             match inner.slots.get(key) {
@@ -413,13 +413,13 @@ impl ResultCache {
     /// Non-blocking hit: serve a Ready entry (counting the hit), or `None` —
     /// including for in-flight keys, which callers on inspection paths (head/
     /// tail) deliberately do not wait on.
-    pub fn lookup(&self, key: &str, tenant: Option<&str>) -> Option<FrameHandle> {
+    pub(crate) fn lookup(&self, key: &str, tenant: Option<&str>) -> Option<FrameHandle> {
         self.lock_inner().note_hit(key, tenant)
     }
 
     /// Observational peek: the cached handle without touching any counter or
     /// recency state (plan rebasing and `explain` use this).
-    pub fn peek(&self, key: &str) -> Option<FrameHandle> {
+    pub(crate) fn peek(&self, key: &str) -> Option<FrameHandle> {
         match self.lock_inner().slots.get(key) {
             Some(Slot::Ready(entry)) => Some(entry.handle.clone()),
             _ => None,
@@ -428,14 +428,14 @@ impl ResultCache {
 
     /// True when `key` is Ready *or* in flight (used to avoid spawning a
     /// duplicate background execution of a key someone is already producing).
-    pub fn contains(&self, key: &str) -> bool {
+    pub(crate) fn contains(&self, key: &str) -> bool {
         self.lock_inner().slots.contains_key(key)
     }
 
     /// Insert a handle computed outside a flight (promoting a finished background
     /// future). Skipped when the key is currently in flight — the producer owns
     /// the key and will publish its own result.
-    pub fn insert(
+    pub(crate) fn insert(
         &self,
         key: &str,
         pins: Vec<FrameHandle>,
@@ -451,13 +451,13 @@ impl ResultCache {
 
     /// Drop one Ready entry (quarantine / invalidation). In-flight markers are
     /// owned by their producer's guard and never removed here.
-    pub fn evict(&self, key: &str) {
+    pub(crate) fn evict(&self, key: &str) {
         self.lock_inner().remove_ready(key);
     }
 
     /// Drop every Ready entry whose key starts with `prefix`, except `keep` — the
     /// ingest supersede path (same statement, regenerated file identity).
-    pub fn evict_prefix_except(&self, prefix: &str, keep: &str) {
+    pub(crate) fn evict_prefix_except(&self, prefix: &str, keep: &str) {
         let mut inner = self.lock_inner();
         let stale: Vec<String> = inner
             .slots
@@ -468,25 +468,6 @@ impl ResultCache {
             })
             .collect();
         for key in stale {
-            inner.remove_ready(&key);
-        }
-    }
-
-    /// Drop every Ready entry produced by `tenant` (tenant disconnect, or a
-    /// tenant voluntarily releasing its quota).
-    pub fn evict_tenant(&self, tenant: &str) {
-        let mut inner = self.lock_inner();
-        let owned: Vec<String> = inner
-            .slots
-            .iter()
-            .filter_map(|(key, slot)| match slot {
-                Slot::Ready(entry) if entry.producer.as_deref() == Some(tenant) => {
-                    Some(key.clone())
-                }
-                _ => None,
-            })
-            .collect();
-        for key in owned {
             inner.remove_ready(&key);
         }
     }
@@ -508,17 +489,12 @@ impl ResultCache {
     }
 
     /// Number of Ready entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock_inner()
             .slots
             .values()
             .filter(|slot| matches!(slot, Slot::Ready(_)))
             .count()
-    }
-
-    /// True when no Ready entry is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Point-in-time counters, per-tenant attribution sorted by name.
@@ -724,9 +700,8 @@ mod tests {
         assert!(err.to_string().contains("quota"), "{err}");
         let stats = cache.stats();
         assert_eq!(stats.quota_rejections, 1, "{stats:?}");
-        // Releasing the tenant's entries restores service.
+        // Raising the quota restores service.
         cache.set_tenant_quota("greedy", Some(unit * 4));
-        cache.evict_tenant("greedy");
         let Lookup::Miss(guard) = cache.begin("g4", Some("greedy")) else {
             panic!("fresh key must miss");
         };

@@ -57,12 +57,11 @@ use df_types::error::DfResult;
 use df_types::labels::Labels;
 
 use df_core::algebra::{AggFunc, Aggregation, AlgebraExpr, MapFunc, Predicate, SortSpec};
-use df_core::cost;
 use df_core::dataframe::{Column, DataFrame};
 use df_core::engine::{Capabilities, Engine, EngineKind, PushdownSnapshot};
 use df_core::handle::{FrameHandle, PartitionedResult};
 use df_core::ops;
-use df_core::scan::{ScanCsv, ScanOptions, ScanStats};
+use df_core::{estimate, render_plan, ScanCsv, ScanOptions, ScanStats, DEFAULT_CELL_BYTES};
 
 use crate::backend::{BackendHealth, BandTask, ExecBackend, ProcBackend, ThreadsBackend};
 use crate::executor::{default_threads, outputs, CheckIn, ParallelExecutor, StageResults};
@@ -172,7 +171,7 @@ impl ModinConfig {
     ///         .with_threads(2)
     ///         .with_backend(BackendKind::Threads),
     /// )?;
-    /// assert_eq!(engine.backend_kind(), BackendKind::Threads);
+    /// assert_eq!(engine.backend_health().workers_spawned, 0); // no worker processes
     /// # Ok::<(), df_types::error::DfError>(())
     /// ```
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
@@ -367,11 +366,6 @@ impl ModinEngine {
         })
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ModinConfig {
-        &self.config
-    }
-
     /// The session's spill store, when a memory budget is configured.
     pub fn store(&self) -> Option<&Arc<SpillStore>> {
         self.store.as_ref()
@@ -383,16 +377,6 @@ impl ModinEngine {
     /// equivalence suite.
     pub fn spill_stats(&self) -> SpillStats {
         self.store.as_ref().map(|s| s.stats()).unwrap_or_default()
-    }
-
-    /// Number of per-partition tasks the engine has dispatched so far.
-    pub fn tasks_dispatched(&self) -> u64 {
-        self.executor.tasks_run()
-    }
-
-    /// Which executor backend band tasks run on.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.executor.backend().kind()
     }
 
     /// A snapshot of the backend's worker pool: workers spawned/live, restarts after
@@ -479,7 +463,7 @@ impl ModinEngine {
     /// session's spill store, so ingesting a file larger than the memory budget
     /// keeps peak residency within *budget + one band per worker* — the full frame
     /// never exists in memory. The handle is cell-for-cell identical to serially
-    /// reading the file (see [`crate::ingest`]).
+    /// reading the file (see `crate::ingest`).
     pub fn read_csv_handle(
         &self,
         path: impl AsRef<std::path::Path>,
@@ -603,14 +587,14 @@ impl ModinEngine {
         if configured == 0 {
             return 0;
         }
-        let Some(est) = cost::estimate(build) else {
+        let Some(est) = estimate(build) else {
             return configured;
         };
         if est.rows < 1.0 || est.bytes <= 0.0 {
             return configured;
         }
         let per_row = est.bytes / est.rows;
-        let assumed = cost::DEFAULT_CELL_BYTES * est.cols.max(1.0);
+        let assumed = DEFAULT_CELL_BYTES * est.cols.max(1.0);
         let adjusted = (configured as f64 * assumed / per_row) as usize;
         adjusted.clamp(configured / 4 + 1, configured.saturating_mul(4))
     }
@@ -619,13 +603,13 @@ impl ModinEngine {
     /// estimates, which rewrite rules fired, and the planned join strategies. Scans
     /// without cached statistics get a statistics pass first (cached, so the
     /// execution that typically follows pays nothing extra).
-    pub fn explain_plan(&self, expr: &AlgebraExpr) -> String {
+    pub(crate) fn explain_plan(&self, expr: &AlgebraExpr) -> String {
         self.prime_scan_stats(expr);
         let (optimized, stats) = optimize(expr, self.config.optimizer);
         let mut out = String::from("== logical plan ==\n");
-        out.push_str(&cost::render_plan(expr));
+        out.push_str(&render_plan(expr));
         out.push_str("== optimized plan ==\n");
-        out.push_str(&cost::render_plan(&optimized));
+        out.push_str(&render_plan(&optimized));
         out.push_str("== rewrites ==\n");
         let _ = writeln!(
             out,
@@ -654,7 +638,7 @@ impl ModinEngine {
         if let AlgebraExpr::Join { right, .. } = expr {
             let threshold =
                 self.adaptive_broadcast_rows(right, self.config.broadcast_threshold_rows);
-            let line = match cost::estimate(right) {
+            let line = match estimate(right) {
                 Some(est) if (est.rows.round() as usize) <= threshold => format!(
                     "JOIN: broadcast build side (~{} rows <= threshold {threshold})",
                     est.rows.round()
@@ -982,7 +966,7 @@ impl Engine for ModinEngine {
         EngineKind::Modin
     }
 
-    fn cancel_token(&self) -> Option<df_types::cancel::CancelToken> {
+    fn cancel_token(&self) -> Option<df_types::CancelToken> {
         Some(self.executor.cancel_token().clone())
     }
 
@@ -1343,7 +1327,6 @@ mod tests {
             assert!(result.same_data(&reference), "{name} diverged");
             assert_eq!(engine.fallbacks_dispatched(), 0, "{name} fell back");
             assert!(engine.shuffles_dispatched() > 0, "{name} did not shuffle");
-            assert!(engine.tasks_dispatched() > 0);
         }
         // And the remaining fallback operators do count their assembly.
         let engine = ModinEngine::with_config(ModinConfig::sequential().with_partition_size(16, 2));
@@ -1427,8 +1410,7 @@ mod tests {
         assert!(engine.capabilities().lazy_execution);
         let expr = AlgebraExpr::literal(trips(64)).map(MapFunc::IsNullMask);
         engine.execute_collect(&expr).unwrap();
-        assert!(engine.tasks_dispatched() > 0);
-        assert_eq!(engine.config().threads, 1);
+        assert_eq!(engine.config.threads, 1);
         let (optimized, stats) = engine.optimize_only(&expr.clone().transpose().transpose());
         assert_eq!(stats.transpose_pairs_eliminated, 1);
         assert_eq!(optimized.transpose_count(), 0);
@@ -1461,11 +1443,11 @@ mod tests {
     }
 
     fn scan_expr(path: &std::path::Path, identity: &str) -> AlgebraExpr {
-        AlgebraExpr::scan_csv(df_core::scan::ScanCsv::new(
+        AlgebraExpr::scan_csv(df_core::ScanCsv::new(
             path,
-            df_core::scan::ScanOptions {
+            df_core::ScanOptions {
                 infer_schema: true,
-                ..df_core::scan::ScanOptions::default()
+                ..df_core::ScanOptions::default()
             },
             identity,
         ))

@@ -46,8 +46,8 @@ use parking_lot::Mutex;
 use df_core::columnar::ColumnBlock;
 use df_core::dataframe::DataFrame;
 use df_storage::spill::SpillStore;
-use df_types::cancel::CancelToken;
 use df_types::error::{DfError, DfResult};
+use df_types::CancelToken;
 
 use crate::backend::{BandTask, ExecBackend};
 use crate::partition::Partition;
@@ -119,10 +119,10 @@ impl CheckIn {
 
 /// What a stage returns: per item, in item order, its checked-in output partitions
 /// and its by-product.
-pub type StageResults<B> = Vec<(Vec<Partition>, B)>;
+pub(crate) type StageResults<B> = Vec<(Vec<Partition>, B)>;
 
 /// A stage's output partitions in item order, by-products dropped.
-pub fn outputs<B>(results: StageResults<B>) -> Vec<Partition> {
+pub(crate) fn outputs<B>(results: StageResults<B>) -> Vec<Partition> {
     results.into_iter().flat_map(|(parts, _)| parts).collect()
 }
 
@@ -132,8 +132,6 @@ pub struct ParallelExecutor {
     store: Option<Arc<SpillStore>>,
     cancel: CancelToken,
     backend: Arc<dyn ExecBackend>,
-    tasks_run: AtomicU64,
-    batches_run: AtomicU64,
     shuffles_run: AtomicU64,
 }
 
@@ -147,14 +145,12 @@ impl ParallelExecutor {
             store: None,
             cancel: CancelToken::new(),
             backend: Arc::new(crate::backend::ThreadsBackend::new(threads)),
-            tasks_run: AtomicU64::new(0),
-            batches_run: AtomicU64::new(0),
             shuffles_run: AtomicU64::new(0),
         }
     }
 
     /// An executor sized to the machine's available parallelism (or `DF_THREADS`).
-    pub fn default_parallelism() -> Self {
+    pub(crate) fn default_parallelism() -> Self {
         ParallelExecutor::new(default_threads())
     }
 
@@ -166,7 +162,7 @@ impl ParallelExecutor {
     }
 
     /// The session's spill store, when the engine runs with a memory budget.
-    pub fn store(&self) -> Option<&Arc<SpillStore>> {
+    pub(crate) fn store(&self) -> Option<&Arc<SpillStore>> {
         self.store.as_ref()
     }
 
@@ -260,28 +256,18 @@ impl ParallelExecutor {
     }
 
     /// Number of worker threads used for fan-out.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Total number of per-item tasks executed so far.
-    pub fn tasks_run(&self) -> u64 {
-        self.tasks_run.load(Ordering::Relaxed)
-    }
-
-    /// Total number of fan-out batches executed so far.
-    pub fn batches_run(&self) -> u64 {
-        self.batches_run.load(Ordering::Relaxed)
     }
 
     /// Total number of shuffles (hash or range exchanges) executed so far. Recorded by
     /// the shuffle subsystem so ablations can report shuffle counts per query.
-    pub fn shuffles_run(&self) -> u64 {
+    pub(crate) fn shuffles_run(&self) -> u64 {
         self.shuffles_run.load(Ordering::Relaxed)
     }
 
     /// Record one shuffle (called by the shuffle subsystem per exchange).
-    pub fn record_shuffle(&self) {
+    pub(crate) fn record_shuffle(&self) {
         self.shuffles_run.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -294,9 +280,7 @@ impl ParallelExecutor {
         U: Send,
         F: Fn(usize, T) -> DfResult<U> + Send + Sync,
     {
-        self.batches_run.fetch_add(1, Ordering::Relaxed);
         let n = items.len();
-        self.tasks_run.fetch_add(n as u64, Ordering::Relaxed);
         if n == 0 {
             return Ok(Vec::new());
         }
@@ -434,7 +418,6 @@ mod tests {
             );
             // Results and by-products come back in item order, one task per item.
             assert_eq!(results.len(), 12);
-            assert_eq!((executor.tasks_run(), executor.batches_run()), (12, 1));
             for (i, (parts, by_product)) in results.iter().enumerate() {
                 assert_eq!(*by_product, (i, Some(10 * i as i64)));
                 assert_eq!(parts.len(), 1);
@@ -475,7 +458,7 @@ mod tests {
             key: crate::shuffle::ShuffleKey::Positions(vec![0]),
             parts: 3,
         };
-        let items = vec![vec![Partition::new(frame())]];
+        let items = vec![vec![Partition::new_in(frame(), None).unwrap()]];
         let results = executor
             .run_stage("test.split", CheckIn::Frame, items, executor.placed(&split))
             .unwrap();
@@ -490,8 +473,6 @@ mod tests {
         assert_eq!(out[0], 0);
         assert_eq!(out[99], 198);
         assert_eq!(out.len(), 100);
-        assert_eq!(executor.tasks_run(), 100);
-        assert_eq!(executor.batches_run(), 1);
         assert_eq!(executor.shuffles_run(), 0);
         executor.record_shuffle();
         assert_eq!(executor.shuffles_run(), 1);

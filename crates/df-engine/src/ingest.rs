@@ -35,11 +35,11 @@ use std::path::Path;
 
 use df_core::algebra::ColumnSelector;
 use df_core::ops;
-use df_core::scan::{ChunkStats, ScanCsv, ScanStats};
+use df_core::{ChunkStats, ScanCsv, ScanStats};
 use df_storage::csv::{self, CsvChunk, CsvIngestPlan, CsvOptions};
 use df_types::cell::Cell;
 use df_types::error::DfResult;
-use df_types::infer::InductionSummary;
+use df_types::InductionSummary;
 
 use crate::backend::BandTask;
 use crate::executor::{outputs, CheckIn, ParallelExecutor};
@@ -59,7 +59,7 @@ pub struct IngestStats {
 
 /// What one ingest run did — merged into the engine's [`IngestStats`] counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestReport {
+pub(crate) struct IngestReport {
     /// Bands parsed (0 for an empty file, which produces a single empty band).
     pub bands: u64,
     /// Bytes scanned (the file length).
@@ -73,7 +73,7 @@ pub struct IngestReport {
 /// (when the session runs under a memory budget). The grid is cell-for-cell identical
 /// to serially reading the file and partitioning the result — without the full frame
 /// ever existing in memory.
-pub fn ingest_csv_grid(
+pub(crate) fn ingest_csv_grid(
     executor: &ParallelExecutor,
     partitioning: PartitionConfig,
     path: &Path,
@@ -101,7 +101,7 @@ pub fn ingest_csv_grid(
     // driver-side, so a transient fault costs a backoff, not the statement. Bands
     // check in columnar — encoded once, here — and each band's induction summaries
     // ride back beside it, so reconciliation never re-loads a band.
-    let retry = df_types::retry::RetryPolicy::default();
+    let retry = df_types::RetryPolicy::default();
     let parsed = executor.run_stage(
         "ingest.parse",
         CheckIn::Columnar,
@@ -158,7 +158,7 @@ fn no_inputs(n: usize) -> Vec<Vec<Partition>> {
 /// What one pushdown-aware scan did — merged into the engine's ingest and pushdown
 /// counters, and asserted by the pushdown equivalence suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanReport {
+pub(crate) struct ScanReport {
     /// Bands parsed: surviving chunks, and of those only the ones a pushed limit reached.
     pub bands: u64,
     /// Bytes actually read by the parse phase (unparsed chunks read nothing).
@@ -201,11 +201,11 @@ fn tuned_band_rows(
 /// Collect per-chunk column statistics (and, for inferring scans, the reconciled
 /// per-column domains) for a CSV file: plan the chunks — re-planning with a smaller
 /// band when the memory budget and worker count call for it — then fold each chunk
-/// on the worker pool straight into [`df_core::scan::ColumnChunkStats`] and induction
+/// on the worker pool straight into [`df_core::ColumnChunkStats`] and induction
 /// summaries ([`csv::csv_chunk_stats`]; no band is ever built). Nothing is retained
 /// beyond the statistics; the engine caches the result per scan identity so later
 /// statements pay nothing.
-pub fn collect_scan_stats(
+pub(crate) fn collect_scan_stats(
     executor: &ParallelExecutor,
     partitioning: PartitionConfig,
     memory_budget: Option<usize>,
@@ -284,7 +284,7 @@ fn rebuild_plan(stats: &ScanStats, options: &CsvOptions) -> CsvIngestPlan {
 ///
 /// * **chunk skipping** — chunks whose per-column min/max statistics prove no row
 ///   can match the pushed predicate are never read
-///   ([`df_core::scan::ScanStats::surviving_chunks`]);
+///   ([`df_core::ScanStats::surviving_chunks`]);
 /// * **column pruning and typed parsing** — each worker materialises only the
 ///   projected columns plus whatever extra columns the pushed predicate reads, every
 ///   field parsed straight into its file-wide reconciled domain
@@ -298,7 +298,7 @@ fn rebuild_plan(stats: &ScanStats, options: &CsvOptions) -> CsvIngestPlan {
 ///
 /// The grid is cell-for-cell identical to evaluating SELECTION, PROJECTION and LIMIT
 /// above an unpushed scan of the whole file.
-pub fn scan_csv_grid(
+pub(crate) fn scan_csv_grid(
     executor: &ParallelExecutor,
     scan: &ScanCsv,
     options: &CsvOptions,
@@ -351,7 +351,7 @@ pub fn scan_csv_grid(
         chunks_skipped: (stats.chunks.len() - survivors.len()) as u64,
         columns_pruned,
     };
-    let retry = df_types::retry::RetryPolicy::default();
+    let retry = df_types::RetryPolicy::default();
     let mut parts: Vec<Partition> = Vec::new();
     let mut found = 0usize;
     let mut pending = survivors.as_slice();
@@ -589,7 +589,7 @@ mod tests {
     }
 
     use df_core::algebra::{CmpOp, Predicate};
-    use df_core::scan::ScanOptions;
+    use df_core::ScanOptions;
 
     /// 60 rows of 4 columns with `id` sorted 0..60, so a range predicate on `id`
     /// is satisfiable in only a prefix of the chunk sequence.

@@ -9,17 +9,18 @@
 //!   operators).
 //! * [`executor`] — the task-parallel execution layer (the paper's Ray/Dask slot),
 //!   here an in-process scoped thread pool.
-//! * [`ingest`] — partition-parallel, budget-aware CSV ingest: files are parsed
-//!   chunk-by-chunk on the worker pool straight into a spill-backed partition grid,
-//!   with cross-band schema reconciliation (the paper's parallel-I/O headline).
-//! * [`optimizer`] — logical rewrite rules: transpose cancellation, selection fusion,
+//! * [`ModinEngine::ingest_csv`] — partition-parallel, budget-aware CSV ingest: files
+//!   are parsed chunk-by-chunk on the worker pool straight into a spill-backed
+//!   partition grid, with cross-band schema reconciliation (the paper's parallel-I/O
+//!   headline).
+//! * [`optimize`] — logical rewrite rules: transpose cancellation, selection fusion,
 //!   limit push-down, schema-induction deferral accounting and the Figure 8 pivot-axis
 //!   choice (paper §5–6).
-//! * [`engine`] — [`engine::ModinEngine`], the partitioned parallel implementation of
-//!   the dataframe algebra behind the shared [`df_core::engine::Engine`] trait.
+//! * [`engine`] — [`ModinEngine`], the partitioned parallel implementation of
+//!   the dataframe algebra behind the shared [`df_core::Engine`] trait.
 //! * [`session`] — eager / lazy / opportunistic evaluation, query futures, prefix
 //!   (head/tail) prioritised inspection and the materialisation/reuse cache (paper §6).
-//! * [`cache`] — the shareable, budget-accounted result cache behind the session:
+//! * [`ResultCache`] — the shareable, budget-accounted result cache behind the session:
 //!   single-flight fingerprint execution, LRU eviction under a byte budget, and
 //!   per-tenant quotas/attribution for the multi-tenant service (`df-service`).
 
@@ -29,11 +30,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod backend;
-pub mod cache;
+mod cache;
 pub mod engine;
 pub mod executor;
-pub mod ingest;
-pub mod optimizer;
+mod ingest;
+mod optimizer;
 pub mod partition;
 pub mod session;
 pub mod shuffle;

@@ -10,14 +10,14 @@
 //! * **Limit push-down** (§6.1.2) — a LIMIT (the `head`/`tail` inspection) pushes below
 //!   arity-preserving row-wise operators, so prefix inspection of a long pipeline only
 //!   computes the rows that will be displayed — and a LIMIT that lands on a
-//!   [`ScanCsv`](df_core::scan::ScanCsv) leaf folds into it, so the first look at a
+//!   [`ScanCsv`](df_core::ScanCsv) leaf folds into it, so the first look at a
 //!   file parses only the chunks its rows come from.
 //! * **Schema-induction deferral accounting** (§5.1.1) — the optimizer marks which
 //!   operators are type-agnostic so the engine can skip induction between them.
 //! * **Scan pushdown** — a SELECTION, PROJECTION or LIMIT sitting directly on a
-//!   [`ScanCsv`](df_core::scan::ScanCsv) leaf folds *into* the leaf, so the parse loop
+//!   [`ScanCsv`](df_core::ScanCsv) leaf folds *into* the leaf, so the parse loop
 //!   only materialises referenced columns and can skip whole chunks whose statistics
-//!   prove no row can match ([`df_core::scan::chunk_may_match`]).
+//!   prove no row can match ([`df_core::chunk_may_match`]).
 //! * **Pivot axis choice** (Figure 8) — choose between pivoting on the requested column
 //!   or pivoting on the other axis and transposing the (much smaller) result.
 
@@ -536,9 +536,9 @@ mod tests {
     }
 
     fn scan() -> AlgebraExpr {
-        AlgebraExpr::scan_csv(df_core::scan::ScanCsv::new(
+        AlgebraExpr::scan_csv(df_core::ScanCsv::new(
             "/tmp/optimizer_test.csv",
-            df_core::scan::ScanOptions::default(),
+            df_core::ScanOptions::default(),
             "test-scan",
         ))
     }

@@ -25,16 +25,16 @@
 //! actively being transformed — lives in one place,
 //! [`ParallelExecutor::run_stage`](crate::executor::ParallelExecutor::run_stage);
 //! operators hand it partitions taken out of a grid ([`PartitionGrid::into_blocks`],
-//! [`PartitionGrid::into_band_partitions`], [`PartitionGrid::replace_blocks`]) and
+//! `PartitionGrid::into_band_partitions`, `PartitionGrid::replace_blocks`) and
 //! build the next grid from the partitions it returns
-//! ([`PartitionGrid::from_band_partitions`]).
+//! (`PartitionGrid::from_band_partitions`).
 
 use std::fmt;
 use std::sync::Arc;
 
 use df_storage::spill::{PartitionId, SpillStore};
 use df_types::domain::Domain;
-use df_types::error::{DfError, DfResult};
+use df_types::error::{Axis, DfError, DfResult};
 use df_types::labels::Labels;
 
 use df_core::columnar::ColumnBlock;
@@ -110,7 +110,7 @@ impl fmt::Debug for StoredBlock {
 ///
 /// Both arms are reference-counted, so cloning a handle (e.g. when a statement
 /// resumes from a cached result handle at the waist) shares the block instead of
-/// copying it; a consuming access ([`PartitionHandle::into_frame`]) moves the data
+/// copying it; a consuming access (`PartitionHandle::into_frame`) moves the data
 /// out only when the handle is the last owner and copies-on-write otherwise.
 #[derive(Debug, Clone)]
 pub enum PartitionHandle {
@@ -127,7 +127,10 @@ pub enum PartitionHandle {
 
 impl PartitionHandle {
     /// Wrap a frame: checked into `store` when one is provided, resident otherwise.
-    pub fn new_in(frame: DataFrame, store: Option<&Arc<SpillStore>>) -> DfResult<PartitionHandle> {
+    pub(crate) fn new_in(
+        frame: DataFrame,
+        store: Option<&Arc<SpillStore>>,
+    ) -> DfResult<PartitionHandle> {
         match store {
             Some(store) => {
                 let (rows, cols) = frame.shape();
@@ -152,7 +155,7 @@ impl PartitionHandle {
     /// Wrap an already-encoded typed column block: checked into `store` when one is
     /// provided (the store keeps it columnar and spills its typed buffers as they are),
     /// held columnar in memory otherwise.
-    pub fn columnar_in(
+    pub(crate) fn columnar_in(
         block: ColumnBlock,
         store: Option<&Arc<SpillStore>>,
     ) -> DfResult<PartitionHandle> {
@@ -178,7 +181,7 @@ impl PartitionHandle {
     }
 
     /// Stored-orientation shape, from metadata only (never loads the block).
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         match self {
             PartitionHandle::Resident(frame) => frame.shape(),
             PartitionHandle::Columnar(block) => block.shape(),
@@ -187,14 +190,15 @@ impl PartitionHandle {
     }
 
     /// True when the block currently lives in a spill store rather than this handle.
-    pub fn is_stored(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_stored(&self) -> bool {
         matches!(self, PartitionHandle::Stored(_))
     }
 
     /// Approximate block size in bytes, from metadata only: resident and columnar
     /// blocks measure themselves, stored blocks answer from the size cached at
     /// check-in — so costing a fully spilled grid never triggers a load-back.
-    pub fn approx_size_bytes(&self) -> usize {
+    pub(crate) fn approx_size_bytes(&self) -> usize {
         match self {
             PartitionHandle::Resident(frame) => frame.approx_size_bytes(),
             PartitionHandle::Columnar(block) => block.approx_size_bytes(),
@@ -203,7 +207,7 @@ impl PartitionHandle {
     }
 
     /// Stored-orientation column labels, from metadata only (never loads the block).
-    pub fn col_labels(&self) -> Labels {
+    pub(crate) fn col_labels(&self) -> Labels {
         match self {
             PartitionHandle::Resident(frame) => frame.col_labels().clone(),
             PartitionHandle::Columnar(block) => block.col_labels().clone(),
@@ -215,7 +219,7 @@ impl PartitionHandle {
     /// report their columns' known domains, columnar blocks carry theirs, and stored
     /// blocks cached theirs at check-in time — so a spilled grid answers dtype
     /// questions with zero load-backs.
-    pub fn col_domains(&self) -> Vec<Option<Domain>> {
+    pub(crate) fn col_domains(&self) -> Vec<Option<Domain>> {
         match self {
             PartitionHandle::Resident(frame) => frame.schema(),
             PartitionHandle::Columnar(block) => block.domains().to_vec(),
@@ -225,7 +229,7 @@ impl PartitionHandle {
 
     /// Load the block (cloning a resident frame, decoding a columnar one, fetching —
     /// and possibly reading back from disk — a stored one).
-    pub fn load(&self) -> DfResult<DataFrame> {
+    pub(crate) fn load(&self) -> DfResult<DataFrame> {
         match self {
             PartitionHandle::Resident(frame) => Ok(frame.as_ref().clone()),
             PartitionHandle::Columnar(block) => Ok(block.to_frame()),
@@ -237,7 +241,7 @@ impl PartitionHandle {
     /// out copy-free (a shared one copies-on-write); a columnar block decodes; a
     /// uniquely-held stored block is taken out of the store (freeing its budget); a
     /// stored block with other live handles is fetched non-destructively.
-    pub fn into_frame(self) -> DfResult<DataFrame> {
+    pub(crate) fn into_frame(self) -> DfResult<DataFrame> {
         match self {
             PartitionHandle::Resident(frame) => {
                 Ok(Arc::try_unwrap(frame).unwrap_or_else(|shared| shared.as_ref().clone()))
@@ -271,26 +275,24 @@ impl Partition {
         }
     }
 
-    /// Wrap a materialised block held in memory.
-    pub fn new(frame: DataFrame) -> Self {
-        Partition::of(PartitionHandle::Resident(Arc::new(frame)))
-    }
-
     /// Wrap a materialised block, checking it into `store` when one is provided (the
     /// "store-and-maybe-spill" step of the out-of-core lifecycle).
-    pub fn new_in(frame: DataFrame, store: Option<&Arc<SpillStore>>) -> DfResult<Self> {
+    pub(crate) fn new_in(frame: DataFrame, store: Option<&Arc<SpillStore>>) -> DfResult<Self> {
         Ok(Partition::of(PartitionHandle::new_in(frame, store)?))
     }
 
     /// Wrap a typed column block, checking it into `store` when one is provided.
     /// This is how ingest's per-band parse checks typed columns straight into the
     /// session store.
-    pub fn new_columnar_in(block: ColumnBlock, store: Option<&Arc<SpillStore>>) -> DfResult<Self> {
+    pub(crate) fn new_columnar_in(
+        block: ColumnBlock,
+        store: Option<&Arc<SpillStore>>,
+    ) -> DfResult<Self> {
         Ok(Partition::of(PartitionHandle::columnar_in(block, store)?))
     }
 
     /// Logical number of rows of the block.
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         let (rows, cols) = self.handle.shape();
         if self.transposed {
             cols
@@ -300,7 +302,7 @@ impl Partition {
     }
 
     /// Logical number of columns of the block.
-    pub fn n_cols(&self) -> usize {
+    pub(crate) fn n_cols(&self) -> usize {
         let (rows, cols) = self.handle.shape();
         if self.transposed {
             rows
@@ -310,28 +312,18 @@ impl Partition {
     }
 
     /// Whether the block still defers its physical transpose.
-    pub fn is_deferred_transpose(&self) -> bool {
+    pub(crate) fn is_deferred_transpose(&self) -> bool {
         self.transposed
     }
 
     /// Logical column labels of the block. Metadata-only for the common untransposed
     /// case; a deferred transpose must materialise (its logical column labels are the
     /// stored row labels, which handles deliberately do not cache).
-    pub fn col_labels(&self) -> DfResult<Labels> {
+    pub(crate) fn col_labels(&self) -> DfResult<Labels> {
         if self.transposed {
             return Ok(self.materialize()?.col_labels().clone());
         }
         Ok(self.handle.col_labels())
-    }
-
-    /// Logical per-column domains of the block, from metadata only. `None` for a
-    /// deferred transpose (its logical columns are the stored rows, whose domains
-    /// handles deliberately do not cache) — callers fall back to materialising.
-    pub fn col_domains(&self) -> Option<Vec<Option<Domain>>> {
-        if self.transposed {
-            return None;
-        }
-        Some(self.handle.col_domains())
     }
 
     /// The handle this partition owns its block through.
@@ -340,7 +332,7 @@ impl Partition {
     }
 
     /// Materialise the logical block, resolving any deferred transpose.
-    pub fn materialize(&self) -> DfResult<DataFrame> {
+    pub(crate) fn materialize(&self) -> DfResult<DataFrame> {
         let frame = self.handle.load()?;
         if self.transposed {
             reshape::transpose(&frame)
@@ -351,7 +343,7 @@ impl Partition {
 
     /// Consume the partition and materialise its logical block, moving the block out
     /// of its handle (and freeing its store entry) when no transpose is pending.
-    pub fn into_materialized(self) -> DfResult<DataFrame> {
+    pub(crate) fn into_materialized(self) -> DfResult<DataFrame> {
         let frame = self.handle.into_frame()?;
         if self.transposed {
             reshape::transpose(&frame)
@@ -367,7 +359,7 @@ impl Partition {
 /// [`PartitionGrid::transpose`] — the scan knew its schema before any block existed,
 /// so a deferred reorientation does not hide it.
 #[derive(Debug, Clone)]
-pub struct ScanSchema {
+pub(crate) struct ScanSchema {
     /// Output column labels × reconciled domains, in scan output order.
     pub columns: df_core::handle::FrameSchema,
     /// True when the scan emitted every planned row (no predicate was pushed into
@@ -384,7 +376,6 @@ pub struct ScanSchema {
 pub struct PartitionGrid {
     /// blocks[r][c] covers row-band `r` and column-band `c`.
     blocks: Vec<Vec<Partition>>,
-    scheme: PartitionScheme,
     /// Present on scan-rooted grids: the statically known schema that answers
     /// [`PartitionGrid::schema`] even when a deferred transpose hides the per-handle
     /// column metadata.
@@ -392,19 +383,10 @@ pub struct PartitionGrid {
 }
 
 impl PartitionGrid {
-    /// Partition a dataframe under the given scheme and sizing configuration, keeping
-    /// every block resident.
-    pub fn from_dataframe(
-        df: &DataFrame,
-        scheme: PartitionScheme,
-        config: PartitionConfig,
-    ) -> DfResult<PartitionGrid> {
-        PartitionGrid::from_dataframe_in(df, scheme, config, None)
-    }
-
-    /// Like [`PartitionGrid::from_dataframe`], but blocks are checked into `store`
-    /// when one is provided — so even the initial partitioning step respects the
-    /// session's memory budget (blocks beyond it spill as they are created).
+    /// Partition a dataframe under the given scheme and sizing configuration. Blocks
+    /// are checked into `store` when one is provided — so even the initial
+    /// partitioning step respects the session's memory budget (blocks beyond it
+    /// spill as they are created).
     pub fn from_dataframe_in(
         df: &DataFrame,
         scheme: PartitionScheme,
@@ -448,39 +430,26 @@ impl PartitionGrid {
         }
         Ok(PartitionGrid {
             blocks,
-            scheme,
             scan_schema: None,
         })
-    }
-
-    /// Wrap a single frame as a 1×1 grid.
-    pub fn single(df: DataFrame) -> PartitionGrid {
-        PartitionGrid {
-            blocks: vec![vec![Partition::new(df)]],
-            scheme: PartitionScheme::Block,
-            scan_schema: None,
-        }
     }
 
     /// Wrap a single frame as a 1×1 grid, checked into `store` when one is provided.
-    pub fn single_in(df: DataFrame, store: Option<&Arc<SpillStore>>) -> DfResult<PartitionGrid> {
+    pub(crate) fn single_in(
+        df: DataFrame,
+        store: Option<&Arc<SpillStore>>,
+    ) -> DfResult<PartitionGrid> {
         Ok(PartitionGrid {
             blocks: vec![vec![Partition::new_in(df, store)?]],
-            scheme: PartitionScheme::Block,
             scan_schema: None,
         })
-    }
-
-    /// The partitioning scheme this grid was built with.
-    pub fn scheme(&self) -> PartitionScheme {
-        self.scheme
     }
 
     /// Attach the statically known schema of a scan-rooted grid (output labels ×
     /// reconciled domains, in scan output order). `sequential_rows` records whether
     /// the scan emitted every planned row, making the transposed grid's column
     /// labels (`0..rows`) statically known too.
-    pub fn with_scan_schema(
+    pub(crate) fn with_scan_schema(
         mut self,
         columns: df_core::handle::FrameSchema,
         sequential_rows: bool,
@@ -493,18 +462,13 @@ impl PartitionGrid {
         self
     }
 
-    /// The scan-rooted schema metadata, when this grid carries any.
-    pub fn scan_schema(&self) -> Option<&ScanSchema> {
-        self.scan_schema.as_deref()
-    }
-
     /// Number of row bands.
     pub fn n_row_bands(&self) -> usize {
         self.blocks.len()
     }
 
     /// Number of column bands.
-    pub fn n_col_bands(&self) -> usize {
+    pub(crate) fn n_col_bands(&self) -> usize {
         self.blocks.first().map(Vec::len).unwrap_or(0)
     }
 
@@ -514,7 +478,8 @@ impl PartitionGrid {
     }
 
     /// Number of partitions currently held by a spill store (metadata only).
-    pub fn stored_partitions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stored_partitions(&self) -> usize {
         self.blocks
             .iter()
             .flatten()
@@ -535,7 +500,7 @@ impl PartitionGrid {
     }
 
     /// Logical shape of the whole frame.
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         let rows: usize = self.blocks.iter().map(|band| band[0].n_rows()).sum();
         let cols: usize = self
             .blocks
@@ -552,7 +517,7 @@ impl PartitionGrid {
 
     /// Each band's global row offset — the position of its first row in the whole
     /// frame — from metadata only.
-    pub fn band_row_offsets(&self) -> Vec<usize> {
+    pub(crate) fn band_row_offsets(&self) -> Vec<usize> {
         row_offsets(self.band_row_counts().into_iter())
     }
 
@@ -560,7 +525,7 @@ impl PartitionGrid {
     /// block is loaded (and in particular no spilled block is read back), mirroring
     /// what [`PartitionGrid::shape`] does for dimensions. `None` when a deferred
     /// transpose hides the logical columns — those callers materialise instead.
-    pub fn schema(&self) -> Option<df_core::handle::FrameSchema> {
+    pub(crate) fn schema(&self) -> Option<df_core::handle::FrameSchema> {
         let Some(first) = self.blocks.first() else {
             return Some(Vec::new());
         };
@@ -594,11 +559,6 @@ impl PartitionGrid {
         })
     }
 
-    /// Borrow all partitions row-band by row-band.
-    pub fn blocks(&self) -> &[Vec<Partition>] {
-        &self.blocks
-    }
-
     /// Consume the grid, returning its partitions.
     pub fn into_blocks(self) -> Vec<Vec<Partition>> {
         self.blocks
@@ -610,7 +570,7 @@ impl PartitionGrid {
     /// do) and returns one same-shaped output per block. Each output takes over its
     /// input's place in the grid by band and column *index*, pending transpose
     /// included, so an emptied band keeps its own slot.
-    pub fn replace_blocks(
+    pub(crate) fn replace_blocks(
         self,
         f: impl FnOnce(Vec<Partition>) -> DfResult<Vec<Partition>>,
     ) -> DfResult<PartitionGrid> {
@@ -640,18 +600,12 @@ impl PartitionGrid {
             .collect();
         Ok(PartitionGrid {
             blocks,
-            scheme: self.scheme,
             scan_schema: None,
         })
     }
 
-    /// Build a grid from row bands that each hold a full-width in-memory frame.
-    pub fn from_row_bands(bands: Vec<DataFrame>) -> PartitionGrid {
-        PartitionGrid::from_band_partitions(bands.into_iter().map(Partition::new).collect())
-    }
-
-    /// Like [`PartitionGrid::from_row_bands`], but each band is checked into `store`
-    /// when one is provided.
+    /// Build a grid from row bands that each hold a full-width in-memory frame, each
+    /// band checked into `store` when one is provided.
     pub fn from_row_bands_in(
         bands: Vec<DataFrame>,
         store: Option<&Arc<SpillStore>>,
@@ -664,10 +618,9 @@ impl PartitionGrid {
     }
 
     /// Build a row-partitioned grid from full-width band partitions, in order.
-    pub fn from_band_partitions(parts: Vec<Partition>) -> PartitionGrid {
+    pub(crate) fn from_band_partitions(parts: Vec<Partition>) -> PartitionGrid {
         PartitionGrid {
             blocks: parts.into_iter().map(|part| vec![part]).collect(),
-            scheme: PartitionScheme::Row,
             scan_schema: None,
         }
     }
@@ -676,7 +629,10 @@ impl PartitionGrid {
     /// held as a single block are moved without loading anything; multi-block bands
     /// are assembled one at a time and checked into `store` — so the conversion never
     /// holds more than one assembled band in memory beyond the store's budget.
-    pub fn into_band_partitions(self, store: Option<&Arc<SpillStore>>) -> DfResult<Vec<Partition>> {
+    pub(crate) fn into_band_partitions(
+        self,
+        store: Option<&Arc<SpillStore>>,
+    ) -> DfResult<Vec<Partition>> {
         self.blocks
             .into_iter()
             .map(|mut band| match band.len() {
@@ -692,7 +648,7 @@ impl PartitionGrid {
     /// when the grid is larger than memory.
     pub fn band(&self, index: usize) -> DfResult<DataFrame> {
         let band = self.blocks.get(index).ok_or(DfError::IndexOutOfBounds {
-            axis: "row band",
+            axis: Axis::RowBand,
             index,
             len: self.blocks.len(),
         })?;
@@ -706,14 +662,14 @@ impl PartitionGrid {
     /// Materialise every row band as a full-width frame (resolving deferred
     /// transposes), returned in order. This is the repartitioning step operators that
     /// need whole rows use.
-    pub fn row_bands(&self) -> DfResult<Vec<DataFrame>> {
+    pub(crate) fn row_bands(&self) -> DfResult<Vec<DataFrame>> {
         (0..self.n_row_bands()).map(|i| self.band(i)).collect()
     }
 
     /// Like [`PartitionGrid::row_bands`], but consuming the grid: blocks that need no
     /// deferred transpose are moved instead of cloned (and their store entries freed),
     /// so assembling an owned grid copies no cells on the common row-partitioned path.
-    pub fn into_row_bands(self) -> DfResult<Vec<DataFrame>> {
+    pub(crate) fn into_row_bands(self) -> DfResult<Vec<DataFrame>> {
         self.blocks.into_iter().map(stitch_owned).collect()
     }
 
@@ -732,7 +688,7 @@ impl PartitionGrid {
     /// block's orientation flag. No cell is copied — stored blocks merely gain another
     /// reference-counted handle; blocks materialise their transposed data only if a
     /// later operator needs it.
-    pub fn transpose(&self) -> PartitionGrid {
+    pub(crate) fn transpose(&self) -> PartitionGrid {
         let row_bands = self.n_row_bands();
         let col_bands = self.n_col_bands();
         let mut blocks: Vec<Vec<Partition>> = Vec::with_capacity(col_bands);
@@ -747,7 +703,6 @@ impl PartitionGrid {
         }
         PartitionGrid {
             blocks,
-            scheme: self.scheme,
             // A metadata-only transpose flips the scan schema's parity rather than
             // discarding it; schema() adjusts its answer accordingly.
             scan_schema: self.scan_schema.as_ref().map(|s| {
@@ -768,7 +723,7 @@ impl PartitionGrid {
     /// Last `k` logical rows, touching only the trailing row bands needed to produce
     /// them — the suffix mirror of [`PartitionGrid::prefix`], so `tail` inspection
     /// (§6.1.2) never assembles the whole frame either.
-    pub fn suffix(&self, k: usize) -> DfResult<DataFrame> {
+    pub(crate) fn suffix(&self, k: usize) -> DfResult<DataFrame> {
         self.edge_rows(k, true)
     }
 
@@ -796,7 +751,7 @@ impl PartitionGrid {
 
     /// LIMIT: the first (`from_end`: last) `k` logical rows as one band, loading only
     /// the row bands they come from.
-    pub fn limit_in(
+    pub(crate) fn limit_in(
         &self,
         k: usize,
         from_end: bool,
@@ -816,25 +771,12 @@ impl PartitionGrid {
     }
 }
 
-/// Horizontally concatenate two frames with identical row counts and labels.
-pub fn hstack(left: &DataFrame, right: &DataFrame) -> DfResult<DataFrame> {
-    if left.n_rows() != right.n_rows() {
-        return Err(DfError::shape(
-            format!("{} rows", left.n_rows()),
-            format!("{} rows", right.n_rows()),
-        ));
-    }
-    let mut columns: Vec<Column> = left.columns().to_vec();
-    columns.extend(right.columns().iter().cloned());
-    let labels = left.col_labels().concat(right.col_labels());
-    DataFrame::from_parts(columns, left.row_labels().clone(), labels)
-}
-
-/// Multi-way [`hstack`]: concatenate all frames side by side with a single pre-sized
-/// column vector, moving each frame's columns instead of cloning them. Row labels come
-/// from the first frame; row counts must agree. Equivalent to folding `hstack`
-/// left-to-right but O(total columns) instead of re-copying the accumulator per frame.
-pub fn hstack_all(frames: Vec<DataFrame>) -> DfResult<DataFrame> {
+/// Concatenate all frames side by side with a single pre-sized column vector, moving
+/// each frame's columns instead of cloning them. Row labels come from the first
+/// frame; row counts must agree. Equivalent to a left-to-right fold of pairwise
+/// horizontal concatenation, but O(total columns) instead of re-copying the
+/// accumulator per frame.
+pub(crate) fn hstack_all(frames: Vec<DataFrame>) -> DfResult<DataFrame> {
     let mut frames = frames;
     if frames.len() <= 1 {
         return Ok(frames.pop().unwrap_or_else(DataFrame::empty));
@@ -926,13 +868,16 @@ mod tests {
             target_rows: 30,
             target_cols: 3,
         };
-        let rows = PartitionGrid::from_dataframe(&df, PartitionScheme::Row, config).unwrap();
+        let rows =
+            PartitionGrid::from_dataframe_in(&df, PartitionScheme::Row, config, None).unwrap();
         assert_eq!(rows.n_row_bands(), 4);
         assert_eq!(rows.n_col_bands(), 1);
-        let cols = PartitionGrid::from_dataframe(&df, PartitionScheme::Column, config).unwrap();
+        let cols =
+            PartitionGrid::from_dataframe_in(&df, PartitionScheme::Column, config, None).unwrap();
         assert_eq!(cols.n_row_bands(), 1);
         assert_eq!(cols.n_col_bands(), 3);
-        let blocks = PartitionGrid::from_dataframe(&df, PartitionScheme::Block, config).unwrap();
+        let blocks =
+            PartitionGrid::from_dataframe_in(&df, PartitionScheme::Block, config, None).unwrap();
         assert_eq!(blocks.n_partitions(), 12);
         assert_eq!(blocks.shape(), (100, 8));
         assert_eq!(blocks.stored_partitions(), 0);
@@ -948,13 +893,14 @@ mod tests {
             PartitionScheme::Column,
             PartitionScheme::Block,
         ] {
-            let grid = PartitionGrid::from_dataframe(
+            let grid = PartitionGrid::from_dataframe_in(
                 &df,
                 scheme,
                 PartitionConfig {
                     target_rows: 10,
                     target_cols: 2,
                 },
+                None,
             )
             .unwrap();
             let back = grid.assemble().unwrap();
@@ -1001,13 +947,14 @@ mod tests {
     #[test]
     fn metadata_transpose_defers_block_work() {
         let df = frame(40, 6);
-        let grid = PartitionGrid::from_dataframe(
+        let grid = PartitionGrid::from_dataframe_in(
             &df,
             PartitionScheme::Block,
             PartitionConfig {
                 target_rows: 10,
                 target_cols: 2,
             },
+            None,
         )
         .unwrap();
         let transposed = grid.transpose();
@@ -1047,13 +994,14 @@ mod tests {
     #[test]
     fn prefix_touches_only_leading_bands() {
         let df = frame(100, 3);
-        let grid = PartitionGrid::from_dataframe(
+        let grid = PartitionGrid::from_dataframe_in(
             &df,
             PartitionScheme::Row,
             PartitionConfig {
                 target_rows: 10,
                 target_cols: 8,
             },
+            None,
         )
         .unwrap();
         let head = grid.prefix(15).unwrap();
@@ -1068,13 +1016,14 @@ mod tests {
         let df = frame(100, 3)
             .with_row_labels((0..100).map(|i| format!("r{i}")).collect::<Vec<_>>())
             .unwrap();
-        let grid = PartitionGrid::from_dataframe(
+        let grid = PartitionGrid::from_dataframe_in(
             &df,
             PartitionScheme::Row,
             PartitionConfig {
                 target_rows: 10,
                 target_cols: 8,
             },
+            None,
         )
         .unwrap();
         let tail = grid.suffix(15).unwrap();
@@ -1084,16 +1033,25 @@ mod tests {
         assert!(all.same_data(&df));
         assert_eq!(grid.suffix(0).unwrap().n_rows(), 0);
         // Block scheme exercises the hstack path inside suffix.
-        let blocks = PartitionGrid::from_dataframe(
+        let blocks = PartitionGrid::from_dataframe_in(
             &df,
             PartitionScheme::Block,
             PartitionConfig {
                 target_rows: 30,
                 target_cols: 2,
             },
+            None,
         )
         .unwrap();
         assert!(blocks.suffix(37).unwrap().same_data(&df.tail(37)));
+    }
+
+    /// Pairwise horizontal concatenation: the fold `hstack_all` must match.
+    fn hstack(left: &DataFrame, right: &DataFrame) -> DfResult<DataFrame> {
+        let mut columns = left.columns().to_vec();
+        columns.extend(right.columns().iter().cloned());
+        let labels = left.col_labels().concat(right.col_labels());
+        DataFrame::from_parts(columns, left.row_labels().clone(), labels)
     }
 
     #[test]
@@ -1110,22 +1068,12 @@ mod tests {
     }
 
     #[test]
-    fn hstack_validates_row_counts() {
-        let a = frame(5, 2);
-        let b = frame(5, 1);
-        let stacked = hstack(&a, &b).unwrap();
-        assert_eq!(stacked.shape(), (5, 3));
-        let c = frame(4, 1);
-        assert!(hstack(&a, &c).is_err());
-    }
-
-    #[test]
     fn single_and_row_band_constructors() {
         let df = frame(12, 2);
-        let single = PartitionGrid::single(df.clone());
+        let single = PartitionGrid::single_in(df.clone(), None).unwrap();
         assert_eq!(single.n_partitions(), 1);
         assert!(single.assemble().unwrap().same_data(&df));
-        let bands = PartitionGrid::from_row_bands(vec![df.head(6), df.tail(6)]);
+        let bands = PartitionGrid::from_row_bands_in(vec![df.head(6), df.tail(6)], None).unwrap();
         assert_eq!(bands.n_row_bands(), 2);
         assert_eq!(bands.shape(), (12, 2));
         let store = Arc::new(SpillStore::unbounded().unwrap());
@@ -1145,7 +1093,7 @@ mod tests {
         let resident = Partition::new_columnar_in(block.clone(), None).unwrap();
         assert_eq!((resident.n_rows(), resident.n_cols()), (24, 3));
         assert_eq!(
-            resident.col_domains().unwrap()[1],
+            resident.handle().col_domains()[1],
             Some(Domain::Int),
             "declared domain survives the columnar check-in"
         );
@@ -1157,7 +1105,7 @@ mod tests {
         assert_eq!(store.stats().spilled, 1);
         let loads_before = store.stats().load_backs;
         assert_eq!((stored.n_rows(), stored.n_cols()), (24, 3));
-        assert_eq!(stored.col_domains().unwrap()[1], Some(Domain::Int));
+        assert_eq!(stored.handle().col_domains()[1], Some(Domain::Int));
         assert_eq!(
             store.stats().load_backs,
             loads_before,
@@ -1238,10 +1186,11 @@ mod tests {
     #[test]
     fn empty_frames_partition_cleanly() {
         let empty = DataFrame::from_rows(vec!["a", "b"], vec![]).unwrap();
-        let grid = PartitionGrid::from_dataframe(
+        let grid = PartitionGrid::from_dataframe_in(
             &empty,
             PartitionScheme::Block,
             PartitionConfig::default(),
+            None,
         )
         .unwrap();
         assert_eq!(grid.shape(), (0, 2));

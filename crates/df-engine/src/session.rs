@@ -39,14 +39,14 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use df_types::error::{DfError, DfResult};
-use df_types::striped::StripedU64;
+use df_types::StripedU64;
 
 use df_core::algebra::AlgebraExpr;
 use df_core::dataframe::DataFrame;
 use df_core::engine::Engine;
 use df_core::handle::FrameHandle;
 
-use crate::cache::{CacheStats, Lookup, ResultCache};
+use crate::cache::{Lookup, ResultCache};
 
 /// How statements are scheduled (paper §6.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,7 +184,6 @@ impl Drop for GatePermit {
 
 /// A handle to a result that may still be computing in the background.
 pub struct QueryFuture {
-    fingerprint: String,
     /// Pins the pointer identities the fingerprint key is built from (see
     /// [`CachedResult`]) for as long as the future is pending.
     #[allow(dead_code)]
@@ -195,16 +194,11 @@ pub struct QueryFuture {
 
 impl QueryFuture {
     /// True if the background computation has finished (successfully or not).
-    pub fn is_ready(&self) -> bool {
+    pub(crate) fn is_ready(&self) -> bool {
         self.handle
             .as_ref()
             .map(|h| h.is_finished())
             .unwrap_or(true)
-    }
-
-    /// The fingerprint of the expression this future computes.
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
     }
 
     fn wait(mut self) -> DfResult<FrameHandle> {
@@ -280,22 +274,9 @@ impl QuerySession {
         &self.engine
     }
 
-    /// The result cache behind this session — share it with another session (via
-    /// [`QuerySession::with_shared_state`]) and identical fingerprints across the
-    /// two execute once.
-    pub fn shared_cache(&self) -> Arc<ResultCache> {
-        Arc::clone(&self.cache)
-    }
-
     /// The tenant label this session attributes its cache activity to.
     pub fn tenant(&self) -> Option<&str> {
         self.tenant.as_deref()
-    }
-
-    /// Counters of the result cache behind this session (global across every
-    /// session sharing it, with per-tenant attribution inside).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Counters accumulated so far. The pushdown fields are read live from the
@@ -333,11 +314,6 @@ impl QuerySession {
         out.push_str(status);
         out.push('\n');
         out
-    }
-
-    /// [`QuerySession::explain_keyed`] keyed by the expression's own fingerprint.
-    pub fn explain(&self, expr: &AlgebraExpr) -> String {
-        self.explain_keyed(expr, &expr.fingerprint())
     }
 
     /// Submit a statement. Under eager evaluation this blocks and computes a handle
@@ -616,15 +592,11 @@ impl QuerySession {
         future.wait().map(Some)
     }
 
-    /// Materialisation point: only the last `k` rows of an expression.
-    pub fn tail(&self, expr: &AlgebraExpr, k: usize) -> DfResult<DataFrame> {
-        self.tail_keyed(expr, &expr.fingerprint(), None, k)
-    }
-
-    /// [`QuerySession::tail`] with a precomputed fingerprint key (`key_source` as in
-    /// [`QuerySession::submit_keyed`]). Like [`QuerySession::head_keyed`], a
-    /// *finished* background future is consumed and cached rather than re-executing
-    /// the suffix; an unfinished one is not waited for.
+    /// Materialisation point: only the last `k` rows of an expression, under a
+    /// precomputed fingerprint key (`key_source` as in [`QuerySession::submit_keyed`]).
+    /// Like [`QuerySession::head_keyed`], a *finished* background future is consumed
+    /// and cached rather than re-executing the suffix; an unfinished one is not
+    /// waited for.
     pub fn tail_keyed(
         &self,
         expr: &AlgebraExpr,
@@ -662,8 +634,7 @@ impl QuerySession {
     /// Drop every cached handle (models the §6.2.2 eviction discussion in its
     /// simplest form; for the scalable engine this also releases the underlying
     /// partitions' spill-store entries). On a *shared* cache this is a whole-cache
-    /// administrative operation — it drops other tenants' entries too; a tenant
-    /// releasing only its own retention uses the cache's `evict_tenant`.
+    /// administrative operation — it drops other tenants' entries too.
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
@@ -738,15 +709,6 @@ impl QuerySession {
             ))),
             other => other,
         }
-    }
-
-    /// Convenience wrapper: [`QuerySession::collect`] under a wall-clock timeout.
-    pub fn collect_timeout(
-        &self,
-        expr: &AlgebraExpr,
-        timeout: std::time::Duration,
-    ) -> DfResult<DataFrame> {
-        self.with_timeout(timeout, || self.collect(expr))
     }
 
     fn materialize_handle(
@@ -829,7 +791,6 @@ impl QuerySession {
         self.pending.lock().insert(
             key.to_string(),
             QueryFuture {
-                fingerprint: key.to_string(),
                 pins,
                 receiver: Some(receiver),
                 handle: Some(handle),
@@ -916,7 +877,9 @@ mod tests {
         // The background run over 60 rows finishes in microseconds; give it ample
         // real time so the readiness check below observes a finished future.
         std::thread::sleep(std::time::Duration::from_millis(500));
-        let tail = session.tail(&expr, 3).unwrap();
+        let tail = session
+            .tail_keyed(&expr, &expr.fingerprint(), None, 3)
+            .unwrap();
         assert_eq!(tail.shape(), (3, 2));
         let stats = session.stats();
         assert_eq!(
@@ -953,7 +916,9 @@ mod tests {
         let expr = AlgebraExpr::literal(frame(100)).map(MapFunc::IsNullMask);
         let head = session.head(&expr, 5).unwrap();
         assert_eq!(head.shape(), (5, 2));
-        let tail = session.tail(&expr, 3).unwrap();
+        let tail = session
+            .tail_keyed(&expr, &expr.fingerprint(), None, 3)
+            .unwrap();
         assert_eq!(tail.shape(), (3, 2));
         assert_eq!(tail.cell(2, 0).unwrap(), &cell(false));
     }
@@ -1241,11 +1206,11 @@ mod tests {
         }
         std::fs::write(&path, content).unwrap();
         let session = QuerySession::new(engine(), EvalMode::Lazy);
-        let expr = AlgebraExpr::scan_csv(df_core::scan::ScanCsv::new(
+        let expr = AlgebraExpr::scan_csv(df_core::ScanCsv::new(
             &path,
-            df_core::scan::ScanOptions {
+            df_core::ScanOptions {
                 infer_schema: true,
-                ..df_core::scan::ScanOptions::default()
+                ..df_core::ScanOptions::default()
             },
             "session-scan",
         ))
@@ -1254,7 +1219,7 @@ mod tests {
             op: df_core::algebra::CmpOp::Lt,
             value: cell(4),
         });
-        let rendered = session.explain(&expr);
+        let rendered = session.explain_keyed(&expr, &expr.fingerprint());
         assert!(rendered.contains("result not cached"), "{rendered}");
         assert!(
             rendered.contains("predicates pushed into scans: 1"),
@@ -1266,7 +1231,7 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.predicates_pushed, 1, "{stats:?}");
         assert!(stats.chunks_skipped > 0, "{stats:?}");
-        let rendered = session.explain(&expr);
+        let rendered = session.explain_keyed(&expr, &expr.fingerprint());
         assert!(rendered.contains("result cached"), "{rendered}");
         std::fs::remove_file(path).ok();
     }
@@ -1288,9 +1253,9 @@ mod tests {
         std::fs::write(&path, rows(40)).unwrap();
         let session = QuerySession::new(engine(), EvalMode::Lazy);
         let scan = || {
-            AlgebraExpr::scan_csv(df_core::scan::ScanCsv::new(
+            AlgebraExpr::scan_csv(df_core::ScanCsv::new(
                 &path,
-                df_core::scan::ScanOptions::default(),
+                df_core::ScanOptions::default(),
                 "stale-scan",
             ))
         };
@@ -1304,9 +1269,9 @@ mod tests {
         let err = session.head(&scan(), 3).unwrap_err();
         assert!(matches!(err, DfError::Io(_)), "grown: {err}");
         // A fresh identity sees the file as it is.
-        let fresh = AlgebraExpr::scan_csv(df_core::scan::ScanCsv::new(
+        let fresh = AlgebraExpr::scan_csv(df_core::ScanCsv::new(
             &path,
-            df_core::scan::ScanOptions::default(),
+            df_core::ScanOptions::default(),
             "stale-scan-refreshed",
         ));
         assert_eq!(session.collect(&fresh).unwrap().shape(), (41, 2));
@@ -1340,7 +1305,9 @@ mod tests {
         assert!(err.to_string().contains("timeout"), "{err}");
         // The token was reset on the way out: the session stays usable.
         let out = session
-            .collect_timeout(&expr, std::time::Duration::from_secs(30))
+            .with_timeout(std::time::Duration::from_secs(30), || {
+                session.collect(&expr)
+            })
             .unwrap();
         assert_eq!(out.shape(), (64, 2));
     }

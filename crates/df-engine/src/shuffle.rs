@@ -12,7 +12,7 @@
 //! ([`PartitionGrid::shuffle`]: [`BandTask::HashSplit`] → [`BandTask::Concat`], so on
 //! the process backend every row crosses a process boundary as a checksummed block
 //! frame), the order restoration (tag-range bins → sort by tag) and the range
-//! partitioning of [`parallel_sort`] (splitter runs → stable k-way merge) are its three
+//! partitioning of `parallel_sort` (splitter runs → stable k-way merge) are its three
 //! callers.
 //!
 //! **One skeleton.** The dataframe algebra is *ordered* (Table 1: result order comes
@@ -22,8 +22,8 @@
 //! run a per-bucket *kernel*, and *restore* order by sorting back on the tags —
 //! rangewise over the tag span, so the combined result is never materialised in one
 //! piece — projecting the tags away. The three kernels are the hash-join probe
-//! ([`parallel_join`]), first-occurrence de-duplication ([`parallel_drop_duplicates`])
-//! and the anti-join ([`parallel_difference`]). Small JOIN / DIFFERENCE build sides are
+//! (`parallel_join`), first-occurrence de-duplication (`parallel_drop_duplicates`)
+//! and the anti-join (`parallel_difference`). Small JOIN / DIFFERENCE build sides are
 //! broadcast instead: the same probe / anti-join kernels run per left band against one
 //! shared index, and left order is preserved outright.
 //!
@@ -42,17 +42,16 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 
 use df_types::cell::{Cell, StableHasher};
-use df_types::column::ColumnData;
-use df_types::error::{DfError, DfResult};
+use df_types::error::{Axis, DfError, DfResult};
 use df_types::labels::Labels;
+use df_types::ColumnData;
 
 use df_core::algebra::{JoinOn, JoinType, SortSpec};
 use df_core::dataframe::{Column, DataFrame};
 use df_core::ops::columnar::typed_for_keying;
 use df_core::ops::setops;
 
-use crate::backend::task::one;
-use crate::backend::BandTask;
+use crate::backend::{one, BandTask};
 use crate::executor::{outputs, CheckIn, ParallelExecutor, StageResults};
 use crate::partition::{row_offsets, Partition, PartitionGrid};
 
@@ -196,7 +195,7 @@ fn validate_key(frame: &DataFrame, key: &ShuffleKey) -> DfResult<()> {
         for &j in positions {
             if j >= frame.n_cols() {
                 return Err(DfError::IndexOutOfBounds {
-                    axis: "column",
+                    axis: Axis::Column,
                     index: j,
                     len: frame.n_cols(),
                 });
@@ -609,7 +608,7 @@ fn unmatched_right_frame(
 /// co-partitioned buckets, joined bucket-by-bucket in parallel, and the combined
 /// result is sorted back by the position tags (left first, then right — exactly the
 /// reference order, including the trailing unmatched-right block of OUTER joins).
-pub fn parallel_join(
+pub(crate) fn parallel_join(
     executor: &ParallelExecutor,
     left: PartitionGrid,
     right: PartitionGrid,
@@ -761,7 +760,7 @@ fn shuffle_join(
 /// duplicate family is co-located (still in global order within its bucket), keep each
 /// bucket's first occurrences in parallel, then restore global order via the position
 /// tag.
-pub fn parallel_drop_duplicates(
+pub(crate) fn parallel_drop_duplicates(
     executor: &ParallelExecutor,
     grid: PartitionGrid,
     options: ShuffleOptions,
@@ -819,7 +818,7 @@ fn anti_join(
 /// are broadcast — each left band filters against the shared row index in parallel and
 /// band order is preserved outright; larger right sides are co-partitioned by row hash
 /// and order is restored via the position tag.
-pub fn parallel_difference(
+pub(crate) fn parallel_difference(
     executor: &ParallelExecutor,
     left: PartitionGrid,
     right: PartitionGrid,
@@ -866,7 +865,7 @@ const SORT_OVERSAMPLE: usize = 8;
 /// splitters from the sorted sample, then exchange — carve each sorted band into
 /// contiguous per-range runs, k-way-merge each range's runs. The output grid's bands
 /// are the sorted ranges in order, so assembly is a plain concatenation.
-pub fn parallel_sort(
+pub(crate) fn parallel_sort(
     executor: &ParallelExecutor,
     grid: PartitionGrid,
     spec: &SortSpec,
@@ -1115,13 +1114,14 @@ mod tests {
     }
 
     fn grid_of(df: &DataFrame, rows: usize) -> PartitionGrid {
-        PartitionGrid::from_dataframe(
+        PartitionGrid::from_dataframe_in(
             df,
             PartitionScheme::Row,
             PartitionConfig {
                 target_rows: rows,
                 target_cols: 8,
             },
+            None,
         )
         .unwrap()
     }

@@ -35,11 +35,11 @@ use df_core::algebra::{
 };
 use df_core::dataframe::DataFrame;
 use df_core::handle::FrameHandle;
-use df_core::linalg;
+use df_core::{correlation, covariance};
 use df_storage::csv::{read_csv_path, read_csv_str, write_csv_path, write_csv_string, CsvOptions};
 
-use df_engine::optimizer::PivotPlan;
 use df_engine::session::EvalMode;
+use df_engine::PivotPlan;
 
 use crate::session::Session;
 
@@ -189,7 +189,7 @@ impl PandasFrame {
         PandasFrame::try_from_dataframe(session, read_csv_path(path, options)?)
     }
 
-    /// A frame whose statement is a deferred [`df_core::scan::ScanCsv`] leaf (lazy
+    /// A frame whose statement is a deferred [`df_core::ScanCsv`] leaf (lazy
     /// MODIN sessions): nothing is read until a materialisation point, and the
     /// optimizer may push predicates/projections into the leaf first.
     fn from_scan(
@@ -198,9 +198,9 @@ impl PandasFrame {
         options: &CsvOptions,
         key: String,
     ) -> PandasFrame {
-        let scan = df_core::scan::ScanCsv::new(
+        let scan = df_core::ScanCsv::new(
             path,
-            df_core::scan::ScanOptions {
+            df_core::ScanOptions {
                 delimiter: options.delimiter,
                 has_header: options.has_header,
                 infer_schema: options.infer_schema,
@@ -456,7 +456,10 @@ impl PandasFrame {
     /// assert!(report.contains("result not cached"));
     /// // The first look at the file — the plan `trips.head(10)` runs — folds its LIMIT
     /// // into the scan leaf too, so only the chunks ten rows come from are parsed.
-    /// let first_look = session.query().explain(&trips.expr().clone().limit(10, false));
+    /// let first_look_plan = trips.expr().clone().limit(10, false);
+    /// let first_look = session
+    ///     .query()
+    ///     .explain_keyed(&first_look_plan, &first_look_plan.fingerprint());
     /// assert!(first_look.contains(
     ///     "SCAN_CSV trips.csv limit⇩[first 10] (1/4 chunks)  [~10 rows × 4 cols, ~127 B]"
     /// ));
@@ -1067,12 +1070,12 @@ impl PandasFrame {
 
     /// Pairwise covariance of the numeric columns (pandas `cov`) — workflow step A3.
     pub fn cov(&self) -> DfResult<DataFrame> {
-        linalg::covariance(&self.collect()?)
+        covariance(&self.collect()?)
     }
 
     /// Pearson correlation of the numeric columns (pandas `corr`).
     pub fn corr(&self) -> DfResult<DataFrame> {
-        linalg::correlation(&self.collect()?)
+        correlation(&self.collect()?)
     }
 
     // ------------------------------------------------------------------ helpers

@@ -136,7 +136,7 @@ pub struct FairGate {
 impl FairGate {
     /// A gate with `slots` concurrent executions, at most `queue_capacity` queued
     /// statements, and `queue_timeout` as the longest any statement waits queued.
-    pub fn new(slots: usize, queue_capacity: usize, queue_timeout: Duration) -> FairGate {
+    pub(crate) fn new(slots: usize, queue_capacity: usize, queue_timeout: Duration) -> FairGate {
         FairGate {
             state: Mutex::new(GateState {
                 active: 0,
@@ -168,19 +168,19 @@ impl FairGate {
     /// Refuse all future admissions (typed [`DfError::Admission`]) and fail every
     /// currently queued waiter the same way. Already-admitted statements keep
     /// their slots and drain normally.
-    pub fn begin_drain(&self) {
+    pub(crate) fn begin_drain(&self) {
         self.lock_state().draining = true;
         self.turnstile.notify_all();
     }
 
     /// True once [`FairGate::begin_drain`] was called.
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.lock_state().draining
     }
 
     /// Block until no statement holds a slot or waits queued, or until `grace`
     /// passes. Returns whether the gate is idle.
-    pub fn wait_idle(&self, grace: Duration) -> bool {
+    pub(crate) fn wait_idle(&self, grace: Duration) -> bool {
         let deadline = Instant::now() + grace;
         let mut state = self.lock_state();
         while state.active > 0 || state.queued > 0 {
@@ -197,7 +197,7 @@ impl FairGate {
     }
 
     /// Point-in-time counters.
-    pub fn stats(&self) -> AdmissionStats {
+    pub(crate) fn stats(&self) -> AdmissionStats {
         let state = self.lock_state();
         AdmissionStats {
             admitted: state.admitted,

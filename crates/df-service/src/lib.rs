@@ -17,7 +17,7 @@
 //!   draining is [`df_types::error::DfError::Admission`], a queue-wait timeout is
 //!   [`df_types::error::DfError::Cancelled`].
 //! * **A shared, single-flight result cache**
-//!   ([`df_engine::cache::ResultCache`]): identical statements — same plan
+//!   ([`df_engine::ResultCache`]): identical statements — same plan
 //!   fingerprint — from *different* tenants execute once; the second tenant
 //!   blocks on the first's in-flight production and is served the published
 //!   handle as a shared hit. Entries are byte-budgeted with LRU eviction, and
@@ -74,9 +74,9 @@
 //! and fault-tolerance machinery and the PR-9 shared cache/gate hooks in
 //! [`df_engine::session::QuerySession`].
 
-pub mod admission;
-pub mod service;
-pub mod tenant;
+mod admission;
+mod service;
+mod tenant;
 
 pub use admission::{AdmissionStats, FairGate};
 pub use service::{QueryService, ServiceConfig, ServiceStats, ShutdownReport};

@@ -8,15 +8,15 @@
 //! cache with per-tenant attribution.
 //!
 //! [`SpillStore`]: df_storage::spill::SpillStore
-//! [`ResultCache`]: df_engine::cache::ResultCache
+//! [`ResultCache`]: df_engine::ResultCache
 
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use df_core::engine::Engine;
-use df_engine::cache::{CacheStats, ResultCache};
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_engine::session::{EvalMode, QuerySession, SessionStats, StatementGate};
+use df_engine::{CacheStats, ResultCache};
 use df_pandas::Session;
 use df_storage::spill::SpillStats;
 use df_types::error::DfResult;

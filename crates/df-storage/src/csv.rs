@@ -40,12 +40,12 @@ use std::path::Path;
 
 use df_types::cell::Cell;
 use df_types::domain::Domain;
-use df_types::error::{DfError, DfResult};
-use df_types::infer::InductionSummary;
+use df_types::error::{Axis, DfError, DfResult};
 use df_types::labels::Labels;
+use df_types::InductionSummary;
 
 use df_core::dataframe::{Column, DataFrame};
-use df_core::scan::{ColumnChunkStats, DistinctSeen};
+use df_core::{ColumnChunkStats, DistinctSeen};
 
 /// Options controlling CSV parsing.
 #[derive(Debug, Clone)]
@@ -238,7 +238,7 @@ impl<'a> BandSink<'a> {
         };
         for (slot, &col) in keep.unwrap_or_default().iter().enumerate() {
             let entry = slot_of.get_mut(col).ok_or(DfError::IndexOutOfBounds {
-                axis: "column",
+                axis: Axis::Column,
                 index: col,
                 len: n_cols,
             })?;
@@ -338,7 +338,7 @@ fn first_record(content: &str) -> (&str, &str) {
 
 /// Read a CSV document from any reader into an untyped (raw `Σ*`) dataframe (or a
 /// typed one when [`CsvOptions::infer_schema`] is set).
-pub fn read_csv_reader<R: Read>(mut reader: R, options: &CsvOptions) -> DfResult<DataFrame> {
+pub(crate) fn read_csv_reader<R: Read>(mut reader: R, options: &CsvOptions) -> DfResult<DataFrame> {
     let mut content = String::new();
     reader.read_to_string(&mut content)?;
     read_csv_str(&content, options)

@@ -74,12 +74,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use df_types::cell::Cell;
-use df_types::column::{ColumnData, Validity};
 use df_types::domain::Domain;
 use df_types::error::{DfError, DfResult};
 use df_types::fail::{self, FailAction};
 use df_types::labels::Labels;
-use df_types::retry::RetryPolicy;
+use df_types::RetryPolicy;
+use df_types::{ColumnData, Validity};
 
 use df_core::columnar::ColumnBlock;
 use df_core::dataframe::{Column, DataFrame};
@@ -131,7 +131,7 @@ pub enum StoredPart {
 
 impl StoredPart {
     /// Honest in-memory footprint of this form.
-    pub fn approx_size_bytes(&self) -> usize {
+    pub(crate) fn approx_size_bytes(&self) -> usize {
         match self {
             StoredPart::Frame(frame) => frame.approx_size_bytes(),
             StoredPart::Block(block) => block.approx_size_bytes(),
@@ -243,11 +243,6 @@ impl SpillStore {
     /// behaviour is not under test.
     pub fn unbounded() -> DfResult<Self> {
         SpillStore::new(usize::MAX / 2)
-    }
-
-    /// The in-memory byte budget this store enforces.
-    pub fn memory_budget_bytes(&self) -> usize {
-        self.memory_budget_bytes
     }
 
     /// The directory this store's spill files live under. Exposed so fault-injection
@@ -529,7 +524,7 @@ impl Drop for SpillStore {
 /// do not parse, nothing is touched. Runs once per process from [`SpillStore::new`];
 /// public so the lifecycle test can exercise it directly. Returns the number of
 /// directories removed.
-pub fn gc_orphaned_spill_dirs() -> usize {
+pub(crate) fn gc_orphaned_spill_dirs() -> usize {
     if !Path::new("/proc").is_dir() {
         return 0;
     }
@@ -637,7 +632,7 @@ pub struct ByteWriter {
 
 impl ByteWriter {
     /// One raw byte.
-    pub fn u8(&mut self, value: u8) {
+    pub(crate) fn u8(&mut self, value: u8) {
         self.out.push(value);
     }
 
@@ -873,7 +868,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// One raw byte.
-    pub fn u8(&mut self) -> DfResult<u8> {
+    pub(crate) fn u8(&mut self) -> DfResult<u8> {
         Ok(self.array::<1>()?[0])
     }
 
@@ -1061,7 +1056,7 @@ pub fn encode_part(part: &StoredPart) -> Vec<u8> {
 /// Check the fixed header at the front of `frame` and return the payload length and
 /// checksum it declares. The stream reader in [`crate::wire`] calls this on the first
 /// [`FRAME_HEADER_LEN`] bytes to learn how many more to read.
-pub fn parse_frame_header(frame: &[u8], site: &str) -> DfResult<(u64, u64)> {
+pub(crate) fn parse_frame_header(frame: &[u8], site: &str) -> DfResult<(u64, u64)> {
     let Some(header) = frame.get(..FRAME_HEADER_LEN) else {
         return Err(DfError::spill_corruption(
             site,
@@ -1176,21 +1171,21 @@ pub fn read_spill_part(path: &Path) -> DfResult<StoredPart> {
     decode_part(&frame, "spill.read")
 }
 
-/// Convenience: build a dataframe column-by-column from typed cells (used by tests).
-pub fn frame_of(columns: Vec<(&str, Vec<Cell>)>) -> DfResult<DataFrame> {
-    let labels: Vec<Cell> = columns
-        .iter()
-        .map(|(l, _)| Cell::Str((*l).into()))
-        .collect();
-    let cols: Vec<Column> = columns.into_iter().map(|(_, c)| Column::new(c)).collect();
-    let rows = cols.first().map(|c| c.len()).unwrap_or(0);
-    DataFrame::from_parts(cols, Labels::positional(rows), Labels::new(labels))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use df_types::cell::cell;
+
+    /// Build a dataframe column-by-column from typed cells.
+    fn frame_of(columns: Vec<(&str, Vec<Cell>)>) -> DfResult<DataFrame> {
+        let labels: Vec<Cell> = columns
+            .iter()
+            .map(|(l, _)| Cell::Str((*l).into()))
+            .collect();
+        let cols: Vec<Column> = columns.into_iter().map(|(_, c)| Column::new(c)).collect();
+        let rows = cols.first().map(|c| c.len()).unwrap_or(0);
+        DataFrame::from_parts(cols, Labels::positional(rows), Labels::new(labels))
+    }
 
     fn frame(tag: i64, rows: usize) -> DataFrame {
         frame_of(vec![
@@ -1221,7 +1216,7 @@ mod tests {
         let one = frame(0, 50);
         let budget = one.approx_size_bytes() + one.approx_size_bytes() / 2;
         let store = SpillStore::new(budget).unwrap();
-        assert_eq!(store.memory_budget_bytes(), budget);
+        assert_eq!(store.memory_budget_bytes, budget);
         let a = store.put(frame(0, 50)).unwrap();
         let b = store.put(frame(100, 50)).unwrap();
         let c = store.put(frame(200, 50)).unwrap();

@@ -26,7 +26,7 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// The canonical lowercase name, matching what `DF_BACKEND` accepts.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             BackendKind::Threads => "threads",
             BackendKind::Procs => "procs",
@@ -35,7 +35,7 @@ impl BackendKind {
 
     /// Parse a `DF_BACKEND`-style name (case-insensitive, surrounding whitespace
     /// ignored). Unknown names return `None` so callers can fall back explicitly.
-    pub fn parse(raw: &str) -> Option<BackendKind> {
+    pub(crate) fn parse(raw: &str) -> Option<BackendKind> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "threads" => Some(BackendKind::Threads),
             "procs" => Some(BackendKind::Procs),

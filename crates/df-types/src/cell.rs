@@ -45,7 +45,7 @@ impl Cell {
 
     /// The domain this concrete cell naturally belongs to, or `None` for null (null is
     /// a member of every domain and does not pin one down).
-    pub fn natural_domain(&self) -> Option<Domain> {
+    pub(crate) fn natural_domain(&self) -> Option<Domain> {
         match self {
             Cell::Null => None,
             Cell::Str(_) => Some(Domain::Str),
@@ -72,14 +72,6 @@ impl Cell {
         match self {
             Cell::Int(v) => Some(*v),
             Cell::Bool(b) => Some(i64::from(*b)),
-            _ => None,
-        }
-    }
-
-    /// Interpret the cell as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Cell::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -203,14 +195,6 @@ impl Cell {
             }
             _ => self == other,
         }
-    }
-
-    /// A deterministic 64-bit hash of the cell's group key, stable across threads and
-    /// runs (FNV-1a based). Used for bucket assignment during shuffles.
-    pub fn bucket_hash(&self) -> u64 {
-        let mut hasher = StableHasher::default();
-        self.hash_key(&mut hasher);
-        hasher.finish()
     }
 
     /// The ordering `Predicate` evaluation and chunk pruning use. Nulls sort last;
@@ -583,15 +567,21 @@ mod tests {
 
     #[test]
     fn bucket_hash_is_stable_and_respects_key_eq() {
-        assert_eq!(cell(0.0).bucket_hash(), cell(-0.0).bucket_hash());
+        use std::hash::{Hash, Hasher};
+        // The shuffle's bucket hash: `hash_key` through the deterministic hasher.
+        let bucket = |c: Cell| {
+            let mut h = StableHasher::default();
+            c.hash_key(&mut h);
+            h.finish()
+        };
+        assert_eq!(bucket(cell(0.0)), bucket(cell(-0.0)));
         assert_eq!(
-            Cell::Float(f64::NAN).bucket_hash(),
-            Cell::Float(-f64::NAN).bucket_hash()
+            bucket(Cell::Float(f64::NAN)),
+            bucket(Cell::Float(-f64::NAN))
         );
-        assert_ne!(cell(1).bucket_hash(), cell(2).bucket_hash());
+        assert_ne!(bucket(cell(1)), bucket(cell(2)));
         // Str hashing embeds a terminator: shifting bytes between adjacent cells in a
         // multi-cell stream must change the combined hash.
-        use std::hash::{Hash, Hasher};
         let combined = |cells: &[Cell]| {
             let mut h = StableHasher::default();
             for c in cells {

@@ -37,7 +37,7 @@ pub struct Validity {
 
 impl Validity {
     /// A bitmap of `len` rows, all valid.
-    pub fn new_all_valid(len: usize) -> Validity {
+    pub(crate) fn new_all_valid(len: usize) -> Validity {
         let full_words = len / 64;
         let mut words = vec![u64::MAX; full_words];
         let rem = len % 64;
@@ -49,7 +49,7 @@ impl Validity {
 
     /// Rebuild a bitmap from raw words read back from a block frame. `None` unless
     /// there are exactly `len.div_ceil(64)` words and no bit is set at or past `len`
-    /// — otherwise [`Validity::count_valid`] and [`Validity::all_valid`] would lie.
+    /// — otherwise two bitmaps of the same rows could compare unequal.
     pub fn from_words(words: Vec<u64>, len: usize) -> Option<Validity> {
         let tail_clear = match (words.last(), len % 64) {
             (Some(last), rem) if rem > 0 => last >> rem == 0,
@@ -59,13 +59,8 @@ impl Validity {
     }
 
     /// Number of rows covered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when the bitmap covers zero rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Whether row `i` holds a value.
@@ -76,22 +71,12 @@ impl Validity {
 
     /// Mark row `i` valid or null.
     #[inline]
-    pub fn set(&mut self, i: usize, valid: bool) {
+    pub(crate) fn set(&mut self, i: usize, valid: bool) {
         if valid {
             self.words[i / 64] |= 1 << (i % 64);
         } else {
             self.words[i / 64] &= !(1 << (i % 64));
         }
-    }
-
-    /// Number of valid (non-null) rows.
-    pub fn count_valid(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when every covered row is valid.
-    pub fn all_valid(&self) -> bool {
-        self.count_valid() == self.len
     }
 
     /// The raw bitmap words (what the block frame writes).
@@ -100,7 +85,7 @@ impl Validity {
     }
 
     /// Bytes the bitmap occupies — what honest memory accounting charges.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
     }
 }
@@ -279,18 +264,6 @@ impl ColumnData {
     /// True when the column uses a typed buffer (not the tagged-cell fallback).
     pub fn is_typed(&self) -> bool {
         !matches!(self, ColumnData::Cells(_))
-    }
-
-    /// The domain the physical layout pins down, if any.
-    pub fn natural_domain(&self) -> Option<Domain> {
-        match self {
-            ColumnData::Cells(_) => None,
-            ColumnData::Int { .. } => Some(Domain::Int),
-            ColumnData::Float { .. } => Some(Domain::Float),
-            ColumnData::Bool { .. } => Some(Domain::Bool),
-            ColumnData::Str { .. } => Some(Domain::Str),
-            ColumnData::Dict { .. } => Some(Domain::Category),
-        }
     }
 
     /// Materialise row `i` back into a tagged cell.
@@ -712,12 +685,16 @@ mod tests {
     #[test]
     fn from_words_rejects_bits_past_the_last_row() {
         let honest = Validity::from_words(vec![0b101], 3).unwrap();
-        assert_eq!(honest.count_valid(), 2);
+        assert_eq!(
+            (0..3).map(|i| honest.get(i)).collect::<Vec<_>>(),
+            [true, false, true]
+        );
         assert!(Validity::from_words(vec![0b1000], 3).is_none());
         assert!(Validity::from_words(vec![u64::MAX, 1 << 6], 70).is_none());
         // A full last word has no tail to check.
-        assert!(Validity::from_words(vec![u64::MAX], 64)
-            .unwrap()
-            .all_valid());
+        assert_eq!(
+            Validity::from_words(vec![u64::MAX], 64),
+            Some(Validity::new_all_valid(64))
+        );
     }
 }

@@ -6,8 +6,7 @@
 //!
 //! [`Domain`] enumerates that set (plus `datetime`, which the paper notes is "common in
 //! practice", and `composite` for `collect` results). [`Domain::parse`] is the parsing
-//! function `p_i`; [`Domain::validate`] checks whether an already-typed cell belongs to
-//! the domain; [`Domain::unify`] computes the least common domain of two candidates,
+//! function `p_i`; `Domain::unify` computes the least common domain of two candidates,
 //! which the schema induction function uses to widen as it scans a column.
 
 use std::fmt;
@@ -121,22 +120,6 @@ impl Domain {
         }
     }
 
-    /// Check whether an already-typed cell is a member of the domain (nulls belong to
-    /// every domain). Used when a schema is declared rather than induced.
-    pub fn validate(&self, cell: &Cell) -> bool {
-        matches!(
-            (self, cell),
-            (_, Cell::Null)
-                | (Domain::Str, Cell::Str(_))
-                | (Domain::Category, Cell::Str(_))
-                | (Domain::Int, Cell::Int(_))
-                | (Domain::DateTime, Cell::Int(_))
-                | (Domain::Float, Cell::Float(_) | Cell::Int(_))
-                | (Domain::Bool, Cell::Bool(_))
-                | (Domain::Composite, Cell::List(_))
-        )
-    }
-
     /// Coerce a typed cell into this domain if a lossless (or conventional) conversion
     /// exists; otherwise report a type mismatch. This is what `astype` uses.
     pub fn coerce(&self, cell: &Cell) -> DfResult<Cell> {
@@ -174,7 +157,7 @@ impl Domain {
 
     /// The least common domain containing both operands, used by schema induction as it
     /// widens over a column, and by `UNION` when aligning schemas.
-    pub fn unify(self, other: Domain) -> Domain {
+    pub(crate) fn unify(self, other: Domain) -> Domain {
         use Domain::*;
         if self == other {
             return self;
@@ -219,7 +202,7 @@ pub fn is_null_token(raw: &str) -> bool {
 ///
 /// The implementation is a small proleptic-Gregorian converter — the workspace has no
 /// external chrono dependency — sufficient for the taxi workload timestamps.
-pub fn parse_datetime_seconds(raw: &str) -> Option<i64> {
+pub(crate) fn parse_datetime_seconds(raw: &str) -> Option<i64> {
     let raw = raw.trim();
     let (date_part, time_part) = match raw.split_once(['T', ' ']) {
         Some((d, t)) => (d, Some(t)),
@@ -249,7 +232,7 @@ pub fn parse_datetime_seconds(raw: &str) -> Option<i64> {
 }
 
 /// Render seconds-since-epoch back into `YYYY-MM-DD HH:MM:SS` (the inverse of
-/// [`parse_datetime_seconds`], used by the CSV writer and by `Display` paths).
+/// `parse_datetime_seconds`, used by the CSV writer and by `Display` paths).
 pub fn format_datetime_seconds(secs: i64) -> String {
     let days = secs.div_euclid(86_400);
     let rem = secs.rem_euclid(86_400);
@@ -345,15 +328,6 @@ mod tests {
             Domain::DateTime.parse("1970-01-02").unwrap(),
             Cell::Int(86_400)
         );
-    }
-
-    #[test]
-    fn validate_accepts_members_and_nulls() {
-        assert!(Domain::Int.validate(&cell(3)));
-        assert!(Domain::Float.validate(&cell(3)));
-        assert!(Domain::Int.validate(&Cell::Null));
-        assert!(!Domain::Int.validate(&cell("3")));
-        assert!(Domain::Composite.validate(&Cell::List(vec![])));
     }
 
     #[test]

@@ -12,6 +12,36 @@ use std::fmt;
 /// Convenience alias used across all crates in the workspace.
 pub type DfResult<T> = Result<T, DfError>;
 
+/// The axis a [`DfError::IndexOutOfBounds`] position indexes. Raising sites name it
+/// through this type and the wire codec decodes through `Axis::ALL`, so an error
+/// that crosses a process boundary keeps the axis it was raised with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// A row of a frame.
+    Row,
+    /// A column of a frame.
+    Column,
+    /// A row band of a partition grid.
+    RowBand,
+    /// A position in a label vector.
+    Label,
+}
+
+impl Axis {
+    /// Every axis: the decoder's table.
+    pub(crate) const ALL: [Axis; 4] = [Axis::Row, Axis::Column, Axis::RowBand, Axis::Label];
+
+    /// The name `Display` prints and the wire codec carries.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Axis::Row => "row",
+            Axis::Column => "column",
+            Axis::RowBand => "row band",
+            Axis::Label => "label",
+        }
+    }
+}
+
 /// Error raised by dataframe operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DfError {
@@ -21,8 +51,8 @@ pub enum DfError {
     RowNotFound(String),
     /// A positional reference is out of bounds: `(axis, index, len)`.
     IndexOutOfBounds {
-        /// `"row"` or `"column"`.
-        axis: &'static str,
+        /// Which axis the position indexes.
+        axis: Axis,
         /// The requested position.
         index: usize,
         /// The axis length.
@@ -117,7 +147,7 @@ impl DfError {
     }
 
     /// Shorthand constructor for [`DfError::RowNotFound`].
-    pub fn row_not_found(label: impl fmt::Display) -> Self {
+    pub(crate) fn row_not_found(label: impl fmt::Display) -> Self {
         DfError::RowNotFound(label.to_string())
     }
 
@@ -172,7 +202,7 @@ impl DfError {
 
     /// True for faults the retry policy should re-attempt (transient I/O only —
     /// corruption and permanent I/O failures are never retried in place).
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(
             self,
             DfError::SpillIo {
@@ -196,12 +226,6 @@ impl DfError {
         }
     }
 
-    /// True when a worker process died mid-exchange — the trigger for the process
-    /// backend's respawn-and-retry recovery.
-    pub fn is_worker_lost(&self) -> bool {
-        matches!(self, DfError::WorkerLost { .. })
-    }
-
     /// True when the error is a cooperative cancellation, not a real failure.
     pub fn is_cancelled(&self) -> bool {
         matches!(self, DfError::Cancelled(_))
@@ -220,6 +244,7 @@ impl fmt::Display for DfError {
             DfError::ColumnNotFound(l) => write!(f, "column label not found: {l:?}"),
             DfError::RowNotFound(l) => write!(f, "row label not found: {l:?}"),
             DfError::IndexOutOfBounds { axis, index, len } => {
+                let axis = axis.name();
                 write!(f, "{axis} index {index} out of bounds for length {len}")
             }
             DfError::ShapeMismatch { expected, found } => {
@@ -327,7 +352,7 @@ impl DfError {
             DfError::RowNotFound(l) => record("row-not-found", &[l]),
             DfError::IndexOutOfBounds { axis, index, len } => record(
                 "index-out-of-bounds",
-                &[axis, &index.to_string(), &len.to_string()],
+                &[axis.name(), &index.to_string(), &len.to_string()],
             ),
             DfError::ShapeMismatch { expected, found } => {
                 record("shape-mismatch", &[expected, found])
@@ -376,16 +401,11 @@ impl DfError {
             "column-not-found" => DfError::ColumnNotFound(field(0)),
             "row-not-found" => DfError::RowNotFound(field(0)),
             "index-out-of-bounds" => {
-                // The axis is a static str in the in-memory form; map the known axis
-                // names back and fold anything else into the generic "axis".
-                let axis = match field(0).as_str() {
-                    "row" => "row",
-                    "column" => "column",
-                    "row band" => "row band",
-                    _ => "axis",
-                };
-                match (field(1).parse(), field(2).parse()) {
-                    (Ok(index), Ok(len)) => DfError::IndexOutOfBounds { axis, index, len },
+                let axis = Axis::ALL.into_iter().find(|a| a.name() == field(0));
+                match (axis, field(1).parse(), field(2).parse()) {
+                    (Some(axis), Ok(index), Ok(len)) => {
+                        DfError::IndexOutOfBounds { axis, index, len }
+                    }
                     _ => garbled(),
                 }
             }
@@ -437,14 +457,9 @@ mod tests {
 
     #[test]
     fn wire_codec_round_trips_every_variant() {
-        let errors = vec![
+        let mut errors = vec![
             DfError::ColumnNotFound("price".into()),
             DfError::RowNotFound("r9".into()),
-            DfError::IndexOutOfBounds {
-                axis: "row",
-                index: 7,
-                len: 3,
-            },
             DfError::ShapeMismatch {
                 expected: "3x2".into(),
                 found: "2x3".into(),
@@ -485,6 +500,12 @@ mod tests {
             DfError::Admission("queue full".into()),
             DfError::Internal("invariant broken".into()),
         ];
+        // Every axis a position can be out of bounds on, not just rows.
+        errors.extend(Axis::ALL.map(|axis| DfError::IndexOutOfBounds {
+            axis,
+            index: 7,
+            len: 3,
+        }));
         for err in errors {
             let decoded = DfError::decode_wire(&err.encode_wire());
             assert_eq!(decoded, err, "round trip changed {err:?}");
@@ -510,6 +531,7 @@ mod tests {
             "",
             "no-such-tag\u{1f}x",
             "worker-lost\u{1f}not-a-number\u{1f}d",
+            "index-out-of-bounds\u{1f}diagonal\u{1f}1\u{1f}2",
         ] {
             match DfError::decode_wire(raw) {
                 DfError::Internal(msg) => {
@@ -523,8 +545,7 @@ mod tests {
     #[test]
     fn worker_lost_helpers_and_display() {
         let err = DfError::worker_lost(3, "exit status 9");
-        assert!(err.is_worker_lost());
-        assert!(!DfError::Internal("x".into()).is_worker_lost());
+        assert!(matches!(err, DfError::WorkerLost { worker: 3, .. }));
         assert_eq!(err.to_string(), "worker 3 lost: exit status 9");
     }
 
@@ -537,7 +558,7 @@ mod tests {
     #[test]
     fn display_index_out_of_bounds() {
         let err = DfError::IndexOutOfBounds {
-            axis: "row",
+            axis: Axis::Row,
             index: 9,
             len: 3,
         };

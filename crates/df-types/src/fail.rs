@@ -8,7 +8,7 @@
 //! an armed registry answers with the fault to inject ([`FailAction`]) or `None`.
 //!
 //! Configuration comes from the `DF_FAILPOINTS` environment variable (read once, on
-//! first use) or programmatically via [`configure`] (tests):
+//! first use) or programmatically via [`configure_seeded`] (tests):
 //!
 //! ```text
 //! DF_FAILPOINTS="spill.write=io_full@0.05;spill.read=corrupt@3"
@@ -169,12 +169,7 @@ pub fn check(site: &str) -> DfResult<()> {
 }
 
 /// Install a failpoint configuration programmatically (replacing any existing one),
-/// seeded from `DF_FAILPOINT_SEED`. Spec syntax as in the module docs.
-pub fn configure(spec: &str) -> Result<(), String> {
-    configure_seeded(spec, env_seed())
-}
-
-/// [`configure`] with an explicit probability-stream seed.
+/// with an explicit probability-stream seed. Spec syntax as in the module docs.
 pub fn configure_seeded(spec: &str, seed: u64) -> Result<(), String> {
     let mut rules = HashMap::new();
     for clause in spec.split(';') {
@@ -241,11 +236,6 @@ pub fn clear() {
     ARMED.store(false, Ordering::SeqCst);
 }
 
-/// True while any failpoint rule is installed.
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +252,7 @@ mod tests {
     fn unarmed_registry_is_silent() {
         let _g = guard();
         clear();
-        assert!(!armed());
+        assert!(!ARMED.load(Ordering::Relaxed));
         assert_eq!(failpoint("spill.read"), None);
         assert!(check("spill.read").is_ok());
     }
@@ -270,8 +260,8 @@ mod tests {
     #[test]
     fn nth_trigger_fires_exactly_once() {
         let _g = guard();
-        configure("spill.read=corrupt@3").unwrap();
-        assert!(armed());
+        configure_seeded("spill.read=corrupt@3", 0).unwrap();
+        assert!(ARMED.load(Ordering::Relaxed));
         assert_eq!(failpoint("spill.read"), None);
         assert_eq!(failpoint("spill.read"), None);
         assert_eq!(failpoint("spill.read"), Some(FailAction::Corrupt));
@@ -338,13 +328,16 @@ mod tests {
             "spill.read=corrupt@1.5",
             "spill.read=corrupt@x",
         ] {
-            assert!(configure(bad).is_err(), "accepted malformed spec {bad:?}");
+            assert!(
+                configure_seeded(bad, 0).is_err(),
+                "accepted malformed spec {bad:?}"
+            );
         }
-        // A rejected configure leaves the registry disarmed.
-        assert!(!armed());
+        // A rejected configuration leaves the registry disarmed.
+        assert!(!ARMED.load(Ordering::Relaxed));
         // Empty clauses are tolerated (trailing semicolons).
-        configure("spill.read=corrupt@1;;").unwrap();
-        assert!(armed());
+        configure_seeded("spill.read=corrupt@1;;", 0).unwrap();
+        assert!(ARMED.load(Ordering::Relaxed));
         clear();
     }
 }

@@ -195,7 +195,7 @@ fn step_table() -> &'static [[u8; STATE_COUNT]; Domain::ALL.len()] {
 
 /// A composable summary of the schema induction scan over one *band* of a column.
 ///
-/// [`induce_from_strings`] is a left fold with [`Domain::unify`] plus a category
+/// [`induce_from_strings`] is a left fold with `Domain::unify` plus a category
 /// heuristic over whole-column statistics (distinct count, non-null count). Neither
 /// piece can be reconstructed from per-band *domains*: `unify` is not associative
 /// (`(bool ⊔ datetime) ⊔ int ≠ bool ⊔ (datetime ⊔ int)`), and a band can fail the
@@ -231,7 +231,7 @@ impl Default for InductionSummary {
 
 impl InductionSummary {
     /// The identity summary (a band with no values).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         let mut transition = [0u8; STATE_COUNT];
         for (index, state) in transition.iter_mut().enumerate() {
             *state = index as u8;
@@ -322,13 +322,11 @@ impl InductionSummary {
 ///
 /// A slot is in one of three states: *declared* (the user or an upstream operator fixed
 /// the domain — no induction needed), *induced* (a previous scan computed and cached the
-/// domain), or *unknown* (induction will run on first demand). The slot also records how
-/// many times induction ran for it, which the §5.1 ablation reports.
+/// domain), or *unknown* (induction will run on first demand).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchemaSlot {
     declared: Option<Domain>,
     induced: Option<Domain>,
-    inductions: u64,
 }
 
 impl SchemaSlot {
@@ -343,7 +341,6 @@ impl SchemaSlot {
         SchemaSlot {
             declared: Some(domain),
             induced: None,
-            inductions: 0,
         }
     }
 
@@ -351,11 +348,6 @@ impl SchemaSlot {
     /// triggering an induction scan.
     pub fn known(&self) -> Option<Domain> {
         self.declared.or(self.induced)
-    }
-
-    /// True when resolving the domain would require running `S`.
-    pub fn needs_induction(&self) -> bool {
-        self.known().is_none()
     }
 
     /// Resolve the domain, running the provided induction thunk if necessary and
@@ -366,7 +358,6 @@ impl SchemaSlot {
         }
         let domain = induce();
         self.induced = Some(domain);
-        self.inductions += 1;
         domain
     }
 
@@ -391,13 +382,7 @@ impl SchemaSlot {
     pub fn note_induced(&mut self, domain: Domain) {
         if self.declared.is_none() {
             self.induced = Some(domain);
-            self.inductions += 1;
         }
-    }
-
-    /// Number of induction scans this slot has performed.
-    pub fn induction_count(&self) -> u64 {
-        self.inductions
     }
 }
 
@@ -456,22 +441,20 @@ mod tests {
     #[test]
     fn schema_slot_declared_skips_induction() {
         let mut slot = SchemaSlot::declared(Domain::Int);
-        assert!(!slot.needs_induction());
+        assert_eq!(slot.known(), Some(Domain::Int));
         let domain = slot.resolve_with(|| panic!("induction must not run"));
         assert_eq!(domain, Domain::Int);
-        assert_eq!(slot.induction_count(), 0);
     }
 
     #[test]
     fn schema_slot_caches_induced_domain() {
         let mut slot = SchemaSlot::unknown();
-        assert!(slot.needs_induction());
+        assert_eq!(slot.known(), None);
         assert_eq!(slot.resolve_with(|| Domain::Float), Domain::Float);
         // Second resolve must not run the thunk again.
         assert_eq!(slot.resolve_with(|| panic!("cached")), Domain::Float);
-        assert_eq!(slot.induction_count(), 1);
         slot.invalidate();
-        assert!(slot.needs_induction());
+        assert_eq!(slot.known(), None);
     }
 
     #[test]

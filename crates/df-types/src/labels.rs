@@ -10,16 +10,13 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::cell::{Cell, CellKey};
-use crate::error::{DfError, DfResult};
+use crate::error::{Axis, DfError, DfResult};
 
 /// An ordered vector of labels for one axis of a dataframe.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Labels {
     values: Vec<Cell>,
 }
-
-/// Convenience alias used in operator signatures.
-pub type LabelVec = Vec<Cell>;
 
 /// Labels from anything convertible to cells (string names, integers, …).
 impl<T: Into<Cell>> FromIterator<T> for Labels {
@@ -77,18 +74,6 @@ impl Labels {
         self.values.get(index)
     }
 
-    /// All positions whose label equals `name` (named notation). Duplicates are allowed,
-    /// so this may return more than one position.
-    pub fn positions_of(&self, name: &Cell) -> Vec<usize> {
-        let key = name.group_key();
-        self.values
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.group_key() == key)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The first position whose label equals `name`, or an error naming the axis.
     pub fn position_of(&self, name: &Cell, axis: &'static str) -> DfResult<usize> {
         let key = name.group_key();
@@ -111,13 +96,6 @@ impl Labels {
         map
     }
 
-    /// True when every label is distinct (R requires unique row names; pandas does not —
-    /// paper §7). Exposed so engines can validate R-style restrictions when asked.
-    pub fn all_unique(&self) -> bool {
-        let mut seen = std::collections::HashSet::with_capacity(self.values.len());
-        self.values.iter().all(|l| seen.insert(l.group_key()))
-    }
-
     /// Append another label vector (UNION keeps the left argument's labels first).
     pub fn concat(&self, other: &Labels) -> Labels {
         let mut values = self.values.clone();
@@ -130,7 +108,7 @@ impl Labels {
         let mut values = Vec::with_capacity(positions.len());
         for &p in positions {
             let cell = self.values.get(p).ok_or(DfError::IndexOutOfBounds {
-                axis: "label",
+                axis: Axis::Label,
                 index: p,
                 len: self.values.len(),
             })?;
@@ -148,7 +126,7 @@ impl Labels {
                 Ok(())
             }
             None => Err(DfError::IndexOutOfBounds {
-                axis: "label",
+                axis: Axis::Label,
                 index,
                 len,
             }),
@@ -158,18 +136,6 @@ impl Labels {
     /// Push a label at the end of the axis.
     pub fn push(&mut self, label: Cell) {
         self.values.push(label);
-    }
-
-    /// Remove and return the label at `index`.
-    pub fn remove(&mut self, index: usize) -> DfResult<Cell> {
-        if index >= self.values.len() {
-            return Err(DfError::IndexOutOfBounds {
-                axis: "label",
-                index,
-                len: self.values.len(),
-            });
-        }
-        Ok(self.values.remove(index))
     }
 
     /// Render labels as display strings (used by the tabular view).
@@ -218,18 +184,12 @@ mod tests {
     #[test]
     fn named_lookup_finds_positions_and_errors() {
         let labels = Labels::from(vec!["a", "b", "a"]);
-        assert_eq!(labels.positions_of(&cell("a")), vec![0, 2]);
+        assert_eq!(labels.position_of(&cell("a"), "column").unwrap(), 0);
         assert_eq!(labels.position_of(&cell("b"), "column").unwrap(), 1);
         let err = labels.position_of(&cell("z"), "column").unwrap_err();
         assert!(matches!(err, DfError::ColumnNotFound(_)));
         let err = labels.position_of(&cell("z"), "row").unwrap_err();
         assert!(matches!(err, DfError::RowNotFound(_)));
-    }
-
-    #[test]
-    fn duplicates_and_uniqueness() {
-        assert!(!Labels::from(vec!["a", "a"]).all_unique());
-        assert!(Labels::from(vec!["a", "b"]).all_unique());
     }
 
     #[test]
@@ -253,10 +213,8 @@ mod tests {
         let mut labels = Labels::from(vec!["a", "b"]);
         labels.set(0, cell("z")).unwrap();
         labels.push(cell("c"));
-        assert_eq!(labels.remove(1).unwrap(), cell("b"));
-        assert_eq!(labels.as_slice(), &[cell("z"), cell("c")]);
+        assert_eq!(labels.as_slice(), &[cell("z"), cell("b"), cell("c")]);
         assert!(labels.set(9, cell("x")).is_err());
-        assert!(labels.remove(9).is_err());
     }
 
     #[test]
@@ -272,7 +230,7 @@ mod tests {
     #[test]
     fn labels_may_be_integers_or_nulls() {
         let labels = Labels::new(vec![cell(2017), Cell::Null]);
-        assert_eq!(labels.positions_of(&Cell::Null), vec![1]);
+        assert_eq!(labels.position_of(&Cell::Null, "row").unwrap(), 1);
         assert_eq!(labels.to_string(), "[2017, NA]");
     }
 }

@@ -12,15 +12,15 @@
 //! * [`cell::Cell`] — a single dataframe entry (data *or* label; the paper requires
 //!   labels to come from the same domain set as data).
 //! * [`domain::Domain`] — the domain set `Dom` and its parsing functions `p_i`.
-//! * [`infer`] — the schema induction function `S` and helpers for deferring / caching
-//!   induction (paper §5.1).
-//! * [`mod@column`] — typed columnar storage (flat `i64`/`f64`/`bool`/string buffers
+//! * [`induce_domain`] / [`SchemaSlot`] — the schema induction function `S` and
+//!   helpers for deferring / caching induction (paper §5.1).
+//! * [`ColumnData`] — typed columnar storage (flat `i64`/`f64`/`bool`/string buffers
 //!   with validity bitmaps, dictionary-encoded categoricals) used by the engine's
 //!   column blocks, the block frame (spill files and wire) and the vectorized kernels.
 //! * [`labels`] — ordered label vectors with positional and named lookup.
 //! * [`error`] — the shared error type used across the workspace, including the
 //!   fault taxonomy (`SpillIo` / `SpillCorruption` / `WorkerPanic` / `Cancelled`).
-//! * [`fail`], [`retry`], [`cancel`] — the fault-tolerance toolkit: deterministic
+//! * [`fail`], [`RetryPolicy`], [`CancelToken`] — the fault-tolerance toolkit: deterministic
 //!   failpoint injection (`DF_FAILPOINTS`), capped-exponential retry for transient
 //!   storage faults, and cooperative cancellation tokens.
 //!
@@ -29,16 +29,16 @@
 //! these definitions, which is what lets the benchmark harness compare them fairly.
 
 pub mod backend;
-pub mod cancel;
+mod cancel;
 pub mod cell;
-pub mod column;
+mod column;
 pub mod domain;
 pub mod error;
 pub mod fail;
-pub mod infer;
+mod infer;
 pub mod labels;
-pub mod retry;
-pub mod striped;
+mod retry;
+mod striped;
 
 pub use cancel::CancelToken;
 pub use cell::{cell, Cell};
@@ -46,7 +46,10 @@ pub use column::{ColumnData, Validity};
 pub use domain::Domain;
 pub use error::{DfError, DfResult};
 pub use fail::FailAction;
-pub use infer::{induce_domain, induce_from_strings, SchemaSlot};
-pub use labels::{LabelVec, Labels};
+pub use infer::{
+    induce_domain, induce_from_strings, induction_scan_count, reset_induction_scan_count,
+    InductionSummary, SchemaSlot,
+};
+pub use labels::Labels;
 pub use retry::RetryPolicy;
 pub use striped::StripedU64;

@@ -50,36 +50,8 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: every error surfaces on the first attempt.
-    pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-
-    /// Override the attempt budget (clamped to at least one attempt).
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Override the backoff window.
-    pub fn with_backoff(mut self, base: Duration, max: Duration) -> Self {
-        self.base_delay = base;
-        self.max_delay = max;
-        self
-    }
-
-    /// Replace the sleeper — tests pass a recording closure to assert the
-    /// deterministic schedule without waiting on a wall clock.
-    pub fn with_sleeper(mut self, sleeper: impl Fn(Duration) + Send + Sync + 'static) -> Self {
-        self.sleeper = Arc::new(sleeper);
-        self
-    }
-
     /// The backoff delay applied after attempt `attempt` (0-based) fails.
-    pub fn delay_for(&self, attempt: u32) -> Duration {
+    pub(crate) fn delay_for(&self, attempt: u32) -> Duration {
         let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
         self.base_delay
             .checked_mul(factor)
@@ -116,10 +88,12 @@ mod tests {
     fn retries_transient_until_success_with_deterministic_backoff() {
         let slept: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
         let record = Arc::clone(&slept);
-        let policy = RetryPolicy::default()
-            .with_max_attempts(4)
-            .with_backoff(Duration::from_millis(10), Duration::from_millis(25))
-            .with_sleeper(move |d| record.lock().unwrap().push(d));
+        let policy = RetryPolicy {
+            max_attempts: 4,
+            base_delay: Duration::from_millis(10),
+            max_delay: Duration::from_millis(25),
+            sleeper: Arc::new(move |d| record.lock().unwrap().push(d)),
+        };
 
         let result = policy.run(|attempt| {
             if attempt < 3 {
@@ -142,9 +116,10 @@ mod tests {
 
     #[test]
     fn permanent_errors_and_exhaustion_surface_immediately() {
-        let policy = RetryPolicy::default()
-            .with_max_attempts(3)
-            .with_sleeper(|_| {});
+        let policy = RetryPolicy {
+            sleeper: Arc::new(|_| {}),
+            ..RetryPolicy::default()
+        };
 
         let mut calls = 0;
         let corrupt: DfResult<()> = policy.run(|_| {
@@ -168,7 +143,10 @@ mod tests {
         ));
         assert_eq!(calls, 3, "attempt budget is honoured");
 
-        let none = RetryPolicy::none().with_sleeper(|_| {});
+        let none = RetryPolicy {
+            max_attempts: 1,
+            ..policy
+        };
         let mut calls = 0;
         let _ = none.run(|_| -> DfResult<()> {
             calls += 1;

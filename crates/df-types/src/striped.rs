@@ -47,14 +47,14 @@ thread_local! {
 /// and is exact (increments commute).
 ///
 /// ```
-/// use df_types::striped::StripedU64;
+/// use df_types::StripedU64;
 ///
-/// let hits = StripedU64::new();
+/// let hits = StripedU64::default();
 /// std::thread::scope(|scope| {
 ///     for _ in 0..8 {
 ///         scope.spawn(|| {
 ///             for _ in 0..1000 {
-///                 hits.add(1);
+///                 hits.incr();
 ///             }
 ///         });
 ///     }
@@ -67,14 +67,9 @@ pub struct StripedU64 {
 }
 
 impl StripedU64 {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        StripedU64::default()
-    }
-
     /// Add `n` to this thread's stripe (relaxed; never blocks, never spins
     /// against other threads' stripes).
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         let stripe = THREAD_STRIPE.with(|s| *s);
         self.stripes[stripe].0.fetch_add(n, Ordering::Relaxed);
     }
@@ -109,7 +104,7 @@ mod tests {
 
     #[test]
     fn adds_merge_exactly() {
-        let counter = StripedU64::new();
+        let counter = StripedU64::default();
         assert_eq!(counter.get(), 0);
         counter.add(3);
         counter.incr();
@@ -118,7 +113,7 @@ mod tests {
 
     #[test]
     fn concurrent_adds_from_many_threads_never_lose_updates() {
-        let counter = StripedU64::new();
+        let counter = StripedU64::default();
         let threads = 8;
         let per_thread = 10_000u64;
         std::thread::scope(|scope| {
@@ -138,7 +133,7 @@ mod tests {
         // Not a strict guarantee (assignments are randomized), but with 16
         // stripes and 8 threads at least two distinct stripes should be hit —
         // the property that makes the counter contention-free in practice.
-        let counter = StripedU64::new();
+        let counter = StripedU64::default();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| counter.add(1));

@@ -20,7 +20,7 @@ use df_core::dataframe::DataFrame;
 
 /// Relative popularity weights of pandas functions, following the qualitative ranking
 /// of paper §4.6 / Figure 7 (most popular on the left, long tail on the right).
-pub const FUNCTION_WEIGHTS: [(&str, u32); 24] = [
+pub(crate) const FUNCTION_WEIGHTS: [(&str, u32); 24] = [
     ("read_csv", 90),
     ("head", 85),
     ("plot", 70),

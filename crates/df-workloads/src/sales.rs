@@ -10,7 +10,7 @@ use df_types::error::DfResult;
 use df_core::dataframe::DataFrame;
 
 /// Month labels used by the example and the generator.
-pub const MONTHS: [&str; 12] = [
+pub(crate) const MONTHS: [&str; 12] = [
     "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
 ];
 

@@ -48,7 +48,7 @@ impl Default for TaxiConfig {
 
 impl TaxiConfig {
     /// Total number of rows this configuration generates.
-    pub fn total_rows(&self) -> usize {
+    pub(crate) fn total_rows(&self) -> usize {
         self.base_rows * self.replication.max(1)
     }
 }

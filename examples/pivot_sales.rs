@@ -8,9 +8,9 @@
 //!
 //! Run with: `cargo run --example pivot_sales`
 
-use scalable_dataframes::engine::optimizer::{choose_pivot_plan, PivotPlan};
+use scalable_dataframes::engine::{choose_pivot_plan, PivotPlan};
 use scalable_dataframes::pandas::{PandasFrame, Session};
-use scalable_dataframes::workloads::sales::{figure5_narrow_table, figure5_wide_by_year};
+use scalable_dataframes::workloads::{figure5_narrow_table, figure5_wide_by_year};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let session = Session::modin();

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use scalable_dataframes::core::algebra::{AggFunc, Aggregation};
 use scalable_dataframes::pandas::{PandasFrame, Session};
-use scalable_dataframes::workloads::taxi::{generate_raw, TaxiConfig};
+use scalable_dataframes::workloads::{generate_raw, TaxiConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rows: usize = std::env::var("TAXI_ROWS")

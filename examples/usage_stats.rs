@@ -10,7 +10,7 @@
 
 use scalable_dataframes::pandas::{PandasFrame, Session};
 use scalable_dataframes::prelude::*;
-use scalable_dataframes::workloads::notebooks::{
+use scalable_dataframes::workloads::{
     analyze_corpus, generate_corpus, usage_dataframe, CorpusConfig,
 };
 

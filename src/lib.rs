@@ -58,8 +58,8 @@ pub mod prelude {
     pub use df_core::dataframe::DataFrame;
     pub use df_core::engine::{Engine, EngineKind};
     pub use df_core::handle::FrameHandle;
-    pub use df_pandas::frame::PandasFrame;
-    pub use df_pandas::session::Session;
+    pub use df_pandas::PandasFrame;
+    pub use df_pandas::Session;
     pub use df_service::{QueryService, ServiceConfig, TenantSession};
     pub use df_types::cell::{cell, Cell};
     pub use df_types::domain::Domain;

@@ -9,7 +9,7 @@ use df_core::algebra::{AlgebraExpr, CmpOp, MapFunc, Predicate, SortSpec};
 use df_core::engine::{Engine, ReferenceEngine};
 use df_core::ops;
 use df_types::cell::{cell, Cell};
-use df_workloads::random::{random_frame, RandomFrameConfig};
+use df_workloads::{random_frame, RandomFrameConfig};
 
 fn frame(rows: usize, seed: u64, null_fraction: f64) -> df_core::dataframe::DataFrame {
     random_frame(&RandomFrameConfig {

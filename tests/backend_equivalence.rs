@@ -24,7 +24,7 @@ use df_storage::spill::SpillStore;
 use df_types::backend::BackendKind;
 use df_types::cell::cell;
 use df_types::error::DfError;
-use df_workloads::random::{random_frame, RandomFrameConfig};
+use df_workloads::{random_frame, RandomFrameConfig};
 
 /// Point the process backend at the worker binary Cargo built for this test run.
 /// `CARGO_BIN_EXE_*` is only set for the root package's own tests, which is where

@@ -40,7 +40,7 @@ use df_types::cell::{cell, Cell};
 use df_types::domain::Domain;
 use df_types::error::{DfError, DfResult};
 use df_types::labels::Labels;
-use df_workloads::random::{random_frame, RandomFrameConfig};
+use df_workloads::{random_frame, RandomFrameConfig};
 
 // ---------------------------------------------------------------------------
 // Per-thread allocation accounting

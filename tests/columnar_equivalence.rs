@@ -36,7 +36,7 @@ use df_engine::engine::{ModinConfig, ModinEngine};
 use df_engine::shuffle::ShuffleKey;
 use df_types::cell::{cell, Cell, StableHasher};
 use df_types::domain::Domain;
-use df_workloads::random::{random_frame, RandomFrameConfig};
+use df_workloads::{random_frame, RandomFrameConfig};
 
 /// Every Table 1 operator, each as one pipeline over the same base literal.
 fn table1_suite(base: &DataFrame, other: &DataFrame) -> Vec<(&'static str, AlgebraExpr)> {

@@ -18,9 +18,9 @@ use df_pandas::{PandasFrame, Session};
 use df_storage::csv::{read_csv_str, write_csv_string, CsvOptions};
 use df_types::cell::cell;
 use df_types::cell::Cell;
-use df_workloads::random::{random_frame, RandomFrameConfig};
-use df_workloads::sales::{generate_sales, SalesConfig};
-use df_workloads::taxi::{generate_raw, TaxiConfig};
+use df_workloads::{generate_raw, TaxiConfig};
+use df_workloads::{generate_sales, SalesConfig};
+use df_workloads::{random_frame, RandomFrameConfig};
 
 fn temp_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("csv_ingest_suite_{}", std::process::id()));

@@ -24,15 +24,15 @@ use df_core::algebra::{
 };
 use df_core::dataframe::DataFrame;
 use df_core::engine::{Engine, ReferenceEngine};
-use df_core::scan::{ScanCsv, ScanOptions};
+use df_core::{ScanCsv, ScanOptions};
 use df_engine::engine::{ModinConfig, ModinEngine};
-use df_engine::optimizer::OptimizerConfig;
 use df_engine::partition::PartitionScheme;
 use df_engine::session::EvalMode;
+use df_engine::OptimizerConfig;
 use df_pandas::{PandasFrame, Session};
 use df_types::backend::BackendKind;
 use df_types::cell::{cell, Cell};
-use df_workloads::random::{random_frame, RandomFrameConfig};
+use df_workloads::{random_frame, RandomFrameConfig};
 
 /// The pipelines exercised by the differential test, parameterised by a small integer.
 fn pipeline(choice: u8, base: AlgebraExpr) -> AlgebraExpr {

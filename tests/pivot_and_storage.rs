@@ -3,14 +3,12 @@
 
 use df_core::engine::Engine;
 use df_engine::engine::{ModinConfig, ModinEngine};
-use df_engine::optimizer::PivotPlan;
+use df_engine::PivotPlan;
 use df_pandas::{PandasFrame, Session};
 use df_storage::csv::{read_csv_str, write_csv_string, CsvOptions};
 use df_storage::spill::SpillStore;
 use df_types::cell::cell;
-use df_workloads::sales::{
-    figure5_narrow_table, figure5_wide_by_year, generate_sales, SalesConfig,
-};
+use df_workloads::{figure5_narrow_table, figure5_wide_by_year, generate_sales, SalesConfig};
 
 #[test]
 fn figure5_pivot_matches_the_paper_table_on_every_engine() {

@@ -23,9 +23,9 @@ use df_core::algebra::{AlgebraExpr, CmpOp, ColumnSelector, JoinOn, JoinType, Pre
 use df_core::dataframe::DataFrame;
 use df_core::engine::{Engine, ReferenceEngine};
 use df_core::ops;
-use df_core::scan::{ScanCsv, ScanOptions};
+use df_core::{ScanCsv, ScanOptions};
 use df_engine::engine::{ModinConfig, ModinEngine};
-use df_engine::optimizer::OptimizerConfig;
+use df_engine::OptimizerConfig;
 use df_storage::csv::{read_csv_str, CsvOptions};
 use df_types::cell::{cell, Cell};
 

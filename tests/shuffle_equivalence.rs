@@ -18,7 +18,7 @@ use df_engine::partition::PartitionScheme;
 use df_engine::session::EvalMode;
 use df_pandas::{PandasFrame, Session};
 use df_types::cell::{cell, Cell};
-use df_workloads::random::{random_frame, RandomFrameConfig};
+use df_workloads::{random_frame, RandomFrameConfig};
 
 /// The shuffle-dispatched pipelines, parameterised by a small integer.
 fn pipeline(choice: u8, base: AlgebraExpr, other: AlgebraExpr) -> AlgebraExpr {

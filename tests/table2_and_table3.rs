@@ -8,7 +8,7 @@ use df_core::engine::{Capabilities, Engine, ReferenceEngine};
 use df_engine::engine::ModinEngine;
 use df_pandas::{table2_rewrites, PandasFrame, RewriteKind, Session};
 use df_types::cell::cell;
-use df_workloads::random::{random_frame, RandomFrameConfig};
+use df_workloads::{random_frame, RandomFrameConfig};
 
 fn sample_frame(session: &std::sync::Arc<Session>) -> PandasFrame {
     PandasFrame::from_dataframe(

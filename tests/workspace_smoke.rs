@@ -6,7 +6,7 @@
 //! through the umbrella crate's public API.
 
 use scalable_dataframes::prelude::*;
-use scalable_dataframes::workloads::sales::{generate_sales, SalesConfig};
+use scalable_dataframes::workloads::{generate_sales, SalesConfig};
 
 #[test]
 fn baseline_and_modin_agree_on_a_small_sales_pivot() {
