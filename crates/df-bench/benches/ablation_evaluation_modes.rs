@@ -14,6 +14,7 @@ use df_bench::{render_table, time_once, BenchRecord};
 use df_core::algebra::{Aggregation, AlgebraExpr, CmpOp, MapFunc, Predicate};
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_engine::session::{EvalMode, QuerySession};
+use df_engine::ResultCache;
 use df_types::cell::cell;
 use df_workloads::{generate_typed, TaxiConfig};
 
@@ -25,7 +26,9 @@ fn scripted_session(
     let engine = std::sync::Arc::new(ModinEngine::with_config(
         ModinConfig::default().with_partition_size(8_192, 8),
     ));
-    let session = QuerySession::new(engine, mode);
+    let cache = std::sync::Arc::new(ResultCache::with_budget(None));
+    let session =
+        QuerySession::with_shared_state(engine, mode, std::sync::Arc::clone(&cache), None, None);
     let think = Duration::from_millis(think_ms);
     let base = AlgebraExpr::literal(taxi.clone());
     let cleaned = base.clone().map(MapFunc::FillNull(cell(0)));
@@ -58,11 +61,11 @@ fn scripted_session(
     (
         elapsed.as_secs_f64(),
         format!(
-            "executions={}, cache_hits={}, background={}, ready_on_request={}",
+            "executions={}, cache_hits={}, background={}, single_flight_waits={}",
             stats.executions,
             stats.cache_hits,
             stats.background_started,
-            stats.background_ready_on_request
+            cache.stats().single_flight_waits
         ),
     )
 }

@@ -6,17 +6,18 @@
 //! tenants execute once and everybody hits. [`ResultCache`] is that cache, designed
 //! around three invariants the service stress suite pins:
 //!
-//! * **Single-flight** — the first session to miss a fingerprint becomes its
-//!   *producer* (the key is marked in-flight); any other session submitting the
-//!   same fingerprint blocks on the pending execution instead of re-executing, and
-//!   is served the producer's handle when it lands. If the producer fails or is
-//!   cancelled, its in-flight marker is withdrawn and the waiters race to become
+//! * **Single-flight** — the first session to miss a fingerprint, or to submit it
+//!   opportunistically, becomes its *producer* (the key is marked in-flight); any
+//!   other request for the same fingerprint blocks on the pending execution instead
+//!   of re-executing, and is served the producer's handle when it lands. The
+//!   in-flight marker is the only record of a running statement. If the producer
+//!   fails or is cancelled, its marker is withdrawn and the waiters race to become
 //!   the new producer — an error never wedges a key.
 //! * **Budget accounting** — every entry is costed via
 //!   [`FrameHandle::approx_size_bytes`] (metadata only, spilled grids are costed
 //!   from check-in sizes without load-backs) and the cache evicts
 //!   least-recently-used entries past its byte budget. In-flight markers hold no
-//!   bytes and are never evicted — a pending future always survives to completion.
+//!   bytes and are never evicted — a pending run always survives to completion.
 //! * **Per-tenant attribution and quotas** — hits, productions and retained bytes
 //!   are attributed to the tenant that caused them, and a tenant's retained bytes
 //!   can be capped: past the quota its own least-recently-used entries are evicted
@@ -24,8 +25,8 @@
 //!   [`DfError::ResourceExhausted`] so one tenant's appetite cannot crowd the
 //!   shared budget.
 //!
-//! Entries keep the [`CachedResult`-style pin set](crate::session) of the plans
-//! that produced their key: fingerprints identify literal/handle leaves by pointer
+//! Entries keep the pin set of the plans that produced their key (see
+//! [`crate::session`]): fingerprints identify literal/handle leaves by pointer
 //! identity, so an entry must keep those allocations alive for exactly as long as
 //! it is keyed on them. Eviction drops entry and pins together, which is what makes
 //! eviction safe.
@@ -44,8 +45,8 @@ use df_types::error::{DfError, DfResult};
 /// One ready entry: the computed handle, the leaf allocations pinning its key, and
 /// the accounting the budget/quota policies run on.
 struct ReadyEntry {
-    #[allow(dead_code)] // held for its ownership (identity pinning), never read
-    pins: Vec<FrameHandle>,
+    /// Held for its ownership (identity pinning), never read.
+    _pins: Vec<FrameHandle>,
     handle: FrameHandle,
     bytes: usize,
     last_used: u64,
@@ -198,7 +199,7 @@ impl CacheInner {
         self.slots.insert(
             key.to_string(),
             Slot::Ready(ReadyEntry {
-                pins,
+                _pins: pins,
                 handle,
                 bytes,
                 last_used,
@@ -384,30 +385,44 @@ impl ResultCache {
     pub(crate) fn begin(self: &Arc<Self>, key: &str, tenant: Option<&str>) -> Lookup {
         let mut inner = self.lock_inner();
         loop {
-            match inner.slots.get(key) {
-                Some(Slot::Ready(_)) => {
-                    if let Some(handle) = inner.note_hit(key, tenant) {
-                        return Lookup::Hit(handle);
-                    }
-                }
-                Some(Slot::InFlight) => {
-                    inner.single_flight_waits += 1;
-                    inner = self
-                        .ready
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                None => {
-                    inner.slots.insert(key.to_string(), Slot::InFlight);
-                    return Lookup::Miss(FlightGuard {
-                        cache: Arc::clone(self),
-                        key: key.to_string(),
-                        tenant: tenant.map(String::from),
-                        completed: false,
-                    });
-                }
+            if let Some(handle) = inner.note_hit(key, tenant) {
+                return Lookup::Hit(handle);
             }
+            if let Some(flight) = self.claim_in(&mut inner, key, tenant) {
+                return Lookup::Miss(flight);
+            }
+            inner.single_flight_waits += 1;
+            inner = self
+                .ready
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// Claim `key`'s flight without blocking and without counting anything:
+    /// `None` when the key is Ready or already in flight. An opportunistic submit
+    /// uses this to start a background run only when nobody has produced, or is
+    /// producing, the result.
+    pub(crate) fn claim(self: &Arc<Self>, key: &str, tenant: Option<&str>) -> Option<FlightGuard> {
+        self.claim_in(&mut self.lock_inner(), key, tenant)
+    }
+
+    fn claim_in(
+        self: &Arc<Self>,
+        inner: &mut CacheInner,
+        key: &str,
+        tenant: Option<&str>,
+    ) -> Option<FlightGuard> {
+        if inner.slots.contains_key(key) {
+            return None;
+        }
+        inner.slots.insert(key.to_string(), Slot::InFlight);
+        Some(FlightGuard {
+            cache: Arc::clone(self),
+            key: key.to_string(),
+            tenant: tenant.map(String::from),
+            completed: false,
+        })
     }
 
     /// Non-blocking hit: serve a Ready entry (counting the hit), or `None` —
@@ -424,29 +439,6 @@ impl ResultCache {
             Some(Slot::Ready(entry)) => Some(entry.handle.clone()),
             _ => None,
         }
-    }
-
-    /// True when `key` is Ready *or* in flight (used to avoid spawning a
-    /// duplicate background execution of a key someone is already producing).
-    pub(crate) fn contains(&self, key: &str) -> bool {
-        self.lock_inner().slots.contains_key(key)
-    }
-
-    /// Insert a handle computed outside a flight (promoting a finished background
-    /// future). Skipped when the key is currently in flight — the producer owns
-    /// the key and will publish its own result.
-    pub(crate) fn insert(
-        &self,
-        key: &str,
-        pins: Vec<FrameHandle>,
-        handle: FrameHandle,
-        tenant: Option<&str>,
-    ) -> DfResult<()> {
-        let mut inner = self.lock_inner();
-        if matches!(inner.slots.get(key), Some(Slot::InFlight)) {
-            return Ok(());
-        }
-        inner.insert_ready(key, pins, handle, tenant)
     }
 
     /// Drop one Ready entry (quarantine / invalidation). In-flight markers are
@@ -607,6 +599,41 @@ mod tests {
     }
 
     #[test]
+    fn claims_never_block_or_count_and_begin_waits_on_them() {
+        let cache = Arc::new(ResultCache::new());
+        let flight = cache
+            .claim("k", Some("bg"))
+            .expect("absent key is claimable");
+        assert!(
+            cache.claim("k", Some("other")).is_none(),
+            "already in flight"
+        );
+        assert_eq!(cache.stats().single_flight_waits, 0, "claims count nothing");
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || match cache.begin("k", Some("fg")) {
+                Lookup::Hit(h) => h.identity() as usize,
+                Lookup::Miss(_) => panic!("a claimed key must be waited on"),
+            })
+        };
+        // Publish only once the waiter is parked on the claimed key.
+        while cache.stats().single_flight_waits == 0 {
+            std::thread::yield_now();
+        }
+        let produced = handle(4);
+        flight.complete(vec![], produced.clone()).unwrap();
+        assert_eq!(waiter.join().unwrap(), produced.identity() as usize);
+        assert!(
+            cache.claim("k", None).is_none(),
+            "a Ready key is not claimable"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.hits), (1, 1), "{stats:?}");
+        assert_eq!(stats.tenants[0].0, "bg");
+        assert_eq!(stats.tenants[0].1.produced, 1);
+    }
+
+    #[test]
     fn abandoned_flights_hand_the_key_to_a_waiter() {
         let cache = Arc::new(ResultCache::new());
         let Lookup::Miss(guard) = cache.begin("k", None) else {
@@ -741,7 +768,7 @@ mod tests {
         done.complete(vec![], handle(4)).unwrap();
         cache.evict("pending"); // no-op: in flight
         cache.clear(); // drops "done", keeps the marker
-        assert!(cache.contains("pending"));
+        assert!(cache.claim("pending", None).is_none());
         assert_eq!(cache.len(), 0);
         flight.complete(vec![], handle(4)).unwrap();
         assert_eq!(cache.len(), 1);

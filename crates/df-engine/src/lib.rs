@@ -47,5 +47,5 @@ pub use executor::{default_threads, ParallelExecutor};
 pub use ingest::IngestStats;
 pub use optimizer::{choose_pivot_plan, optimize, OptimizerConfig, PivotPlan, RewriteStats};
 pub use partition::{Partition, PartitionConfig, PartitionGrid, PartitionHandle, PartitionScheme};
-pub use session::{EvalMode, QueryFuture, QuerySession, SessionStats, StatementGate};
+pub use session::{EvalMode, QuerySession, SessionStats, StatementGate};
 pub use shuffle::{ShuffleKey, ShuffleOptions};

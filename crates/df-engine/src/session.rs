@@ -1,4 +1,4 @@
-//! Evaluation modes, query futures and the materialisation/reuse cache.
+//! Evaluation modes and the materialisation/reuse cache.
 //!
 //! Paper §6.1.1 contrasts three ways a dataframe system can schedule the statements a
 //! user types one at a time:
@@ -12,29 +12,30 @@
 //!   asks to see.
 //!
 //! [`QuerySession`] implements all three over any [`Engine`], together with the
-//! §6.2.2 materialisation cache. Both the cache and the background futures hold
-//! [`FrameHandle`]s, not resident dataframes: for the scalable engine a cached result
-//! is a partition grid whose blocks live under the session's memory budget (spilling
-//! to disk like any other partition), so remembering results across statements does
-//! not defeat the out-of-core store. Statements revisited during trial-and-error
-//! exploration are served from the cache by expression fingerprint; callers that
-//! chain statements pass precomputed fingerprints through the `*_keyed` entry points
-//! so one statement's (potentially deep) plan is serialised once, not once per
-//! submit/collect/inspect call.
+//! §6.2.2 materialisation cache. The two are one mechanism: a statement's result is
+//! produced once under the cache's single-flight slot for its fingerprint and served
+//! to whoever asks for it. An opportunistic submit claims that slot and runs the
+//! statement on a background thread; a later request waits on the unfinished run,
+//! hits the finished one, or retries after a failed one, exactly as it would for
+//! another session's execution. Cached results are [`FrameHandle`]s, not resident
+//! dataframes: for the scalable engine a cached result is a partition grid whose
+//! blocks live under the engine's memory budget (spilling to disk like any other
+//! partition), so remembering results across statements does not defeat the
+//! out-of-core store. Callers that chain statements pass precomputed fingerprints
+//! through the `*_keyed` entry points so one statement's (potentially deep) plan is
+//! serialised once, not once per submit/collect/inspect call.
 //!
-//! Since PR 9 the session is also the unit of *tenancy*: its cache is an
+//! The session is also the unit of *tenancy*: its cache is an
 //! [`Arc<ResultCache>`](crate::cache::ResultCache) that several sessions may share
-//! (identical fingerprints from different tenants then execute once, single-flight),
-//! its hot counters are MRV-style striped atomics so concurrent tenants do not
-//! serialize on stats bumps, and every engine execution passes through an optional
+//! (identical fingerprints from different tenants then execute once), its hot
+//! counters are MRV-style striped atomics so concurrent tenants do not serialize on
+//! stats bumps, and every engine execution passes through an optional
 //! [`StatementGate`] — the admission-control hook `df-service` implements with a
 //! bounded, tenant-fair run queue. A standalone session (the `new` constructor) has
-//! a private cache and no gate, and behaves exactly as before.
+//! a private cache and no gate.
 
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
@@ -46,7 +47,7 @@ use df_core::dataframe::DataFrame;
 use df_core::engine::Engine;
 use df_core::handle::FrameHandle;
 
-use crate::cache::{Lookup, ResultCache};
+use crate::cache::{FlightGuard, Lookup, ResultCache};
 
 /// How statements are scheduled (paper §6.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,10 +71,9 @@ pub struct SessionStats {
     pub executions: u64,
     /// Results served from the materialisation cache.
     pub cache_hits: u64,
-    /// Background (opportunistic) executions started.
+    /// Background (opportunistic) executions started: submits that claimed their
+    /// statement's single-flight slot.
     pub background_started: u64,
-    /// Background results that were ready by the time they were requested.
-    pub background_ready_on_request: u64,
     /// Submit-time errors recorded (rather than silently discarded) by API layers
     /// that cannot propagate them from an infallible builder method. The error itself
     /// is retrievable once via [`QuerySession::take_last_submit_error`] and will
@@ -112,7 +112,6 @@ struct SharedSessionStats {
     executions: StripedU64,
     cache_hits: StripedU64,
     background_started: StripedU64,
-    background_ready_on_request: StripedU64,
     submit_errors: StripedU64,
     recoveries: StripedU64,
 }
@@ -124,7 +123,6 @@ impl SharedSessionStats {
             executions: self.executions.get(),
             cache_hits: self.cache_hits.get(),
             background_started: self.background_started.get(),
-            background_ready_on_request: self.background_ready_on_request.get(),
             submit_errors: self.submit_errors.get(),
             recoveries: self.recoveries.get(),
             ..SessionStats::default()
@@ -138,8 +136,9 @@ impl SharedSessionStats {
 /// none and executes immediately.
 ///
 /// Contract: a successful [`StatementGate::admit`] grants one execution slot that
-/// the session releases via [`StatementGate::release`] when the execution finishes
-/// (the session pairs the calls RAII-style, so a panicking engine still releases).
+/// the session releases via [`StatementGate::release`] once the execution's result
+/// is published or has failed (the session pairs the calls RAII-style, so a
+/// panicking engine still releases).
 /// Refusals surface typed — [`DfError::Admission`] when turned away at the door
 /// (queue full, service draining), [`DfError::Cancelled`] when a queue wait times
 /// out. Cache hits and single-flight waits do not pass through the gate: served
@@ -182,39 +181,24 @@ impl Drop for GatePermit {
     }
 }
 
-/// A handle to a result that may still be computing in the background.
-pub struct QueryFuture {
-    /// Pins the pointer identities the fingerprint key is built from (see
-    /// [`CachedResult`]) for as long as the future is pending.
-    #[allow(dead_code)]
+/// The one produce step behind every claimed flight — a foreground miss, an
+/// ingest and a background run alike: admission, one counted execution, then
+/// publication under the claimed key. The permit is held until the result is
+/// published, so an idle gate means every admitted run is in the cache or failed.
+/// On error the guard drops: the claim is withdrawn and the next request retries.
+fn produce(
+    flight: FlightGuard,
+    gate: &Option<Arc<dyn StatementGate>>,
+    tenant: Option<&str>,
+    stats: &SharedSessionStats,
     pins: Vec<FrameHandle>,
-    receiver: Option<Receiver<DfResult<FrameHandle>>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl QueryFuture {
-    /// True if the background computation has finished (successfully or not).
-    pub(crate) fn is_ready(&self) -> bool {
-        self.handle
-            .as_ref()
-            .map(|h| h.is_finished())
-            .unwrap_or(true)
-    }
-
-    fn wait(mut self) -> DfResult<FrameHandle> {
-        let receiver = self
-            .receiver
-            .take()
-            .ok_or_else(|| DfError::internal("future already consumed"))?;
-        let result = receiver.recv().map_err(|_| {
-            // The sender only drops without sending if the worker thread died.
-            DfError::WorkerPanic("background worker died before sending its result".to_string())
-        })?;
-        if let Some(handle) = self.handle.take() {
-            handle.join().ok();
-        }
-        result
-    }
+    run: impl FnOnce() -> DfResult<FrameHandle>,
+) -> DfResult<FrameHandle> {
+    let _permit = GatePermit::acquire(gate, tenant)?;
+    stats.executions.incr();
+    let handle = run()?;
+    flight.complete(pins, handle.clone())?;
+    Ok(handle)
 }
 
 /// A stateful analysis session in front of an [`Engine`].
@@ -222,7 +206,6 @@ pub struct QuerySession {
     engine: Arc<dyn Engine>,
     mode: EvalMode,
     cache: Arc<ResultCache>,
-    pending: Mutex<HashMap<String, QueryFuture>>,
     stats: Arc<SharedSessionStats>,
     last_submit_error: Mutex<Option<DfError>>,
     /// The tenant this session acts for inside a shared service (`None` for a
@@ -256,7 +239,6 @@ impl QuerySession {
             engine,
             mode,
             cache,
-            pending: Mutex::new(HashMap::new()),
             stats: Arc::new(SharedSessionStats::default()),
             last_submit_error: Mutex::new(None),
             tenant,
@@ -281,7 +263,7 @@ impl QuerySession {
 
     /// Counters accumulated so far. The pushdown fields are read live from the
     /// engine's own counters, so they reflect every execution this session ran
-    /// (including background futures that have already finished); `evictions`
+    /// (including background runs that have already finished); `evictions`
     /// mirrors the result cache's counter the same way. Both are *shared-state*
     /// reads: behind a shared engine or cache they count every tenant's activity,
     /// while the remaining fields are this session's own.
@@ -319,8 +301,9 @@ impl QuerySession {
     /// Submit a statement. Under eager evaluation this blocks and computes a handle
     /// (or serves a cache hit for a re-submitted fingerprint); under lazy evaluation
     /// it records nothing (the expression itself is the pending work); under
-    /// opportunistic evaluation it kicks off a background computation keyed by the
-    /// expression fingerprint.
+    /// opportunistic evaluation it claims the fingerprint's single-flight slot and
+    /// computes the statement on a background thread (nothing starts when the result
+    /// is already cached or being produced).
     pub fn submit(&self, expr: &AlgebraExpr) -> DfResult<()> {
         self.submit_keyed(expr, &expr.fingerprint(), None)
     }
@@ -373,36 +356,19 @@ impl QuerySession {
         self.last_submit_error.lock().take()
     }
 
-    /// Execute (or look up) an expression to an engine-owned [`FrameHandle`], using
-    /// (in order) the materialisation cache, a background future, or a fresh
-    /// execution. This is the statement-boundary entry point: the caller can feed the
-    /// returned handle into the next statement's plan via `AlgebraExpr::handle`.
+    /// Execute (or look up) an expression to an engine-owned [`FrameHandle`]: a
+    /// cached result, an in-flight run of it (waited for), or a fresh execution.
+    /// This is the statement-boundary entry point: the caller can feed the returned
+    /// handle into the next statement's plan via `AlgebraExpr::handle`.
     pub fn handle(&self, expr: &AlgebraExpr) -> DfResult<FrameHandle> {
         self.handle_keyed(expr, &expr.fingerprint(), None)
     }
 
-    /// Clone a cached handle out (counting the hit at the cache level), releasing
-    /// the cache lock before the caller does any engine work. Non-blocking: an
-    /// in-flight key reports `None` — inspection paths deliberately do not wait
-    /// out another caller's pending full execution.
-    fn cached_handle(&self, key: &str) -> Option<FrameHandle> {
-        self.cache.lookup(key, self.tenant.as_deref())
-    }
-
-    /// Run one gated engine execution (admission, when this session has a gate,
-    /// then the engine). The permit is held for the execution only — cached
-    /// results are served without consuming an execution slot.
-    fn execute_gated(&self, expr: &AlgebraExpr) -> DfResult<FrameHandle> {
-        let _permit = GatePermit::acquire(&self.gate, self.tenant.as_deref())?;
-        self.stats.executions.incr();
-        self.engine.execute(expr)
-    }
-
     /// [`QuerySession::handle`] with a precomputed fingerprint key (`key_source` as
-    /// in [`QuerySession::submit_keyed`]). Single-flight on a shared cache: a
-    /// second session requesting an in-flight fingerprint blocks on the pending
-    /// execution and is served its handle, so identical statements from different
-    /// tenants execute exactly once.
+    /// in [`QuerySession::submit_keyed`]). Single-flight: a request for an
+    /// in-flight fingerprint — another tenant's execution or this session's own
+    /// background run — blocks on it and is served its handle, so a statement
+    /// executes once however many sessions ask for it.
     pub fn handle_keyed(
         &self,
         expr: &AlgebraExpr,
@@ -414,22 +380,14 @@ impl QuerySession {
                 self.stats.cache_hits.incr();
                 Ok(handle)
             }
-            Lookup::Miss(flight) => {
-                let pending = self.pending.lock().remove(key);
-                if let Some(future) = pending {
-                    if future.is_ready() {
-                        self.stats.background_ready_on_request.incr();
-                    }
-                    // On error the flight guard drops: waiters retry, one
-                    // re-executes.
-                    let handle = future.wait()?;
-                    flight.complete(QuerySession::pins_for(expr, key_source), handle.clone())?;
-                    return Ok(handle);
-                }
-                let handle = self.execute_gated(expr)?;
-                flight.complete(QuerySession::pins_for(expr, key_source), handle.clone())?;
-                Ok(handle)
-            }
+            Lookup::Miss(flight) => produce(
+                flight,
+                &self.gate,
+                self.tenant.as_deref(),
+                &self.stats,
+                QuerySession::pins_for(expr, key_source),
+                || self.engine.execute(expr),
+            ),
         }
     }
 
@@ -459,24 +417,24 @@ impl QuerySession {
                 self.stats.cache_hits.incr();
                 Ok(handle)
             }
-            Lookup::Miss(flight) => {
-                let handle = {
-                    let _permit = GatePermit::acquire(&self.gate, self.tenant.as_deref())?;
-                    self.stats.executions.incr();
-                    ingest()?
-                };
-                if let Some(prefix) = supersedes {
-                    // Older versions of the same statement (same path and options,
-                    // different file identity) are unreachable now — release the
-                    // partitioned results they pin.
-                    self.cache.evict_prefix_except(prefix, key);
-                }
-                // Path-based keys carry no pointer identities, but the entry still
-                // records the plan whose leaves it pins — the handle leaf itself.
-                let plan = AlgebraExpr::handle(handle.clone());
-                flight.complete(QuerySession::pins_for(&plan, None), handle.clone())?;
-                Ok(handle)
-            }
+            // Path-based keys carry no pointer identities: the entry needs no pins.
+            Lookup::Miss(flight) => produce(
+                flight,
+                &self.gate,
+                self.tenant.as_deref(),
+                &self.stats,
+                Vec::new(),
+                || {
+                    let handle = ingest()?;
+                    if let Some(prefix) = supersedes {
+                        // Older versions of the same statement (same path and
+                        // options, different file identity) are unreachable now —
+                        // release the partitioned results they pin.
+                        self.cache.evict_prefix_except(prefix, key);
+                    }
+                    Ok(handle)
+                },
+            ),
         }
     }
 
@@ -506,7 +464,7 @@ impl QuerySession {
         drop(handle);
         match first {
             Err(err) if err.is_spill_corruption() => {
-                self.recover_from_corruption(expr, key, key_source, |s, h| s.engine.collect(h))
+                self.recover_from_corruption(expr, key, key_source, |h| self.engine.collect(h))
             }
             other => other,
         }
@@ -516,25 +474,27 @@ impl QuerySession {
     /// cached) result failed its integrity check, so the poisoned entry is evicted
     /// and the statement re-executed from its logical plan — the lineage the cache
     /// key was derived from. One attempt only: if the recomputed result fails too,
-    /// the corruption is upstream of this statement and surfaces typed.
+    /// the corruption is upstream of this statement and surfaces typed. Another
+    /// session can have repopulated the key since the eviction: its fresh result is
+    /// as good as one of our own.
     fn recover_from_corruption<T>(
         &self,
         expr: &AlgebraExpr,
         key: &str,
         key_source: Option<&AlgebraExpr>,
-        op: impl Fn(&Self, &FrameHandle) -> DfResult<T>,
+        op: impl FnOnce(&FrameHandle) -> DfResult<T>,
     ) -> DfResult<T> {
         self.stats.recoveries.incr();
         self.evict(key);
-        let fresh = self.materialize_handle(expr, key, key_source)?;
-        op(self, &fresh)
+        let fresh = self.handle_keyed(expr, key, key_source)?;
+        op(&fresh)
     }
 
     /// Materialisation point: only the first `k` rows of an expression — the
-    /// tabular-view inspection of §6.1.2. Prefers the cache, then a ready background
-    /// result, then the engine's prefix-prioritised path (it does *not* wait for an
-    /// unfinished background run, because the prefix path is usually faster than
-    /// finishing the full result).
+    /// tabular-view inspection of §6.1.2. A finished result (cached, or published by
+    /// a background run) serves it; otherwise the engine's prefix-prioritised path
+    /// runs — it does *not* wait for an unfinished run of the full statement,
+    /// because the prefix path is usually faster than finishing it.
     pub fn head(&self, expr: &AlgebraExpr, k: usize) -> DfResult<DataFrame> {
         self.head_keyed(expr, &expr.fingerprint(), None, k)
     }
@@ -548,55 +508,18 @@ impl QuerySession {
         key_source: Option<&AlgebraExpr>,
         k: usize,
     ) -> DfResult<DataFrame> {
-        // Clone the handle out and release the cache lock before touching the
-        // engine: materialising a spilled handle can hit the disk, and holding the
-        // lock across it would serialise every other session call behind the I/O.
-        if let Some(handle) = self.cached_handle(key) {
-            self.stats.cache_hits.incr();
-            let first = self.engine.head_of(&handle, k);
-            drop(handle);
-            return match first {
-                Err(err) if err.is_spill_corruption() => {
-                    self.recover_from_corruption(expr, key, key_source, |s, h| {
-                        s.engine.head_of(h, k)
-                    })
-                }
-                other => other,
-            };
-        }
-        if let Some(handle) = self.take_ready_future(key)? {
-            self.remember(key, expr, key_source, &handle);
-            return self.engine.head_of(&handle, k);
-        }
-        let _permit = GatePermit::acquire(&self.gate, self.tenant.as_deref())?;
-        self.stats.executions.incr();
-        self.engine.execute_prefix(expr, k)
-    }
-
-    /// Consume the pending background future for `key` if (and only if) it has
-    /// already finished — inspection paths never block on an unfinished one, because
-    /// the engine's prefix/suffix path is usually faster than finishing the full
-    /// result.
-    fn take_ready_future(&self, key: &str) -> DfResult<Option<FrameHandle>> {
-        let ready = {
-            let pending = self.pending.lock();
-            pending.get(key).map(|f| f.is_ready()).unwrap_or(false)
-        };
-        if !ready {
-            return Ok(None);
-        }
-        let Some(future) = self.pending.lock().remove(key) else {
-            return Ok(None);
-        };
-        self.stats.background_ready_on_request.incr();
-        future.wait().map(Some)
+        self.inspect(
+            expr,
+            key,
+            key_source,
+            |h| self.engine.head_of(h, k),
+            || self.engine.execute_prefix(expr, k),
+        )
     }
 
     /// Materialisation point: only the last `k` rows of an expression, under a
     /// precomputed fingerprint key (`key_source` as in [`QuerySession::submit_keyed`]).
-    /// Like [`QuerySession::head_keyed`], a *finished* background future is consumed
-    /// and cached rather than re-executing the suffix; an unfinished one is not
-    /// waited for.
+    /// Served like [`QuerySession::head_keyed`], through the engine's suffix path.
     pub fn tail_keyed(
         &self,
         expr: &AlgebraExpr,
@@ -604,26 +527,41 @@ impl QuerySession {
         key_source: Option<&AlgebraExpr>,
         k: usize,
     ) -> DfResult<DataFrame> {
-        if let Some(handle) = self.cached_handle(key) {
+        self.inspect(
+            expr,
+            key,
+            key_source,
+            |h| self.engine.tail_of(h, k),
+            || self.engine.execute_suffix(expr, k),
+        )
+    }
+
+    /// The body of `head`/`tail`: read a finished result through `of`, else run the
+    /// gated `partial` execution. The handle is cloned out of the cache before the
+    /// engine is touched: materialising a spilled handle can hit the disk, and
+    /// holding the cache lock across it would serialise every other session call.
+    fn inspect(
+        &self,
+        expr: &AlgebraExpr,
+        key: &str,
+        key_source: Option<&AlgebraExpr>,
+        of: impl Fn(&FrameHandle) -> DfResult<DataFrame>,
+        partial: impl FnOnce() -> DfResult<DataFrame>,
+    ) -> DfResult<DataFrame> {
+        if let Some(handle) = self.cache.lookup(key, self.tenant.as_deref()) {
             self.stats.cache_hits.incr();
-            let first = self.engine.tail_of(&handle, k);
+            let first = of(&handle);
             drop(handle);
             return match first {
                 Err(err) if err.is_spill_corruption() => {
-                    self.recover_from_corruption(expr, key, key_source, |s, h| {
-                        s.engine.tail_of(h, k)
-                    })
+                    self.recover_from_corruption(expr, key, key_source, of)
                 }
                 other => other,
             };
         }
-        if let Some(handle) = self.take_ready_future(key)? {
-            self.remember(key, expr, key_source, &handle);
-            return self.engine.tail_of(&handle, k);
-        }
         let _permit = GatePermit::acquire(&self.gate, self.tenant.as_deref())?;
         self.stats.executions.incr();
-        self.engine.execute_suffix(expr, k)
+        partial()
     }
 
     /// Number of results currently held by the materialisation cache.
@@ -711,28 +649,6 @@ impl QuerySession {
         }
     }
 
-    fn materialize_handle(
-        &self,
-        expr: &AlgebraExpr,
-        key: &str,
-        key_source: Option<&AlgebraExpr>,
-    ) -> DfResult<FrameHandle> {
-        match self.cache.begin(key, self.tenant.as_deref()) {
-            // Another session can have repopulated the key since the caller
-            // evicted it (corruption recovery): its fresh result is as good as
-            // one of our own.
-            Lookup::Hit(handle) => {
-                self.stats.cache_hits.incr();
-                Ok(handle)
-            }
-            Lookup::Miss(flight) => {
-                let handle = self.execute_gated(expr)?;
-                flight.complete(QuerySession::pins_for(expr, key_source), handle.clone())?;
-                Ok(handle)
-            }
-        }
-    }
-
     /// The leaf allocations whose addresses appear in the entry's fingerprint key:
     /// the executed plan's, plus the key-source plan's when the key was fingerprinted
     /// from a different expression.
@@ -744,58 +660,27 @@ impl QuerySession {
         pins
     }
 
-    fn remember(
-        &self,
-        key: &str,
-        plan: &AlgebraExpr,
-        key_source: Option<&AlgebraExpr>,
-        handle: &FrameHandle,
-    ) {
-        // A quota rejection here only means the promoted background result is not
-        // retained; the handle itself is already on its way to the caller.
-        self.cache
-            .insert(
-                key,
-                QuerySession::pins_for(plan, key_source),
-                handle.clone(),
-                self.tenant.as_deref(),
-            )
-            .ok();
-    }
-
     fn spawn_background(&self, expr: &AlgebraExpr, key: &str, key_source: Option<&AlgebraExpr>) {
-        // `contains` covers in-flight keys too: when another session is already
-        // producing this fingerprint, a background duplicate would waste the
-        // single-flight guarantee.
-        if self.cache.contains(key) {
+        // A result someone has produced, or is producing, needs no second run.
+        let Some(flight) = self.cache.claim(key, self.tenant.as_deref()) else {
             return;
-        }
-        if self.pending.lock().contains_key(key) {
-            return;
-        }
-        let engine = Arc::clone(&self.engine);
-        let gate = self.gate.clone();
-        let tenant = self.tenant.clone();
-        let pins = QuerySession::pins_for(expr, key_source);
-        let worker_plan = expr.clone();
-        let (sender, receiver) = channel();
+        };
         self.stats.background_started.incr();
-        self.stats.executions.incr();
-        let handle = std::thread::spawn(move || {
-            // Background work is admission-controlled like foreground work: the
-            // permit is acquired inside the worker so submit() stays non-blocking.
-            let result = GatePermit::acquire(&gate, tenant.as_deref())
-                .and_then(|_permit| engine.execute(&worker_plan));
-            sender.send(result).ok();
+        let engine = Arc::clone(&self.engine);
+        let (gate, tenant) = (self.gate.clone(), self.tenant.clone());
+        let stats = Arc::clone(&self.stats);
+        let pins = QuerySession::pins_for(expr, key_source);
+        let plan = expr.clone();
+        // Admission happens on the worker, so submit() never blocks. The thread is
+        // detached: a published result is a cache entry, and a failure or panic
+        // withdraws the claim, so the next request for the key runs the statement
+        // itself and meets the error there.
+        std::thread::spawn(move || {
+            produce(flight, &gate, tenant.as_deref(), &stats, pins, || {
+                engine.execute(&plan)
+            })
+            .ok();
         });
-        self.pending.lock().insert(
-            key.to_string(),
-            QueryFuture {
-                pins,
-                receiver: Some(receiver),
-                handle: Some(handle),
-            },
-        );
     }
 }
 
@@ -870,29 +755,25 @@ mod tests {
     }
 
     #[test]
-    fn ready_background_futures_serve_tail_without_reexecution() {
+    fn finished_background_runs_serve_tail_without_reexecution() {
         let session = QuerySession::new(engine(), EvalMode::Opportunistic);
         let expr = AlgebraExpr::literal(frame(60)).map(MapFunc::IsNullMask);
         session.submit(&expr).unwrap();
-        // The background run over 60 rows finishes in microseconds; give it ample
-        // real time so the readiness check below observes a finished future.
-        std::thread::sleep(std::time::Duration::from_millis(500));
+        // Blocks until the background run has published its result.
+        session.handle(&expr).unwrap();
         let tail = session
             .tail_keyed(&expr, &expr.fingerprint(), None, 3)
             .unwrap();
         assert_eq!(tail.shape(), (3, 2));
         let stats = session.stats();
         assert_eq!(
-            stats.background_ready_on_request, 1,
-            "ready future was not consumed: {stats:?}"
-        );
-        assert_eq!(
             stats.executions, 1,
             "tail re-executed despite a finished background result: {stats:?}"
         );
-        // The promoted handle is cached: the next fetch is a hit.
+        assert_eq!(stats.cache_hits, 2, "{stats:?}");
         session.collect(&expr).unwrap();
-        assert_eq!(session.stats().cache_hits, 1);
+        assert_eq!(session.stats().cache_hits, 3);
+        assert_eq!(session.stats().executions, 1);
     }
 
     #[test]

@@ -13,16 +13,26 @@
 //!   crossing the statement boundary as a partitioned handle (spill stats engage, the
 //!   dispatch counters show handle reuse and no full-frame assembly between
 //!   statements) and produces results identical to the unlimited-budget eager run.
+//!
+//! A third group pins the single-flight contract of opportunistic runs: a
+//! background run claims its statement's slot in the (possibly shared) result cache,
+//! so it executes once however many sessions ask, its finished result is a budgeted
+//! cache entry, and a failed run is retried rather than replayed.
 
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
+use std::time::Duration;
 
 use df_baseline::BaselineEngine;
-use df_core::algebra::{AggFunc, Aggregation, JoinType};
+use df_core::algebra::{AggFunc, Aggregation, AlgebraExpr, JoinType, SortSpec};
 use df_core::dataframe::DataFrame;
-use df_engine::engine::ModinConfig;
-use df_engine::session::EvalMode;
+use df_core::engine::Engine;
+use df_engine::engine::{ModinConfig, ModinEngine};
+use df_engine::session::{EvalMode, QuerySession, StatementGate};
+use df_engine::ResultCache;
 use df_pandas::{PandasFrame, Session};
 use df_types::cell::{cell, Cell};
+use df_types::error::DfResult;
 
 /// The fact side of the workload: duplicate join keys, integer-valued floats (so
 /// aggregation order cannot introduce rounding differences across engines).
@@ -247,4 +257,126 @@ fn out_of_core_pipeline_crosses_statement_boundaries_as_handles() {
         out.same_data(&expected),
         "bounded run diverged:\n{out}\nexpected\n{expected}"
     );
+}
+
+/// One thread, 16-row bands: a SORT over it runs exactly one range shuffle.
+fn sort_engine() -> Arc<ModinEngine> {
+    Arc::new(ModinEngine::with_config(
+        ModinConfig::sequential().with_partition_size(16, 4),
+    ))
+}
+
+fn sort_statement(rows: usize) -> AlgebraExpr {
+    AlgebraExpr::literal(facts(rows)).sort(SortSpec::ascending(vec![cell("v")]))
+}
+
+fn tenant_session(
+    engine: &Arc<ModinEngine>,
+    cache: &Arc<ResultCache>,
+    tenant: &str,
+    mode: EvalMode,
+) -> QuerySession {
+    QuerySession::with_shared_state(
+        Arc::clone(engine) as Arc<dyn Engine>,
+        mode,
+        Arc::clone(cache),
+        Some(tenant.to_string()),
+        None,
+    )
+}
+
+#[test]
+fn opportunistic_runs_single_flight_across_sessions_sharing_a_cache() {
+    let expr = sort_statement(200);
+    let reference = sort_engine();
+    let expected = QuerySession::new(Arc::clone(&reference) as Arc<dyn Engine>, EvalMode::Lazy)
+        .collect(&expr)
+        .unwrap();
+    let one_execution = reference.shuffles_dispatched();
+    assert!(one_execution > 0, "a SORT over 13 bands must shuffle");
+
+    let engine = sort_engine();
+    let cache = Arc::new(ResultCache::with_budget(None));
+    let a = tenant_session(&engine, &cache, "a", EvalMode::Opportunistic);
+    let b = tenant_session(&engine, &cache, "b", EvalMode::Opportunistic);
+    let lazy = tenant_session(&engine, &cache, "lazy", EvalMode::Lazy);
+    a.submit(&expr).unwrap();
+    b.submit(&expr).unwrap();
+    // A lazy tenant collecting while the background run is in flight waits on it.
+    for session in [&lazy, &a, &b] {
+        assert!(session.collect(&expr).unwrap().same_data(&expected));
+    }
+    assert_eq!(
+        engine.shuffles_dispatched(),
+        one_execution,
+        "the statement ran more than once"
+    );
+    let started: u64 = [&a, &b].iter().map(|s| s.stats().background_started).sum();
+    assert_eq!(started, 1, "only the first submit claims the run");
+    let executions: u64 = [&a, &b, &lazy].iter().map(|s| s.stats().executions).sum();
+    assert_eq!(executions, 1);
+}
+
+#[test]
+fn a_finished_background_run_is_a_budgeted_cache_entry() {
+    let expr = sort_statement(200);
+    let engine = sort_engine();
+    let cache = Arc::new(ResultCache::with_budget(None));
+    let submitter = tenant_session(&engine, &cache, "submitter", EvalMode::Opportunistic);
+    let reader = tenant_session(&engine, &cache, "reader", EvalMode::Lazy);
+    submitter.submit(&expr).unwrap();
+    // Blocks until the background run has published (or, failing that, runs it).
+    reader.handle(&expr).unwrap();
+    let stats = cache.stats();
+    assert_eq!(stats.entries, 1, "{stats:?}");
+    assert!(stats.bytes > 0, "{stats:?}");
+    // The result is retained against the submitting tenant before it ever asked.
+    let produced_by: Vec<_> = stats
+        .tenants
+        .iter()
+        .filter(|(_, t)| t.produced > 0)
+        .map(|(name, t)| (name.as_str(), t.retained_bytes))
+        .collect();
+    assert_eq!(produced_by, vec![("submitter", stats.bytes)], "{stats:?}");
+    assert_eq!(reader.stats().executions, 0, "{:?}", reader.stats());
+    submitter.collect(&expr).unwrap();
+    assert_eq!(submitter.stats().executions, 1);
+    assert_eq!(submitter.stats().cache_hits, 1);
+}
+
+/// An always-open gate that reports each release: a gated execution has ended.
+struct ReleaseSignal(Sender<()>);
+
+impl StatementGate for ReleaseSignal {
+    fn admit(&self, _tenant: Option<&str>) -> DfResult<()> {
+        Ok(())
+    }
+
+    fn release(&self) {
+        self.0.send(()).ok();
+    }
+}
+
+#[test]
+fn a_cancelled_background_run_is_retried_after_reset() {
+    let expr = sort_statement(200);
+    let (released, ended) = channel();
+    let session = QuerySession::with_shared_state(
+        sort_engine() as Arc<dyn Engine>,
+        EvalMode::Opportunistic,
+        Arc::new(ResultCache::with_budget(None)),
+        None,
+        Some(Arc::new(ReleaseSignal(released))),
+    );
+    session.cancel();
+    session.submit(&expr).unwrap();
+    // The background run has failed under the fired token before the reset; the
+    // collect after it must not be served that stale failure.
+    ended.recv_timeout(Duration::from_secs(60)).unwrap();
+    session.reset_cancel();
+    let out = session
+        .collect(&expr)
+        .expect("collect after reset_cancel retries the failed run");
+    let expected = Session::reference().query().collect(&expr).unwrap();
+    assert!(out.same_data(&expected));
 }

@@ -396,6 +396,32 @@ fn shutdown_drains_in_flight_work_and_refuses_late_arrivals() {
     assert!(err.is_admission(), "{err}");
 }
 
+/// A background run's result lives in the shared cache, so shutdown's cache clear
+/// releases every partition it holds.
+#[test]
+fn shutdown_releases_finished_background_results() {
+    let _armed = Armed::new("");
+    let service = QueryService::start(
+        ServiceConfig::default()
+            .with_engine(engine_config(1, Some(1 << 30)))
+            .with_mode(EvalMode::Opportunistic),
+    )
+    .expect("service starts");
+    let expr =
+        AlgebraExpr::literal(salted_frame(400, 0)).sort(SortSpec::ascending(vec![cell("v")]));
+    service.tenant("submitter").query().submit(&expr).unwrap();
+    // Blocks until the background run has published its result.
+    service.tenant("reader").query().handle(&expr).unwrap();
+    let report = service.shutdown(Duration::from_secs(30));
+    assert!(report.idle, "{report:?}");
+    let stats = service.spill_stats();
+    assert_eq!(
+        stats.in_memory + stats.spilled,
+        0,
+        "partitions outlived shutdown: {stats:?}"
+    );
+}
+
 /// Chaos arm (PR-7 failpoints, seed pinned to 7): a spill-read corruption hit by
 /// one tenant's statement is either absorbed by recovery (bit-exact result) or
 /// surfaced as a typed error to *that tenant only* — the other tenant's

@@ -1,6 +1,6 @@
 //! A size ratchet with no knob. The numbers below are the current net library lines
-//! of the four largest engine files and each crate's count of `pub mod`s and `pub`
-//! items. They only ratchet down: growth fails this suite, and a change that shrinks
+//! of the largest engine files and the result cache, and each crate's count of
+//! `pub mod`s and `pub` items. They only ratchet down: growth fails this suite, and a change that shrinks
 //! a file or a crate's public surface lowers its number here in the same change.
 //!
 //! Counting rule (the same one behind the net-library-lines figures in CHANGES.md):
@@ -14,11 +14,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Net lines of the files every performance item promises to shrink.
-const FILE_LINES: [(&str, usize); 4] = [
+const FILE_LINES: [(&str, usize); 5] = [
     ("crates/df-engine/src/engine.rs", 806),
     ("crates/df-engine/src/shuffle.rs", 864),
     ("crates/df-storage/src/spill.rs", 831),
-    ("crates/df-engine/src/session.rs", 508),
+    ("crates/df-engine/src/session.rs", 412),
+    ("crates/df-engine/src/cache.rs", 381),
 ];
 
 /// `(crate, pub mod, pub items)`.
@@ -26,7 +27,7 @@ const CRATE_SURFACE: [(&str, usize, usize); 9] = [
     ("df-baseline", 0, 5),
     ("df-bench", 0, 10),
     ("df-core", 11, 176),
-    ("df-engine", 6, 119),
+    ("df-engine", 6, 118),
     ("df-pandas", 0, 96),
     ("df-service", 0, 26),
     ("df-storage", 3, 65),
