@@ -14,7 +14,7 @@ use df_bench::{render_table, time_once, BenchRecord};
 use df_core::algebra::{Aggregation, AlgebraExpr, CmpOp, MapFunc, Predicate};
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_engine::session::{EvalMode, QuerySession};
-use df_engine::ResultCache;
+use df_engine::{PlanKey, ResultCache};
 use df_types::cell::cell;
 use df_workloads::{generate_typed, TaxiConfig};
 
@@ -44,18 +44,18 @@ fn scripted_session(
     );
     let ((), elapsed) = time_once(|| {
         // Statement 1: clean, glance at the first rows, think.
-        session.submit(&cleaned).unwrap();
-        session.head(&cleaned, 5).unwrap();
+        session.submit(&cleaned, &PlanKey::of(&cleaned)).unwrap();
+        session.head(&cleaned, &PlanKey::of(&cleaned), 5).unwrap();
         std::thread::sleep(think);
         // Statement 2: filter, glance, think.
-        session.submit(&filtered).unwrap();
-        session.head(&filtered, 5).unwrap();
+        session.submit(&filtered, &PlanKey::of(&filtered)).unwrap();
+        session.head(&filtered, &PlanKey::of(&filtered), 5).unwrap();
         std::thread::sleep(think);
         // Statement 3: aggregate and actually inspect the full result.
-        session.submit(&grouped).unwrap();
-        session.collect(&grouped).unwrap();
+        session.submit(&grouped, &PlanKey::of(&grouped)).unwrap();
+        session.collect(&grouped, &PlanKey::of(&grouped)).unwrap();
         // Revisit an earlier intermediate (trial-and-error loop).
-        session.collect(&filtered).unwrap();
+        session.collect(&filtered, &PlanKey::of(&filtered)).unwrap();
     });
     let stats = session.stats();
     (

@@ -174,7 +174,7 @@ pub enum Predicate {
     Or(Box<Predicate>, Box<Predicate>),
     /// Arbitrary user predicate over the whole row.
     Custom {
-        /// Name used for display / plan fingerprints.
+        /// Name used in plan displays and cache keys.
         name: String,
         /// The predicate body.
         func: Arc<dyn Fn(RowView<'_>) -> bool + Send + Sync>,
@@ -350,7 +350,7 @@ pub enum MapFunc {
     ProjectValues(ColumnSelector),
     /// Arbitrary per-row function with explicit output arity.
     Custom {
-        /// Name used for display / plan fingerprints.
+        /// Name used in plan displays and cache keys.
         name: String,
         /// Output column labels (fixed arity, per the MAP definition).
         output_labels: Vec<Cell>,
@@ -361,7 +361,7 @@ pub enum MapFunc {
     },
     /// Arbitrary per-cell function applied to every cell (pandas `transform`/`applymap`).
     PerCell {
-        /// Name used for display / plan fingerprints.
+        /// Name used in plan displays and cache keys.
         name: String,
         /// The cell function.
         func: Arc<dyn Fn(&Cell) -> Cell + Send + Sync>,
@@ -752,25 +752,7 @@ impl AlgebraExpr {
         AlgebraExpr::ScanCsv(Arc::new(scan))
     }
 
-    /// The leaf values of the plan — every literal and handle, as cheap
-    /// reference-counted [`FrameHandle`]s. These are exactly the allocations the
-    /// plan's [`AlgebraExpr::fingerprint`] identifies by address, so holding the
-    /// returned vec pins the fingerprint's identity pointers without retaining the
-    /// operator tree itself.
-    pub fn leaf_pins(&self) -> Vec<FrameHandle> {
-        fn walk(expr: &AlgebraExpr, out: &mut Vec<FrameHandle>) {
-            match expr {
-                AlgebraExpr::Literal(df) => out.push(FrameHandle::from_shared(Arc::clone(df))),
-                AlgebraExpr::Handle(handle) => out.push(handle.clone()),
-                other => other.children().iter().for_each(|c| walk(c, out)),
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out
-    }
-
-    /// The operator name (used in plan displays and fingerprints).
+    /// The operator name (used in plan displays and cache keys).
     pub fn name(&self) -> &'static str {
         match self {
             AlgebraExpr::Literal(_) => "LITERAL",
@@ -847,123 +829,6 @@ impl AlgebraExpr {
             .iter()
             .map(|c| c.transpose_count())
             .sum::<usize>()
-    }
-
-    /// A stable, human-readable fingerprint of the operator tree, used as the key of
-    /// the materialisation / reuse cache (§6.2.2). Literals are identified by pointer
-    /// identity, so re-running the same statement on the same inputs hits the cache
-    /// while running it on different inputs does not.
-    pub fn fingerprint(&self) -> String {
-        let mut out = String::new();
-        self.fingerprint_into(&mut out);
-        out
-    }
-
-    fn fingerprint_into(&self, out: &mut String) {
-        match self {
-            AlgebraExpr::Literal(df) => {
-                out.push_str(&format!("lit@{:p}", Arc::as_ptr(df)));
-            }
-            AlgebraExpr::Handle(handle) => {
-                // Like literals, handles are identified by the shared result they
-                // wrap: re-submitting a statement over the same handle hits the
-                // cache; a statement over a fresh result does not.
-                out.push_str(&format!("hnd@{:p}", handle.identity()));
-            }
-            AlgebraExpr::ScanCsv(scan) => {
-                // Unlike literals/handles, scans are identified by *content* (the
-                // session's file-state key plus the pushdowns): two statements over
-                // the same on-disk file state share cache entries even though they
-                // built separate leaf allocations.
-                out.push_str(&scan.fingerprint_fragment());
-            }
-            AlgebraExpr::Selection { input, predicate } => {
-                out.push_str(&format!("sel[{predicate:?}]("));
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::Projection { input, columns } => {
-                out.push_str(&format!("proj[{columns:?}]("));
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::Union { left, right } => binary_fingerprint(out, "union", left, right),
-            AlgebraExpr::Difference { left, right } => binary_fingerprint(out, "diff", left, right),
-            AlgebraExpr::CrossProduct { left, right } => {
-                binary_fingerprint(out, "cross", left, right)
-            }
-            AlgebraExpr::Join {
-                left,
-                right,
-                on,
-                how,
-            } => {
-                out.push_str(&format!("join[{on:?},{how:?}]("));
-                left.fingerprint_into(out);
-                out.push(',');
-                right.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::DropDuplicates { input } => {
-                out.push_str("dedup(");
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::GroupBy {
-                input,
-                keys,
-                aggs,
-                keys_as_labels,
-            } => {
-                out.push_str(&format!("groupby[{keys:?};{aggs:?};{keys_as_labels}]("));
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::Sort { input, spec } => {
-                out.push_str(&format!("sort[{spec:?}]("));
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::Rename { input, mapping } => {
-                out.push_str(&format!("rename[{mapping:?}]("));
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::Window {
-                input,
-                columns,
-                func,
-            } => {
-                out.push_str(&format!("window[{columns:?};{func:?}]("));
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::Transpose { input } => {
-                out.push_str("transpose(");
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::Map { input, func } => {
-                out.push_str(&format!("map[{func:?}]("));
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::ToLabels { input, column } => {
-                out.push_str(&format!("tolabels[{column}]("));
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::FromLabels { input, new_column } => {
-                out.push_str(&format!("fromlabels[{new_column}]("));
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-            AlgebraExpr::Limit { input, k, from_end } => {
-                out.push_str(&format!("limit[{k},{from_end}]("));
-                input.fingerprint_into(out);
-                out.push(')');
-            }
-        }
     }
 
     // --- Builder helpers (fluent construction used by df-pandas and tests) ---
@@ -1099,15 +964,6 @@ impl AlgebraExpr {
             from_end,
         }
     }
-}
-
-fn binary_fingerprint(out: &mut String, name: &str, left: &AlgebraExpr, right: &AlgebraExpr) {
-    out.push_str(name);
-    out.push('(');
-    left.fingerprint_into(out);
-    out.push(',');
-    right.fingerprint_into(out);
-    out.push(')');
 }
 
 #[cfg(test)]
@@ -1260,33 +1116,9 @@ mod tests {
     #[test]
     fn handle_leaves_behave_like_literals_in_plans() {
         let handle = FrameHandle::from_dataframe(frame());
-        let expr = AlgebraExpr::handle(handle.clone()).select(Predicate::True);
+        let expr = AlgebraExpr::handle(handle).select(Predicate::True);
         assert_eq!(expr.name(), "SELECTION");
         assert_eq!(expr.operator_count(), 1);
         assert_eq!(expr.children()[0].name(), "HANDLE");
-        // Same handle → same fingerprint; a fresh result → a different one.
-        let again = AlgebraExpr::handle(handle.clone()).select(Predicate::True);
-        assert_eq!(expr.fingerprint(), again.fingerprint());
-        let fresh =
-            AlgebraExpr::handle(FrameHandle::from_dataframe(frame())).select(Predicate::True);
-        assert_ne!(expr.fingerprint(), fresh.fingerprint());
-        // leaf_pins returns exactly the fingerprinted leaf allocations.
-        let pins = expr.leaf_pins();
-        assert_eq!(pins.len(), 1);
-        assert_eq!(pins[0].identity(), handle.identity());
-        let joined = AlgebraExpr::literal(frame()).union(AlgebraExpr::handle(handle));
-        assert_eq!(joined.leaf_pins().len(), 2);
-    }
-
-    #[test]
-    fn fingerprints_distinguish_plans_and_literals() {
-        let df = Arc::new(frame());
-        let a = AlgebraExpr::literal_arc(Arc::clone(&df)).select(Predicate::True);
-        let b = AlgebraExpr::literal_arc(Arc::clone(&df)).select(Predicate::True);
-        let c = AlgebraExpr::literal_arc(df).transpose();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        let other = AlgebraExpr::literal(frame()).select(Predicate::True);
-        assert_ne!(a.fingerprint(), other.fingerprint());
     }
 }

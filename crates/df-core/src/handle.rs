@@ -120,11 +120,6 @@ impl FrameHandle {
         FrameHandle::Materialized(Arc::new(df))
     }
 
-    /// Wrap an already-shared materialised dataframe.
-    pub(crate) fn from_shared(df: Arc<DataFrame>) -> FrameHandle {
-        FrameHandle::Materialized(df)
-    }
-
     /// Wrap an engine-owned partitioned result.
     pub fn from_partitioned(result: Arc<dyn PartitionedResult>) -> FrameHandle {
         FrameHandle::Partitioned(result)
@@ -230,9 +225,9 @@ impl FrameHandle {
         }
     }
 
-    /// A stable identity pointer for plan fingerprints: two handles share an identity
-    /// exactly when they share the underlying result, so re-running a statement on the
-    /// same handle hits the materialisation cache while a fresh result does not.
+    /// A stable identity pointer for plan keys: two handles share an identity exactly
+    /// when they share the underlying result, so re-running a statement on the same
+    /// handle hits the materialisation cache while a fresh result does not.
     pub fn identity(&self) -> *const () {
         match self {
             FrameHandle::Materialized(df) => Arc::as_ptr(df) as *const (),

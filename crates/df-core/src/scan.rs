@@ -312,9 +312,10 @@ pub struct ScanCsv {
     /// end, last) `k` rows that pass the predicate, and parses only as many chunks
     /// as it takes to find them.
     pub limit: Option<(usize, bool)>,
-    /// Stable identity used in plan fingerprints: the session's content-based CSV
-    /// statement key (path + options + file mtime/size), so two scans of the same
-    /// on-disk state share cache entries and two different states do not.
+    /// Names one on-disk state of `path` read with `options`: plan keys write it
+    /// beside the path and pushdowns, so two scans of the same state share cache
+    /// entries and two different states do not, and the engine caches scan
+    /// statistics by it alone.
     identity: String,
     stats: Arc<OnceLock<Arc<ScanStats>>>,
 }
@@ -333,7 +334,7 @@ impl ScanCsv {
         }
     }
 
-    /// The scan's stable identity (used in fingerprints and stats caches).
+    /// The scan's stable identity (used in plan keys and stats caches).
     pub fn identity(&self) -> &str {
         &self.identity
     }
@@ -367,16 +368,6 @@ impl ScanCsv {
     /// Cache file statistics on the leaf (first write wins; clones share them).
     pub fn set_stats(&self, stats: Arc<ScanStats>) {
         let _ = self.stats.set(stats);
-    }
-
-    /// Fingerprint fragment: identity plus the pushdowns (content-based, unlike the
-    /// pointer-identity used for literal leaves, so equal scans of the same file
-    /// state dedupe in the statement cache).
-    pub(crate) fn fingerprint_fragment(&self) -> String {
-        format!(
-            "scan[{};proj={:?};pred={:?};limit={:?}]",
-            self.identity, self.projection, self.predicate, self.limit
-        )
     }
 }
 
@@ -825,16 +816,9 @@ mod tests {
             chunks: vec![],
         }));
         assert_eq!(filtered.stats().unwrap().total_rows, 3);
-        assert_ne!(scan.fingerprint_fragment(), filtered.fingerprint_fragment());
         let projected = scan.with_projection(vec![cell("a")]);
         assert_eq!(projected.projection.as_deref(), Some(&[cell("a")][..]));
-        let limited = scan.with_limit(10, false);
-        assert_eq!(limited.limit, Some((10, false)));
-        assert_ne!(scan.fingerprint_fragment(), limited.fingerprint_fragment());
-        assert_ne!(
-            limited.fingerprint_fragment(),
-            scan.with_limit(10, true).fingerprint_fragment()
-        );
+        assert_eq!(scan.with_limit(10, false).limit, Some((10, false)));
     }
 
     #[test]

@@ -41,8 +41,8 @@ mod proc;
 mod task;
 
 pub use proc::ProcBackend;
-pub(crate) use task::one;
 pub use task::BandTask;
+pub(crate) use task::{enc_plan, enc_scan_source, one};
 
 /// A snapshot of a backend's worker-pool health and task placement counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -16,7 +16,9 @@
 //! the frame's tagged-cell encoding — so the wire speaks one value language end to
 //! end. Decoding is as strict as the frame's: every length is checked against the
 //! bytes that remain, and malformed input is a typed
-//! [`DfError::SpillCorruption`] at the `backend.exchange` site.
+//! [`DfError::SpillCorruption`] at the `backend.exchange` site. The same value
+//! encoders also write [`crate::PlanKey`], the result cache's key, so each algebra
+//! value has one byte encoding whether it names a task or a statement.
 //!
 //! A task reaches a backend one way: as
 //! [`ParallelExecutor::placed`](crate::executor::ParallelExecutor::placed) work inside
@@ -31,14 +33,21 @@
 //! at all: it is a closure handed to `run_stage` that borrows that state from the
 //! driver's stack, and it runs on the driver's pool under every backend.
 
-use df_core::algebra::{AggFunc, Aggregation, CmpOp, ColumnSelector, MapFunc, Predicate, SortSpec};
+use std::sync::Arc;
+
+use df_core::algebra::{
+    AggFunc, Aggregation, AlgebraExpr, CmpOp, ColumnSelector, JoinOn, JoinType, MapFunc, Predicate,
+    SortSpec, WindowFunc,
+};
 use df_core::dataframe::DataFrame;
 use df_core::ops;
+use df_core::ScanCsv;
 use df_storage::csv::{self, CsvChunk, CsvIngestPlan, CsvOptions};
 use df_storage::spill::{ByteReader, ByteWriter};
 use df_types::{Cell, DfError, DfResult, Domain};
 
 use super::EXCHANGE_SITE;
+use crate::engine::csv_options;
 use crate::shuffle::{self, ShuffleKey};
 
 /// The most buckets a decoded [`BandTask::HashSplit`] may ask for. The engine asks
@@ -165,10 +174,11 @@ impl BandTask {
     /// the process backend runs in-place.
     pub fn encode(&self) -> Option<Vec<u8>> {
         let mut e = ByteWriter::default();
+        let mut portable = true;
         match self {
             BandTask::Selection(p) => {
                 e.str("sel");
-                enc_predicate(&mut e, p)?;
+                portable = enc_predicate(&mut e, p);
             }
             BandTask::Projection(sel) => {
                 e.str("proj");
@@ -176,14 +186,11 @@ impl BandTask {
             }
             BandTask::Rename(mapping) => {
                 e.str("ren");
-                e.list(mapping, |e, (old, new)| {
-                    e.cell(old);
-                    e.cell(new);
-                });
+                enc_mapping(&mut e, mapping);
             }
             BandTask::Map(f) => {
                 e.str("map");
-                enc_map(&mut e, f)?;
+                portable = enc_map(&mut e, f);
             }
             BandTask::GroupPartial { keys, aggs } => {
                 e.str("grp");
@@ -198,9 +205,7 @@ impl BandTask {
             BandTask::Concat => e.str("concat"),
             BandTask::SortBand(spec) => {
                 e.str("sort");
-                e.cells(&spec.by);
-                e.list(&spec.ascending, |e, &asc| e.bool(asc));
-                e.bool(spec.stable);
+                enc_sort(&mut e, spec);
             }
             BandTask::CsvChunk {
                 path,
@@ -213,16 +218,10 @@ impl BandTask {
             } => {
                 e.str("csv");
                 e.str(path);
-                e.str(&options.delimiter.to_string());
-                e.bool(options.has_header);
-                e.bool(options.infer_schema);
-                match header {
-                    Some(names) => {
-                        e.bool(true);
-                        e.list(names, |e, name| e.str(name));
-                    }
-                    None => e.bool(false),
-                }
+                enc_csv_options(&mut e, options);
+                enc_opt(&mut e, header, |e, names| {
+                    e.list(names, |e, name| e.str(name))
+                });
                 e.count(*n_cols);
                 e.count(*total_rows);
                 e.u64(*total_bytes);
@@ -236,7 +235,7 @@ impl BandTask {
                 e.list(domains, |e, d| e.str(d.name()));
             }
         }
-        Some(e.finish())
+        portable.then(|| e.finish())
     }
 
     /// Decode a task encoded by [`BandTask::encode`]. Malformed input is a typed
@@ -351,7 +350,9 @@ pub(crate) fn one(inputs: Vec<DataFrame>) -> DfResult<DataFrame> {
 // Algebra-type codecs
 // ---------------------------------------------------------------------------
 
-fn enc_predicate(e: &mut ByteWriter, p: &Predicate) -> Option<()> {
+/// Write a predicate. Returns whether the bytes describe it completely: `false` once
+/// a `Custom` closure was written, by name and address, which no decoder can rebuild.
+fn enc_predicate(e: &mut ByteWriter, p: &Predicate) -> bool {
     match p {
         Predicate::True => e.str("t"),
         Predicate::ColCmp { column, op, value } => {
@@ -375,21 +376,32 @@ fn enc_predicate(e: &mut ByteWriter, p: &Predicate) -> Option<()> {
         }
         Predicate::Not(inner) => {
             e.str("not");
-            enc_predicate(e, inner)?;
+            return enc_predicate(e, inner);
         }
         Predicate::And(a, b) => {
             e.str("and");
-            enc_predicate(e, a)?;
-            enc_predicate(e, b)?;
+            // `&`, not `&&`: the right side is written even after a closure.
+            return enc_predicate(e, a) & enc_predicate(e, b);
         }
         Predicate::Or(a, b) => {
             e.str("or");
-            enc_predicate(e, a)?;
-            enc_predicate(e, b)?;
+            return enc_predicate(e, a) & enc_predicate(e, b);
         }
-        Predicate::Custom { .. } => return None,
+        Predicate::Custom { name, func } => {
+            e.str("custom");
+            return enc_closure(e, name, func);
+        }
     }
-    Some(())
+    true
+}
+
+/// A closure is written as its name and its allocation's address, which equal no
+/// other closure's while it lives; the answer is `false`, as for every value that
+/// carries one.
+fn enc_closure<F: ?Sized>(e: &mut ByteWriter, name: &str, func: &Arc<F>) -> bool {
+    e.str(name);
+    e.u64(Arc::as_ptr(func).cast::<()>() as usize as u64);
+    false
 }
 
 fn dec_predicate(d: &mut ByteReader<'_>) -> DfResult<Predicate> {
@@ -467,7 +479,8 @@ fn dec_selector(d: &mut ByteReader<'_>) -> DfResult<ColumnSelector> {
     })
 }
 
-fn enc_map(e: &mut ByteWriter, f: &MapFunc) -> Option<()> {
+/// Write a map function; `false` when it is a closure (see [`enc_predicate`]).
+fn enc_map(e: &mut ByteWriter, f: &MapFunc) -> bool {
     match f {
         MapFunc::IsNullMask => e.str("isnullmask"),
         MapFunc::FillNull(v) => {
@@ -512,9 +525,25 @@ fn enc_map(e: &mut ByteWriter, f: &MapFunc) -> Option<()> {
             e.str("projvals");
             enc_selector(e, sel);
         }
-        MapFunc::Custom { .. } | MapFunc::PerCell { .. } => return None,
+        MapFunc::Custom {
+            name,
+            output_labels,
+            output_domains,
+            func,
+        } => {
+            e.str("custom");
+            e.cells(output_labels);
+            enc_opt(e, output_domains, |e, domains| {
+                e.list(domains, |e, d| e.str(d.name()))
+            });
+            return enc_closure(e, name, func);
+        }
+        MapFunc::PerCell { name, func } => {
+            e.str("percell");
+            return enc_closure(e, name, func);
+        }
     }
-    Some(())
+    true
 }
 
 fn dec_map(d: &mut ByteReader<'_>) -> DfResult<MapFunc> {
@@ -585,21 +614,9 @@ fn dec_agg_func(d: &mut ByteReader<'_>) -> DfResult<AggFunc> {
 }
 
 fn enc_aggregation(e: &mut ByteWriter, agg: &Aggregation) {
-    match &agg.column {
-        Some(c) => {
-            e.bool(true);
-            e.cell(c);
-        }
-        None => e.bool(false),
-    }
+    enc_opt(e, &agg.column, ByteWriter::cell);
     e.str(agg_name(&agg.func));
-    match &agg.alias {
-        Some(a) => {
-            e.bool(true);
-            e.cell(a);
-        }
-        None => e.bool(false),
-    }
+    enc_opt(e, &agg.alias, ByteWriter::cell);
 }
 
 fn dec_aggregation(d: &mut ByteReader<'_>) -> DfResult<Aggregation> {
@@ -631,11 +648,147 @@ fn dec_key(d: &mut ByteReader<'_>) -> DfResult<ShuffleKey> {
     })
 }
 
+fn enc_opt<T>(e: &mut ByteWriter, value: &Option<T>, some: impl FnOnce(&mut ByteWriter, &T)) {
+    match value {
+        Some(v) => {
+            e.bool(true);
+            some(e, v);
+        }
+        None => e.bool(false),
+    }
+}
+
+fn enc_mapping(e: &mut ByteWriter, mapping: &[(Cell, Cell)]) {
+    e.list(mapping, |e, (old, new)| {
+        e.cell(old);
+        e.cell(new);
+    });
+}
+
+fn enc_sort(e: &mut ByteWriter, spec: &SortSpec) {
+    e.cells(&spec.by);
+    e.list(&spec.ascending, |e, &asc| e.bool(asc));
+    e.bool(spec.stable);
+}
+
+fn enc_csv_options(e: &mut ByteWriter, options: &CsvOptions) {
+    e.str(&options.delimiter.to_string());
+    e.bool(options.has_header);
+    e.bool(options.infer_schema);
+}
+
+fn enc_window(e: &mut ByteWriter, func: &WindowFunc) {
+    match func {
+        WindowFunc::CumSum => e.str("cumsum"),
+        WindowFunc::CumMax => e.str("cummax"),
+        WindowFunc::CumMin => e.str("cummin"),
+        WindowFunc::Diff { lag } => {
+            e.str("diff");
+            e.count(*lag);
+        }
+        WindowFunc::Shift { offset } => {
+            e.str("shift");
+            e.u64(*offset as u64);
+        }
+        WindowFunc::RollingMean { size } => {
+            e.str("rollmean");
+            e.count(*size);
+        }
+        WindowFunc::RollingSum { size } => {
+            e.str("rollsum");
+            e.count(*size);
+        }
+    }
+}
+
+/// Write a logical plan: each node's [`AlgebraExpr::name`] and parameters, then its
+/// children in order. Literal and handle leaves are written by address; a scan leaf
+/// by its source, its file-state identity and its pushdowns. Nothing decodes a plan,
+/// so closures are written like any value and portability is not asked.
+pub(crate) fn enc_plan(e: &mut ByteWriter, expr: &AlgebraExpr) {
+    e.str(expr.name());
+    match expr {
+        AlgebraExpr::Literal(df) => e.u64(Arc::as_ptr(df) as usize as u64),
+        AlgebraExpr::Handle(handle) => e.u64(handle.identity() as usize as u64),
+        AlgebraExpr::ScanCsv(scan) => {
+            enc_scan_source(e, scan);
+            e.str(scan.identity());
+            enc_opt(e, &scan.projection, |e, columns| e.cells(columns));
+            enc_opt(e, &scan.predicate, |e, p| {
+                enc_predicate(e, p);
+            });
+            enc_opt(e, &scan.limit, |e, &(k, from_end)| {
+                e.count(k);
+                e.bool(from_end);
+            });
+        }
+        AlgebraExpr::Selection { predicate, .. } => {
+            enc_predicate(e, predicate);
+        }
+        AlgebraExpr::Projection { columns, .. } => enc_selector(e, columns),
+        AlgebraExpr::Union { .. }
+        | AlgebraExpr::Difference { .. }
+        | AlgebraExpr::CrossProduct { .. }
+        | AlgebraExpr::DropDuplicates { .. }
+        | AlgebraExpr::Transpose { .. } => {}
+        AlgebraExpr::Join { on, how, .. } => {
+            match on {
+                JoinOn::Columns(columns) => {
+                    e.str("columns");
+                    e.cells(columns);
+                }
+                JoinOn::RowLabels => e.str("rowlabels"),
+            }
+            e.str(match how {
+                JoinType::Inner => "inner",
+                JoinType::Left => "left",
+                JoinType::Outer => "outer",
+            });
+        }
+        AlgebraExpr::GroupBy {
+            keys,
+            aggs,
+            keys_as_labels,
+            ..
+        } => {
+            e.cells(keys);
+            e.list(aggs, enc_aggregation);
+            e.bool(*keys_as_labels);
+        }
+        AlgebraExpr::Sort { spec, .. } => enc_sort(e, spec),
+        AlgebraExpr::Rename { mapping, .. } => enc_mapping(e, mapping),
+        AlgebraExpr::Window { columns, func, .. } => {
+            enc_selector(e, columns);
+            enc_window(e, func);
+        }
+        AlgebraExpr::Map { func, .. } => {
+            enc_map(e, func);
+        }
+        AlgebraExpr::ToLabels { column, .. } => e.cell(column),
+        AlgebraExpr::FromLabels { new_column, .. } => e.cell(new_column),
+        AlgebraExpr::Limit { k, from_end, .. } => {
+            e.count(*k);
+            e.bool(*from_end);
+        }
+    }
+    for child in expr.children() {
+        enc_plan(e, child);
+    }
+}
+
+/// The part of a scan leaf's encoding that names its file and parse options and not
+/// the file's state: what every version of one CSV statement shares.
+pub(crate) fn enc_scan_source(e: &mut ByteWriter, scan: &ScanCsv) {
+    // `Debug` escapes a path's non-UTF-8 bytes, so unlike a lossy conversion it never
+    // gives two paths one string.
+    e.str(&format!("{:?}", scan.path));
+    enc_csv_options(e, &csv_options(scan.options));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use df_types::cell;
-    use std::sync::Arc;
 
     fn sample_tasks() -> Vec<BandTask> {
         vec![

@@ -1,14 +1,14 @@
 //! Shared, budget-accounted result cache with single-flight execution.
 //!
-//! The §6.2.2 materialisation cache started life as one session's private
-//! `HashMap<fingerprint, handle>`. A multi-tenant service wants the opposite: *one*
+//! The §6.2.2 materialisation cache started life as one session's private map from
+//! statement to handle. A multi-tenant service wants the opposite: *one*
 //! cache in front of the shared engine so identical statements from different
 //! tenants execute once and everybody hits. [`ResultCache`] is that cache, designed
 //! around three invariants the service stress suite pins:
 //!
-//! * **Single-flight** — the first session to miss a fingerprint, or to submit it
+//! * **Single-flight** — the first session to miss a [`PlanKey`], or to submit it
 //!   opportunistically, becomes its *producer* (the key is marked in-flight); any
-//!   other request for the same fingerprint blocks on the pending execution instead
+//!   other request for the same key blocks on the pending execution instead
 //!   of re-executing, and is served the producer's handle when it lands. The
 //!   in-flight marker is the only record of a running statement. If the producer
 //!   fails or is cancelled, its marker is withdrawn and the waiters race to become
@@ -25,11 +25,11 @@
 //!   [`DfError::ResourceExhausted`] so one tenant's appetite cannot crowd the
 //!   shared budget.
 //!
-//! Entries keep the pin set of the plans that produced their key (see
-//! [`crate::session`]): fingerprints identify literal/handle leaves by pointer
-//! identity, so an entry must keep those allocations alive for exactly as long as
-//! it is keyed on them. Eviction drops entry and pins together, which is what makes
-//! eviction safe.
+//! A key names literal, handle and closure leaves by address and holds the plan that
+//! owns them, so an entry keeps exactly the allocations its key names alive, and
+//! eviction drops key and result together. An entry never holds the plan that
+//! *produced* it (which may rest on an ancestor's cached handle), so evicting that
+//! ancestor frees its partitions.
 //!
 //! Blocking uses `std::sync` primitives (the workspace's vendored `parking_lot`
 //! shim deliberately has no `Condvar`); lock poisoning is impossible in practice —
@@ -42,11 +42,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use df_core::handle::FrameHandle;
 use df_types::error::{DfError, DfResult};
 
-/// One ready entry: the computed handle, the leaf allocations pinning its key, and
-/// the accounting the budget/quota policies run on.
+use crate::PlanKey;
+
+/// One ready entry: the computed handle and the accounting the budget/quota
+/// policies run on.
 struct ReadyEntry {
-    /// Held for its ownership (identity pinning), never read.
-    _pins: Vec<FrameHandle>,
     handle: FrameHandle,
     bytes: usize,
     last_used: u64,
@@ -71,7 +71,7 @@ struct TenantState {
 }
 
 struct CacheInner {
-    slots: HashMap<String, Slot>,
+    slots: HashMap<PlanKey, Slot>,
     budget: Option<usize>,
     /// Total bytes across Ready entries (in-flight markers are weightless).
     bytes: usize,
@@ -94,7 +94,7 @@ impl CacheInner {
 
     /// Remove a Ready entry (leaving in-flight markers untouched), releasing its
     /// byte accounting. Returns whether an entry was removed.
-    fn remove_ready(&mut self, key: &str) -> bool {
+    fn remove_ready(&mut self, key: &PlanKey) -> bool {
         if !matches!(self.slots.get(key), Some(Slot::Ready(_))) {
             return false;
         }
@@ -112,7 +112,7 @@ impl CacheInner {
 
     /// The least-recently-used Ready key, optionally restricted to one producing
     /// tenant, excluding `exclude` (the entry being inserted).
-    fn lru_victim(&self, exclude: &str, tenant_only: Option<&str>) -> Option<String> {
+    fn lru_victim(&self, exclude: &PlanKey, tenant_only: Option<&str>) -> Option<PlanKey> {
         self.slots
             .iter()
             .filter_map(|(key, slot)| match slot {
@@ -123,14 +123,14 @@ impl CacheInner {
                 },
                 _ => None,
             })
-            .min()
+            .min_by_key(|(last_used, _)| *last_used)
             .map(|(_, key)| key)
     }
 
     /// Evict LRU entries until the global budget holds again. The entry just
     /// inserted under `keep_longest` is the last resort: a single result larger
     /// than the whole budget is returned to its caller but not retained.
-    fn enforce_budget(&mut self, keep_longest: &str) {
+    fn enforce_budget(&mut self, keep_longest: &PlanKey) {
         let Some(budget) = self.budget else { return };
         while self.bytes > budget {
             match self.lru_victim(keep_longest, None) {
@@ -161,8 +161,7 @@ impl CacheInner {
     /// and then the global budget.
     fn insert_ready(
         &mut self,
-        key: &str,
-        pins: Vec<FrameHandle>,
+        key: &PlanKey,
         handle: FrameHandle,
         producer: Option<&str>,
     ) -> DfResult<()> {
@@ -197,9 +196,8 @@ impl CacheInner {
             state.produced += 1;
         }
         self.slots.insert(
-            key.to_string(),
+            key.clone(),
             Slot::Ready(ReadyEntry {
-                _pins: pins,
                 handle,
                 bytes,
                 last_used,
@@ -211,7 +209,7 @@ impl CacheInner {
     }
 
     /// Record a hit by `tenant` on a Ready entry (bumps recency and attribution).
-    fn note_hit(&mut self, key: &str, tenant: Option<&str>) -> Option<FrameHandle> {
+    fn note_hit(&mut self, key: &PlanKey, tenant: Option<&str>) -> Option<FrameHandle> {
         let tick = self.next_tick();
         let Some(Slot::Ready(entry)) = self.slots.get_mut(key) else {
             return None;
@@ -246,25 +244,23 @@ pub(crate) enum Lookup {
 /// the waiters to race for a retry — so a failed producer never wedges a key.
 pub(crate) struct FlightGuard {
     cache: Arc<ResultCache>,
-    key: String,
+    key: PlanKey,
     tenant: Option<String>,
     completed: bool,
 }
 
 impl FlightGuard {
-    /// Publish the produced handle under the claimed key. `pins` must hold the
-    /// leaf allocations the key's fingerprint identifies by address (see
-    /// [`crate::session::QuerySession`]). Fails typed when the producing tenant's
-    /// quota cannot fit the result — the handle is then *not* retained and the
-    /// statement surfaces the quota error.
-    pub(crate) fn complete(mut self, pins: Vec<FrameHandle>, handle: FrameHandle) -> DfResult<()> {
+    /// Publish the produced handle under the claimed key. Fails typed when the
+    /// producing tenant's quota cannot fit the result — the handle is then *not*
+    /// retained and the statement surfaces the quota error.
+    pub(crate) fn complete(mut self, handle: FrameHandle) -> DfResult<()> {
         self.completed = true;
         let cache = Arc::clone(&self.cache);
         let mut inner = cache.lock_inner();
         if matches!(inner.slots.get(&self.key), Some(Slot::InFlight)) {
             inner.slots.remove(&self.key);
         }
-        let result = inner.insert_ready(&self.key, pins, handle, self.tenant.as_deref());
+        let result = inner.insert_ready(&self.key, handle, self.tenant.as_deref());
         drop(inner);
         cache.ready.notify_all();
         result
@@ -324,7 +320,7 @@ pub struct TenantCacheStats {
     pub quota: Option<usize>,
 }
 
-/// The shared fingerprint-keyed result cache (see the module docs for the
+/// The shared [`PlanKey`]-keyed result cache (see the module docs for the
 /// single-flight / budget / quota invariants).
 pub struct ResultCache {
     inner: Mutex<CacheInner>,
@@ -382,7 +378,7 @@ impl ResultCache {
     /// in-flight entry blocks until its producer publishes or withdraws (counted
     /// as a single-flight wait); an absent entry makes this caller the producer
     /// and returns a [`Lookup::Miss`] guard.
-    pub(crate) fn begin(self: &Arc<Self>, key: &str, tenant: Option<&str>) -> Lookup {
+    pub(crate) fn begin(self: &Arc<Self>, key: &PlanKey, tenant: Option<&str>) -> Lookup {
         let mut inner = self.lock_inner();
         loop {
             if let Some(handle) = inner.note_hit(key, tenant) {
@@ -403,23 +399,27 @@ impl ResultCache {
     /// `None` when the key is Ready or already in flight. An opportunistic submit
     /// uses this to start a background run only when nobody has produced, or is
     /// producing, the result.
-    pub(crate) fn claim(self: &Arc<Self>, key: &str, tenant: Option<&str>) -> Option<FlightGuard> {
+    pub(crate) fn claim(
+        self: &Arc<Self>,
+        key: &PlanKey,
+        tenant: Option<&str>,
+    ) -> Option<FlightGuard> {
         self.claim_in(&mut self.lock_inner(), key, tenant)
     }
 
     fn claim_in(
         self: &Arc<Self>,
         inner: &mut CacheInner,
-        key: &str,
+        key: &PlanKey,
         tenant: Option<&str>,
     ) -> Option<FlightGuard> {
         if inner.slots.contains_key(key) {
             return None;
         }
-        inner.slots.insert(key.to_string(), Slot::InFlight);
+        inner.slots.insert(key.clone(), Slot::InFlight);
         Some(FlightGuard {
             cache: Arc::clone(self),
-            key: key.to_string(),
+            key: key.clone(),
             tenant: tenant.map(String::from),
             completed: false,
         })
@@ -428,13 +428,13 @@ impl ResultCache {
     /// Non-blocking hit: serve a Ready entry (counting the hit), or `None` —
     /// including for in-flight keys, which callers on inspection paths (head/
     /// tail) deliberately do not wait on.
-    pub(crate) fn lookup(&self, key: &str, tenant: Option<&str>) -> Option<FrameHandle> {
+    pub(crate) fn lookup(&self, key: &PlanKey, tenant: Option<&str>) -> Option<FrameHandle> {
         self.lock_inner().note_hit(key, tenant)
     }
 
     /// Observational peek: the cached handle without touching any counter or
     /// recency state (plan rebasing and `explain` use this).
-    pub(crate) fn peek(&self, key: &str) -> Option<FrameHandle> {
+    pub(crate) fn peek(&self, key: &PlanKey) -> Option<FrameHandle> {
         match self.lock_inner().slots.get(key) {
             Some(Slot::Ready(entry)) => Some(entry.handle.clone()),
             _ => None,
@@ -443,35 +443,28 @@ impl ResultCache {
 
     /// Drop one Ready entry (quarantine / invalidation). In-flight markers are
     /// owned by their producer's guard and never removed here.
-    pub(crate) fn evict(&self, key: &str) {
+    pub(crate) fn evict(&self, key: &PlanKey) {
         self.lock_inner().remove_ready(key);
     }
 
     /// Drop every Ready entry whose key starts with `prefix`, except `keep` — the
     /// ingest supersede path (same statement, regenerated file identity).
-    pub(crate) fn evict_prefix_except(&self, prefix: &str, keep: &str) {
-        let mut inner = self.lock_inner();
-        let stale: Vec<String> = inner
-            .slots
-            .iter()
-            .filter_map(|(key, slot)| match slot {
-                Slot::Ready(_) if key != keep && key.starts_with(prefix) => Some(key.clone()),
-                _ => None,
-            })
-            .collect();
-        for key in stale {
-            inner.remove_ready(&key);
-        }
+    pub(crate) fn evict_prefix_except(&self, prefix: &[u8], keep: &PlanKey) {
+        self.evict_where(|key| key != keep && key.starts_with(prefix));
     }
 
     /// Drop every Ready entry (in-flight markers survive to completion).
     pub fn clear(&self) {
+        self.evict_where(|_| true);
+    }
+
+    fn evict_where(&self, stale: impl Fn(&PlanKey) -> bool) {
         let mut inner = self.lock_inner();
-        let keys: Vec<String> = inner
+        let keys: Vec<PlanKey> = inner
             .slots
             .iter()
             .filter_map(|(key, slot)| match slot {
-                Slot::Ready(_) => Some(key.clone()),
+                Slot::Ready(_) if stale(key) => Some(key.clone()),
                 _ => None,
             })
             .collect();
@@ -540,8 +533,19 @@ impl std::fmt::Debug for ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_core::algebra::AlgebraExpr;
     use df_core::dataframe::DataFrame;
+    use df_core::{ScanCsv, ScanOptions};
     use df_types::cell::cell;
+
+    /// A key with no addresses in it: equal for equal names.
+    fn k(name: &str) -> PlanKey {
+        PlanKey::of(&AlgebraExpr::scan_csv(ScanCsv::new(
+            name,
+            ScanOptions::default(),
+            name,
+        )))
+    }
 
     fn handle(rows: usize) -> FrameHandle {
         FrameHandle::from_dataframe(
@@ -553,12 +557,12 @@ mod tests {
     #[test]
     fn begin_miss_then_hit_round_trips() {
         let cache = Arc::new(ResultCache::new());
-        let Lookup::Miss(guard) = cache.begin("k", Some("a")) else {
+        let Lookup::Miss(guard) = cache.begin(&k("k"), Some("a")) else {
             panic!("empty cache must miss");
         };
         let produced = handle(4);
-        guard.complete(vec![], produced.clone()).unwrap();
-        let Lookup::Hit(hit) = cache.begin("k", Some("b")) else {
+        guard.complete(produced.clone()).unwrap();
+        let Lookup::Hit(hit) = cache.begin(&k("k"), Some("b")) else {
             panic!("completed key must hit");
         };
         assert_eq!(hit.identity(), produced.identity());
@@ -572,7 +576,7 @@ mod tests {
     #[test]
     fn waiters_block_on_the_flight_and_share_one_execution() {
         let cache = Arc::new(ResultCache::new());
-        let Lookup::Miss(guard) = cache.begin("k", Some("producer")) else {
+        let Lookup::Miss(guard) = cache.begin(&k("k"), Some("producer")) else {
             panic!("first caller must be the producer");
         };
         let produced = handle(8);
@@ -580,7 +584,7 @@ mod tests {
             .map(|i| {
                 let cache = Arc::clone(&cache);
                 let name = format!("waiter-{i}");
-                std::thread::spawn(move || match cache.begin("k", Some(&name)) {
+                std::thread::spawn(move || match cache.begin(&k("k"), Some(&name)) {
                     Lookup::Hit(h) => h.identity() as usize,
                     Lookup::Miss(_) => panic!("waiter must not become a producer"),
                 })
@@ -588,7 +592,7 @@ mod tests {
             .collect();
         // Give the waiters real time to park on the in-flight key.
         std::thread::sleep(std::time::Duration::from_millis(100));
-        guard.complete(vec![], produced.clone()).unwrap();
+        guard.complete(produced.clone()).unwrap();
         for waiter in waiters {
             assert_eq!(waiter.join().unwrap(), produced.identity() as usize);
         }
@@ -602,16 +606,16 @@ mod tests {
     fn claims_never_block_or_count_and_begin_waits_on_them() {
         let cache = Arc::new(ResultCache::new());
         let flight = cache
-            .claim("k", Some("bg"))
+            .claim(&k("k"), Some("bg"))
             .expect("absent key is claimable");
         assert!(
-            cache.claim("k", Some("other")).is_none(),
+            cache.claim(&k("k"), Some("other")).is_none(),
             "already in flight"
         );
         assert_eq!(cache.stats().single_flight_waits, 0, "claims count nothing");
         let waiter = {
             let cache = Arc::clone(&cache);
-            std::thread::spawn(move || match cache.begin("k", Some("fg")) {
+            std::thread::spawn(move || match cache.begin(&k("k"), Some("fg")) {
                 Lookup::Hit(h) => h.identity() as usize,
                 Lookup::Miss(_) => panic!("a claimed key must be waited on"),
             })
@@ -621,10 +625,10 @@ mod tests {
             std::thread::yield_now();
         }
         let produced = handle(4);
-        flight.complete(vec![], produced.clone()).unwrap();
+        flight.complete(produced.clone()).unwrap();
         assert_eq!(waiter.join().unwrap(), produced.identity() as usize);
         assert!(
-            cache.claim("k", None).is_none(),
+            cache.claim(&k("k"), None).is_none(),
             "a Ready key is not claimable"
         );
         let stats = cache.stats();
@@ -636,14 +640,14 @@ mod tests {
     #[test]
     fn abandoned_flights_hand_the_key_to_a_waiter() {
         let cache = Arc::new(ResultCache::new());
-        let Lookup::Miss(guard) = cache.begin("k", None) else {
+        let Lookup::Miss(guard) = cache.begin(&k("k"), None) else {
             panic!("first caller must be the producer");
         };
         let waiter = {
             let cache = Arc::clone(&cache);
-            std::thread::spawn(move || match cache.begin("k", None) {
+            std::thread::spawn(move || match cache.begin(&k("k"), None) {
                 Lookup::Miss(guard) => {
-                    guard.complete(vec![], handle(2)).unwrap();
+                    guard.complete(handle(2)).unwrap();
                     true
                 }
                 Lookup::Hit(_) => false,
@@ -663,36 +667,36 @@ mod tests {
         let unit = handle(16).approx_size_bytes();
         let cache = Arc::new(ResultCache::with_budget(Some(unit * 2 + unit / 2)));
         for key in ["a", "b", "c"] {
-            let Lookup::Miss(guard) = cache.begin(key, None) else {
+            let Lookup::Miss(guard) = cache.begin(&k(key), None) else {
                 panic!("fresh key must miss");
             };
-            guard.complete(vec![], handle(16)).unwrap();
+            guard.complete(handle(16)).unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 2, "{stats:?}");
         assert_eq!(stats.evictions, 1, "{stats:?}");
         assert!(stats.bytes <= unit * 2 + unit / 2);
         // "a" was least recently used.
-        assert!(cache.peek("a").is_none());
-        assert!(cache.peek("b").is_some() && cache.peek("c").is_some());
+        assert!(cache.peek(&k("a")).is_none());
+        assert!(cache.peek(&k("b")).is_some() && cache.peek(&k("c")).is_some());
         // A hit on "b" refreshes it, so the next insert evicts "c".
-        assert!(cache.lookup("b", None).is_some());
-        let Lookup::Miss(guard) = cache.begin("d", None) else {
+        assert!(cache.lookup(&k("b"), None).is_some());
+        let Lookup::Miss(guard) = cache.begin(&k("d"), None) else {
             panic!("fresh key must miss");
         };
-        guard.complete(vec![], handle(16)).unwrap();
-        assert!(cache.peek("b").is_some());
-        assert!(cache.peek("c").is_none());
+        guard.complete(handle(16)).unwrap();
+        assert!(cache.peek(&k("b")).is_some());
+        assert!(cache.peek(&k("c")).is_none());
     }
 
     #[test]
     fn an_entry_larger_than_the_budget_is_returned_but_not_retained() {
         let unit = handle(64).approx_size_bytes();
         let cache = Arc::new(ResultCache::with_budget(Some(unit / 2)));
-        let Lookup::Miss(guard) = cache.begin("big", None) else {
+        let Lookup::Miss(guard) = cache.begin(&k("big"), None) else {
             panic!("fresh key must miss");
         };
-        guard.complete(vec![], handle(64)).unwrap();
+        guard.complete(handle(64)).unwrap();
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().evictions, 1);
     }
@@ -703,48 +707,48 @@ mod tests {
         let cache = Arc::new(ResultCache::new());
         cache.set_tenant_quota("greedy", Some(unit + unit / 2));
         // Another tenant's entry must never be a quota victim.
-        let Lookup::Miss(guard) = cache.begin("other", Some("modest")) else {
+        let Lookup::Miss(guard) = cache.begin(&k("other"), Some("modest")) else {
             panic!("fresh key must miss");
         };
-        guard.complete(vec![], handle(16)).unwrap();
+        guard.complete(handle(16)).unwrap();
         for key in ["g1", "g2"] {
-            let Lookup::Miss(guard) = cache.begin(key, Some("greedy")) else {
+            let Lookup::Miss(guard) = cache.begin(&k(key), Some("greedy")) else {
                 panic!("fresh key must miss");
             };
-            guard.complete(vec![], handle(16)).unwrap();
+            guard.complete(handle(16)).unwrap();
         }
         // g1 was evicted to make room for g2; modest's entry survived.
-        assert!(cache.peek("g1").is_none());
-        assert!(cache.peek("g2").is_some());
-        assert!(cache.peek("other").is_some());
+        assert!(cache.peek(&k("g1")).is_none());
+        assert!(cache.peek(&k("g2")).is_some());
+        assert!(cache.peek(&k("other")).is_some());
         // A single result over the whole quota rejects typed.
         cache.set_tenant_quota("greedy", Some(unit / 4));
-        let Lookup::Miss(guard) = cache.begin("g3", Some("greedy")) else {
+        let Lookup::Miss(guard) = cache.begin(&k("g3"), Some("greedy")) else {
             panic!("fresh key must miss");
         };
-        let err = guard.complete(vec![], handle(16)).unwrap_err();
+        let err = guard.complete(handle(16)).unwrap_err();
         assert!(err.is_resource_exhausted(), "{err}");
         assert!(err.to_string().contains("quota"), "{err}");
         let stats = cache.stats();
         assert_eq!(stats.quota_rejections, 1, "{stats:?}");
         // Raising the quota restores service.
         cache.set_tenant_quota("greedy", Some(unit * 4));
-        let Lookup::Miss(guard) = cache.begin("g4", Some("greedy")) else {
+        let Lookup::Miss(guard) = cache.begin(&k("g4"), Some("greedy")) else {
             panic!("fresh key must miss");
         };
-        guard.complete(vec![], handle(16)).unwrap();
-        assert!(cache.peek("g4").is_some());
+        guard.complete(handle(16)).unwrap();
+        assert!(cache.peek(&k("g4")).is_some());
     }
 
     #[test]
     fn attribution_tracks_producers_and_hitters() {
         let cache = Arc::new(ResultCache::new());
-        let Lookup::Miss(guard) = cache.begin("k", Some("a")) else {
+        let Lookup::Miss(guard) = cache.begin(&k("k"), Some("a")) else {
             panic!("fresh key must miss");
         };
-        guard.complete(vec![], handle(8)).unwrap();
-        cache.lookup("k", Some("a"));
-        cache.lookup("k", Some("b"));
+        guard.complete(handle(8)).unwrap();
+        cache.lookup(&k("k"), Some("a"));
+        cache.lookup(&k("k"), Some("b"));
         let stats = cache.stats();
         assert_eq!(stats.tenants.len(), 2);
         let (ref a_name, a) = stats.tenants[0];
@@ -759,18 +763,18 @@ mod tests {
     #[test]
     fn clear_and_evict_leave_inflight_markers_alone() {
         let cache = Arc::new(ResultCache::new());
-        let Lookup::Miss(flight) = cache.begin("pending", None) else {
+        let Lookup::Miss(flight) = cache.begin(&k("pending"), None) else {
             panic!("fresh key must miss");
         };
-        let Lookup::Miss(done) = cache.begin("done", None) else {
+        let Lookup::Miss(done) = cache.begin(&k("done"), None) else {
             panic!("fresh key must miss");
         };
-        done.complete(vec![], handle(4)).unwrap();
-        cache.evict("pending"); // no-op: in flight
+        done.complete(handle(4)).unwrap();
+        cache.evict(&k("pending")); // no-op: in flight
         cache.clear(); // drops "done", keeps the marker
-        assert!(cache.claim("pending", None).is_none());
+        assert!(cache.claim(&k("pending"), None).is_none());
         assert_eq!(cache.len(), 0);
-        flight.complete(vec![], handle(4)).unwrap();
+        flight.complete(handle(4)).unwrap();
         assert_eq!(cache.len(), 1);
     }
 }

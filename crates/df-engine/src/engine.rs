@@ -1030,7 +1030,7 @@ impl Engine for ModinEngine {
 }
 
 /// The storage-layer reader options for a scan leaf's engine-agnostic options.
-fn csv_options(options: ScanOptions) -> CsvOptions {
+pub(crate) fn csv_options(options: ScanOptions) -> CsvOptions {
     CsvOptions {
         delimiter: options.delimiter,
         has_header: options.has_header,

@@ -21,8 +21,9 @@
 //! * [`session`] — eager / lazy / opportunistic evaluation, query futures, prefix
 //!   (head/tail) prioritised inspection and the materialisation/reuse cache (paper §6).
 //! * [`ResultCache`] — the shareable, budget-accounted result cache behind the session:
-//!   single-flight fingerprint execution, LRU eviction under a byte budget, and
-//!   per-tenant quotas/attribution for the multi-tenant service (`df-service`).
+//!   single-flight execution per [`PlanKey`] (a plan's typed byte encoding), LRU
+//!   eviction under a byte budget, and per-tenant quotas/attribution for the
+//!   multi-tenant service (`df-service`).
 
 // The engine sits above the fault-tolerant storage layer: every storage or worker
 // fault must stay a typed `DfError` on its way through, so production code may not
@@ -34,6 +35,7 @@ mod cache;
 pub mod engine;
 pub mod executor;
 mod ingest;
+mod key;
 mod optimizer;
 pub mod partition;
 pub mod session;
@@ -45,6 +47,7 @@ pub use df_storage::spill::{SpillStats, SpillStore};
 pub use engine::{GridResult, ModinConfig, ModinEngine};
 pub use executor::{default_threads, ParallelExecutor};
 pub use ingest::IngestStats;
+pub use key::PlanKey;
 pub use optimizer::{choose_pivot_plan, optimize, OptimizerConfig, PivotPlan, RewriteStats};
 pub use partition::{Partition, PartitionConfig, PartitionGrid, PartitionHandle, PartitionScheme};
 pub use session::{EvalMode, QuerySession, SessionStats, StatementGate};

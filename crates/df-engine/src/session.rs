@@ -13,7 +13,7 @@
 //!
 //! [`QuerySession`] implements all three over any [`Engine`], together with the
 //! §6.2.2 materialisation cache. The two are one mechanism: a statement's result is
-//! produced once under the cache's single-flight slot for its fingerprint and served
+//! produced once under the cache's single-flight slot for its [`PlanKey`] and served
 //! to whoever asks for it. An opportunistic submit claims that slot and runs the
 //! statement on a background thread; a later request waits on the unfinished run,
 //! hits the finished one, or retries after a failed one, exactly as it would for
@@ -21,13 +21,16 @@
 //! dataframes: for the scalable engine a cached result is a partition grid whose
 //! blocks live under the engine's memory budget (spilling to disk like any other
 //! partition), so remembering results across statements does not defeat the
-//! out-of-core store. Callers that chain statements pass precomputed fingerprints
-//! through the `*_keyed` entry points so one statement's (potentially deep) plan is
-//! serialised once, not once per submit/collect/inspect call.
+//! out-of-core store.
+//!
+//! Every entry point takes the plan to run and the key of the statement it answers.
+//! The two differ when an API layer runs a statement's logical plan rebased onto
+//! handles cached for its inputs: the key stays the logical plan's, memoised once per
+//! statement, so the result is found again however the plan was executed.
 //!
 //! The session is also the unit of *tenancy*: its cache is an
 //! [`Arc<ResultCache>`](crate::cache::ResultCache) that several sessions may share
-//! (identical fingerprints from different tenants then execute once), its hot
+//! (identical statements from different tenants then execute once), its hot
 //! counters are MRV-style striped atomics so concurrent tenants do not serialize on
 //! stats bumps, and every engine execution passes through an optional
 //! [`StatementGate`] — the admission-control hook `df-service` implements with a
@@ -48,6 +51,7 @@ use df_core::engine::Engine;
 use df_core::handle::FrameHandle;
 
 use crate::cache::{FlightGuard, Lookup, ResultCache};
+use crate::PlanKey;
 
 /// How statements are scheduled (paper §6.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,13 +195,12 @@ fn produce(
     gate: &Option<Arc<dyn StatementGate>>,
     tenant: Option<&str>,
     stats: &SharedSessionStats,
-    pins: Vec<FrameHandle>,
     run: impl FnOnce() -> DfResult<FrameHandle>,
 ) -> DfResult<FrameHandle> {
     let _permit = GatePermit::acquire(gate, tenant)?;
     stats.executions.incr();
     let handle = run()?;
-    flight.complete(pins, handle.clone())?;
+    flight.complete(handle.clone())?;
     Ok(handle)
 }
 
@@ -285,7 +288,7 @@ impl QuerySession {
     /// strategies — plus one session line saying whether this statement's result is
     /// already cached under `key`. Purely observational: nothing executes, no
     /// statistics counters move.
-    pub fn explain_keyed(&self, expr: &AlgebraExpr, key: &str) -> String {
+    pub fn explain(&self, expr: &AlgebraExpr, key: &PlanKey) -> String {
         let mut out = self.engine.explain(expr);
         let status = if self.handle_for(key).is_some() {
             "result cached (next fetch is a cache hit)"
@@ -299,47 +302,28 @@ impl QuerySession {
     }
 
     /// Submit a statement. Under eager evaluation this blocks and computes a handle
-    /// (or serves a cache hit for a re-submitted fingerprint); under lazy evaluation
+    /// (or serves a cache hit for a re-submitted statement); under lazy evaluation
     /// it records nothing (the expression itself is the pending work); under
-    /// opportunistic evaluation it claims the fingerprint's single-flight slot and
-    /// computes the statement on a background thread (nothing starts when the result
-    /// is already cached or being produced).
-    pub fn submit(&self, expr: &AlgebraExpr) -> DfResult<()> {
-        self.submit_keyed(expr, &expr.fingerprint(), None)
-    }
-
-    /// Record a statement without a plan — what a lazy submit amounts to. API layers
-    /// use this to skip building (and fingerprinting) an execution plan the lazy
-    /// scheduler would discard anyway.
-    pub fn note_statement(&self) {
-        self.stats.statements.incr();
-    }
-
-    /// [`QuerySession::submit`] with a precomputed fingerprint key (so callers that
-    /// already memoised the fingerprint do not re-serialise the plan). When `key` is
-    /// the fingerprint of a *different* expression than `expr` (an API layer keying a
-    /// handle-rebased execution plan by its statement's logical fingerprint), pass
-    /// that expression as `key_source` so the cache entry pins the allocations the
-    /// key's identity pointers refer to.
-    pub fn submit_keyed(
-        &self,
-        expr: &AlgebraExpr,
-        key: &str,
-        key_source: Option<&AlgebraExpr>,
-    ) -> DfResult<()> {
+    /// opportunistic evaluation it claims the key's single-flight slot and computes
+    /// the statement on a background thread (nothing starts when the result is
+    /// already cached or being produced).
+    pub fn submit(&self, expr: &AlgebraExpr, key: &PlanKey) -> DfResult<()> {
         self.stats.statements.incr();
         match self.mode {
-            EvalMode::Eager => {
-                // Serves a re-submitted fingerprint from the cache, else executes
-                // and remembers the handle.
-                self.handle_keyed(expr, key, key_source).map(|_| ())
-            }
+            EvalMode::Eager => self.handle(expr, key).map(|_| ()),
             EvalMode::Lazy => Ok(()),
             EvalMode::Opportunistic => {
-                self.spawn_background(expr, key, key_source);
+                self.spawn_background(expr, key);
                 Ok(())
             }
         }
+    }
+
+    /// Record a statement without a plan — what a lazy submit amounts to. API layers
+    /// use this to skip building (and keying) an execution plan the lazy scheduler
+    /// would discard anyway.
+    pub fn note_statement(&self) {
+        self.stats.statements.incr();
     }
 
     /// Record a submit-time error an infallible API layer could not propagate: it is
@@ -360,111 +344,71 @@ impl QuerySession {
     /// cached result, an in-flight run of it (waited for), or a fresh execution.
     /// This is the statement-boundary entry point: the caller can feed the returned
     /// handle into the next statement's plan via `AlgebraExpr::handle`.
-    pub fn handle(&self, expr: &AlgebraExpr) -> DfResult<FrameHandle> {
-        self.handle_keyed(expr, &expr.fingerprint(), None)
+    /// Single-flight: a request for an in-flight key — another tenant's execution or
+    /// this session's own background run — blocks on it and is served its handle,
+    /// so a statement executes once however many sessions ask for it.
+    pub fn handle(&self, expr: &AlgebraExpr, key: &PlanKey) -> DfResult<FrameHandle> {
+        self.serve_or_produce(key, || self.engine.execute(expr))
     }
 
-    /// [`QuerySession::handle`] with a precomputed fingerprint key (`key_source` as
-    /// in [`QuerySession::submit_keyed`]). Single-flight: a request for an
-    /// in-flight fingerprint — another tenant's execution or this session's own
-    /// background run — blocks on it and is served its handle, so a statement
-    /// executes once however many sessions ask for it.
-    pub fn handle_keyed(
-        &self,
-        expr: &AlgebraExpr,
-        key: &str,
-        key_source: Option<&AlgebraExpr>,
-    ) -> DfResult<FrameHandle> {
-        match self.cache.begin(key, self.tenant.as_deref()) {
-            Lookup::Hit(handle) => {
-                self.stats.cache_hits.incr();
-                Ok(handle)
-            }
-            Lookup::Miss(flight) => produce(
-                flight,
-                &self.gate,
-                self.tenant.as_deref(),
-                &self.stats,
-                QuerySession::pins_for(expr, key_source),
-                || self.engine.execute(expr),
-            ),
-        }
-    }
-
-    /// Serve-or-compute a statement whose cache key is *not* a plan fingerprint —
-    /// above all a CSV ingest keyed by `path + options + file identity`. A cached
-    /// handle is returned as a cache hit (re-reading an unchanged file never re-scans
-    /// it); otherwise `ingest` runs (counted as an execution), and its handle is
-    /// remembered under `key` so derived statements rebase onto the partitioned scan
-    /// result like onto any other cached handle.
-    ///
-    /// Identity-stamped keys (mtime/length in the key) go stale wholesale whenever
-    /// the underlying file changes: pass the key's identity-free prefix as
-    /// `supersedes` and a fresh ingest evicts every other entry sharing it, so a
-    /// session that re-reads a regenerated file does not accumulate one pinned
+    /// Serve-or-compute a statement the caller runs itself — above all a CSV ingest,
+    /// keyed as the scan leaf it reads. A cached handle is returned as a cache hit
+    /// (re-reading an unchanged file never re-scans it); otherwise `ingest` runs
+    /// (counted as an execution), and its handle is remembered under `key` so derived
+    /// statements rebase onto the partitioned scan result like onto any other cached
+    /// handle. A scan key names the file's state, so a regenerated file is a new
+    /// key: a fresh ingest evicts every other bare scan of the same path and options,
+    /// so a session that re-reads a regenerated file does not accumulate one pinned
     /// partition grid per superseded version.
-    pub fn ingest_keyed(
+    pub fn ingest(
         &self,
-        key: &str,
-        supersedes: Option<&str>,
+        key: &PlanKey,
         ingest: impl FnOnce() -> DfResult<FrameHandle>,
     ) -> DfResult<FrameHandle> {
         self.stats.statements.incr();
-        // Single-flight like any fingerprinted statement: two tenants reading the
-        // same file concurrently scan it once.
+        self.serve_or_produce(key, || {
+            let handle = ingest()?;
+            if let Some(source) = key.scan_source() {
+                self.cache.evict_prefix_except(&source, key);
+            }
+            Ok(handle)
+        })
+    }
+
+    /// Serve `key` from the cache, wait on its in-flight producer, or produce it with
+    /// `run` — single-flight, so two tenants reading one file concurrently scan it once.
+    fn serve_or_produce(
+        &self,
+        key: &PlanKey,
+        run: impl FnOnce() -> DfResult<FrameHandle>,
+    ) -> DfResult<FrameHandle> {
         match self.cache.begin(key, self.tenant.as_deref()) {
             Lookup::Hit(handle) => {
                 self.stats.cache_hits.incr();
                 Ok(handle)
             }
-            // Path-based keys carry no pointer identities: the entry needs no pins.
-            Lookup::Miss(flight) => produce(
-                flight,
-                &self.gate,
-                self.tenant.as_deref(),
-                &self.stats,
-                Vec::new(),
-                || {
-                    let handle = ingest()?;
-                    if let Some(prefix) = supersedes {
-                        // Older versions of the same statement (same path and
-                        // options, different file identity) are unreachable now —
-                        // release the partitioned results they pin.
-                        self.cache.evict_prefix_except(prefix, key);
-                    }
-                    Ok(handle)
-                },
-            ),
+            Lookup::Miss(flight) => {
+                produce(flight, &self.gate, self.tenant.as_deref(), &self.stats, run)
+            }
         }
     }
 
-    /// A non-executing peek: the cached handle for a fingerprint, if one exists. Used
-    /// by API layers to rebase a derived statement's plan onto its input's
+    /// A non-executing peek: the cached handle for a key, if one exists. Used by API
+    /// layers to rebase a derived statement's plan onto its input's
     /// already-computed handle (no statistics are counted — this is plan
     /// construction, not a user-visible fetch).
-    pub fn handle_for(&self, key: &str) -> Option<FrameHandle> {
+    pub fn handle_for(&self, key: &PlanKey) -> Option<FrameHandle> {
         self.cache.peek(key)
     }
 
     /// Materialisation point: fetch the full result of an expression as a dataframe.
-    pub fn collect(&self, expr: &AlgebraExpr) -> DfResult<DataFrame> {
-        self.collect_keyed(expr, &expr.fingerprint(), None)
-    }
-
-    /// [`QuerySession::collect`] with a precomputed fingerprint key (`key_source` as
-    /// in [`QuerySession::submit_keyed`]).
-    pub fn collect_keyed(
-        &self,
-        expr: &AlgebraExpr,
-        key: &str,
-        key_source: Option<&AlgebraExpr>,
-    ) -> DfResult<DataFrame> {
-        let handle = self.handle_keyed(expr, key, key_source)?;
+    pub fn collect(&self, expr: &AlgebraExpr, key: &PlanKey) -> DfResult<DataFrame> {
+        let handle = self.handle(expr, key)?;
         let first = self.engine.collect(&handle);
         drop(handle);
         match first {
             Err(err) if err.is_spill_corruption() => {
-                self.recover_from_corruption(expr, key, key_source, |h| self.engine.collect(h))
+                self.recover_from_corruption(expr, key, |h| self.engine.collect(h))
             }
             other => other,
         }
@@ -480,13 +424,12 @@ impl QuerySession {
     fn recover_from_corruption<T>(
         &self,
         expr: &AlgebraExpr,
-        key: &str,
-        key_source: Option<&AlgebraExpr>,
+        key: &PlanKey,
         op: impl FnOnce(&FrameHandle) -> DfResult<T>,
     ) -> DfResult<T> {
         self.stats.recoveries.incr();
         self.evict(key);
-        let fresh = self.handle_keyed(expr, key, key_source)?;
+        let fresh = self.handle(expr, key)?;
         op(&fresh)
     }
 
@@ -495,42 +438,21 @@ impl QuerySession {
     /// a background run) serves it; otherwise the engine's prefix-prioritised path
     /// runs — it does *not* wait for an unfinished run of the full statement,
     /// because the prefix path is usually faster than finishing it.
-    pub fn head(&self, expr: &AlgebraExpr, k: usize) -> DfResult<DataFrame> {
-        self.head_keyed(expr, &expr.fingerprint(), None, k)
-    }
-
-    /// [`QuerySession::head`] with a precomputed fingerprint key (`key_source` as in
-    /// [`QuerySession::submit_keyed`]).
-    pub fn head_keyed(
-        &self,
-        expr: &AlgebraExpr,
-        key: &str,
-        key_source: Option<&AlgebraExpr>,
-        k: usize,
-    ) -> DfResult<DataFrame> {
+    pub fn head(&self, expr: &AlgebraExpr, key: &PlanKey, k: usize) -> DfResult<DataFrame> {
         self.inspect(
             expr,
             key,
-            key_source,
             |h| self.engine.head_of(h, k),
             || self.engine.execute_prefix(expr, k),
         )
     }
 
-    /// Materialisation point: only the last `k` rows of an expression, under a
-    /// precomputed fingerprint key (`key_source` as in [`QuerySession::submit_keyed`]).
-    /// Served like [`QuerySession::head_keyed`], through the engine's suffix path.
-    pub fn tail_keyed(
-        &self,
-        expr: &AlgebraExpr,
-        key: &str,
-        key_source: Option<&AlgebraExpr>,
-        k: usize,
-    ) -> DfResult<DataFrame> {
+    /// Materialisation point: only the last `k` rows of an expression, served like
+    /// [`QuerySession::head`] through the engine's suffix path.
+    pub fn tail(&self, expr: &AlgebraExpr, key: &PlanKey, k: usize) -> DfResult<DataFrame> {
         self.inspect(
             expr,
             key,
-            key_source,
             |h| self.engine.tail_of(h, k),
             || self.engine.execute_suffix(expr, k),
         )
@@ -543,8 +465,7 @@ impl QuerySession {
     fn inspect(
         &self,
         expr: &AlgebraExpr,
-        key: &str,
-        key_source: Option<&AlgebraExpr>,
+        key: &PlanKey,
         of: impl Fn(&FrameHandle) -> DfResult<DataFrame>,
         partial: impl FnOnce() -> DfResult<DataFrame>,
     ) -> DfResult<DataFrame> {
@@ -554,7 +475,7 @@ impl QuerySession {
             drop(handle);
             return match first {
                 Err(err) if err.is_spill_corruption() => {
-                    self.recover_from_corruption(expr, key, key_source, of)
+                    self.recover_from_corruption(expr, key, of)
                 }
                 other => other,
             };
@@ -577,11 +498,11 @@ impl QuerySession {
         self.cache.clear();
     }
 
-    /// Quarantine one cached result: drop its handle (and pins) so the next
-    /// materialisation of `key` re-executes instead of trusting poisoned spill
-    /// state. Used by the corruption-recovery path and by the pandas layer when
-    /// it walks a frame's lineage after a checksum failure.
-    pub fn evict(&self, key: &str) {
+    /// Quarantine one cached result: drop its handle so the next materialisation of
+    /// `key` re-executes instead of trusting poisoned spill state. Used by the
+    /// corruption-recovery path and by the pandas layer when it walks a frame's
+    /// lineage after a checksum failure.
+    pub fn evict(&self, key: &PlanKey) {
         self.cache.evict(key);
     }
 
@@ -649,18 +570,7 @@ impl QuerySession {
         }
     }
 
-    /// The leaf allocations whose addresses appear in the entry's fingerprint key:
-    /// the executed plan's, plus the key-source plan's when the key was fingerprinted
-    /// from a different expression.
-    fn pins_for(plan: &AlgebraExpr, key_source: Option<&AlgebraExpr>) -> Vec<FrameHandle> {
-        let mut pins = plan.leaf_pins();
-        if let Some(source) = key_source {
-            pins.extend(source.leaf_pins());
-        }
-        pins
-    }
-
-    fn spawn_background(&self, expr: &AlgebraExpr, key: &str, key_source: Option<&AlgebraExpr>) {
+    fn spawn_background(&self, expr: &AlgebraExpr, key: &PlanKey) {
         // A result someone has produced, or is producing, needs no second run.
         let Some(flight) = self.cache.claim(key, self.tenant.as_deref()) else {
             return;
@@ -669,14 +579,13 @@ impl QuerySession {
         let engine = Arc::clone(&self.engine);
         let (gate, tenant) = (self.gate.clone(), self.tenant.clone());
         let stats = Arc::clone(&self.stats);
-        let pins = QuerySession::pins_for(expr, key_source);
         let plan = expr.clone();
         // Admission happens on the worker, so submit() never blocks. The thread is
         // detached: a published result is a cache entry, and a failure or panic
         // withdraws the claim, so the next request for the key runs the statement
         // itself and meets the error there.
         std::thread::spawn(move || {
-            produce(flight, &gate, tenant.as_deref(), &stats, pins, || {
+            produce(flight, &gate, tenant.as_deref(), &stats, || {
                 engine.execute(&plan)
             })
             .ok();
@@ -712,16 +621,16 @@ mod tests {
     fn eager_mode_computes_on_submit_and_caches_handles() {
         let session = QuerySession::new(engine(), EvalMode::Eager);
         let expr = AlgebraExpr::literal(frame(30)).map(MapFunc::IsNullMask);
-        session.submit(&expr).unwrap();
+        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().executions, 1);
         // What the cache holds is a handle, not a resident dataframe.
-        let cached = session.handle_for(&expr.fingerprint()).unwrap();
+        let cached = session.handle_for(&PlanKey::of(&expr)).unwrap();
         assert!(cached.is_partitioned());
-        let out = session.collect(&expr).unwrap();
+        let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(out.shape(), (30, 2));
         // Fetches and re-submissions are cache hits, not re-executions.
-        session.collect(&expr).unwrap();
-        session.submit(&expr).unwrap();
+        session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().executions, 1);
         assert_eq!(session.stats().cache_hits, 3);
         assert_eq!(session.stats().statements, 2);
@@ -732,9 +641,9 @@ mod tests {
     fn lazy_mode_defers_until_collect() {
         let session = QuerySession::new(engine(), EvalMode::Lazy);
         let expr = AlgebraExpr::literal(frame(10)).select(Predicate::True);
-        session.submit(&expr).unwrap();
+        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().executions, 0);
-        session.collect(&expr).unwrap();
+        session.collect(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().executions, 1);
     }
 
@@ -742,15 +651,15 @@ mod tests {
     fn opportunistic_mode_computes_in_background() {
         let session = QuerySession::new(engine(), EvalMode::Opportunistic);
         let expr = AlgebraExpr::literal(frame(50)).map(MapFunc::IsNullMask);
-        session.submit(&expr).unwrap();
+        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().background_started, 1);
         // Re-submitting the same statement does not spawn a duplicate worker.
-        session.submit(&expr).unwrap();
+        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().background_started, 1);
-        let out = session.collect(&expr).unwrap();
+        let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(out.shape(), (50, 2));
         // Once collected the result is cached.
-        session.collect(&expr).unwrap();
+        session.collect(&expr, &PlanKey::of(&expr)).unwrap();
         assert!(session.stats().cache_hits >= 1);
     }
 
@@ -758,12 +667,10 @@ mod tests {
     fn finished_background_runs_serve_tail_without_reexecution() {
         let session = QuerySession::new(engine(), EvalMode::Opportunistic);
         let expr = AlgebraExpr::literal(frame(60)).map(MapFunc::IsNullMask);
-        session.submit(&expr).unwrap();
+        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
         // Blocks until the background run has published its result.
-        session.handle(&expr).unwrap();
-        let tail = session
-            .tail_keyed(&expr, &expr.fingerprint(), None, 3)
-            .unwrap();
+        session.handle(&expr, &PlanKey::of(&expr)).unwrap();
+        let tail = session.tail(&expr, &PlanKey::of(&expr), 3).unwrap();
         assert_eq!(tail.shape(), (3, 2));
         let stats = session.stats();
         assert_eq!(
@@ -771,7 +678,7 @@ mod tests {
             "tail re-executed despite a finished background result: {stats:?}"
         );
         assert_eq!(stats.cache_hits, 2, "{stats:?}");
-        session.collect(&expr).unwrap();
+        session.collect(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().cache_hits, 3);
         assert_eq!(session.stats().executions, 1);
     }
@@ -780,12 +687,12 @@ mod tests {
     fn handles_cross_statement_boundaries_without_reexecution() {
         let session = QuerySession::new(engine(), EvalMode::Eager);
         let first = AlgebraExpr::literal(frame(40)).select(Predicate::True);
-        session.submit(&first).unwrap();
-        let handle = session.handle(&first).unwrap();
+        session.submit(&first, &PlanKey::of(&first)).unwrap();
+        let handle = session.handle(&first, &PlanKey::of(&first)).unwrap();
         // Next statement consumes the previous statement's handle as a plan leaf.
         let second = AlgebraExpr::handle(handle).map(MapFunc::IsNullMask);
-        session.submit(&second).unwrap();
-        let out = session.collect(&second).unwrap();
+        session.submit(&second, &PlanKey::of(&second)).unwrap();
+        let out = session.collect(&second, &PlanKey::of(&second)).unwrap();
         assert_eq!(out.shape(), (40, 2));
         assert_eq!(out.cell(0, 0).unwrap(), &cell(false));
         assert_eq!(session.stats().executions, 2);
@@ -795,11 +702,9 @@ mod tests {
     fn head_uses_prefix_execution_when_nothing_is_cached() {
         let session = QuerySession::new(engine(), EvalMode::Lazy);
         let expr = AlgebraExpr::literal(frame(100)).map(MapFunc::IsNullMask);
-        let head = session.head(&expr, 5).unwrap();
+        let head = session.head(&expr, &PlanKey::of(&expr), 5).unwrap();
         assert_eq!(head.shape(), (5, 2));
-        let tail = session
-            .tail_keyed(&expr, &expr.fingerprint(), None, 3)
-            .unwrap();
+        let tail = session.tail(&expr, &PlanKey::of(&expr), 3).unwrap();
         assert_eq!(tail.shape(), (3, 2));
         assert_eq!(tail.cell(2, 0).unwrap(), &cell(false));
     }
@@ -821,11 +726,11 @@ mod tests {
             EvalMode::Opportunistic,
         );
         let expr = AlgebraExpr::literal(df).map(MapFunc::IsNullMask);
-        session.submit(&expr).unwrap();
-        let out = session.collect(&expr).unwrap();
+        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+        let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(out.shape(), (300, 2));
         let reference = QuerySession::new(engine(), EvalMode::Eager)
-            .collect(&expr)
+            .collect(&expr, &PlanKey::of(&expr))
             .unwrap();
         assert!(out.same_data(&reference));
         assert!(
@@ -849,7 +754,7 @@ mod tests {
         ));
         let session = QuerySession::new(Arc::clone(&modin) as Arc<dyn Engine>, EvalMode::Eager);
         let expr = AlgebraExpr::literal(df).map(MapFunc::IsNullMask);
-        session.submit(&expr).unwrap();
+        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
         let stats = modin.spill_stats();
         assert!(
             stats.in_memory + stats.spilled > 0,
@@ -870,7 +775,7 @@ mod tests {
 
     #[test]
     fn cache_entries_pin_literal_identities_against_address_reuse() {
-        // Fingerprints identify literals by Arc address. If the cache did not keep
+        // Keys identify literals by Arc address. If the cache did not keep
         // the keyed plan alive, this loop would routinely allocate a new literal at
         // a just-freed address and hit the previous statement's stale entry. With
         // pinning, every distinct frame executes and returns its own data.
@@ -882,50 +787,52 @@ mod tests {
             )
             .unwrap();
             let expr = AlgebraExpr::literal(df).select(Predicate::True);
-            session.submit(&expr).unwrap();
-            let out = session.collect(&expr).unwrap();
+            session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+            let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
             assert_eq!(
                 out.cell(0, 0).unwrap(),
                 &cell((i * 100) as i64),
                 "statement {i} was served a stale cached result"
             );
-            // The statement (and its literal) drop here; its cache entry must keep
-            // the fingerprinted allocation alive.
+            // The statement (and its literal) drop here; its cache entry's key must
+            // keep the literal's allocation alive.
         }
         assert_eq!(session.stats().executions, 32);
     }
 
     #[test]
-    fn ingest_keyed_caches_and_evicts_superseded_versions() {
+    fn ingest_caches_and_evicts_superseded_versions() {
         let session = QuerySession::new(engine(), EvalMode::Eager);
-        let prefix = "csv@/tmp/x?opts&";
-        let v1 = format!("{prefix}mtime=1");
+        let scan = |path: &str, state: &str| {
+            PlanKey::of(&AlgebraExpr::scan_csv(df_core::ScanCsv::new(
+                path,
+                df_core::ScanOptions::default(),
+                state,
+            )))
+        };
+        let v1 = scan("/tmp/x.csv", "mtime=1");
         let first = session
-            .ingest_keyed(&v1, Some(prefix), || {
-                Ok(FrameHandle::from_dataframe(frame(5)))
-            })
+            .ingest(&v1, || Ok(FrameHandle::from_dataframe(frame(5))))
             .unwrap();
         // Re-reading the unchanged "file" is a cache hit on the same handle.
         let again = session
-            .ingest_keyed(&v1, Some(prefix), || panic!("must serve from cache"))
+            .ingest(&v1, || panic!("must serve from cache"))
             .unwrap();
         assert_eq!(first.identity(), again.identity());
         assert_eq!(session.stats().executions, 1);
         assert_eq!(session.stats().cache_hits, 1);
         assert_eq!(session.cached_results(), 1);
         // A new version of the same statement evicts the superseded entry…
-        let v2 = format!("{prefix}mtime=2");
+        let v2 = scan("/tmp/x.csv", "mtime=2");
         session
-            .ingest_keyed(&v2, Some(prefix), || {
-                Ok(FrameHandle::from_dataframe(frame(6)))
-            })
+            .ingest(&v2, || Ok(FrameHandle::from_dataframe(frame(6))))
             .unwrap();
         assert_eq!(session.cached_results(), 1, "superseded version leaked");
         assert!(session.handle_for(&v1).is_none());
         assert!(session.handle_for(&v2).is_some());
-        // …while entries under other prefixes survive.
+        // …while entries for other files survive.
         session
-            .ingest_keyed("csv@/tmp/y?opts&mtime=1", Some("csv@/tmp/y?opts&"), || {
+            .ingest(&scan("/tmp/x.csv.bak", "mtime=1"), || {
                 Ok(FrameHandle::from_dataframe(frame(3)))
             })
             .unwrap();
@@ -938,9 +845,9 @@ mod tests {
         // Measure one result's cached footprint, then bound a session to ~2.5 of it.
         let probe = QuerySession::new(engine(), EvalMode::Eager);
         let sample = AlgebraExpr::literal(frame(40)).map(MapFunc::IsNullMask);
-        probe.submit(&sample).unwrap();
+        probe.submit(&sample, &PlanKey::of(&sample)).unwrap();
         let unit = probe
-            .handle_for(&sample.fingerprint())
+            .handle_for(&PlanKey::of(&sample))
             .unwrap()
             .approx_size_bytes();
         assert!(unit > 0);
@@ -955,21 +862,21 @@ mod tests {
             .map(|_| AlgebraExpr::literal(frame(40)).map(MapFunc::IsNullMask))
             .collect();
         for expr in &exprs {
-            session.submit(expr).unwrap();
+            session.submit(expr, &PlanKey::of(expr)).unwrap();
         }
         // Same-sized results: two fit, the two oldest were evicted.
         assert_eq!(session.cached_results(), 2);
         assert_eq!(session.stats().evictions, 2);
-        assert!(session.handle_for(&exprs[0].fingerprint()).is_none());
-        assert!(session.handle_for(&exprs[3].fingerprint()).is_some());
+        assert!(session.handle_for(&PlanKey::of(&exprs[0])).is_none());
+        assert!(session.handle_for(&PlanKey::of(&exprs[3])).is_some());
         // An evicted statement recomputes correctly on the next fetch.
-        let out = session.collect(&exprs[0]).unwrap();
+        let out = session.collect(&exprs[0], &PlanKey::of(&exprs[0])).unwrap();
         assert_eq!(out.shape(), (40, 2));
         assert_eq!(session.stats().executions, 5);
     }
 
     #[test]
-    fn shared_cache_single_flights_identical_fingerprints_across_sessions() {
+    fn shared_cache_single_flights_identical_statements_across_sessions() {
         let shared_engine = engine();
         let cache = Arc::new(crate::cache::ResultCache::new());
         let expr = Arc::new(AlgebraExpr::literal(frame(80)).map(MapFunc::IsNullMask));
@@ -986,7 +893,7 @@ mod tests {
             .collect();
         let reference = expr.as_ref().clone();
         let expected = QuerySession::new(engine(), EvalMode::Eager)
-            .collect(&reference)
+            .collect(&reference, &PlanKey::of(&reference))
             .unwrap();
         std::thread::scope(|scope| {
             for session in &sessions {
@@ -994,7 +901,7 @@ mod tests {
                 let expr = Arc::clone(&expr);
                 let expected = &expected;
                 scope.spawn(move || {
-                    let out = session.collect(&expr).unwrap();
+                    let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
                     assert!(out.same_data(expected));
                 });
             }
@@ -1002,7 +909,7 @@ mod tests {
         let total_executions: u64 = sessions.iter().map(|s| s.stats().executions).sum();
         assert_eq!(
             total_executions, 1,
-            "identical fingerprints must execute exactly once across sessions"
+            "identical statements must execute exactly once across sessions"
         );
         let stats = cache.stats();
         assert_eq!(stats.hits, 3, "the three non-producers must hit: {stats:?}");
@@ -1025,7 +932,7 @@ mod tests {
     fn cache_can_be_cleared() {
         let expr = AlgebraExpr::literal(frame(10)).select(Predicate::True);
         let cached = QuerySession::new(engine(), EvalMode::Eager);
-        cached.submit(&expr).unwrap();
+        cached.submit(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(cached.cached_results(), 1);
         cached.clear_cache();
         assert_eq!(cached.cached_results(), 0);
@@ -1049,7 +956,7 @@ mod tests {
             .to_path_buf();
         let session = QuerySession::new(modin, EvalMode::Eager);
         let expr = AlgebraExpr::literal(df).map(MapFunc::IsNullMask);
-        session.submit(&expr).unwrap();
+        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
         // Corrupt every spill file behind the cached result: appended bytes break
         // the frame's declared length, so the next load-back reports SpillCorruption.
         let mut tampered = 0;
@@ -1067,12 +974,12 @@ mod tests {
             "budgeted engine should have spilled partitions"
         );
         // collect() quarantines the poisoned entry and recomputes from the plan.
-        let out = session.collect(&expr).unwrap();
+        let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(out.shape(), (200, 2));
         assert_eq!(out.cell(0, 0).unwrap(), &cell(false));
         assert_eq!(session.stats().recoveries, 1);
         // The recomputed result is cached again and healthy.
-        session.collect(&expr).unwrap();
+        session.collect(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().recoveries, 1);
     }
 
@@ -1100,19 +1007,19 @@ mod tests {
             op: df_core::algebra::CmpOp::Lt,
             value: cell(4),
         });
-        let rendered = session.explain_keyed(&expr, &expr.fingerprint());
+        let rendered = session.explain(&expr, &PlanKey::of(&expr));
         assert!(rendered.contains("result not cached"), "{rendered}");
         assert!(
             rendered.contains("predicates pushed into scans: 1"),
             "{rendered}"
         );
         assert_eq!(session.stats().executions, 0, "explain must not execute");
-        let out = session.collect(&expr).unwrap();
+        let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
         assert_eq!(out.shape().0, 4);
         let stats = session.stats();
         assert_eq!(stats.predicates_pushed, 1, "{stats:?}");
         assert!(stats.chunks_skipped > 0, "{stats:?}");
-        let rendered = session.explain_keyed(&expr, &expr.fingerprint());
+        let rendered = session.explain(&expr, &PlanKey::of(&expr));
         assert!(rendered.contains("result cached"), "{rendered}");
         std::fs::remove_file(path).ok();
     }
@@ -1140,14 +1047,16 @@ mod tests {
                 "stale-scan",
             ))
         };
-        assert_eq!(session.head(&scan(), 3).unwrap().shape(), (3, 2));
+        let look = |scan: AlgebraExpr| session.head(&scan, &PlanKey::of(&scan), 3);
+        assert_eq!(look(scan()).unwrap().shape(), (3, 2));
         // Truncated: the cached plan's later chunks are gone.
         std::fs::write(&path, rows(12)).unwrap();
-        let err = session.collect(&scan()).unwrap_err();
+        let whole = scan();
+        let err = session.collect(&whole, &PlanKey::of(&whole)).unwrap_err();
         assert!(matches!(err, DfError::Io(_)), "truncated: {err}");
         // Grown in place: the first chunk's byte range now holds one record more.
         std::fs::write(&path, rows(40).replacen("0,0\n", ",\n,\n", 1)).unwrap();
-        let err = session.head(&scan(), 3).unwrap_err();
+        let err = look(scan()).unwrap_err();
         assert!(matches!(err, DfError::Io(_)), "grown: {err}");
         // A fresh identity sees the file as it is.
         let fresh = AlgebraExpr::scan_csv(df_core::ScanCsv::new(
@@ -1155,7 +1064,13 @@ mod tests {
             df_core::ScanOptions::default(),
             "stale-scan-refreshed",
         ));
-        assert_eq!(session.collect(&fresh).unwrap().shape(), (41, 2));
+        assert_eq!(
+            session
+                .collect(&fresh, &PlanKey::of(&fresh))
+                .unwrap()
+                .shape(),
+            (41, 2)
+        );
         std::fs::remove_file(path).ok();
     }
 
@@ -1164,10 +1079,13 @@ mod tests {
         let session = QuerySession::new(engine(), EvalMode::Lazy);
         let expr = AlgebraExpr::literal(frame(64)).map(MapFunc::IsNullMask);
         session.cancel();
-        let err = session.collect(&expr).unwrap_err();
+        let err = session.collect(&expr, &PlanKey::of(&expr)).unwrap_err();
         assert!(err.is_cancelled(), "expected a cancelled error, got {err}");
         session.reset_cancel();
-        assert_eq!(session.collect(&expr).unwrap().shape(), (64, 2));
+        assert_eq!(
+            session.collect(&expr, &PlanKey::of(&expr)).unwrap().shape(),
+            (64, 2)
+        );
     }
 
     #[test]
@@ -1179,7 +1097,7 @@ mod tests {
                 // Outlive the deadline before touching the engine, so the watchdog
                 // has deterministically fired by the time workers check the token.
                 std::thread::sleep(std::time::Duration::from_millis(100));
-                session.collect(&expr)
+                session.collect(&expr, &PlanKey::of(&expr))
             })
             .unwrap_err();
         assert!(err.is_cancelled(), "expected a timeout error, got {err}");
@@ -1187,7 +1105,7 @@ mod tests {
         // The token was reset on the way out: the session stays usable.
         let out = session
             .with_timeout(std::time::Duration::from_secs(30), || {
-                session.collect(&expr)
+                session.collect(&expr, &PlanKey::of(&expr))
             })
             .unwrap();
         assert_eq!(out.shape(), (64, 2));

@@ -15,7 +15,8 @@
 //! onto the cached [`FrameHandle`] (an `AlgebraExpr::Handle` leaf), so a chain of
 //! statements crosses each boundary as an engine-owned partitioned handle — no
 //! assembly, no re-partitioning, no re-execution of the prefix. Each frame memoises
-//! its expression fingerprint, so a statement's plan is serialised once, not once
+//! its statement's [`PlanKey`] — the typed encoding of its logical plan, the cache
+//! key whatever plan actually runs — so a statement's plan is encoded once, not once
 //! per submit/collect/inspect call.
 //!
 //! Methods deliberately mirror familiar pandas names (`fillna`, `isna`, `get_dummies`,
@@ -39,7 +40,7 @@ use df_core::{correlation, covariance};
 use df_storage::csv::{read_csv_path, read_csv_str, write_csv_path, write_csv_string, CsvOptions};
 
 use df_engine::session::EvalMode;
-use df_engine::PivotPlan;
+use df_engine::{PivotPlan, PlanKey};
 
 use crate::session::Session;
 
@@ -58,10 +59,11 @@ struct Lineage {
 pub struct PandasFrame {
     session: Arc<Session>,
     expr: AlgebraExpr,
-    /// Memoised fingerprint of `expr` — the statement's cache key. Shared across
-    /// clones so the (potentially deep) plan is serialised at most once per
-    /// statement, no matter how many times it is submitted, collected or inspected.
-    fingerprint: Arc<OnceLock<String>>,
+    /// Memoised key of the statement — `expr`'s, or for an ingest the scan leaf's it
+    /// read. Shared across clones so the (potentially deep) plan is encoded at most
+    /// once per statement, no matter how many times it is submitted, collected or
+    /// inspected.
+    key: Arc<OnceLock<PlanKey>>,
     /// Derivation record (absent for ingest literals).
     lineage: Option<Arc<Lineage>>,
 }
@@ -73,7 +75,7 @@ impl PandasFrame {
         PandasFrame {
             session,
             expr,
-            fingerprint: Arc::new(OnceLock::new()),
+            key: Arc::new(OnceLock::new()),
             lineage: None,
         }
     }
@@ -93,10 +95,7 @@ impl PandasFrame {
     /// Wrap an existing dataframe value, propagating any submit-time error.
     pub fn try_from_dataframe(session: &Arc<Session>, df: DataFrame) -> DfResult<PandasFrame> {
         let frame = PandasFrame::from_expr(Arc::clone(session), AlgebraExpr::literal(df));
-        frame
-            .session
-            .query()
-            .submit_keyed(&frame.expr, frame.fingerprint(), None)?;
+        frame.session.query().submit(&frame.expr, frame.key())?;
         Ok(frame)
     }
 
@@ -135,8 +134,9 @@ impl PandasFrame {
     /// partitioned [`FrameHandle`] — under a memory budget each finished band goes
     /// through the session's spill store, so a file larger than the budget ingests
     /// with peak residency within *budget + one band per worker*. The returned frame
-    /// is lazy: its statement is the handle itself, and the session caches it keyed
-    /// by `path + options + file identity (mtime, length, inode/ctime on Unix)`, so
+    /// is lazy: its statement is the handle itself, and the session caches it under
+    /// the key of the `SCAN_CSV` leaf it read — `path + options + file identity
+    /// (mtime, length, inode/ctime on Unix)`, the key a lazy session's frame has — so
     /// re-reading an unchanged file is a cache hit, derived statements rebase onto
     /// the scan result without re-reading, and a regenerated file both invalidates
     /// the key and evicts the superseded version's entry. Non-MODIN sessions fall
@@ -169,71 +169,31 @@ impl PandasFrame {
     ) -> DfResult<PandasFrame> {
         let path = path.as_ref();
         if let Some(engine) = session.modin_engine() {
-            let (prefix, key) = csv_statement_key(path, options)?;
+            let scan = AlgebraExpr::scan_csv(scan_leaf(path, options)?);
             if session.mode() == EvalMode::Lazy {
                 // A lazy MODIN session keeps the read *symbolic*: the statement is a
                 // SCAN_CSV algebra leaf, so by the time a materialisation point runs
                 // the whole pipeline, the optimizer can fold later SELECTIONs and
                 // PROJECTIONs into the scan — skipping chunks via min/max statistics
-                // and parsing only the referenced columns. The cache key still
-                // carries the file identity, so an unchanged file re-read serves the
-                // cached partitioned result.
-                return Ok(PandasFrame::from_scan(session, path, options, key));
+                // and parsing only the referenced columns. The leaf carries the file
+                // identity, so an unchanged file re-read serves the cached result.
+                let frame = PandasFrame::from_expr(Arc::clone(session), scan);
+                frame.session.query().note_statement();
+                return Ok(frame);
             }
             let engine = Arc::clone(engine);
-            let handle = session.query().ingest_keyed(&key, Some(&prefix), || {
-                engine.read_csv_handle(path, options)
-            })?;
-            return Ok(PandasFrame::from_ingest(session, handle, key));
+            let key = PlanKey::of(&scan);
+            let handle = session
+                .query()
+                .ingest(&key, || engine.read_csv_handle(path, options))?;
+            return Ok(PandasFrame {
+                session: Arc::clone(session),
+                expr: AlgebraExpr::handle(handle),
+                key: Arc::new(OnceLock::from(key)),
+                lineage: None,
+            });
         }
         PandasFrame::try_from_dataframe(session, read_csv_path(path, options)?)
-    }
-
-    /// A frame whose statement is a deferred [`df_core::ScanCsv`] leaf (lazy
-    /// MODIN sessions): nothing is read until a materialisation point, and the
-    /// optimizer may push predicates/projections into the leaf first.
-    fn from_scan(
-        session: &Arc<Session>,
-        path: &std::path::Path,
-        options: &CsvOptions,
-        key: String,
-    ) -> PandasFrame {
-        let scan = df_core::ScanCsv::new(
-            path,
-            df_core::ScanOptions {
-                delimiter: options.delimiter,
-                has_header: options.has_header,
-                infer_schema: options.infer_schema,
-            },
-            key.clone(),
-        );
-        let fingerprint = OnceLock::new();
-        fingerprint
-            .set(key)
-            .expect("fresh OnceLock cannot be initialised");
-        let frame = PandasFrame {
-            session: Arc::clone(session),
-            expr: AlgebraExpr::scan_csv(scan),
-            fingerprint: Arc::new(fingerprint),
-            lineage: None,
-        };
-        frame.session.query().note_statement();
-        frame
-    }
-
-    /// A frame whose statement *is* an engine-owned ingest handle, keyed in the
-    /// session cache by file identity rather than by a plan fingerprint.
-    fn from_ingest(session: &Arc<Session>, handle: FrameHandle, key: String) -> PandasFrame {
-        let fingerprint = OnceLock::new();
-        fingerprint
-            .set(key)
-            .expect("fresh OnceLock cannot be initialised");
-        PandasFrame {
-            session: Arc::clone(session),
-            expr: AlgebraExpr::handle(handle),
-            fingerprint: Arc::new(fingerprint),
-            lineage: None,
-        }
     }
 
     /// The best execution plan for this statement *right now*: its own cached
@@ -243,7 +203,7 @@ impl PandasFrame {
     /// of its subtree). With no handles anywhere this reconstructs the full logical
     /// pipeline, so lazy chains stay one single plan.
     fn exec_plan(&self) -> AlgebraExpr {
-        if let Some(handle) = self.session.query().handle_for(self.fingerprint()) {
+        if let Some(handle) = self.session.query().handle_for(self.key()) {
             return AlgebraExpr::handle(handle);
         }
         match &self.lineage {
@@ -257,7 +217,7 @@ impl PandasFrame {
 
     /// Derive a new statement by applying `build` to this frame. The *logical*
     /// expression always extends this frame's full DAG (so `expr()` shows the whole
-    /// pipeline and re-derivations fingerprint identically); execution rebases onto
+    /// pipeline and re-derivations key identically); execution rebases onto
     /// cached handles via [`PandasFrame::exec_plan`]. Submit-time errors are
     /// recorded on the session and resurface at the next materialisation point.
     fn derive(&self, build: impl Fn(AlgebraExpr) -> AlgebraExpr + Send + Sync + 'static) -> Self {
@@ -296,7 +256,7 @@ impl PandasFrame {
     fn submit_current_plan(&self) {
         if self.session.mode() == EvalMode::Lazy {
             // A lazy submit records nothing but the statement itself — skip building
-            // (and fingerprinting) an execution plan the scheduler would discard.
+            // (and keying) an execution plan the scheduler would discard.
             self.session.query().note_statement();
             return;
         }
@@ -305,11 +265,7 @@ impl PandasFrame {
     }
 
     fn submit_plan(&self, plan: &AlgebraExpr) {
-        if let Err(err) =
-            self.session
-                .query()
-                .submit_keyed(plan, self.fingerprint(), Some(&self.expr))
-        {
+        if let Err(err) = self.session.query().submit(plan, self.key()) {
             self.session.query().record_submit_error(err);
         }
     }
@@ -322,9 +278,8 @@ impl PandasFrame {
         &self.expr
     }
 
-    /// The memoised fingerprint of this frame's expression (its cache key).
-    pub fn fingerprint(&self) -> &str {
-        self.fingerprint.get_or_init(|| self.expr.fingerprint())
+    fn key(&self) -> &PlanKey {
+        self.key.get_or_init(|| PlanKey::of(&self.expr))
     }
 
     /// The session this frame is bound to.
@@ -336,7 +291,7 @@ impl PandasFrame {
     /// next [`PandasFrame::exec_plan`] reconstructs the full logical pipeline
     /// instead of rebasing onto a possibly-poisoned handle somewhere up the chain.
     fn evict_lineage(&self) {
-        self.session.query().evict(self.fingerprint());
+        self.session.query().evict(self.key());
         if let Some(lineage) = &self.lineage {
             for parent in &lineage.parents {
                 parent.evict_lineage();
@@ -371,20 +326,12 @@ impl PandasFrame {
     /// session has not already. The handle stays partitioned (and spill-backed under
     /// a memory budget) until a materialisation point consumes it.
     pub fn handle(&self) -> DfResult<FrameHandle> {
-        self.with_lineage_recovery(|plan| {
-            self.session
-                .query()
-                .handle_keyed(plan, self.fingerprint(), Some(&self.expr))
-        })
+        self.with_lineage_recovery(|plan| self.session.query().handle(plan, self.key()))
     }
 
     /// Materialisation point: the full result as a dataframe.
     pub fn collect(&self) -> DfResult<DataFrame> {
-        self.with_lineage_recovery(|plan| {
-            self.session
-                .query()
-                .collect_keyed(plan, self.fingerprint(), Some(&self.expr))
-        })
+        self.with_lineage_recovery(|plan| self.session.query().collect(plan, self.key()))
     }
 
     /// `(rows, columns)` of the result — from handle metadata when the statement
@@ -395,20 +342,12 @@ impl PandasFrame {
 
     /// The first `k` rows, using the engine's prefix-prioritised path (§6.1.2).
     pub fn head(&self, k: usize) -> DfResult<DataFrame> {
-        self.with_lineage_recovery(|plan| {
-            self.session
-                .query()
-                .head_keyed(plan, self.fingerprint(), Some(&self.expr), k)
-        })
+        self.with_lineage_recovery(|plan| self.session.query().head(plan, self.key(), k))
     }
 
     /// The last `k` rows.
     pub fn tail(&self, k: usize) -> DfResult<DataFrame> {
-        self.with_lineage_recovery(|plan| {
-            self.session
-                .query()
-                .tail_keyed(plan, self.fingerprint(), Some(&self.expr), k)
-        })
+        self.with_lineage_recovery(|plan| self.session.query().tail(plan, self.key(), k))
     }
 
     /// The tabular view (prefix and suffix) the paper's Figure 1 shows after each step.
@@ -426,6 +365,7 @@ impl PandasFrame {
     /// use df_pandas::{PandasFrame, Session};
     /// use df_engine::engine::ModinConfig;
     /// use df_engine::session::EvalMode;
+    /// use df_engine::PlanKey;
     /// use df_storage::csv::CsvOptions;
     ///
     /// let dir = std::env::temp_dir().join(format!("df_explain_doc_{}", std::process::id()));
@@ -459,7 +399,7 @@ impl PandasFrame {
     /// let first_look_plan = trips.expr().clone().limit(10, false);
     /// let first_look = session
     ///     .query()
-    ///     .explain_keyed(&first_look_plan, &first_look_plan.fingerprint());
+    ///     .explain(&first_look_plan, &PlanKey::of(&first_look_plan));
     /// assert!(first_look.contains(
     ///     "SCAN_CSV trips.csv limit⇩[first 10] (1/4 chunks)  [~10 rows × 4 cols, ~127 B]"
     /// ));
@@ -476,9 +416,7 @@ impl PandasFrame {
     /// # Ok::<(), df_types::error::DfError>(())
     /// ```
     pub fn explain(&self) -> String {
-        self.session
-            .query()
-            .explain_keyed(&self.expr, self.fingerprint())
+        self.session.query().explain(&self.expr, self.key())
     }
 
     /// Column label → known domain for every column, from handle metadata only —
@@ -1088,7 +1026,7 @@ impl PandasFrame {
             .exec_plan()
             .project(ColumnSelector::ByLabels(vec![column.clone()]))
             .drop_duplicates();
-        let frame = self.session.query().collect(&expr)?;
+        let frame = self.session.query().collect(&expr, &PlanKey::of(&expr))?;
         let mut seen: Vec<CellKey> = Vec::new();
         let mut out = Vec::new();
         for cell in frame.columns()[0].cells() {
@@ -1102,13 +1040,13 @@ impl PandasFrame {
     }
 }
 
-/// The session cache key of an on-disk CSV statement, as `(prefix, key)`: the prefix
-/// is the canonical path plus the parse options (the statement's *identity-free*
-/// part, used to evict superseded versions of the same statement); the key appends
-/// the file identity — mtime nanos, byte length, and on Unix the inode and ctime,
-/// which catch replace-by-rename and same-length rewrites — so editing or replacing
-/// the file invalidates the cached scan while re-reading an unchanged file hits it.
-fn csv_statement_key(path: &std::path::Path, options: &CsvOptions) -> DfResult<(String, String)> {
+/// The scan leaf of an on-disk CSV statement: the canonical path, the parse options,
+/// and an identity naming the file's current state — mtime nanos, byte length, and on
+/// Unix the inode and ctime, which catch replace-by-rename and same-length rewrites —
+/// so editing or replacing the file gives the statement a new key while re-reading an
+/// unchanged file hits the cached one. The engine caches scan statistics by the
+/// identity alone, so it repeats the path and options.
+fn scan_leaf(path: &std::path::Path, options: &CsvOptions) -> DfResult<df_core::ScanCsv> {
     let metadata = std::fs::metadata(path)?;
     let mtime = metadata
         .modified()
@@ -1127,18 +1065,17 @@ fn csv_statement_key(path: &std::path::Path, options: &CsvOptions) -> DfResult<(
     #[cfg(not(unix))]
     let (inode, ctime) = (0u64, 0i128);
     let canonical = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
-    let prefix = format!(
-        "csv@{}?delim={}&header={}&infer={}&",
+    let identity = format!(
+        "{}|{options:?}|mtime={mtime}&len={}&ino={inode}&ctime={ctime}",
         canonical.display(),
-        options.delimiter,
-        options.has_header,
-        options.infer_schema,
-    );
-    let key = format!(
-        "{prefix}mtime={mtime}&len={}&ino={inode}&ctime={ctime}",
         metadata.len()
     );
-    Ok((prefix, key))
+    let options = df_core::ScanOptions {
+        delimiter: options.delimiter,
+        has_header: options.has_header,
+        infer_schema: options.infer_schema,
+    };
+    Ok(df_core::ScanCsv::new(canonical, options, identity))
 }
 
 /// Stream a partition grid to a CSV file band by band: the header once, then each

@@ -219,6 +219,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_engine::PlanKey;
 
     #[test]
     fn constructors_pick_the_right_engines() {
@@ -266,8 +267,14 @@ mod tests {
             ModinConfig::sequential().with_partition_size(32, 8),
             EvalMode::Eager,
         );
-        let bounded = out_of_core.query().collect(&expr).unwrap();
-        let unbounded = in_memory.query().collect(&expr).unwrap();
+        let bounded = out_of_core
+            .query()
+            .collect(&expr, &PlanKey::of(&expr))
+            .unwrap();
+        let unbounded = in_memory
+            .query()
+            .collect(&expr, &PlanKey::of(&expr))
+            .unwrap();
         assert!(bounded.same_data(&unbounded));
 
         let stats = out_of_core.spill_stats().expect("modin session has stats");

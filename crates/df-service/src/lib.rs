@@ -17,8 +17,8 @@
 //!   draining is [`df_types::error::DfError::Admission`], a queue-wait timeout is
 //!   [`df_types::error::DfError::Cancelled`].
 //! * **A shared, single-flight result cache**
-//!   ([`df_engine::ResultCache`]): identical statements — same plan
-//!   fingerprint — from *different* tenants execute once; the second tenant
+//!   ([`df_engine::ResultCache`]): identical statements — same
+//!   [`df_engine::PlanKey`] — from *different* tenants execute once; the second tenant
 //!   blocks on the first's in-flight production and is served the published
 //!   handle as a shared hit. Entries are byte-budgeted with LRU eviction, and
 //!   every hit/production is attributed per tenant.
@@ -32,6 +32,7 @@
 //! use df_core::algebra::{Aggregation, AlgebraExpr};
 //! use df_core::dataframe::DataFrame;
 //! use df_engine::engine::ModinConfig;
+//! use df_engine::PlanKey;
 //! use df_service::{QueryService, ServiceConfig};
 //! use df_types::cell::cell;
 //! use std::time::Duration;
@@ -44,7 +45,7 @@
 //! let alpha = service.tenant("alpha");
 //! let beta = service.tenant("beta");
 //!
-//! // The same statement (same plan fingerprint) from two tenants…
+//! // The same statement (same plan key) from two tenants…
 //! let frame = DataFrame::from_columns(
 //!     vec!["k", "v"],
 //!     vec![vec![cell(1), cell(1), cell(2)], vec![cell(10), cell(20), cell(30)]],
@@ -54,8 +55,9 @@
 //!     vec![Aggregation::count_rows()],
 //!     false,
 //! );
-//! let first = alpha.query().collect(&expr)?;
-//! let second = beta.query().collect(&expr)?;
+//! let key = PlanKey::of(&expr);
+//! let first = alpha.query().collect(&expr, &key)?;
+//! let second = beta.query().collect(&expr, &key)?;
 //! assert!(first.same_data(&second));
 //!
 //! // …executed once: beta was served alpha's result as a shared cache hit.

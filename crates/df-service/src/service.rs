@@ -287,6 +287,7 @@ mod tests {
     use super::*;
     use df_core::algebra::{Aggregation, AlgebraExpr};
     use df_core::dataframe::DataFrame;
+    use df_engine::PlanKey;
     use df_types::cell::{cell, Cell};
 
     fn service(config: ServiceConfig) -> Arc<QueryService> {
@@ -313,8 +314,14 @@ mod tests {
         let alpha = service.tenant("alpha");
         let beta = service.tenant("beta");
         let expr = group_expr(64);
-        let first = alpha.query().collect(&expr).expect("alpha collects");
-        let second = beta.query().collect(&expr).expect("beta collects");
+        let first = alpha
+            .query()
+            .collect(&expr, &PlanKey::of(&expr))
+            .expect("alpha collects");
+        let second = beta
+            .query()
+            .collect(&expr, &PlanKey::of(&expr))
+            .expect("beta collects");
         assert!(first.same_data(&second));
         let stats = service.stats();
         let executions: u64 = stats.tenants.iter().map(|(_, s)| s.executions).sum();
@@ -350,7 +357,10 @@ mod tests {
         .expect("service starts");
         let tenant = service.tenant("solo");
         let expr = group_expr(48);
-        let result = tenant.query().collect(&expr).expect("collects");
+        let result = tenant
+            .query()
+            .collect(&expr, &PlanKey::of(&expr))
+            .expect("collects");
         assert_eq!(result.shape().0, 5);
     }
 
@@ -361,7 +371,10 @@ mod tests {
         // nothing is retained for the tenant.
         let thrifty = service.tenant_with_quota("thrifty", Some(1));
         let expr = group_expr(64);
-        let err = thrifty.query().collect(&expr).unwrap_err();
+        let err = thrifty
+            .query()
+            .collect(&expr, &PlanKey::of(&expr))
+            .unwrap_err();
         assert!(
             matches!(err, df_types::error::DfError::ResourceExhausted(_)),
             "{err}"
@@ -377,7 +390,8 @@ mod tests {
         assert_eq!(retained, 0);
         // Another tenant is untouched by the neighbour's quota trouble.
         let roomy = service.tenant("roomy");
-        assert!(roomy.query().collect(&group_expr(64)).is_ok());
+        let expr = group_expr(64);
+        assert!(roomy.query().collect(&expr, &PlanKey::of(&expr)).is_ok());
     }
 
     #[test]
@@ -386,7 +400,11 @@ mod tests {
         service.tenant_with_quota("thrifty", Some(1));
         // A second connection from the same tenant must not lift the cap.
         let again = service.tenant("thrifty");
-        let err = again.query().collect(&group_expr(64)).unwrap_err();
+        let expr = group_expr(64);
+        let err = again
+            .query()
+            .collect(&expr, &PlanKey::of(&expr))
+            .unwrap_err();
         assert!(
             matches!(err, df_types::error::DfError::ResourceExhausted(_)),
             "{err}"
@@ -400,14 +418,18 @@ mod tests {
         let expr = group_expr(64);
         tenant
             .query()
-            .collect(&expr)
+            .collect(&expr, &PlanKey::of(&expr))
             .expect("collect before shutdown");
         let report = service.shutdown(Duration::from_secs(5));
         assert!(report.drained_cleanly && report.idle && !report.cancelled_stragglers);
         assert!(service.is_draining());
         // The shared cache was cleared, and new statements are refused typed.
         assert_eq!(service.stats().cache.expect("cache").entries, 0);
-        let err = tenant.query().collect(&group_expr(32)).unwrap_err();
+        let late = group_expr(32);
+        let err = tenant
+            .query()
+            .collect(&late, &PlanKey::of(&late))
+            .unwrap_err();
         assert!(err.is_admission(), "{err}");
     }
 }

@@ -6,7 +6,7 @@
 //!   a four-statement chained pipeline (filter → join → groupby → sort typed as
 //!   separate `PandasFrame` statements), asserting the `SessionStats` counters each
 //!   mode promises (lazy executes once at the materialisation point; re-submitted
-//!   fingerprints hit the cache) and cell-for-cell equality with the reference
+//!   plan keys hit the cache) and cell-for-cell equality with the reference
 //!   engine.
 //! * **Out-of-core handle boundaries** — the PR's acceptance criterion: the same
 //!   chained pipeline at `memory_budget_bytes = ws/4` runs with every intermediate
@@ -18,19 +18,25 @@
 //! background run claims its statement's slot in the (possibly shared) result cache,
 //! so it executes once however many sessions ask, its finished result is a budgeted
 //! cache entry, and a failed run is retried rather than replayed.
+//!
+//! A fourth pins what the cache key promises: plans that differ only in a value's
+//! type, a closure or a category list are different statements, a cache entry keeps
+//! no ancestor alive, and a lazy scan frame is found under its expression's key.
 
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
 use df_baseline::BaselineEngine;
-use df_core::algebra::{AggFunc, Aggregation, AlgebraExpr, JoinType, SortSpec};
+use df_core::algebra::{AggFunc, Aggregation, AlgebraExpr, JoinType, MapFunc, SortSpec};
 use df_core::dataframe::DataFrame;
 use df_core::engine::Engine;
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_engine::session::{EvalMode, QuerySession, StatementGate};
-use df_engine::ResultCache;
+use df_engine::{PlanKey, ResultCache};
 use df_pandas::{PandasFrame, Session};
+use df_service::{QueryService, ServiceConfig};
+use df_storage::csv::CsvOptions;
 use df_types::cell::{cell, Cell};
 use df_types::error::DfResult;
 
@@ -143,7 +149,7 @@ fn eager_mode_hits_the_cache_on_resubmitted_fingerprints() {
         assert_eq!(executions_after_chain, 6, "{kind:?}");
         let hits_before = session.stats().cache_hits;
         // Re-deriving the same statement from the same parents produces the same
-        // logical fingerprint: the session serves it from the cache.
+        // logical plan key: the session serves it from the cache.
         let rejoined = filtered.merge_on(&side, &["k"], JoinType::Inner);
         assert_eq!(
             session.stats().executions,
@@ -290,7 +296,7 @@ fn opportunistic_runs_single_flight_across_sessions_sharing_a_cache() {
     let expr = sort_statement(200);
     let reference = sort_engine();
     let expected = QuerySession::new(Arc::clone(&reference) as Arc<dyn Engine>, EvalMode::Lazy)
-        .collect(&expr)
+        .collect(&expr, &PlanKey::of(&expr))
         .unwrap();
     let one_execution = reference.shuffles_dispatched();
     assert!(one_execution > 0, "a SORT over 13 bands must shuffle");
@@ -300,11 +306,14 @@ fn opportunistic_runs_single_flight_across_sessions_sharing_a_cache() {
     let a = tenant_session(&engine, &cache, "a", EvalMode::Opportunistic);
     let b = tenant_session(&engine, &cache, "b", EvalMode::Opportunistic);
     let lazy = tenant_session(&engine, &cache, "lazy", EvalMode::Lazy);
-    a.submit(&expr).unwrap();
-    b.submit(&expr).unwrap();
+    a.submit(&expr, &PlanKey::of(&expr)).unwrap();
+    b.submit(&expr, &PlanKey::of(&expr)).unwrap();
     // A lazy tenant collecting while the background run is in flight waits on it.
     for session in [&lazy, &a, &b] {
-        assert!(session.collect(&expr).unwrap().same_data(&expected));
+        assert!(session
+            .collect(&expr, &PlanKey::of(&expr))
+            .unwrap()
+            .same_data(&expected));
     }
     assert_eq!(
         engine.shuffles_dispatched(),
@@ -324,9 +333,9 @@ fn a_finished_background_run_is_a_budgeted_cache_entry() {
     let cache = Arc::new(ResultCache::with_budget(None));
     let submitter = tenant_session(&engine, &cache, "submitter", EvalMode::Opportunistic);
     let reader = tenant_session(&engine, &cache, "reader", EvalMode::Lazy);
-    submitter.submit(&expr).unwrap();
+    submitter.submit(&expr, &PlanKey::of(&expr)).unwrap();
     // Blocks until the background run has published (or, failing that, runs it).
-    reader.handle(&expr).unwrap();
+    reader.handle(&expr, &PlanKey::of(&expr)).unwrap();
     let stats = cache.stats();
     assert_eq!(stats.entries, 1, "{stats:?}");
     assert!(stats.bytes > 0, "{stats:?}");
@@ -339,7 +348,7 @@ fn a_finished_background_run_is_a_budgeted_cache_entry() {
         .collect();
     assert_eq!(produced_by, vec![("submitter", stats.bytes)], "{stats:?}");
     assert_eq!(reader.stats().executions, 0, "{:?}", reader.stats());
-    submitter.collect(&expr).unwrap();
+    submitter.collect(&expr, &PlanKey::of(&expr)).unwrap();
     assert_eq!(submitter.stats().executions, 1);
     assert_eq!(submitter.stats().cache_hits, 1);
 }
@@ -369,14 +378,169 @@ fn a_cancelled_background_run_is_retried_after_reset() {
         Some(Arc::new(ReleaseSignal(released))),
     );
     session.cancel();
-    session.submit(&expr).unwrap();
+    session.submit(&expr, &PlanKey::of(&expr)).unwrap();
     // The background run has failed under the fired token before the reset; the
     // collect after it must not be served that stale failure.
     ended.recv_timeout(Duration::from_secs(60)).unwrap();
     session.reset_cancel();
     let out = session
-        .collect(&expr)
+        .collect(&expr, &PlanKey::of(&expr))
         .expect("collect after reset_cancel retries the failed run");
-    let expected = Session::reference().query().collect(&expr).unwrap();
+    let expected = Session::reference()
+        .query()
+        .collect(&expr, &PlanKey::of(&expr))
+        .unwrap();
     assert!(out.same_data(&expected));
+}
+
+// ---------------------------------------------------------------------------
+// A statement is never served another statement's answer
+// ---------------------------------------------------------------------------
+
+/// `v = 0..8`, with row 1 null.
+fn holey() -> DataFrame {
+    let v: Vec<Cell> = (0..8)
+        .map(|i| if i == 1 { Cell::Null } else { cell(i as i64) })
+        .collect();
+    DataFrame::from_columns(vec!["v"], vec![v]).unwrap()
+}
+
+/// Collect `first` and then `second`, both derived from one base frame over `data`,
+/// in one eager session; `second` must equal what a fresh session computes for it
+/// alone. If the two plans shared a cache key, `second` would be served `first`'s
+/// answer.
+fn assert_second_is_its_own_answer(
+    data: DataFrame,
+    first: impl Fn(&PandasFrame) -> PandasFrame,
+    second: impl Fn(&PandasFrame) -> PandasFrame,
+) {
+    let session = modin_session(EvalMode::Eager);
+    let base = PandasFrame::from_dataframe(&session, data.clone());
+    let first_out = first(&base).collect().unwrap();
+    let second_out = second(&base).collect().unwrap();
+    let fresh = modin_session(EvalMode::Eager);
+    let expected = second(&PandasFrame::from_dataframe(&fresh, data))
+        .collect()
+        .unwrap();
+    assert!(
+        !first_out.same_data(&expected),
+        "the two statements must have different answers for this test to mean anything"
+    );
+    assert!(
+        second_out.same_data(&expected),
+        "served another statement's answer:\n{second_out:?}\nexpected:\n{expected:?}"
+    );
+}
+
+#[test]
+fn fill_values_of_different_types_are_different_statements() {
+    assert_second_is_its_own_answer(holey(), |f| f.fillna(cell(0)), |f| f.fillna(cell("0")));
+}
+
+#[test]
+fn filter_constants_of_different_types_are_different_statements() {
+    // An integer constant matches every numeric spelling of 1; a string only "1".
+    let spellings = vec![cell("1"), cell("01"), cell("x")];
+    assert_second_is_its_own_answer(
+        DataFrame::from_columns(vec!["v"], vec![spellings]).unwrap(),
+        |f| f.filter_eq("v", 1).unwrap(),
+        |f| f.filter_eq("v", "1").unwrap(),
+    );
+}
+
+#[test]
+fn closures_with_one_name_are_different_statements() {
+    assert_second_is_its_own_answer(
+        holey(),
+        |f| f.transform_cells("f", |_| cell("first")),
+        |f| f.transform_cells("f", |_| cell("second")),
+    );
+}
+
+#[test]
+fn one_hot_category_lists_of_equal_length_are_different_statements() {
+    let session = modin_session(EvalMode::Eager);
+    let letters = DataFrame::from_columns(vec!["c"], vec![vec![cell("x"), cell("p")]]).unwrap();
+    let base = AlgebraExpr::literal(letters);
+    let one_hot = |categories: [&str; 2]| {
+        base.clone().map(MapFunc::OneHot {
+            column: cell("c"),
+            categories: categories.iter().map(|c| cell(*c)).collect(),
+        })
+    };
+    let (xy, pq) = (one_hot(["x", "y"]), one_hot(["p", "q"]));
+    session.query().collect(&xy, &PlanKey::of(&xy)).unwrap();
+    let out = session.query().collect(&pq, &PlanKey::of(&pq)).unwrap();
+    assert_eq!(out.col_labels().as_slice(), &[cell("c_p"), cell("c_q")]);
+}
+
+#[test]
+fn tenants_sharing_a_cache_are_never_served_each_others_answers() {
+    let service = QueryService::start(
+        ServiceConfig::default().with_engine(ModinConfig::sequential().with_partition_size(4, 8)),
+    )
+    .unwrap();
+    let base = AlgebraExpr::literal(holey());
+    let zeros = base.clone().map(MapFunc::FillNull(cell(0)));
+    let texts = base.map(MapFunc::FillNull(cell("0")));
+    let alpha = service.tenant("alpha");
+    let beta = service.tenant("beta");
+    let filled = alpha.query().collect(&zeros, &PlanKey::of(&zeros)).unwrap();
+    assert_eq!(filled.cell(1, 0).unwrap(), &cell(0));
+    let filled = beta.query().collect(&texts, &PlanKey::of(&texts)).unwrap();
+    assert_eq!(filled.cell(1, 0).unwrap(), &cell("0"));
+    // The same statement from the other tenant is still a shared hit.
+    beta.query().collect(&zeros, &PlanKey::of(&zeros)).unwrap();
+    let stats = service.stats();
+    let executions: u64 = stats.tenants.iter().map(|(_, s)| s.executions).sum();
+    assert_eq!(executions, 2, "{stats:?}");
+}
+
+#[test]
+fn evicting_an_ancestor_frees_its_partitions_while_a_derived_statement_stays_cached() {
+    let data = facts(512);
+    let budget = data.approx_size_bytes() / 4;
+    let session = Session::modin_with(
+        ModinConfig::sequential()
+            .with_partition_size(8, 8)
+            .with_memory_budget(budget),
+        EvalMode::Eager,
+    );
+    let engine = Arc::clone(session.modin_engine().unwrap());
+    let partitions = || {
+        let stats = engine.spill_stats();
+        stats.in_memory + stats.spilled
+    };
+    let a = PandasFrame::from_dataframe(&session, data);
+    let a_partitions = partitions();
+    let b = a.filter_gt("v", 10.0).unwrap();
+    let b_partitions = partitions() - a_partitions;
+    assert!(a_partitions > 0 && b_partitions > 0);
+    session.query().evict(&PlanKey::of(a.expr()));
+    assert_eq!(
+        partitions(),
+        b_partitions,
+        "the evicted ancestor's {a_partitions} partitions must be freed"
+    );
+    // `b` is still cached: fetching it executes nothing.
+    let executions = session.stats().executions;
+    b.collect().unwrap();
+    assert_eq!(session.stats().executions, executions);
+}
+
+#[test]
+fn a_lazy_scan_frame_and_its_expression_share_one_key() {
+    let path = std::env::temp_dir().join(format!("lazy_scan_key_{}.csv", std::process::id()));
+    std::fs::write(&path, "k,v\na,1\nb,2\nc,3\n").unwrap();
+    let session = modin_session(EvalMode::Lazy);
+    let frame = PandasFrame::read_csv_path(&session, &path, &CsvOptions::default()).unwrap();
+    let collected = frame.collect().unwrap();
+    assert_eq!(session.stats().executions, 1);
+    let again = session
+        .query()
+        .collect(frame.expr(), &PlanKey::of(frame.expr()))
+        .unwrap();
+    assert!(again.same_data(&collected));
+    assert_eq!(session.stats().executions, 1, "{:?}", session.stats());
+    std::fs::remove_file(path).ok();
 }

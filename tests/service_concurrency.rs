@@ -4,7 +4,7 @@
 //! **one** shared engine and spill budget get exactly the answers a serial
 //! single-tenant run produces — cell for cell — while the service guarantees:
 //!
-//! * **single-flight deduplication** — identical fingerprints from different
+//! * **single-flight deduplication** — identical plan keys from different
 //!   tenants execute once, everyone else is served the published handle;
 //! * **admission control** — never more than `max_concurrent` statements on the
 //!   engine, bounded queue, typed refusals;
@@ -26,6 +26,7 @@ use df_core::algebra::{AggFunc, Aggregation, AlgebraExpr, SortSpec};
 use df_core::dataframe::DataFrame;
 use df_engine::engine::ModinConfig;
 use df_engine::session::EvalMode;
+use df_engine::PlanKey;
 use df_pandas::{PandasFrame, Session};
 use df_service::{QueryService, ServiceConfig};
 use df_types::cell::{cell, Cell};
@@ -78,7 +79,7 @@ fn salted_frame(rows: usize, salt: i64) -> DataFrame {
 }
 
 /// The shared statement mix every tenant runs: all four expressions read the
-/// *same* literal leaf (`Arc` identity), so their fingerprints are identical
+/// *same* literal leaf (`Arc` identity), so their plan keys are identical
 /// across tenants and the shared cache can deduplicate them service-wide.
 fn shared_statements(base: &Arc<DataFrame>) -> Vec<Arc<AlgebraExpr>> {
     let leaf = || AlgebraExpr::literal_arc(Arc::clone(base));
@@ -94,7 +95,7 @@ fn shared_statements(base: &Arc<DataFrame>) -> Vec<Arc<AlgebraExpr>> {
     ]
 }
 
-/// A statement only tenant `t` runs (its own literal leaf → its own fingerprint).
+/// A statement only tenant `t` runs (its own literal leaf → its own plan key).
 fn unique_statement(rows: usize, t: usize) -> Arc<AlgebraExpr> {
     Arc::new(
         AlgebraExpr::literal(salted_frame(rows, 1 + t as i64)).group_by(
@@ -125,7 +126,7 @@ fn engine_config(threads: usize, budget: Option<usize>) -> ModinConfig {
 /// The tentpole scenario: 8 tenant threads over mixed cached / uncached /
 /// spilling statements, across thread counts and memory budgets. Every result
 /// must match the serial single-tenant reference cell for cell, each unique
-/// fingerprint must execute exactly once service-wide, and the gate must never
+/// plan key must execute exactly once service-wide, and the gate must never
 /// exceed its slot count.
 #[test]
 fn eight_tenants_mixed_statements_match_serial_and_dedup() {
@@ -140,11 +141,11 @@ fn eight_tenants_mixed_statements_match_serial_and_dedup() {
     let reference = serial_reference();
     let shared_expected: Vec<Arc<DataFrame>> = shared
         .iter()
-        .map(|e| Arc::new(reference.query().collect(e).unwrap()))
+        .map(|e| Arc::new(reference.query().collect(e, &PlanKey::of(e)).unwrap()))
         .collect();
     let unique_expected: Vec<Arc<DataFrame>> = uniques
         .iter()
-        .map(|e| Arc::new(reference.query().collect(e).unwrap()))
+        .map(|e| Arc::new(reference.query().collect(e, &PlanKey::of(e)).unwrap()))
         .collect();
 
     for threads in [1usize, 4] {
@@ -172,9 +173,12 @@ fn eight_tenants_mixed_statements_match_serial_and_dedup() {
                         barrier.wait();
                         for rep in 0..REPS {
                             for (i, expr) in shared.iter().enumerate() {
-                                let out = tenant.query().collect(expr).unwrap_or_else(|e| {
-                                    panic!("tenant-{t} rep {rep} shared {i}: {e}")
-                                });
+                                let out = tenant
+                                    .query()
+                                    .collect(expr, &PlanKey::of(expr))
+                                    .unwrap_or_else(|e| {
+                                        panic!("tenant-{t} rep {rep} shared {i}: {e}")
+                                    });
                                 assert!(
                                     out.same_data(&shared_expected[i]),
                                     "tenant-{t} rep {rep}: shared statement {i} diverged"
@@ -183,7 +187,7 @@ fn eight_tenants_mixed_statements_match_serial_and_dedup() {
                         }
                         let out = tenant
                             .query()
-                            .collect(&unique)
+                            .collect(&unique, &PlanKey::of(&unique))
                             .unwrap_or_else(|e| panic!("tenant-{t} unique: {e}"));
                         assert!(
                             out.same_data(&unique_expected),
@@ -198,10 +202,10 @@ fn eight_tenants_mixed_statements_match_serial_and_dedup() {
 
             let stats = service.stats();
             let executions: u64 = stats.tenants.iter().map(|(_, s)| s.executions).sum();
-            let unique_fingerprints = (shared.len() + TENANTS) as u64;
+            let unique_keys = (shared.len() + TENANTS) as u64;
             assert_eq!(
-                executions, unique_fingerprints,
-                "threads={threads} budgeted={budgeted}: every unique fingerprint must \
+                executions, unique_keys,
+                "threads={threads} budgeted={budgeted}: every unique plan key must \
                  execute exactly once: {stats:?}"
             );
             let cache = stats.cache.expect("shared cache");
@@ -234,7 +238,7 @@ fn eight_tenants_mixed_statements_match_serial_and_dedup() {
     }
 }
 
-/// The headline acceptance criterion: 8 tenants racing the *same* fingerprint
+/// The headline acceptance criterion: 8 tenants racing the *same* plan key
 /// cause exactly one engine execution — one gate admission, seven cache hits.
 #[test]
 fn same_fingerprint_from_eight_tenants_executes_once() {
@@ -245,7 +249,12 @@ fn same_fingerprint_from_eight_tenants_executes_once() {
         vec![Aggregation::of("v", AggFunc::Max)],
         false,
     ));
-    let expected = Arc::new(serial_reference().query().collect(&expr).unwrap());
+    let expected = Arc::new(
+        serial_reference()
+            .query()
+            .collect(&expr, &PlanKey::of(&expr))
+            .unwrap(),
+    );
 
     let service = QueryService::start(
         ServiceConfig::default()
@@ -264,7 +273,10 @@ fn same_fingerprint_from_eight_tenants_executes_once() {
             std::thread::spawn(move || {
                 let tenant = service.tenant(&format!("tenant-{t}"));
                 barrier.wait();
-                let out = tenant.query().collect(&expr).expect("collect succeeds");
+                let out = tenant
+                    .query()
+                    .collect(&expr, &PlanKey::of(&expr))
+                    .expect("collect succeeds");
                 assert!(out.same_data(&expected), "tenant-{t} diverged");
             })
         })
@@ -294,7 +306,12 @@ fn quota_violations_are_typed_and_never_disturb_neighbours() {
         vec![Aggregation::count_rows()],
         false,
     ));
-    let expected = Arc::new(serial_reference().query().collect(&shared).unwrap());
+    let expected = Arc::new(
+        serial_reference()
+            .query()
+            .collect(&shared, &PlanKey::of(&shared))
+            .unwrap(),
+    );
 
     let service = QueryService::start(ServiceConfig::default().with_engine(engine_config(2, None)))
         .expect("service starts");
@@ -302,22 +319,26 @@ fn quota_violations_are_typed_and_never_disturb_neighbours() {
     let normal = service.tenant("normal");
 
     // The greedy tenant cannot *produce*: no result fits a 1-byte quota.
+    let unique = unique_statement(160, 99);
     let err = greedy
         .query()
-        .collect(&unique_statement(160, 99))
+        .collect(&unique, &PlanKey::of(&unique))
         .unwrap_err();
     assert!(matches!(err, DfError::ResourceExhausted(_)), "{err}");
 
     // Its neighbour is untouched — produces and caches the shared statement.
     let out = normal
         .query()
-        .collect(&shared)
+        .collect(&shared, &PlanKey::of(&shared))
         .expect("neighbour unaffected");
     assert!(out.same_data(&expected));
 
     // And the greedy tenant can still *read* what others produced (a hit
     // retains nothing, so no quota applies).
-    let out = greedy.query().collect(&shared).expect("hits bypass quota");
+    let out = greedy
+        .query()
+        .collect(&shared, &PlanKey::of(&shared))
+        .expect("hits bypass quota");
     assert!(out.same_data(&expected));
 
     let cache = service.stats().cache.expect("shared cache");
@@ -351,13 +372,13 @@ fn shutdown_drains_in_flight_work_and_refuses_late_arrivals() {
             std::thread::spawn(move || {
                 let tenant = service.tenant(&format!("tenant-{t}"));
                 let mut completed = 0u64;
-                // Every iteration builds a fresh frame → fresh fingerprint →
+                // Every iteration builds a fresh frame → fresh plan key →
                 // a real execution, until the drain refuses us.
                 for round in 0..10_000u64 {
                     let expr =
                         AlgebraExpr::literal(salted_frame(96, (t as i64) * 100_000 + round as i64))
                             .drop_duplicates();
-                    match tenant.query().collect(&expr) {
+                    match tenant.query().collect(&expr, &PlanKey::of(&expr)) {
                         Ok(out) => {
                             assert_eq!(out.n_rows(), 96, "tenant-{t} round {round}");
                             completed += 1;
@@ -388,10 +409,11 @@ fn shutdown_drains_in_flight_work_and_refuses_late_arrivals() {
         .sum();
     assert!(completed > 0, "nobody finished anything before the drain");
     assert!(service.is_draining());
+    let late = unique_statement(32, 7);
     let err = service
         .tenant("latecomer")
         .query()
-        .collect(&unique_statement(32, 7))
+        .collect(&late, &PlanKey::of(&late))
         .unwrap_err();
     assert!(err.is_admission(), "{err}");
 }
@@ -409,9 +431,17 @@ fn shutdown_releases_finished_background_results() {
     .expect("service starts");
     let expr =
         AlgebraExpr::literal(salted_frame(400, 0)).sort(SortSpec::ascending(vec![cell("v")]));
-    service.tenant("submitter").query().submit(&expr).unwrap();
+    service
+        .tenant("submitter")
+        .query()
+        .submit(&expr, &PlanKey::of(&expr))
+        .unwrap();
     // Blocks until the background run has published its result.
-    service.tenant("reader").query().handle(&expr).unwrap();
+    service
+        .tenant("reader")
+        .query()
+        .handle(&expr, &PlanKey::of(&expr))
+        .unwrap();
     let report = service.shutdown(Duration::from_secs(30));
     assert!(report.idle, "{report:?}");
     let stats = service.spill_stats();

@@ -18,17 +18,17 @@ const FILE_LINES: [(&str, usize); 5] = [
     ("crates/df-engine/src/engine.rs", 806),
     ("crates/df-engine/src/shuffle.rs", 864),
     ("crates/df-storage/src/spill.rs", 831),
-    ("crates/df-engine/src/session.rs", 412),
-    ("crates/df-engine/src/cache.rs", 381),
+    ("crates/df-engine/src/session.rs", 347),
+    ("crates/df-engine/src/cache.rs", 375),
 ];
 
 /// `(crate, pub mod, pub items)`.
 const CRATE_SURFACE: [(&str, usize, usize); 9] = [
     ("df-baseline", 0, 5),
     ("df-bench", 0, 10),
-    ("df-core", 11, 176),
-    ("df-engine", 6, 118),
-    ("df-pandas", 0, 96),
+    ("df-core", 11, 174),
+    ("df-engine", 6, 116),
+    ("df-pandas", 0, 95),
     ("df-service", 0, 26),
     ("df-storage", 3, 65),
     ("df-types", 6, 113),

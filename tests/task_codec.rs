@@ -9,6 +9,10 @@
 //!   input, returns frames or a typed error — never a panic.
 //! * **Error records**: `DfError::decode_wire` turns any string into an error that
 //!   then round-trips unchanged.
+//! * **Plan keys**: the same value encoders write `PlanKey`, the result cache's
+//!   key. Plans that differ only in one cell's type or bits (`1`, `1.0` and `"1"`;
+//!   `0.0` and `-0.0`; two NaN payloads) get different keys, and a plan rebuilt from
+//!   the same leaves gets an equal one.
 //!
 //! A failing case prints the descriptor bytes as hex, so it replays with
 //! `BandTask::decode(&hex_bytes)`.
@@ -18,10 +22,14 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use df_core::algebra::{AggFunc, Aggregation, CmpOp, ColumnSelector, MapFunc, Predicate, SortSpec};
+use df_core::algebra::{
+    AggFunc, Aggregation, AlgebraExpr, CmpOp, ColumnSelector, MapFunc, Predicate, SortSpec,
+};
 use df_core::dataframe::DataFrame;
+use df_core::{ScanCsv, ScanOptions};
 use df_engine::backend::BandTask;
 use df_engine::shuffle::ShuffleKey;
+use df_engine::PlanKey;
 use df_storage::csv::{CsvChunk, CsvOptions};
 use df_types::cell::{cell, Cell};
 use df_types::domain::Domain;
@@ -300,5 +308,78 @@ proptest! {
         let raw = format!("{}{}", &records[tag][..tag_end], String::from_utf8_lossy(&tail));
         let decoded = DfError::decode_wire(&raw);
         prop_assert_eq!(DfError::decode_wire(&decoded.encode_wire()), decoded);
+    }
+}
+
+/// Cells that print alike but differ in type or bits: a plan key must tell every
+/// pair apart.
+fn look_alikes() -> Vec<Cell> {
+    vec![
+        Cell::Int(1),
+        Cell::Float(1.0),
+        Cell::Str("1".into()),
+        Cell::Bool(true),
+        Cell::Str("true".into()),
+        Cell::Int(0),
+        Cell::Float(0.0),
+        Cell::Float(-0.0),
+        Cell::Str("0".into()),
+        Cell::Float(f64::NAN),
+        Cell::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+        Cell::Str("NaN".into()),
+        Cell::Null,
+        Cell::Str(String::new()),
+        Cell::List(vec![Cell::Int(1)]),
+        Cell::List(vec![Cell::Str("1".into())]),
+    ]
+}
+
+/// A plan over `base` that carries `value` in the place `place` names: a predicate
+/// constant, a fill value, a rename target, a group key, a sort column, a one-hot
+/// category, a projected label, a new label column, or a predicate pushed into a
+/// scan leaf.
+fn plan_carrying(base: &AlgebraExpr, place: usize, value: Cell) -> AlgebraExpr {
+    let base = base.clone();
+    let eq = |value| Predicate::ColCmp {
+        column: cell("a"),
+        op: CmpOp::Eq,
+        value,
+    };
+    match place {
+        0 => base.select(eq(value)),
+        1 => base.map(MapFunc::FillNull(value)),
+        2 => base.rename(vec![(cell("a"), value)]),
+        3 => base.group_by(vec![value], vec![Aggregation::count_rows()], false),
+        4 => base.sort(SortSpec::ascending(vec![value])),
+        5 => base.map(MapFunc::OneHot {
+            column: cell("k"),
+            categories: vec![cell("x"), value],
+        }),
+        6 => base.project(ColumnSelector::ByLabels(vec![value])),
+        7 => base.from_labels(value),
+        _ => AlgebraExpr::scan_csv(
+            ScanCsv::new("t.csv", ScanOptions::default(), "t.csv@1").with_predicate(eq(value)),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn plans_differing_in_one_cells_type_or_bits_get_different_keys(
+        place in 0usize..9,
+        i in 0usize..16,
+        j in 0usize..16,
+    ) {
+        let base = AlgebraExpr::literal(band());
+        let cells = look_alikes();
+        let left = PlanKey::of(&plan_carrying(&base, place, cells[i].clone()));
+        // Rebuilt from the same leaves: equal exactly when the cell is the same one.
+        let right = PlanKey::of(&plan_carrying(&base, place, cells[j].clone()));
+        prop_assert!(
+            (left == right) == (i == j),
+            "place {} cells {:?} / {:?}", place, cells[i], cells[j]
+        );
     }
 }
