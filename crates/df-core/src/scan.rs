@@ -312,10 +312,10 @@ pub struct ScanCsv {
     /// end, last) `k` rows that pass the predicate, and parses only as many chunks
     /// as it takes to find them.
     pub limit: Option<(usize, bool)>,
-    /// Names one on-disk state of `path` read with `options`: plan keys write it
-    /// beside the path and pushdowns, so two scans of the same state share cache
+    /// Names one on-disk state of `path`: plan keys write it after the path and
+    /// options and before the pushdowns, so two scans of the same state share cache
     /// entries and two different states do not, and the engine caches scan
-    /// statistics by it alone.
+    /// statistics by path, options and it.
     identity: String,
     stats: Arc<OnceLock<Arc<ScanStats>>>,
 }

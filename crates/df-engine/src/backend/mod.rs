@@ -42,7 +42,7 @@ mod task;
 
 pub use proc::ProcBackend;
 pub use task::BandTask;
-pub(crate) use task::{enc_plan, enc_scan_source, one};
+pub(crate) use task::{enc_plan, enc_scan_source, enc_scan_state, one, scan_state};
 
 /// A snapshot of a backend's worker-pool health and task placement counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

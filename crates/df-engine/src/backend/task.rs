@@ -711,8 +711,7 @@ pub(crate) fn enc_plan(e: &mut ByteWriter, expr: &AlgebraExpr) {
         AlgebraExpr::Literal(df) => e.u64(Arc::as_ptr(df) as usize as u64),
         AlgebraExpr::Handle(handle) => e.u64(handle.identity() as usize as u64),
         AlgebraExpr::ScanCsv(scan) => {
-            enc_scan_source(e, scan);
-            e.str(scan.identity());
+            enc_scan_state(e, scan);
             enc_opt(e, &scan.projection, |e, columns| e.cells(columns));
             enc_opt(e, &scan.predicate, |e, p| {
                 enc_predicate(e, p);
@@ -783,6 +782,21 @@ pub(crate) fn enc_scan_source(e: &mut ByteWriter, scan: &ScanCsv) {
     // gives two paths one string.
     e.str(&format!("{:?}", scan.path));
     enc_csv_options(e, &csv_options(scan.options));
+}
+
+/// The part of a scan leaf's encoding that names one state of its file: the source,
+/// then the identity of the file's state, without the pushdowns.
+pub(crate) fn enc_scan_state(e: &mut ByteWriter, scan: &ScanCsv) {
+    enc_scan_source(e, scan);
+    e.str(scan.identity());
+}
+
+/// The bytes of [`enc_scan_state`] alone: the engine caches scan statistics by them,
+/// which every pushed-down variant of one file state shares.
+pub(crate) fn scan_state(scan: &ScanCsv) -> Vec<u8> {
+    let mut e = ByteWriter::default();
+    enc_scan_state(&mut e, scan);
+    e.finish()
 }
 
 #[cfg(test)]

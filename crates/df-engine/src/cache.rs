@@ -447,10 +447,13 @@ impl ResultCache {
         self.lock_inner().remove_ready(key);
     }
 
-    /// Drop every Ready entry whose key starts with `prefix`, except `keep` — the
-    /// ingest supersede path (same statement, regenerated file identity).
-    pub(crate) fn evict_prefix_except(&self, prefix: &[u8], keep: &PlanKey) {
-        self.evict_where(|key| key != keep && key.starts_with(prefix));
+    /// Drop every Ready scan of `newer`'s file and parse options at another file
+    /// state, pushdowns or not — the ingest supersede path. Scans of `newer`'s own
+    /// file state stay cached.
+    pub(crate) fn evict_superseded(&self, newer: &PlanKey) {
+        if let Some((source, state)) = newer.scan_prefixes() {
+            self.evict_where(|key| key.starts_with(&source) && !key.starts_with(&state));
+        }
     }
 
     /// Drop every Ready entry (in-flight markers survive to completion).

@@ -266,39 +266,39 @@ pub struct ModinEngine {
     /// Cost-based pushdown counters (chunks skipped, columns pruned, rewrites
     /// applied, join strategies taken), surfaced through [`Engine::pushdown_stats`].
     pushdown: PushdownCounters,
-    /// Per-file scan statistics, cached by scan identity so repeated statements over
-    /// the same file collect them once.
+    /// Per-file scan statistics, cached by scan state (path, parse options, file
+    /// identity) so repeated statements over the same file collect them once.
     scan_stats: Mutex<ScanStatsCache>,
 }
 
-/// How many files' scan statistics an engine keeps. An identity names one on-disk
+/// How many files' scan statistics an engine keeps. A scan state names one on-disk
 /// state of one file, so every refresh of a table mints a new one; without a bound a
 /// long-lived engine would keep every state it ever scanned.
 const SCAN_STATS_CAPACITY: usize = 64;
 
-/// The [`SCAN_STATS_CAPACITY`] most recently used scan statistics, by scan identity.
+/// The [`SCAN_STATS_CAPACITY`] most recently used scan statistics, by scan state.
 #[derive(Debug, Default)]
 struct ScanStatsCache {
     /// Bumped on every access; an entry's stamp is the tick of its last use.
     tick: u64,
-    entries: HashMap<String, (u64, Arc<ScanStats>)>,
+    entries: HashMap<Vec<u8>, (u64, Arc<ScanStats>)>,
 }
 
 impl ScanStatsCache {
-    fn get(&mut self, identity: &str) -> Option<Arc<ScanStats>> {
+    fn get(&mut self, state: &[u8]) -> Option<Arc<ScanStats>> {
         self.tick += 1;
-        let (used, stats) = self.entries.get_mut(identity)?;
+        let (used, stats) = self.entries.get_mut(state)?;
         *used = self.tick;
         Some(Arc::clone(stats))
     }
 
-    fn insert(&mut self, identity: String, stats: Arc<ScanStats>) {
+    fn insert(&mut self, state: Vec<u8>, stats: Arc<ScanStats>) {
         self.tick += 1;
-        self.entries.insert(identity, (self.tick, stats));
+        self.entries.insert(state, (self.tick, stats));
         if self.entries.len() > SCAN_STATS_CAPACITY {
             let stalest = self.entries.iter().min_by_key(|(_, (used, _))| *used);
-            if let Some(identity) = stalest.map(|(identity, _)| identity.clone()) {
-                self.entries.remove(&identity);
+            if let Some(state) = stalest.map(|(state, _)| state.clone()) {
+                self.entries.remove(&state);
             }
         }
     }
@@ -540,10 +540,11 @@ impl ModinEngine {
     }
 
     /// The statistics for a scan's file, collected on first contact and cached by
-    /// scan identity (projection and predicate do not affect the statistics, so
+    /// scan state (projection and predicate do not affect the statistics, so
     /// every pushed variant of the same file shares one entry).
     fn scan_stats_for(&self, scan: &ScanCsv, options: &CsvOptions) -> DfResult<Arc<ScanStats>> {
-        if let Some(cached) = self.scan_stats.lock().get(scan.identity()) {
+        let state = crate::backend::scan_state(scan);
+        if let Some(cached) = self.scan_stats.lock().get(&state) {
             return Ok(cached);
         }
         let stats = Arc::new(ingest::collect_scan_stats(
@@ -553,9 +554,7 @@ impl ModinEngine {
             &scan.path,
             options,
         )?);
-        self.scan_stats
-            .lock()
-            .insert(scan.identity().to_string(), Arc::clone(&stats));
+        self.scan_stats.lock().insert(state, Arc::clone(&stats));
         Ok(stats)
     }
 
@@ -1512,7 +1511,15 @@ mod tests {
             1,
             "one entry per identity"
         );
+        // An identity names a file state, not a file: another file with the same
+        // identity string has statistics of its own.
+        let (other, _content) = scan_csv_file("cached_other.csv");
+        engine
+            .execute_collect(&scan_expr(&other, "cache-test"))
+            .unwrap();
+        assert_eq!(engine.scan_stats.lock().entries.len(), 2);
         std::fs::remove_file(path).ok();
+        std::fs::remove_file(other).ok();
     }
 
     #[test]
@@ -1520,14 +1527,19 @@ mod tests {
         // Every refresh of a table is a new identity; the engine must not keep them all.
         let (path, _content) = scan_csv_file("stats_cache_bound.csv");
         let engine = small_engine();
+        let scan_of = |n: usize| match scan_expr(&path, &format!("refresh-{n}")) {
+            AlgebraExpr::ScanCsv(scan) => scan,
+            _ => unreachable!("scan_expr builds a scan leaf"),
+        };
         let stats_of = |n: usize| {
-            let expr = scan_expr(&path, &format!("refresh-{n}"));
-            let AlgebraExpr::ScanCsv(scan) = &expr else {
-                unreachable!("scan_expr builds a scan leaf")
-            };
+            let scan = scan_of(n);
             engine
-                .scan_stats_for(scan, &csv_options(scan.options))
+                .scan_stats_for(&scan, &csv_options(scan.options))
                 .unwrap()
+        };
+        let cached = |n: usize| {
+            let state = crate::backend::scan_state(&scan_of(n));
+            engine.scan_stats.lock().entries.contains_key(&state)
         };
         let first = stats_of(0);
         for n in 1..SCAN_STATS_CAPACITY {
@@ -1540,19 +1552,11 @@ mod tests {
         for n in SCAN_STATS_CAPACITY..SCAN_STATS_CAPACITY + 8 {
             stats_of(n);
         }
-        let cache = engine.scan_stats.lock();
-        assert_eq!(cache.entries.len(), SCAN_STATS_CAPACITY);
-        assert!(
-            cache.entries.contains_key("refresh-0"),
-            "recently used survives"
-        );
-        assert!(
-            !cache.entries.contains_key("refresh-1"),
-            "stalest went first"
-        );
-        assert!(!cache.entries.contains_key("refresh-8"));
-        assert!(cache.entries.contains_key("refresh-9"));
-        drop(cache);
+        assert_eq!(engine.scan_stats.lock().entries.len(), SCAN_STATS_CAPACITY);
+        assert!(cached(0), "recently used survives");
+        assert!(!cached(1), "stalest went first");
+        assert!(!cached(8));
+        assert!(cached(9));
         std::fs::remove_file(path).ok();
     }
 

@@ -14,9 +14,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use df_core::algebra::AlgebraExpr;
+use df_core::ScanCsv;
 use df_storage::spill::ByteWriter;
 
-use crate::backend::{enc_plan, enc_scan_source};
+use crate::backend::{enc_plan, enc_scan_source, enc_scan_state};
 
 /// The cache key of a logical plan: equal keys name the same plan over the same leaf
 /// allocations. Cloning shares the bytes and the plan.
@@ -52,16 +53,21 @@ impl PlanKey {
         }
     }
 
-    /// For the key of a bare CSV scan, the leading bytes every version of the same
-    /// statement shares: the scan's path and parse options, not the file's state.
-    pub(crate) fn scan_source(&self) -> Option<Vec<u8>> {
+    /// For the key of a CSV scan, the leading bytes that name its file and parse
+    /// options, and the longer run that adds the file's state. Every scan of the same
+    /// file and options, pushdowns or not, starts with the first; those of the same
+    /// file state start with the second too.
+    pub(crate) fn scan_prefixes(&self) -> Option<(Vec<u8>, Vec<u8>)> {
         let AlgebraExpr::ScanCsv(scan) = self.plan.as_ref() else {
             return None;
         };
-        let mut e = ByteWriter::default();
-        e.str(self.plan.name());
-        enc_scan_source(&mut e, scan);
-        Some(e.finish())
+        let prefix = |enc: fn(&mut ByteWriter, &ScanCsv)| {
+            let mut e = ByteWriter::default();
+            e.str(self.plan.name());
+            enc(&mut e, scan);
+            e.finish()
+        };
+        Some((prefix(enc_scan_source), prefix(enc_scan_state)))
     }
 
     pub(crate) fn starts_with(&self, prefix: &[u8]) -> bool {
@@ -100,7 +106,7 @@ mod tests {
     use df_core::algebra::{MapFunc, Predicate};
     use df_core::dataframe::DataFrame;
     use df_core::handle::FrameHandle;
-    use df_core::{ScanCsv, ScanOptions};
+    use df_core::ScanOptions;
     use df_types::cell::{cell, Cell};
 
     fn frame() -> DataFrame {
@@ -114,13 +120,17 @@ mod tests {
         let lit = || AlgebraExpr::literal_arc(Arc::clone(&df));
         assert_eq!(over(lit()), over(lit()));
         assert_ne!(over(lit()), over(AlgebraExpr::literal(frame())));
+        assert_ne!(over(lit()), PlanKey::of(&lit().transpose()));
         let handle = FrameHandle::from_dataframe(frame());
         let fresh = FrameHandle::from_dataframe(frame());
         assert_eq!(
             over(AlgebraExpr::handle(handle.clone())),
-            over(AlgebraExpr::handle(handle))
+            over(AlgebraExpr::handle(handle.clone()))
         );
-        assert_ne!(over(lit()), over(AlgebraExpr::handle(fresh)));
+        assert_ne!(
+            over(AlgebraExpr::handle(handle)),
+            over(AlgebraExpr::handle(fresh))
+        );
         let per_cell = |func: &Arc<dyn Fn(&Cell) -> Cell + Send + Sync>| {
             PlanKey::of(&lit().map(MapFunc::PerCell {
                 name: "f".into(),
@@ -157,10 +167,15 @@ mod tests {
         ] {
             assert_ne!(key(base.clone()), key(other));
         }
-        // Every state of one path and options shares the source prefix; a path that
-        // merely starts with the same characters does not.
-        let source = key(base).scan_source().unwrap();
-        assert!(key(scan("f.csv", "v2")).starts_with(&source));
+        // Every state of one path and options shares the source prefix, pushdowns or
+        // not; a path that merely starts with the same characters does not. Only
+        // scans of the same file state share the state prefix.
+        let (source, state) = key(base.clone()).scan_prefixes().unwrap();
+        let pushed = key(base.with_predicate(Predicate::True));
+        assert!(pushed.starts_with(&source) && pushed.starts_with(&state));
+        let newer = key(scan("f.csv", "v2").with_limit(10, false));
+        assert!(newer.starts_with(&source) && !newer.starts_with(&state));
+        assert!(!key(scan("f.csv", "v10")).starts_with(&state));
         assert!(!key(scan("f.csv.bak", "v1")).starts_with(&source));
         let typed = ScanOptions {
             infer_schema: true,
@@ -168,7 +183,7 @@ mod tests {
         };
         assert!(!key(ScanCsv::new("f.csv", typed, "v1")).starts_with(&source));
         assert!(PlanKey::of(&AlgebraExpr::literal(frame()))
-            .scan_source()
+            .scan_prefixes()
             .is_none());
     }
 }

@@ -357,9 +357,10 @@ impl QuerySession {
     /// (counted as an execution), and its handle is remembered under `key` so derived
     /// statements rebase onto the partitioned scan result like onto any other cached
     /// handle. A scan key names the file's state, so a regenerated file is a new
-    /// key: a fresh ingest evicts every other bare scan of the same path and options,
-    /// so a session that re-reads a regenerated file does not accumulate one pinned
-    /// partition grid per superseded version.
+    /// key: a fresh ingest evicts every scan of the same path and options at another
+    /// file state, pushed down or not, so a session that re-reads a regenerated file
+    /// does not accumulate one pinned partition grid per superseded version. Scans of
+    /// the current file state stay cached.
     pub fn ingest(
         &self,
         key: &PlanKey,
@@ -368,9 +369,7 @@ impl QuerySession {
         self.stats.statements.incr();
         self.serve_or_produce(key, || {
             let handle = ingest()?;
-            if let Some(source) = key.scan_source() {
-                self.cache.evict_prefix_except(&source, key);
-            }
+            self.cache.evict_superseded(key);
             Ok(handle)
         })
     }
@@ -804,13 +803,10 @@ mod tests {
     fn ingest_caches_and_evicts_superseded_versions() {
         let session = QuerySession::new(engine(), EvalMode::Eager);
         let scan = |path: &str, state: &str| {
-            PlanKey::of(&AlgebraExpr::scan_csv(df_core::ScanCsv::new(
-                path,
-                df_core::ScanOptions::default(),
-                state,
-            )))
+            df_core::ScanCsv::new(path, df_core::ScanOptions::default(), state)
         };
-        let v1 = scan("/tmp/x.csv", "mtime=1");
+        let key = |scan: df_core::ScanCsv| PlanKey::of(&AlgebraExpr::scan_csv(scan));
+        let v1 = key(scan("/tmp/x.csv", "mtime=1"));
         let first = session
             .ingest(&v1, || Ok(FrameHandle::from_dataframe(frame(5))))
             .unwrap();
@@ -822,21 +818,40 @@ mod tests {
         assert_eq!(session.stats().executions, 1);
         assert_eq!(session.stats().cache_hits, 1);
         assert_eq!(session.cached_results(), 1);
-        // A new version of the same statement evicts the superseded entry…
-        let v2 = scan("/tmp/x.csv", "mtime=2");
+        // Pushed-down scans of the old and the new file state, cached by other callers.
+        let cache = |key: &PlanKey| {
+            let Lookup::Miss(flight) = session.cache.begin(key, None) else {
+                panic!("fresh key")
+            };
+            flight
+                .complete(FrameHandle::from_dataframe(frame(2)))
+                .unwrap();
+        };
+        let v1_head = key(scan("/tmp/x.csv", "mtime=1").with_limit(2, false));
+        let v2_head = key(scan("/tmp/x.csv", "mtime=2").with_limit(2, false));
+        cache(&v1_head);
+        cache(&v2_head);
+        // A new version of the same statement evicts every scan of the superseded
+        // file state, pushed down or not, and keeps the scans of the new state…
+        let v2 = key(scan("/tmp/x.csv", "mtime=2"));
         session
             .ingest(&v2, || Ok(FrameHandle::from_dataframe(frame(6))))
             .unwrap();
-        assert_eq!(session.cached_results(), 1, "superseded version leaked");
+        assert_eq!(session.cached_results(), 2, "superseded version leaked");
         assert!(session.handle_for(&v1).is_none());
+        assert!(session.handle_for(&v1_head).is_none());
         assert!(session.handle_for(&v2).is_some());
+        assert!(
+            session.handle_for(&v2_head).is_some(),
+            "current state evicted"
+        );
         // …while entries for other files survive.
         session
-            .ingest(&scan("/tmp/x.csv.bak", "mtime=1"), || {
+            .ingest(&key(scan("/tmp/x.csv.bak", "mtime=1")), || {
                 Ok(FrameHandle::from_dataframe(frame(3)))
             })
             .unwrap();
-        assert_eq!(session.cached_results(), 2);
+        assert_eq!(session.cached_results(), 3);
         assert!(session.handle_for(&v2).is_some());
     }
 

@@ -139,7 +139,8 @@ impl PandasFrame {
     /// (mtime, length, inode/ctime on Unix)`, the key a lazy session's frame has — so
     /// re-reading an unchanged file is a cache hit, derived statements rebase onto
     /// the scan result without re-reading, and a regenerated file both invalidates
-    /// the key and evicts the superseded version's entry. Non-MODIN sessions fall
+    /// the key and evicts every cached scan of the superseded version, pushed down or
+    /// not. Non-MODIN sessions fall
     /// back to the serial reader (the results are cell-for-cell identical either
     /// way).
     ///
@@ -1044,8 +1045,7 @@ impl PandasFrame {
 /// and an identity naming the file's current state — mtime nanos, byte length, and on
 /// Unix the inode and ctime, which catch replace-by-rename and same-length rewrites —
 /// so editing or replacing the file gives the statement a new key while re-reading an
-/// unchanged file hits the cached one. The engine caches scan statistics by the
-/// identity alone, so it repeats the path and options.
+/// unchanged file hits the cached one.
 fn scan_leaf(path: &std::path::Path, options: &CsvOptions) -> DfResult<df_core::ScanCsv> {
     let metadata = std::fs::metadata(path)?;
     let mtime = metadata
@@ -1066,8 +1066,7 @@ fn scan_leaf(path: &std::path::Path, options: &CsvOptions) -> DfResult<df_core::
     let (inode, ctime) = (0u64, 0i128);
     let canonical = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
     let identity = format!(
-        "{}|{options:?}|mtime={mtime}&len={}&ino={inode}&ctime={ctime}",
-        canonical.display(),
+        "mtime={mtime}&len={}&ino={inode}&ctime={ctime}",
         metadata.len()
     );
     let options = df_core::ScanOptions {
