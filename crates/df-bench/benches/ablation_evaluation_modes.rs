@@ -44,18 +44,18 @@ fn scripted_session(
     );
     let ((), elapsed) = time_once(|| {
         // Statement 1: clean, glance at the first rows, think.
-        session.submit(&cleaned, &PlanKey::of(&cleaned)).unwrap();
-        session.head(&cleaned, &PlanKey::of(&cleaned), 5).unwrap();
+        session.submit(&PlanKey::of(&cleaned)).unwrap();
+        session.head(&PlanKey::of(&cleaned), 5).unwrap();
         std::thread::sleep(think);
         // Statement 2: filter, glance, think.
-        session.submit(&filtered, &PlanKey::of(&filtered)).unwrap();
-        session.head(&filtered, &PlanKey::of(&filtered), 5).unwrap();
+        session.submit(&PlanKey::of(&filtered)).unwrap();
+        session.head(&PlanKey::of(&filtered), 5).unwrap();
         std::thread::sleep(think);
         // Statement 3: aggregate and actually inspect the full result.
-        session.submit(&grouped, &PlanKey::of(&grouped)).unwrap();
-        session.collect(&grouped, &PlanKey::of(&grouped)).unwrap();
+        session.submit(&PlanKey::of(&grouped)).unwrap();
+        session.collect(&PlanKey::of(&grouped)).unwrap();
         // Revisit an earlier intermediate (trial-and-error loop).
-        session.collect(&filtered, &PlanKey::of(&filtered)).unwrap();
+        session.collect(&PlanKey::of(&filtered)).unwrap();
     });
     let stats = session.stats();
     (

@@ -701,11 +701,20 @@ fn enc_window(e: &mut ByteWriter, func: &WindowFunc) {
     }
 }
 
-/// Write a logical plan: each node's [`AlgebraExpr::name`] and parameters, then its
-/// children in order. Literal and handle leaves are written by address; a scan leaf
-/// by its source, its file-state identity and its pushdowns. Nothing decodes a plan,
-/// so closures are written like any value and portability is not asked.
+/// Write a logical plan: each node ([`enc_node`]), then its children in order, so
+/// every sub-plan's encoding is a run of its ancestors'. Nothing decodes a plan, so
+/// closures are written like any value and portability is not asked.
 pub(crate) fn enc_plan(e: &mut ByteWriter, expr: &AlgebraExpr) {
+    enc_node(e, expr);
+    for child in expr.children() {
+        enc_plan(e, child);
+    }
+}
+
+/// Write one plan node without its children: its [`AlgebraExpr::name`] and
+/// parameters. Literal and handle leaves are written by address; a scan leaf by its
+/// source, its file-state identity and its pushdowns.
+pub(crate) fn enc_node(e: &mut ByteWriter, expr: &AlgebraExpr) {
     e.str(expr.name());
     match expr {
         AlgebraExpr::Literal(df) => e.u64(Arc::as_ptr(df) as usize as u64),
@@ -769,9 +778,6 @@ pub(crate) fn enc_plan(e: &mut ByteWriter, expr: &AlgebraExpr) {
             e.count(*k);
             e.bool(*from_end);
         }
-    }
-    for child in expr.children() {
-        enc_plan(e, child);
     }
 }
 

@@ -94,7 +94,7 @@ impl CacheInner {
 
     /// Remove a Ready entry (leaving in-flight markers untouched), releasing its
     /// byte accounting. Returns whether an entry was removed.
-    fn remove_ready(&mut self, key: &PlanKey) -> bool {
+    fn remove_ready(&mut self, key: &[u8]) -> bool {
         if !matches!(self.slots.get(key), Some(Slot::Ready(_))) {
             return false;
         }
@@ -135,11 +135,11 @@ impl CacheInner {
         while self.bytes > budget {
             match self.lru_victim(keep_longest, None) {
                 Some(victim) => {
-                    self.remove_ready(&victim);
+                    self.remove_ready(victim.bytes());
                     self.evictions += 1;
                 }
                 None => {
-                    if self.remove_ready(keep_longest) {
+                    if self.remove_ready(keep_longest.bytes()) {
                         self.evictions += 1;
                     }
                     break;
@@ -166,7 +166,7 @@ impl CacheInner {
         producer: Option<&str>,
     ) -> DfResult<()> {
         let bytes = handle.approx_size_bytes();
-        self.remove_ready(key);
+        self.remove_ready(key.bytes());
         if let Some(tenant) = producer {
             let quota = self.tenants.get(tenant).and_then(|t| t.quota);
             if let Some(quota) = quota {
@@ -176,7 +176,7 @@ impl CacheInner {
                     let Some(victim) = self.lru_victim(key, Some(tenant)) else {
                         break;
                     };
-                    self.remove_ready(&victim);
+                    self.remove_ready(victim.bytes());
                     self.evictions += 1;
                 }
                 if self.retained(tenant) + bytes > quota {
@@ -252,7 +252,11 @@ pub(crate) struct FlightGuard {
 impl FlightGuard {
     /// Publish the produced handle under the claimed key. Fails typed when the
     /// producing tenant's quota cannot fit the result — the handle is then *not*
-    /// retained and the statement surfaces the quota error.
+    /// retained and the statement surfaces the quota error. A scan key names its
+    /// file's state, so a published bare CSV scan supersedes every scan of the same
+    /// file and parse options at another state, pushdowns or not: those entries are
+    /// evicted, and re-reading a regenerated file leaves no stale grid pinned. Scans
+    /// of the published file state stay cached.
     pub(crate) fn complete(mut self, handle: FrameHandle) -> DfResult<()> {
         self.completed = true;
         let cache = Arc::clone(&self.cache);
@@ -263,6 +267,9 @@ impl FlightGuard {
         let result = inner.insert_ready(&self.key, handle, self.tenant.as_deref());
         drop(inner);
         cache.ready.notify_all();
+        if let (Ok(()), Some((source, state))) = (&result, self.key.scan_prefixes()) {
+            cache.evict_where(|key| key.starts_with(&source) && !key.starts_with(&state));
+        }
         result
     }
 }
@@ -433,8 +440,9 @@ impl ResultCache {
     }
 
     /// Observational peek: the cached handle without touching any counter or
-    /// recency state (plan rebasing and `explain` use this).
-    pub(crate) fn peek(&self, key: &PlanKey) -> Option<FrameHandle> {
+    /// recency state (plan rebasing and `explain` use this). Takes a key's bytes, so
+    /// a sub-plan is looked up without building its key.
+    pub(crate) fn peek(&self, key: &[u8]) -> Option<FrameHandle> {
         match self.lock_inner().slots.get(key) {
             Some(Slot::Ready(entry)) => Some(entry.handle.clone()),
             _ => None,
@@ -443,17 +451,8 @@ impl ResultCache {
 
     /// Drop one Ready entry (quarantine / invalidation). In-flight markers are
     /// owned by their producer's guard and never removed here.
-    pub(crate) fn evict(&self, key: &PlanKey) {
+    pub(crate) fn evict(&self, key: &[u8]) {
         self.lock_inner().remove_ready(key);
-    }
-
-    /// Drop every Ready scan of `newer`'s file and parse options at another file
-    /// state, pushdowns or not — the ingest supersede path. Scans of `newer`'s own
-    /// file state stay cached.
-    pub(crate) fn evict_superseded(&self, newer: &PlanKey) {
-        if let Some((source, state)) = newer.scan_prefixes() {
-            self.evict_where(|key| key.starts_with(&source) && !key.starts_with(&state));
-        }
     }
 
     /// Drop every Ready entry (in-flight markers survive to completion).
@@ -472,7 +471,7 @@ impl ResultCache {
             })
             .collect();
         for key in keys {
-            inner.remove_ready(&key);
+            inner.remove_ready(key.bytes());
         }
     }
 
@@ -680,16 +679,16 @@ mod tests {
         assert_eq!(stats.evictions, 1, "{stats:?}");
         assert!(stats.bytes <= unit * 2 + unit / 2);
         // "a" was least recently used.
-        assert!(cache.peek(&k("a")).is_none());
-        assert!(cache.peek(&k("b")).is_some() && cache.peek(&k("c")).is_some());
+        assert!(cache.peek(k("a").bytes()).is_none());
+        assert!(cache.peek(k("b").bytes()).is_some() && cache.peek(k("c").bytes()).is_some());
         // A hit on "b" refreshes it, so the next insert evicts "c".
         assert!(cache.lookup(&k("b"), None).is_some());
         let Lookup::Miss(guard) = cache.begin(&k("d"), None) else {
             panic!("fresh key must miss");
         };
         guard.complete(handle(16)).unwrap();
-        assert!(cache.peek(&k("b")).is_some());
-        assert!(cache.peek(&k("c")).is_none());
+        assert!(cache.peek(k("b").bytes()).is_some());
+        assert!(cache.peek(k("c").bytes()).is_none());
     }
 
     #[test]
@@ -721,9 +720,9 @@ mod tests {
             guard.complete(handle(16)).unwrap();
         }
         // g1 was evicted to make room for g2; modest's entry survived.
-        assert!(cache.peek(&k("g1")).is_none());
-        assert!(cache.peek(&k("g2")).is_some());
-        assert!(cache.peek(&k("other")).is_some());
+        assert!(cache.peek(k("g1").bytes()).is_none());
+        assert!(cache.peek(k("g2").bytes()).is_some());
+        assert!(cache.peek(k("other").bytes()).is_some());
         // A single result over the whole quota rejects typed.
         cache.set_tenant_quota("greedy", Some(unit / 4));
         let Lookup::Miss(guard) = cache.begin(&k("g3"), Some("greedy")) else {
@@ -740,7 +739,7 @@ mod tests {
             panic!("fresh key must miss");
         };
         guard.complete(handle(16)).unwrap();
-        assert!(cache.peek(&k("g4")).is_some());
+        assert!(cache.peek(k("g4").bytes()).is_some());
     }
 
     #[test]
@@ -764,6 +763,49 @@ mod tests {
     }
 
     #[test]
+    fn publishing_a_scan_evicts_its_superseded_file_states() {
+        let cache = Arc::new(ResultCache::new());
+        let scan = |path: &str, state: &str| ScanCsv::new(path, ScanOptions::default(), state);
+        let key = |scan: ScanCsv| PlanKey::of(&AlgebraExpr::scan_csv(scan));
+        let publish = |key: &PlanKey, rows: usize| {
+            let Lookup::Miss(flight) = cache.begin(key, None) else {
+                panic!("fresh key must miss");
+            };
+            flight.complete(handle(rows)).unwrap();
+        };
+        let v1 = key(scan("/tmp/x.csv", "mtime=1"));
+        publish(&v1, 5);
+        // Re-reading the unchanged "file" is a hit on the same handle.
+        let first = cache.peek(v1.bytes()).unwrap();
+        let Lookup::Hit(again) = cache.begin(&v1, None) else {
+            panic!("an unchanged file state must hit");
+        };
+        assert_eq!(first.identity(), again.identity());
+        // Pushed-down scans of the old and the new file state, cached by other callers.
+        let v1_head = key(scan("/tmp/x.csv", "mtime=1").with_limit(2, false));
+        let v2_head = key(scan("/tmp/x.csv", "mtime=2").with_limit(2, false));
+        publish(&v1_head, 2);
+        publish(&v2_head, 2);
+        assert_eq!(cache.len(), 3, "a pushed-down scan supersedes nothing");
+        // A new state of the same file evicts every scan of the superseded state,
+        // pushed down or not, and keeps the scans of the new state…
+        let v2 = key(scan("/tmp/x.csv", "mtime=2"));
+        publish(&v2, 6);
+        assert_eq!(cache.len(), 2, "superseded version leaked");
+        assert!(cache.peek(v1.bytes()).is_none());
+        assert!(cache.peek(v1_head.bytes()).is_none());
+        assert!(cache.peek(v2.bytes()).is_some());
+        assert!(
+            cache.peek(v2_head.bytes()).is_some(),
+            "current state evicted"
+        );
+        // …while entries for other files survive.
+        publish(&key(scan("/tmp/x.csv.bak", "mtime=1")), 3);
+        assert_eq!(cache.len(), 3);
+        assert!(cache.peek(v2.bytes()).is_some());
+    }
+
+    #[test]
     fn clear_and_evict_leave_inflight_markers_alone() {
         let cache = Arc::new(ResultCache::new());
         let Lookup::Miss(flight) = cache.begin(&k("pending"), None) else {
@@ -773,7 +815,7 @@ mod tests {
             panic!("fresh key must miss");
         };
         done.complete(handle(4)).unwrap();
-        cache.evict(&k("pending")); // no-op: in flight
+        cache.evict(k("pending").bytes()); // no-op: in flight
         cache.clear(); // drops "done", keeps the marker
         assert!(cache.claim(&k("pending"), None).is_none());
         assert_eq!(cache.len(), 0);

@@ -458,24 +458,12 @@ impl ModinEngine {
         optimize(expr, self.config.optimizer)
     }
 
-    /// Parallel, budget-aware CSV ingest straight into a result handle: chunks are
+    /// Parallel, budget-aware CSV ingest straight into a partition grid: chunks are
     /// parsed on the worker pool and each finished band is stored through the
     /// session's spill store, so ingesting a file larger than the memory budget
     /// keeps peak residency within *budget + one band per worker* — the full frame
-    /// never exists in memory. The handle is cell-for-cell identical to serially
+    /// never exists in memory. The grid is cell-for-cell identical to serially
     /// reading the file (see `crate::ingest`).
-    pub fn read_csv_handle(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        options: &CsvOptions,
-    ) -> DfResult<FrameHandle> {
-        Ok(FrameHandle::from_partitioned(Arc::new(GridResult::new(
-            self.ingest_csv(path, options)?,
-        ))))
-    }
-
-    /// The grid-level form of [`ModinEngine::read_csv_handle`], for callers that want
-    /// to keep working with the partitioned representation directly.
     pub fn ingest_csv(
         &self,
         path: impl AsRef<std::path::Path>,
@@ -521,9 +509,16 @@ impl ModinEngine {
 
     /// Evaluate a SCAN_CSV leaf: look up (or collect and cache) the file's chunk
     /// statistics, publish them onto the scan node so cost estimation and
-    /// `explain()` can see them, then run the pushdown-aware parallel parse.
+    /// `explain()` can see them, then run the pushdown-aware parallel parse. A bare
+    /// scan of raw text whose statistics are not cached is one ingest pass instead:
+    /// statistics would prune nothing and type nothing, and collecting them is a pass
+    /// over the file of its own.
     fn eval_scan(&self, scan: &ScanCsv) -> DfResult<PartitionGrid> {
         let options = csv_options(scan.options);
+        let bare = scan.projection.is_none() && scan.predicate.is_none() && scan.limit.is_none();
+        if bare && !options.infer_schema && self.cached_scan_stats(scan)?.is_none() {
+            return self.ingest_csv(&scan.path, &options);
+        }
         let stats = self.scan_stats_for(scan, &options)?;
         scan.set_stats(Arc::clone(&stats));
         let (grid, report) = ingest::scan_csv_grid(&self.executor, scan, &options, &stats)?;
@@ -543,8 +538,7 @@ impl ModinEngine {
     /// scan state (projection and predicate do not affect the statistics, so
     /// every pushed variant of the same file shares one entry).
     fn scan_stats_for(&self, scan: &ScanCsv, options: &CsvOptions) -> DfResult<Arc<ScanStats>> {
-        let state = crate::backend::scan_state(scan);
-        if let Some(cached) = self.scan_stats.lock().get(&state) {
+        if let Some(cached) = self.cached_scan_stats(scan)? {
             return Ok(cached);
         }
         let stats = Arc::new(ingest::collect_scan_stats(
@@ -554,8 +548,17 @@ impl ModinEngine {
             &scan.path,
             options,
         )?);
+        let state = crate::backend::scan_state(scan);
         self.scan_stats.lock().insert(state, Arc::clone(&stats));
         Ok(stats)
+    }
+
+    /// The cached statistics for a scan's file state, if any. A leaf naming a file
+    /// state the file has left fails here, before any statistics or bytes are read.
+    fn cached_scan_stats(&self, scan: &ScanCsv) -> DfResult<Option<Arc<ScanStats>>> {
+        crate::file_state::check_file_state(scan)?;
+        let state = crate::backend::scan_state(scan);
+        Ok(self.scan_stats.lock().get(&state))
     }
 
     /// Ensure every scan leaf under `expr` carries statistics, collecting (and
@@ -1490,6 +1493,32 @@ mod tests {
         assert!(pushed.same_data(&plain), "pushdown changed the answer");
         assert_eq!(pushed.schema(), plain.schema());
         drop(content);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_bare_raw_scan_without_statistics_is_one_ingest_pass() {
+        let (path, content) = scan_csv_file("bare_raw.csv");
+        let engine = small_engine();
+        let raw = df_core::ScanCsv::new(&path, df_core::ScanOptions::default(), "bare");
+        let serial = df_storage::csv::read_csv_str(&content, &CsvOptions::default()).unwrap();
+        let out = engine
+            .execute_collect(&AlgebraExpr::scan_csv(raw.clone()))
+            .unwrap();
+        assert!(out.same_data(&serial));
+        assert_eq!(
+            engine.scan_stats.lock().entries.len(),
+            0,
+            "no statistics pass"
+        );
+        assert_eq!(engine.ingest_stats().files_ingested, 1);
+        // Typing the parse, or pushing anything into the scan, is what statistics
+        // are for.
+        engine.execute_collect(&scan_expr(&path, "bare")).unwrap();
+        assert_eq!(engine.scan_stats.lock().entries.len(), 1);
+        let limited = AlgebraExpr::scan_csv(raw.with_limit(3, false));
+        assert_eq!(engine.execute_collect(&limited).unwrap().n_rows(), 3);
+        assert_eq!(engine.scan_stats.lock().entries.len(), 2);
         std::fs::remove_file(path).ok();
     }
 

@@ -9,15 +9,17 @@
 //! stays allocated, and so cannot be reused by another value, exactly as long as the
 //! key lives.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use df_core::algebra::AlgebraExpr;
 use df_core::ScanCsv;
 use df_storage::spill::ByteWriter;
 
-use crate::backend::{enc_plan, enc_scan_source, enc_scan_state};
+use crate::backend::{enc_node, enc_plan, enc_scan_source, enc_scan_state};
 
 /// The cache key of a logical plan: equal keys name the same plan over the same leaf
 /// allocations. Cloning shares the bytes and the plan.
@@ -53,14 +55,52 @@ impl PlanKey {
         }
     }
 
-    /// For the key of a CSV scan, the leading bytes that name its file and parse
-    /// options, and the longer run that adds the file's state. Every scan of the same
-    /// file and options, pushdowns or not, starts with the first; those of the same
-    /// file state start with the second too.
+    /// The logical plan this key names.
+    pub(crate) fn plan(&self) -> &AlgebraExpr {
+        &self.plan
+    }
+
+    /// The bytes this key compares and hashes as.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The key bytes of every sub-plan of this key's plan, the plan itself first, in
+    /// pre-order, each with the number of nodes in its subtree (so the sub-plans below
+    /// one are skipped by stepping over that many). The encoding writes each node
+    /// before its children, so a sub-plan's key is a run of this key's bytes: nothing
+    /// is copied, and each node is encoded once more only to measure it.
+    pub(crate) fn sub_plans(&self) -> Vec<(&[u8], usize)> {
+        fn walk(plan: &AlgebraExpr, at: &mut usize, out: &mut Vec<(Range<usize>, usize)>) {
+            let (slot, start) = (out.len(), *at);
+            out.push((start..start, 1));
+            let mut e = ByteWriter::default();
+            enc_node(&mut e, plan);
+            *at += e.finish().len();
+            for child in plan.children() {
+                walk(child, at, out);
+            }
+            out[slot] = (start..*at, out.len() - slot);
+        }
+        let mut spans = Vec::new();
+        walk(&self.plan, &mut 0, &mut spans);
+        spans
+            .into_iter()
+            .map(|(span, size)| (&self.bytes[span], size))
+            .collect()
+    }
+
+    /// For the key of a bare CSV scan (one without pushdowns), the leading bytes that
+    /// name its file and parse options, and the longer run that adds the file's state.
+    /// Every scan of the same file and options, pushdowns or not, starts with the
+    /// first; those of the same file state start with the second too.
     pub(crate) fn scan_prefixes(&self) -> Option<(Vec<u8>, Vec<u8>)> {
         let AlgebraExpr::ScanCsv(scan) = self.plan.as_ref() else {
             return None;
         };
+        if scan.projection.is_some() || scan.predicate.is_some() || scan.limit.is_some() {
+            return None;
+        }
         let prefix = |enc: fn(&mut ByteWriter, &ScanCsv)| {
             let mut e = ByteWriter::default();
             e.str(self.plan.name());
@@ -82,6 +122,14 @@ impl PartialEq for PlanKey {
 }
 
 impl Eq for PlanKey {}
+
+/// A key hashes and compares as its bytes, so the cache can be probed with a
+/// sub-plan's bytes (`PlanKey::sub_plans`) without building a key for it.
+impl Borrow<[u8]> for PlanKey {
+    fn borrow(&self) -> &[u8] {
+        &self.bytes
+    }
+}
 
 impl Hash for PlanKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -144,6 +192,30 @@ mod tests {
     }
 
     #[test]
+    fn sub_plan_keys_are_runs_of_the_plan_key() {
+        let left = AlgebraExpr::literal(frame()).select(Predicate::True);
+        let right = AlgebraExpr::literal(frame()).map(MapFunc::IsNullMask);
+        let plan = left.clone().union(right.clone()).transpose();
+        let key = PlanKey::of(&plan);
+        let union = left.clone().union(right.clone());
+        let expected = [
+            &plan,
+            &union,
+            &left,
+            left.children()[0],
+            &right,
+            right.children()[0],
+        ];
+        let sub_plans = key.sub_plans();
+        assert_eq!(sub_plans.len(), expected.len());
+        for ((bytes, _), sub_plan) in sub_plans.iter().zip(expected) {
+            assert_eq!(*bytes, PlanKey::of(sub_plan).bytes());
+        }
+        let sizes: Vec<usize> = sub_plans.iter().map(|(_, size)| *size).collect();
+        assert_eq!(sizes, [6, 5, 2, 1, 2, 1]);
+    }
+
+    #[test]
     fn a_key_holds_the_leaves_it_names() {
         let df = Arc::new(frame());
         let key = PlanKey::of(&AlgebraExpr::literal_arc(Arc::clone(&df)));
@@ -182,6 +254,10 @@ mod tests {
             ..ScanOptions::default()
         };
         assert!(!key(ScanCsv::new("f.csv", typed, "v1")).starts_with(&source));
+        assert!(
+            pushed.scan_prefixes().is_none(),
+            "only a bare scan supersedes"
+        );
         assert!(PlanKey::of(&AlgebraExpr::literal(frame()))
             .scan_prefixes()
             .is_none());

@@ -34,6 +34,7 @@ pub mod backend;
 mod cache;
 pub mod engine;
 pub mod executor;
+mod file_state;
 mod ingest;
 mod key;
 mod optimizer;
@@ -46,6 +47,7 @@ pub use cache::{CacheStats, ResultCache, TenantCacheStats};
 pub use df_storage::spill::{SpillStats, SpillStore};
 pub use engine::{GridResult, ModinConfig, ModinEngine};
 pub use executor::{default_threads, ParallelExecutor};
+pub use file_state::file_scan;
 pub use ingest::IngestStats;
 pub use key::PlanKey;
 pub use optimizer::{choose_pivot_plan, optimize, OptimizerConfig, PivotPlan, RewriteStats};

@@ -151,7 +151,7 @@ pub fn optimize(expr: &AlgebraExpr, config: OptimizerConfig) -> (AlgebraExpr, Re
 }
 
 /// Rewrite children with `f`, preserving the operator at the root.
-fn map_children(
+pub(crate) fn map_children(
     expr: &AlgebraExpr,
     f: &mut impl FnMut(&AlgebraExpr) -> AlgebraExpr,
 ) -> AlgebraExpr {

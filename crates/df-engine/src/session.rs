@@ -23,10 +23,12 @@
 //! partition), so remembering results across statements does not defeat the
 //! out-of-core store.
 //!
-//! Every entry point takes the plan to run and the key of the statement it answers.
-//! The two differ when an API layer runs a statement's logical plan rebased onto
-//! handles cached for its inputs: the key stays the logical plan's, memoised once per
-//! statement, so the result is found again however the plan was executed.
+//! Every entry point takes only the statement's [`PlanKey`], which owns the logical
+//! plan it names. On a miss the session runs that plan *rebased*: each proper
+//! sub-plan whose result is cached becomes a handle leaf, so a chain of statements
+//! resumes from its latest cached intermediate whichever frames built it. The
+//! logical plan is also the lineage record: a spill-corruption failure while serving
+//! a statement evicts it and every cached sub-plan, then serves it once more.
 //!
 //! The session is also the unit of *tenancy*: its cache is an
 //! [`Arc<ResultCache>`](crate::cache::ResultCache) that several sessions may share
@@ -51,6 +53,7 @@ use df_core::engine::Engine;
 use df_core::handle::FrameHandle;
 
 use crate::cache::{FlightGuard, Lookup, ResultCache};
+use crate::optimizer::map_children;
 use crate::PlanKey;
 
 /// How statements are scheduled (paper §6.1.1).
@@ -83,9 +86,9 @@ pub struct SessionStats {
     /// is retrievable once via [`QuerySession::take_last_submit_error`] and will
     /// surface again at the next materialisation point of the same statement.
     pub submit_errors: u64,
-    /// Corruption recoveries: a cached result's spilled partition failed its
-    /// checksum on load-back, was quarantined (evicted), and the statement was
-    /// recomputed from its logical plan — the lineage record.
+    /// Corruption recoveries: serving a statement met a spilled partition that failed
+    /// its checksum (its own cached result's or a cached sub-plan's), so those entries
+    /// were evicted and the statement served once more from its logical plan.
     pub recoveries: u64,
     /// Scan chunks proven row-free by their min/max statistics and never parsed
     /// (mirrors the engine's pushdown counters; zero for engines without scans).
@@ -135,7 +138,7 @@ impl SharedSessionStats {
 }
 
 /// Admission-control hook applied around every engine execution this session
-/// performs (foreground, background, and ingest alike). `df-service` implements it
+/// performs (foreground and background alike). `df-service` implements it
 /// with a bounded run queue that is fair *across tenants*; a standalone session has
 /// none and executes immediately.
 ///
@@ -185,19 +188,16 @@ impl Drop for GatePermit {
     }
 }
 
-/// The one produce step behind every claimed flight — a foreground miss, an
-/// ingest and a background run alike: admission, one counted execution, then
-/// publication under the claimed key. The permit is held until the result is
-/// published, so an idle gate means every admitted run is in the cache or failed.
-/// On error the guard drops: the claim is withdrawn and the next request retries.
+/// The one produce step behind every claimed flight — a foreground miss and a
+/// background run alike: one counted execution, then publication under the claimed
+/// key. Callers hold an admission permit across it until the result is published, so
+/// an idle gate means every admitted run is in the cache or failed. On error the
+/// guard drops: the claim is withdrawn and the next request retries.
 fn produce(
     flight: FlightGuard,
-    gate: &Option<Arc<dyn StatementGate>>,
-    tenant: Option<&str>,
     stats: &SharedSessionStats,
     run: impl FnOnce() -> DfResult<FrameHandle>,
 ) -> DfResult<FrameHandle> {
-    let _permit = GatePermit::acquire(gate, tenant)?;
     stats.executions.incr();
     let handle = run()?;
     flight.complete(handle.clone())?;
@@ -286,10 +286,10 @@ impl QuerySession {
     /// Render the engine's optimizer report for a statement — logical and optimized
     /// plans with per-node estimates, which pushdowns fired, and the planned join
     /// strategies — plus one session line saying whether this statement's result is
-    /// already cached under `key`. Purely observational: nothing executes, no
-    /// statistics counters move.
-    pub fn explain(&self, expr: &AlgebraExpr, key: &PlanKey) -> String {
-        let mut out = self.engine.explain(expr);
+    /// already cached. Purely observational: nothing executes, no statistics
+    /// counters move.
+    pub fn explain(&self, key: &PlanKey) -> String {
+        let mut out = self.engine.explain(key.plan());
         let status = if self.handle_for(key).is_some() {
             "result cached (next fetch is a cache hit)"
         } else {
@@ -303,25 +303,24 @@ impl QuerySession {
 
     /// Submit a statement. Under eager evaluation this blocks and computes a handle
     /// (or serves a cache hit for a re-submitted statement); under lazy evaluation
-    /// it records nothing (the expression itself is the pending work); under
+    /// it records nothing (the key's plan itself is the pending work); under
     /// opportunistic evaluation it claims the key's single-flight slot and computes
     /// the statement on a background thread (nothing starts when the result is
     /// already cached or being produced).
-    pub fn submit(&self, expr: &AlgebraExpr, key: &PlanKey) -> DfResult<()> {
+    pub fn submit(&self, key: &PlanKey) -> DfResult<()> {
         self.stats.statements.incr();
         match self.mode {
-            EvalMode::Eager => self.handle(expr, key).map(|_| ()),
+            EvalMode::Eager => self.handle(key).map(|_| ()),
             EvalMode::Lazy => Ok(()),
             EvalMode::Opportunistic => {
-                self.spawn_background(expr, key);
+                self.spawn_background(key);
                 Ok(())
             }
         }
     }
 
     /// Record a statement without a plan — what a lazy submit amounts to. API layers
-    /// use this to skip building (and keying) an execution plan the lazy scheduler
-    /// would discard anyway.
+    /// use this to skip keying a plan the lazy scheduler would discard anyway.
     pub fn note_statement(&self) {
         self.stats.statements.incr();
     }
@@ -340,148 +339,109 @@ impl QuerySession {
         self.last_submit_error.lock().take()
     }
 
-    /// Execute (or look up) an expression to an engine-owned [`FrameHandle`]: a
-    /// cached result, an in-flight run of it (waited for), or a fresh execution.
-    /// This is the statement-boundary entry point: the caller can feed the returned
-    /// handle into the next statement's plan via `AlgebraExpr::handle`.
-    /// Single-flight: a request for an in-flight key — another tenant's execution or
-    /// this session's own background run — blocks on it and is served its handle,
-    /// so a statement executes once however many sessions ask for it.
-    pub fn handle(&self, expr: &AlgebraExpr, key: &PlanKey) -> DfResult<FrameHandle> {
-        self.serve_or_produce(key, || self.engine.execute(expr))
+    /// Execute (or look up) a statement to an engine-owned [`FrameHandle`]: a
+    /// cached result, an in-flight run of it (waited for), or a fresh execution of
+    /// its rebased plan. This is the statement-boundary entry point: the caller can
+    /// feed the returned handle into the next statement's plan via
+    /// `AlgebraExpr::handle`. Single-flight: a request for an in-flight key — another
+    /// tenant's execution or this session's own background run — blocks on it and is
+    /// served its handle, so a statement executes once however many sessions ask.
+    pub fn handle(&self, key: &PlanKey) -> DfResult<FrameHandle> {
+        self.serve(key, || self.fetch(key))
     }
 
-    /// Serve-or-compute a statement the caller runs itself — above all a CSV ingest,
-    /// keyed as the scan leaf it reads. A cached handle is returned as a cache hit
-    /// (re-reading an unchanged file never re-scans it); otherwise `ingest` runs
-    /// (counted as an execution), and its handle is remembered under `key` so derived
-    /// statements rebase onto the partitioned scan result like onto any other cached
-    /// handle. A scan key names the file's state, so a regenerated file is a new
-    /// key: a fresh ingest evicts every scan of the same path and options at another
-    /// file state, pushed down or not, so a session that re-reads a regenerated file
-    /// does not accumulate one pinned partition grid per superseded version. Scans of
-    /// the current file state stay cached.
-    pub fn ingest(
-        &self,
-        key: &PlanKey,
-        ingest: impl FnOnce() -> DfResult<FrameHandle>,
-    ) -> DfResult<FrameHandle> {
-        self.stats.statements.incr();
-        self.serve_or_produce(key, || {
-            let handle = ingest()?;
-            self.cache.evict_superseded(key);
-            Ok(handle)
-        })
-    }
-
-    /// Serve `key` from the cache, wait on its in-flight producer, or produce it with
-    /// `run` — single-flight, so two tenants reading one file concurrently scan it once.
-    fn serve_or_produce(
-        &self,
-        key: &PlanKey,
-        run: impl FnOnce() -> DfResult<FrameHandle>,
-    ) -> DfResult<FrameHandle> {
+    /// One cache lookup for `key`: a hit, a wait on its in-flight producer, or — as
+    /// the producer — one gated execution of its rebased plan.
+    fn fetch(&self, key: &PlanKey) -> DfResult<FrameHandle> {
         match self.cache.begin(key, self.tenant.as_deref()) {
             Lookup::Hit(handle) => {
                 self.stats.cache_hits.incr();
                 Ok(handle)
             }
             Lookup::Miss(flight) => {
-                produce(flight, &self.gate, self.tenant.as_deref(), &self.stats, run)
+                let _permit = GatePermit::acquire(&self.gate, self.tenant.as_deref())?;
+                produce(flight, &self.stats, || {
+                    self.engine.execute(&rebase(&self.cache, key))
+                })
             }
         }
     }
 
-    /// A non-executing peek: the cached handle for a key, if one exists. Used by API
-    /// layers to rebase a derived statement's plan onto its input's
-    /// already-computed handle (no statistics are counted — this is plan
-    /// construction, not a user-visible fetch).
-    pub fn handle_for(&self, key: &PlanKey) -> Option<FrameHandle> {
-        self.cache.peek(key)
-    }
-
-    /// Materialisation point: fetch the full result of an expression as a dataframe.
-    pub fn collect(&self, expr: &AlgebraExpr, key: &PlanKey) -> DfResult<DataFrame> {
-        let handle = self.handle(expr, key)?;
-        let first = self.engine.collect(&handle);
-        drop(handle);
-        match first {
+    /// Serve `key` through `op`, recovering once from spill corruption: the key and
+    /// every cached sub-plan of its plan are evicted — any of their spilled partitions
+    /// may be the poisoned one — and `op` runs again, now from the logical plan.
+    /// Another session can have repopulated a key since the eviction: its fresh
+    /// result is as good as one of our own. If the second run fails too, the
+    /// corruption is below every cached result and surfaces typed.
+    fn serve<T>(&self, key: &PlanKey, op: impl Fn() -> DfResult<T>) -> DfResult<T> {
+        match op() {
             Err(err) if err.is_spill_corruption() => {
-                self.recover_from_corruption(expr, key, |h| self.engine.collect(h))
+                self.stats.recoveries.incr();
+                for (bytes, _) in key.sub_plans() {
+                    self.cache.evict(bytes);
+                }
+                op()
             }
             other => other,
         }
     }
 
-    /// Quarantine-and-recompute: a spilled partition of this statement's (possibly
-    /// cached) result failed its integrity check, so the poisoned entry is evicted
-    /// and the statement re-executed from its logical plan — the lineage the cache
-    /// key was derived from. One attempt only: if the recomputed result fails too,
-    /// the corruption is upstream of this statement and surfaces typed. Another
-    /// session can have repopulated the key since the eviction: its fresh result is
-    /// as good as one of our own.
-    fn recover_from_corruption<T>(
-        &self,
-        expr: &AlgebraExpr,
-        key: &PlanKey,
-        op: impl FnOnce(&FrameHandle) -> DfResult<T>,
-    ) -> DfResult<T> {
-        self.stats.recoveries.incr();
-        self.evict(key);
-        let fresh = self.handle(expr, key)?;
-        op(&fresh)
+    /// A non-executing peek: the cached handle for a key, if one exists (no
+    /// statistics are counted).
+    fn handle_for(&self, key: &PlanKey) -> Option<FrameHandle> {
+        self.cache.peek(key.bytes())
     }
 
-    /// Materialisation point: only the first `k` rows of an expression — the
+    /// Materialisation point: fetch the full result of a statement as a dataframe.
+    pub fn collect(&self, key: &PlanKey) -> DfResult<DataFrame> {
+        self.serve(key, || self.engine.collect(&self.fetch(key)?))
+    }
+
+    /// Materialisation point: only the first `k` rows of a statement — the
     /// tabular-view inspection of §6.1.2. A finished result (cached, or published by
     /// a background run) serves it; otherwise the engine's prefix-prioritised path
     /// runs — it does *not* wait for an unfinished run of the full statement,
     /// because the prefix path is usually faster than finishing it.
-    pub fn head(&self, expr: &AlgebraExpr, key: &PlanKey, k: usize) -> DfResult<DataFrame> {
-        self.inspect(
-            expr,
-            key,
-            |h| self.engine.head_of(h, k),
-            || self.engine.execute_prefix(expr, k),
-        )
+    pub fn head(&self, key: &PlanKey, k: usize) -> DfResult<DataFrame> {
+        self.serve(key, || {
+            self.inspect(
+                key,
+                |h| self.engine.head_of(h, k),
+                |plan| self.engine.execute_prefix(plan, k),
+            )
+        })
     }
 
-    /// Materialisation point: only the last `k` rows of an expression, served like
+    /// Materialisation point: only the last `k` rows of a statement, served like
     /// [`QuerySession::head`] through the engine's suffix path.
-    pub fn tail(&self, expr: &AlgebraExpr, key: &PlanKey, k: usize) -> DfResult<DataFrame> {
-        self.inspect(
-            expr,
-            key,
-            |h| self.engine.tail_of(h, k),
-            || self.engine.execute_suffix(expr, k),
-        )
+    pub fn tail(&self, key: &PlanKey, k: usize) -> DfResult<DataFrame> {
+        self.serve(key, || {
+            self.inspect(
+                key,
+                |h| self.engine.tail_of(h, k),
+                |plan| self.engine.execute_suffix(plan, k),
+            )
+        })
     }
 
     /// The body of `head`/`tail`: read a finished result through `of`, else run the
-    /// gated `partial` execution. The handle is cloned out of the cache before the
-    /// engine is touched: materialising a spilled handle can hit the disk, and
-    /// holding the cache lock across it would serialise every other session call.
+    /// gated `partial` execution of the rebased plan. The handle is cloned out of the
+    /// cache before the engine is touched: materialising a spilled handle can hit
+    /// the disk, and holding the cache lock across it would serialise every other
+    /// session call.
     fn inspect(
         &self,
-        expr: &AlgebraExpr,
         key: &PlanKey,
-        of: impl Fn(&FrameHandle) -> DfResult<DataFrame>,
-        partial: impl FnOnce() -> DfResult<DataFrame>,
+        of: impl FnOnce(&FrameHandle) -> DfResult<DataFrame>,
+        partial: impl FnOnce(&AlgebraExpr) -> DfResult<DataFrame>,
     ) -> DfResult<DataFrame> {
         if let Some(handle) = self.cache.lookup(key, self.tenant.as_deref()) {
             self.stats.cache_hits.incr();
-            let first = of(&handle);
-            drop(handle);
-            return match first {
-                Err(err) if err.is_spill_corruption() => {
-                    self.recover_from_corruption(expr, key, of)
-                }
-                other => other,
-            };
+            return of(&handle);
         }
         let _permit = GatePermit::acquire(&self.gate, self.tenant.as_deref())?;
         self.stats.executions.incr();
-        partial()
+        partial(&rebase(&self.cache, key))
     }
 
     /// Number of results currently held by the materialisation cache.
@@ -497,18 +457,10 @@ impl QuerySession {
         self.cache.clear();
     }
 
-    /// Quarantine one cached result: drop its handle so the next materialisation of
-    /// `key` re-executes instead of trusting poisoned spill state. Used by the
-    /// corruption-recovery path and by the pandas layer when it walks a frame's
-    /// lineage after a checksum failure.
+    /// Drop one cached result: the next materialisation of `key` re-executes, and
+    /// the result's partitions are freed once nothing else holds its handle.
     pub fn evict(&self, key: &PlanKey) {
-        self.cache.evict(key);
-    }
-
-    /// Record a corruption recovery that happened *outside* the session's own
-    /// retry path — e.g. the pandas layer rebuilding a frame from lineage.
-    pub fn note_recovery(&self) {
-        self.stats.recoveries.incr();
+        self.cache.evict(key.bytes());
     }
 
     /// Request cooperative cancellation of whatever statement is currently
@@ -569,7 +521,7 @@ impl QuerySession {
         }
     }
 
-    fn spawn_background(&self, expr: &AlgebraExpr, key: &PlanKey) {
+    fn spawn_background(&self, key: &PlanKey) {
         // A result someone has produced, or is producing, needs no second run.
         let Some(flight) = self.cache.claim(key, self.tenant.as_deref()) else {
             return;
@@ -577,19 +529,50 @@ impl QuerySession {
         self.stats.background_started.incr();
         let engine = Arc::clone(&self.engine);
         let (gate, tenant) = (self.gate.clone(), self.tenant.clone());
-        let stats = Arc::clone(&self.stats);
-        let plan = expr.clone();
-        // Admission happens on the worker, so submit() never blocks. The thread is
-        // detached: a published result is a cache entry, and a failure or panic
-        // withdraws the claim, so the next request for the key runs the statement
-        // itself and meets the error there.
+        let (stats, cache) = (Arc::clone(&self.stats), Arc::clone(&self.cache));
+        let key = key.clone();
+        // Admission and rebasing happen on the worker, so submit() never blocks. The
+        // thread is detached: a published result is a cache entry, and a failure or
+        // panic withdraws the claim, so the next request for the key runs the
+        // statement itself and meets the error there.
         std::thread::spawn(move || {
-            produce(flight, &gate, tenant.as_deref(), &stats, || {
-                engine.execute(&plan)
-            })
-            .ok();
+            let Ok(_permit) = GatePermit::acquire(&gate, tenant.as_deref()) else {
+                return;
+            };
+            // This run's copy of the result drops before the permit: once the gate is
+            // idle, the cache holds the only copy.
+            let _ = produce(flight, &stats, || engine.execute(&rebase(&cache, &key)));
         });
     }
+}
+
+/// The plan a statement runs as: its logical plan with every proper sub-plan whose
+/// result is cached replaced by that result's handle, found top-down so the largest
+/// cached sub-plan wins. Sub-plans are looked up by their runs of the key's bytes, and
+/// peeks count nothing; the statement's own key is never a proper sub-plan, so a
+/// producer is never served its own in-flight slot.
+fn rebase(cache: &ResultCache, key: &PlanKey) -> AlgebraExpr {
+    fn under(
+        cache: &ResultCache,
+        plan: &AlgebraExpr,
+        sub_plans: &[(&[u8], usize)],
+        next: &mut usize,
+    ) -> AlgebraExpr {
+        map_children(plan, &mut |child| {
+            let (bytes, size) = sub_plans[*next];
+            match cache.peek(bytes) {
+                Some(handle) => {
+                    *next += size;
+                    AlgebraExpr::handle(handle)
+                }
+                None => {
+                    *next += 1;
+                    under(cache, child, sub_plans, next)
+                }
+            }
+        })
+    }
+    under(cache, key.plan(), &key.sub_plans(), &mut 1)
 }
 
 #[cfg(test)]
@@ -620,16 +603,16 @@ mod tests {
     fn eager_mode_computes_on_submit_and_caches_handles() {
         let session = QuerySession::new(engine(), EvalMode::Eager);
         let expr = AlgebraExpr::literal(frame(30)).map(MapFunc::IsNullMask);
-        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+        session.submit(&PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().executions, 1);
         // What the cache holds is a handle, not a resident dataframe.
         let cached = session.handle_for(&PlanKey::of(&expr)).unwrap();
         assert!(cached.is_partitioned());
-        let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+        let out = session.collect(&PlanKey::of(&expr)).unwrap();
         assert_eq!(out.shape(), (30, 2));
         // Fetches and re-submissions are cache hits, not re-executions.
-        session.collect(&expr, &PlanKey::of(&expr)).unwrap();
-        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+        session.collect(&PlanKey::of(&expr)).unwrap();
+        session.submit(&PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().executions, 1);
         assert_eq!(session.stats().cache_hits, 3);
         assert_eq!(session.stats().statements, 2);
@@ -640,9 +623,9 @@ mod tests {
     fn lazy_mode_defers_until_collect() {
         let session = QuerySession::new(engine(), EvalMode::Lazy);
         let expr = AlgebraExpr::literal(frame(10)).select(Predicate::True);
-        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+        session.submit(&PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().executions, 0);
-        session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+        session.collect(&PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().executions, 1);
     }
 
@@ -650,15 +633,15 @@ mod tests {
     fn opportunistic_mode_computes_in_background() {
         let session = QuerySession::new(engine(), EvalMode::Opportunistic);
         let expr = AlgebraExpr::literal(frame(50)).map(MapFunc::IsNullMask);
-        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+        session.submit(&PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().background_started, 1);
         // Re-submitting the same statement does not spawn a duplicate worker.
-        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+        session.submit(&PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().background_started, 1);
-        let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+        let out = session.collect(&PlanKey::of(&expr)).unwrap();
         assert_eq!(out.shape(), (50, 2));
         // Once collected the result is cached.
-        session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+        session.collect(&PlanKey::of(&expr)).unwrap();
         assert!(session.stats().cache_hits >= 1);
     }
 
@@ -666,10 +649,10 @@ mod tests {
     fn finished_background_runs_serve_tail_without_reexecution() {
         let session = QuerySession::new(engine(), EvalMode::Opportunistic);
         let expr = AlgebraExpr::literal(frame(60)).map(MapFunc::IsNullMask);
-        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+        session.submit(&PlanKey::of(&expr)).unwrap();
         // Blocks until the background run has published its result.
-        session.handle(&expr, &PlanKey::of(&expr)).unwrap();
-        let tail = session.tail(&expr, &PlanKey::of(&expr), 3).unwrap();
+        session.handle(&PlanKey::of(&expr)).unwrap();
+        let tail = session.tail(&PlanKey::of(&expr), 3).unwrap();
         assert_eq!(tail.shape(), (3, 2));
         let stats = session.stats();
         assert_eq!(
@@ -677,7 +660,7 @@ mod tests {
             "tail re-executed despite a finished background result: {stats:?}"
         );
         assert_eq!(stats.cache_hits, 2, "{stats:?}");
-        session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+        session.collect(&PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().cache_hits, 3);
         assert_eq!(session.stats().executions, 1);
     }
@@ -686,24 +669,63 @@ mod tests {
     fn handles_cross_statement_boundaries_without_reexecution() {
         let session = QuerySession::new(engine(), EvalMode::Eager);
         let first = AlgebraExpr::literal(frame(40)).select(Predicate::True);
-        session.submit(&first, &PlanKey::of(&first)).unwrap();
-        let handle = session.handle(&first, &PlanKey::of(&first)).unwrap();
+        session.submit(&PlanKey::of(&first)).unwrap();
+        let handle = session.handle(&PlanKey::of(&first)).unwrap();
         // Next statement consumes the previous statement's handle as a plan leaf.
         let second = AlgebraExpr::handle(handle).map(MapFunc::IsNullMask);
-        session.submit(&second, &PlanKey::of(&second)).unwrap();
-        let out = session.collect(&second, &PlanKey::of(&second)).unwrap();
+        session.submit(&PlanKey::of(&second)).unwrap();
+        let out = session.collect(&PlanKey::of(&second)).unwrap();
         assert_eq!(out.shape(), (40, 2));
         assert_eq!(out.cell(0, 0).unwrap(), &cell(false));
         assert_eq!(session.stats().executions, 2);
     }
 
     #[test]
+    fn a_miss_runs_rebased_onto_cached_sub_plans() {
+        let modin = Arc::new(ModinEngine::with_config(
+            ModinConfig::sequential().with_partition_size(8, 4),
+        ));
+        let session = QuerySession::new(Arc::clone(&modin) as Arc<dyn Engine>, EvalMode::Lazy);
+        let first = AlgebraExpr::literal(frame(40)).select(Predicate::True);
+        session.collect(&PlanKey::of(&first)).unwrap();
+        let reused = modin.handles_reused();
+        // The statement is keyed by its logical plan; its cached input still serves.
+        let second = first.map(MapFunc::IsNullMask);
+        let out = session.collect(&PlanKey::of(&second)).unwrap();
+        assert_eq!(out.shape(), (40, 2));
+        assert!(
+            modin.handles_reused() > reused,
+            "the cached input re-executed"
+        );
+        assert_eq!(session.stats().executions, 2);
+    }
+
+    #[test]
+    fn rebasing_finds_cached_sub_plans_on_both_sides_of_a_binary_node() {
+        let modin = Arc::new(ModinEngine::with_config(
+            ModinConfig::sequential().with_partition_size(8, 4),
+        ));
+        let session = QuerySession::new(Arc::clone(&modin) as Arc<dyn Engine>, EvalMode::Lazy);
+        let left = AlgebraExpr::literal(frame(20)).select(Predicate::True);
+        let right = AlgebraExpr::literal(frame(12)).map(MapFunc::IsNullMask);
+        session.collect(&PlanKey::of(&left)).unwrap();
+        session.collect(&PlanKey::of(&right)).unwrap();
+        let reused = modin.handles_reused();
+        // The left input's cached sub-plan sits below an uncached node, so the walk
+        // skips its subtree there and must still find the right input's entry.
+        let plan = left.map(MapFunc::IsNullMask).union(right);
+        let out = session.collect(&PlanKey::of(&plan)).unwrap();
+        assert_eq!(out.shape(), (32, 2));
+        assert_eq!(modin.handles_reused() - reused, 2, "both inputs served");
+    }
+
+    #[test]
     fn head_uses_prefix_execution_when_nothing_is_cached() {
         let session = QuerySession::new(engine(), EvalMode::Lazy);
         let expr = AlgebraExpr::literal(frame(100)).map(MapFunc::IsNullMask);
-        let head = session.head(&expr, &PlanKey::of(&expr), 5).unwrap();
+        let head = session.head(&PlanKey::of(&expr), 5).unwrap();
         assert_eq!(head.shape(), (5, 2));
-        let tail = session.tail(&expr, &PlanKey::of(&expr), 3).unwrap();
+        let tail = session.tail(&PlanKey::of(&expr), 3).unwrap();
         assert_eq!(tail.shape(), (3, 2));
         assert_eq!(tail.cell(2, 0).unwrap(), &cell(false));
     }
@@ -725,11 +747,11 @@ mod tests {
             EvalMode::Opportunistic,
         );
         let expr = AlgebraExpr::literal(df).map(MapFunc::IsNullMask);
-        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
-        let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+        session.submit(&PlanKey::of(&expr)).unwrap();
+        let out = session.collect(&PlanKey::of(&expr)).unwrap();
         assert_eq!(out.shape(), (300, 2));
         let reference = QuerySession::new(engine(), EvalMode::Eager)
-            .collect(&expr, &PlanKey::of(&expr))
+            .collect(&PlanKey::of(&expr))
             .unwrap();
         assert!(out.same_data(&reference));
         assert!(
@@ -753,7 +775,7 @@ mod tests {
         ));
         let session = QuerySession::new(Arc::clone(&modin) as Arc<dyn Engine>, EvalMode::Eager);
         let expr = AlgebraExpr::literal(df).map(MapFunc::IsNullMask);
-        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+        session.submit(&PlanKey::of(&expr)).unwrap();
         let stats = modin.spill_stats();
         assert!(
             stats.in_memory + stats.spilled > 0,
@@ -786,8 +808,8 @@ mod tests {
             )
             .unwrap();
             let expr = AlgebraExpr::literal(df).select(Predicate::True);
-            session.submit(&expr, &PlanKey::of(&expr)).unwrap();
-            let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+            session.submit(&PlanKey::of(&expr)).unwrap();
+            let out = session.collect(&PlanKey::of(&expr)).unwrap();
             assert_eq!(
                 out.cell(0, 0).unwrap(),
                 &cell((i * 100) as i64),
@@ -800,67 +822,11 @@ mod tests {
     }
 
     #[test]
-    fn ingest_caches_and_evicts_superseded_versions() {
-        let session = QuerySession::new(engine(), EvalMode::Eager);
-        let scan = |path: &str, state: &str| {
-            df_core::ScanCsv::new(path, df_core::ScanOptions::default(), state)
-        };
-        let key = |scan: df_core::ScanCsv| PlanKey::of(&AlgebraExpr::scan_csv(scan));
-        let v1 = key(scan("/tmp/x.csv", "mtime=1"));
-        let first = session
-            .ingest(&v1, || Ok(FrameHandle::from_dataframe(frame(5))))
-            .unwrap();
-        // Re-reading the unchanged "file" is a cache hit on the same handle.
-        let again = session
-            .ingest(&v1, || panic!("must serve from cache"))
-            .unwrap();
-        assert_eq!(first.identity(), again.identity());
-        assert_eq!(session.stats().executions, 1);
-        assert_eq!(session.stats().cache_hits, 1);
-        assert_eq!(session.cached_results(), 1);
-        // Pushed-down scans of the old and the new file state, cached by other callers.
-        let cache = |key: &PlanKey| {
-            let Lookup::Miss(flight) = session.cache.begin(key, None) else {
-                panic!("fresh key")
-            };
-            flight
-                .complete(FrameHandle::from_dataframe(frame(2)))
-                .unwrap();
-        };
-        let v1_head = key(scan("/tmp/x.csv", "mtime=1").with_limit(2, false));
-        let v2_head = key(scan("/tmp/x.csv", "mtime=2").with_limit(2, false));
-        cache(&v1_head);
-        cache(&v2_head);
-        // A new version of the same statement evicts every scan of the superseded
-        // file state, pushed down or not, and keeps the scans of the new state…
-        let v2 = key(scan("/tmp/x.csv", "mtime=2"));
-        session
-            .ingest(&v2, || Ok(FrameHandle::from_dataframe(frame(6))))
-            .unwrap();
-        assert_eq!(session.cached_results(), 2, "superseded version leaked");
-        assert!(session.handle_for(&v1).is_none());
-        assert!(session.handle_for(&v1_head).is_none());
-        assert!(session.handle_for(&v2).is_some());
-        assert!(
-            session.handle_for(&v2_head).is_some(),
-            "current state evicted"
-        );
-        // …while entries for other files survive.
-        session
-            .ingest(&key(scan("/tmp/x.csv.bak", "mtime=1")), || {
-                Ok(FrameHandle::from_dataframe(frame(3)))
-            })
-            .unwrap();
-        assert_eq!(session.cached_results(), 3);
-        assert!(session.handle_for(&v2).is_some());
-    }
-
-    #[test]
     fn bounded_cache_evicts_lru_with_a_counter() {
         // Measure one result's cached footprint, then bound a session to ~2.5 of it.
         let probe = QuerySession::new(engine(), EvalMode::Eager);
         let sample = AlgebraExpr::literal(frame(40)).map(MapFunc::IsNullMask);
-        probe.submit(&sample, &PlanKey::of(&sample)).unwrap();
+        probe.submit(&PlanKey::of(&sample)).unwrap();
         let unit = probe
             .handle_for(&PlanKey::of(&sample))
             .unwrap()
@@ -877,7 +843,7 @@ mod tests {
             .map(|_| AlgebraExpr::literal(frame(40)).map(MapFunc::IsNullMask))
             .collect();
         for expr in &exprs {
-            session.submit(expr, &PlanKey::of(expr)).unwrap();
+            session.submit(&PlanKey::of(expr)).unwrap();
         }
         // Same-sized results: two fit, the two oldest were evicted.
         assert_eq!(session.cached_results(), 2);
@@ -885,7 +851,7 @@ mod tests {
         assert!(session.handle_for(&PlanKey::of(&exprs[0])).is_none());
         assert!(session.handle_for(&PlanKey::of(&exprs[3])).is_some());
         // An evicted statement recomputes correctly on the next fetch.
-        let out = session.collect(&exprs[0], &PlanKey::of(&exprs[0])).unwrap();
+        let out = session.collect(&PlanKey::of(&exprs[0])).unwrap();
         assert_eq!(out.shape(), (40, 2));
         assert_eq!(session.stats().executions, 5);
     }
@@ -908,7 +874,7 @@ mod tests {
             .collect();
         let reference = expr.as_ref().clone();
         let expected = QuerySession::new(engine(), EvalMode::Eager)
-            .collect(&reference, &PlanKey::of(&reference))
+            .collect(&PlanKey::of(&reference))
             .unwrap();
         std::thread::scope(|scope| {
             for session in &sessions {
@@ -916,7 +882,7 @@ mod tests {
                 let expr = Arc::clone(&expr);
                 let expected = &expected;
                 scope.spawn(move || {
-                    let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+                    let out = session.collect(&PlanKey::of(&expr)).unwrap();
                     assert!(out.same_data(expected));
                 });
             }
@@ -947,7 +913,7 @@ mod tests {
     fn cache_can_be_cleared() {
         let expr = AlgebraExpr::literal(frame(10)).select(Predicate::True);
         let cached = QuerySession::new(engine(), EvalMode::Eager);
-        cached.submit(&expr, &PlanKey::of(&expr)).unwrap();
+        cached.submit(&PlanKey::of(&expr)).unwrap();
         assert_eq!(cached.cached_results(), 1);
         cached.clear_cache();
         assert_eq!(cached.cached_results(), 0);
@@ -971,7 +937,7 @@ mod tests {
             .to_path_buf();
         let session = QuerySession::new(modin, EvalMode::Eager);
         let expr = AlgebraExpr::literal(df).map(MapFunc::IsNullMask);
-        session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+        session.submit(&PlanKey::of(&expr)).unwrap();
         // Corrupt every spill file behind the cached result: appended bytes break
         // the frame's declared length, so the next load-back reports SpillCorruption.
         let mut tampered = 0;
@@ -989,12 +955,12 @@ mod tests {
             "budgeted engine should have spilled partitions"
         );
         // collect() quarantines the poisoned entry and recomputes from the plan.
-        let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+        let out = session.collect(&PlanKey::of(&expr)).unwrap();
         assert_eq!(out.shape(), (200, 2));
         assert_eq!(out.cell(0, 0).unwrap(), &cell(false));
         assert_eq!(session.stats().recoveries, 1);
         // The recomputed result is cached again and healthy.
-        session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+        session.collect(&PlanKey::of(&expr)).unwrap();
         assert_eq!(session.stats().recoveries, 1);
     }
 
@@ -1022,19 +988,19 @@ mod tests {
             op: df_core::algebra::CmpOp::Lt,
             value: cell(4),
         });
-        let rendered = session.explain(&expr, &PlanKey::of(&expr));
+        let rendered = session.explain(&PlanKey::of(&expr));
         assert!(rendered.contains("result not cached"), "{rendered}");
         assert!(
             rendered.contains("predicates pushed into scans: 1"),
             "{rendered}"
         );
         assert_eq!(session.stats().executions, 0, "explain must not execute");
-        let out = session.collect(&expr, &PlanKey::of(&expr)).unwrap();
+        let out = session.collect(&PlanKey::of(&expr)).unwrap();
         assert_eq!(out.shape().0, 4);
         let stats = session.stats();
         assert_eq!(stats.predicates_pushed, 1, "{stats:?}");
         assert!(stats.chunks_skipped > 0, "{stats:?}");
-        let rendered = session.explain(&expr, &PlanKey::of(&expr));
+        let rendered = session.explain(&PlanKey::of(&expr));
         assert!(rendered.contains("result cached"), "{rendered}");
         std::fs::remove_file(path).ok();
     }
@@ -1062,12 +1028,12 @@ mod tests {
                 "stale-scan",
             ))
         };
-        let look = |scan: AlgebraExpr| session.head(&scan, &PlanKey::of(&scan), 3);
+        let look = |scan: AlgebraExpr| session.head(&PlanKey::of(&scan), 3);
         assert_eq!(look(scan()).unwrap().shape(), (3, 2));
         // Truncated: the cached plan's later chunks are gone.
         std::fs::write(&path, rows(12)).unwrap();
         let whole = scan();
-        let err = session.collect(&whole, &PlanKey::of(&whole)).unwrap_err();
+        let err = session.collect(&PlanKey::of(&whole)).unwrap_err();
         assert!(matches!(err, DfError::Io(_)), "truncated: {err}");
         // Grown in place: the first chunk's byte range now holds one record more.
         std::fs::write(&path, rows(40).replacen("0,0\n", ",\n,\n", 1)).unwrap();
@@ -1080,10 +1046,7 @@ mod tests {
             "stale-scan-refreshed",
         ));
         assert_eq!(
-            session
-                .collect(&fresh, &PlanKey::of(&fresh))
-                .unwrap()
-                .shape(),
+            session.collect(&PlanKey::of(&fresh)).unwrap().shape(),
             (41, 2)
         );
         std::fs::remove_file(path).ok();
@@ -1094,11 +1057,11 @@ mod tests {
         let session = QuerySession::new(engine(), EvalMode::Lazy);
         let expr = AlgebraExpr::literal(frame(64)).map(MapFunc::IsNullMask);
         session.cancel();
-        let err = session.collect(&expr, &PlanKey::of(&expr)).unwrap_err();
+        let err = session.collect(&PlanKey::of(&expr)).unwrap_err();
         assert!(err.is_cancelled(), "expected a cancelled error, got {err}");
         session.reset_cancel();
         assert_eq!(
-            session.collect(&expr, &PlanKey::of(&expr)).unwrap().shape(),
+            session.collect(&PlanKey::of(&expr)).unwrap().shape(),
             (64, 2)
         );
     }
@@ -1112,7 +1075,7 @@ mod tests {
                 // Outlive the deadline before touching the engine, so the watchdog
                 // has deterministically fired by the time workers check the token.
                 std::thread::sleep(std::time::Duration::from_millis(100));
-                session.collect(&expr, &PlanKey::of(&expr))
+                session.collect(&PlanKey::of(&expr))
             })
             .unwrap_err();
         assert!(err.is_cancelled(), "expected a timeout error, got {err}");
@@ -1120,7 +1083,7 @@ mod tests {
         // The token was reset on the way out: the session stays usable.
         let out = session
             .with_timeout(std::time::Duration::from_secs(30), || {
-                session.collect(&expr, &PlanKey::of(&expr))
+                session.collect(&PlanKey::of(&expr))
             })
             .unwrap();
         assert_eq!(out.shape(), (64, 2));

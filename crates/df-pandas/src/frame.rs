@@ -10,14 +10,13 @@
 //! (depending on the session's evaluation mode) schedule it. Real dataframes exist
 //! only at the materialisation points — [`PandasFrame::collect`],
 //! [`PandasFrame::head`] / [`PandasFrame::tail`], and the CSV writes — where the
-//! optimizer pass runs once over the whole pipeline. When the session has already
-//! executed a frame's statement, derived statements *rebase* their execution plan
-//! onto the cached [`FrameHandle`] (an `AlgebraExpr::Handle` leaf), so a chain of
-//! statements crosses each boundary as an engine-owned partitioned handle — no
-//! assembly, no re-partitioning, no re-execution of the prefix. Each frame memoises
-//! its statement's [`PlanKey`] — the typed encoding of its logical plan, the cache
-//! key whatever plan actually runs — so a statement's plan is encoded once, not once
-//! per submit/collect/inspect call.
+//! optimizer pass runs once over the whole pipeline. A frame is nothing but its
+//! logical plan and that plan's memoised [`PlanKey`], so the plan is encoded once per
+//! statement however often it is submitted, collected or inspected. How the plan runs
+//! is the session's business: on a miss it rebases the plan onto whatever sub-plans
+//! are cached by then (a chain of statements crosses each boundary as an engine-owned
+//! partitioned [`FrameHandle`] — no assembly, no re-execution of the prefix), and it
+//! recovers a statement whose spilled state is corrupt from the same plan.
 //!
 //! Methods deliberately mirror familiar pandas names (`fillna`, `isna`, `get_dummies`,
 //! `merge`, `groupby`, `pivot`, `set_index`, `reset_index`, `sort_values`, `cov`, …)
@@ -44,28 +43,14 @@ use df_engine::{PivotPlan, PlanKey};
 
 use crate::session::Session;
 
-/// How a derived frame was built: the parent statements and the operator to
-/// re-apply to fresh base plans. Kept so *materialisation points* can rebase onto
-/// whatever handles the session has cached by then — not only the ones that existed
-/// when the statement was typed (a lazy chain whose intermediate was later collected
-/// must resume from that intermediate's handle instead of re-executing its subtree).
-struct Lineage {
-    parents: Vec<PandasFrame>,
-    rebuild: Box<dyn Fn(Vec<AlgebraExpr>) -> AlgebraExpr + Send + Sync>,
-}
-
 /// A lazily described dataframe bound to a [`Session`].
 #[derive(Clone)]
 pub struct PandasFrame {
     session: Arc<Session>,
     expr: AlgebraExpr,
-    /// Memoised key of the statement — `expr`'s, or for an ingest the scan leaf's it
-    /// read. Shared across clones so the (potentially deep) plan is encoded at most
-    /// once per statement, no matter how many times it is submitted, collected or
-    /// inspected.
+    /// Memoised key of `expr`. Shared across clones so the (potentially deep) plan is
+    /// encoded at most once per statement.
     key: Arc<OnceLock<PlanKey>>,
-    /// Derivation record (absent for ingest literals).
-    lineage: Option<Arc<Lineage>>,
 }
 
 impl PandasFrame {
@@ -76,7 +61,6 @@ impl PandasFrame {
             session,
             expr,
             key: Arc::new(OnceLock::new()),
-            lineage: None,
         }
     }
 
@@ -87,15 +71,13 @@ impl PandasFrame {
     /// again at the frame's next materialisation point; use
     /// [`PandasFrame::try_from_dataframe`] to propagate it immediately.
     pub fn from_dataframe(session: &Arc<Session>, df: DataFrame) -> PandasFrame {
-        let frame = PandasFrame::from_expr(Arc::clone(session), AlgebraExpr::literal(df));
-        frame.submit_plan(&frame.expr);
-        frame
+        PandasFrame::from_expr(Arc::clone(session), AlgebraExpr::literal(df)).submitted()
     }
 
     /// Wrap an existing dataframe value, propagating any submit-time error.
     pub fn try_from_dataframe(session: &Arc<Session>, df: DataFrame) -> DfResult<PandasFrame> {
         let frame = PandasFrame::from_expr(Arc::clone(session), AlgebraExpr::literal(df));
-        frame.session.query().submit(&frame.expr, frame.key())?;
+        frame.submit()?;
         Ok(frame)
     }
 
@@ -129,20 +111,21 @@ impl PandasFrame {
 
     /// `pd.read_csv` over a file on disk.
     ///
-    /// On a MODIN-backed session this is the paper's parallel-I/O headline: the file
-    /// is parsed chunk-by-chunk on the engine's worker pool straight into a
-    /// partitioned [`FrameHandle`] — under a memory budget each finished band goes
-    /// through the session's spill store, so a file larger than the budget ingests
-    /// with peak residency within *budget + one band per worker*. The returned frame
-    /// is lazy: its statement is the handle itself, and the session caches it under
-    /// the key of the `SCAN_CSV` leaf it read — `path + options + file identity
-    /// (mtime, length, inode/ctime on Unix)`, the key a lazy session's frame has — so
-    /// re-reading an unchanged file is a cache hit, derived statements rebase onto
-    /// the scan result without re-reading, and a regenerated file both invalidates
-    /// the key and evicts every cached scan of the superseded version, pushed down or
-    /// not. Non-MODIN sessions fall
-    /// back to the serial reader (the results are cell-for-cell identical either
-    /// way).
+    /// On a MODIN-backed session the statement is a `SCAN_CSV` algebra leaf, submitted
+    /// like any other: an eager session parses the file now, chunk-by-chunk on the
+    /// engine's worker pool into a partitioned [`FrameHandle`] (under a memory budget
+    /// each finished band goes through the spill store) and propagates any error; a
+    /// lazy session keeps the read *symbolic*, so the optimizer can fold later
+    /// SELECTIONs, PROJECTIONs and LIMITs into the scan — skipping chunks via min/max
+    /// statistics and parsing only the referenced columns. The leaf names the file's
+    /// state — `path + options + file identity (mtime, length, inode/ctime on Unix)` —
+    /// so re-reading an unchanged file is a cache hit, derived statements rebase onto
+    /// the cached scan result, and a regenerated file is a new key whose result, once
+    /// published, evicts every cached scan of the superseded version, pushed down or
+    /// not. A statement built on a frame read before the file changed is served while
+    /// its results are cached; once it has to read the file again it fails with
+    /// [`DfError::Io`] instead of reading the new contents. Non-MODIN sessions fall
+    /// back to the serial reader (the results are cell-for-cell identical either way).
     ///
     /// ```
     /// use df_pandas::{PandasFrame, Session};
@@ -169,112 +152,44 @@ impl PandasFrame {
         options: &CsvOptions,
     ) -> DfResult<PandasFrame> {
         let path = path.as_ref();
-        if let Some(engine) = session.modin_engine() {
-            let scan = AlgebraExpr::scan_csv(scan_leaf(path, options)?);
-            if session.mode() == EvalMode::Lazy {
-                // A lazy MODIN session keeps the read *symbolic*: the statement is a
-                // SCAN_CSV algebra leaf, so by the time a materialisation point runs
-                // the whole pipeline, the optimizer can fold later SELECTIONs and
-                // PROJECTIONs into the scan — skipping chunks via min/max statistics
-                // and parsing only the referenced columns. The leaf carries the file
-                // identity, so an unchanged file re-read serves the cached result.
-                let frame = PandasFrame::from_expr(Arc::clone(session), scan);
-                frame.session.query().note_statement();
-                return Ok(frame);
-            }
-            let engine = Arc::clone(engine);
-            let key = PlanKey::of(&scan);
-            let handle = session
-                .query()
-                .ingest(&key, || engine.read_csv_handle(path, options))?;
-            return Ok(PandasFrame {
-                session: Arc::clone(session),
-                expr: AlgebraExpr::handle(handle),
-                key: Arc::new(OnceLock::from(key)),
-                lineage: None,
-            });
+        if session.modin_engine().is_none() {
+            return PandasFrame::try_from_dataframe(session, read_csv_path(path, options)?);
         }
-        PandasFrame::try_from_dataframe(session, read_csv_path(path, options)?)
+        let scan = AlgebraExpr::scan_csv(df_engine::file_scan(path, options)?);
+        let frame = PandasFrame::from_expr(Arc::clone(session), scan);
+        frame.submit()?;
+        Ok(frame)
     }
 
-    /// The best execution plan for this statement *right now*: its own cached
-    /// [`FrameHandle`] when the statement already executed, otherwise the operator
-    /// re-applied to each parent's best plan (recursively — so any ancestor that has
-    /// been materialised since this frame was typed contributes its handle instead
-    /// of its subtree). With no handles anywhere this reconstructs the full logical
-    /// pipeline, so lazy chains stay one single plan.
-    fn exec_plan(&self) -> AlgebraExpr {
-        if let Some(handle) = self.session.query().handle_for(self.key()) {
-            return AlgebraExpr::handle(handle);
-        }
-        match &self.lineage {
-            Some(lineage) => {
-                let bases = lineage.parents.iter().map(PandasFrame::exec_plan).collect();
-                (lineage.rebuild)(bases)
-            }
-            None => self.expr.clone(),
-        }
+    /// Derive a new statement by applying `build` to this frame's logical plan.
+    /// Submit-time errors are recorded on the session and resurface at the next
+    /// materialisation point.
+    fn derive(&self, build: impl FnOnce(AlgebraExpr) -> AlgebraExpr) -> Self {
+        PandasFrame::from_expr(Arc::clone(&self.session), build(self.expr.clone())).submitted()
     }
 
-    /// Derive a new statement by applying `build` to this frame. The *logical*
-    /// expression always extends this frame's full DAG (so `expr()` shows the whole
-    /// pipeline and re-derivations key identically); execution rebases onto
-    /// cached handles via [`PandasFrame::exec_plan`]. Submit-time errors are
-    /// recorded on the session and resurface at the next materialisation point.
-    fn derive(&self, build: impl Fn(AlgebraExpr) -> AlgebraExpr + Send + Sync + 'static) -> Self {
-        let mut frame = PandasFrame::from_expr(Arc::clone(&self.session), build(self.expr.clone()));
-        frame.lineage = Some(Arc::new(Lineage {
-            parents: vec![self.clone()],
-            rebuild: Box::new(move |mut bases| build(bases.pop().expect("unary lineage"))),
-        }));
-        frame.submit_current_plan();
-        frame
-    }
-
-    /// Binary-operator variant of [`PandasFrame::derive`]: each side rebases onto its
-    /// own best plan independently.
-    fn derive2(
-        &self,
-        other: &PandasFrame,
-        build: impl Fn(AlgebraExpr, AlgebraExpr) -> AlgebraExpr + Send + Sync + 'static,
-    ) -> PandasFrame {
-        let mut frame = PandasFrame::from_expr(
-            Arc::clone(&self.session),
-            build(self.expr.clone(), other.expr.clone()),
-        );
-        frame.lineage = Some(Arc::new(Lineage {
-            parents: vec![self.clone(), other.clone()],
-            rebuild: Box::new(move |mut bases| {
-                let right = bases.pop().expect("binary lineage");
-                let left = bases.pop().expect("binary lineage");
-                build(left, right)
-            }),
-        }));
-        frame.submit_current_plan();
-        frame
-    }
-
-    fn submit_current_plan(&self) {
+    /// Schedule this statement. A lazy submit records nothing but the statement
+    /// itself, so it skips keying a plan the scheduler would discard.
+    fn submit(&self) -> DfResult<()> {
         if self.session.mode() == EvalMode::Lazy {
-            // A lazy submit records nothing but the statement itself — skip building
-            // (and keying) an execution plan the scheduler would discard.
             self.session.query().note_statement();
-            return;
+            return Ok(());
         }
-        let plan = self.exec_plan();
-        self.submit_plan(&plan);
+        self.session.query().submit(self.key())
     }
 
-    fn submit_plan(&self, plan: &AlgebraExpr) {
-        if let Err(err) = self.session.query().submit(plan, self.key()) {
+    /// [`PandasFrame::submit`], recording a failure on the session.
+    fn submitted(self) -> Self {
+        if let Err(err) = self.submit() {
             self.session.query().record_submit_error(err);
         }
+        self
     }
 
     // ------------------------------------------------------------------ inspection
 
-    /// The algebra expression this frame denotes (exposed for tests and plan display).
-    /// Always the full logical pipeline, even when execution rebased onto handles.
+    /// The algebra expression this frame denotes (exposed for tests and plan display):
+    /// always the full logical pipeline, however the session executes it.
     pub fn expr(&self) -> &AlgebraExpr {
         &self.expr
     }
@@ -288,51 +203,16 @@ impl PandasFrame {
         &self.session
     }
 
-    /// Quarantine this statement's cached handle *and every ancestor's*, so the
-    /// next [`PandasFrame::exec_plan`] reconstructs the full logical pipeline
-    /// instead of rebasing onto a possibly-poisoned handle somewhere up the chain.
-    fn evict_lineage(&self) {
-        self.session.query().evict(self.key());
-        if let Some(lineage) = &self.lineage {
-            for parent in &lineage.parents {
-                parent.evict_lineage();
-            }
-        }
-    }
-
-    /// One-shot corruption recovery around a materialisation call. The session
-    /// layer already retries corruption local to *this* statement's result; what
-    /// it cannot see is a poisoned handle the execution plan was *rebased onto*
-    /// (an ancestor's cached result) — re-executing the rebased plan rereads the
-    /// same bad spill file. On [`DfError::SpillCorruption`] this evicts the whole
-    /// lineage and retries once from the reconstructed logical plan — the
-    /// dataframe-algebra pipeline is the lineage record, so the result is
-    /// recomputed from clean inputs. Ingest-rooted frames (the handle *is* the
-    /// root; there is no plan to replay) re-fail with the same typed error.
-    fn with_lineage_recovery<T>(&self, op: impl Fn(&AlgebraExpr) -> DfResult<T>) -> DfResult<T> {
-        match op(&self.exec_plan()) {
-            Err(err) if err.is_spill_corruption() => {
-                self.evict_lineage();
-                let retried = op(&self.exec_plan());
-                if retried.is_ok() {
-                    self.session.query().note_recovery();
-                }
-                retried
-            }
-            other => other,
-        }
-    }
-
     /// The engine-owned result handle for this frame — executing it now if the
     /// session has not already. The handle stays partitioned (and spill-backed under
     /// a memory budget) until a materialisation point consumes it.
     pub fn handle(&self) -> DfResult<FrameHandle> {
-        self.with_lineage_recovery(|plan| self.session.query().handle(plan, self.key()))
+        self.session.query().handle(self.key())
     }
 
     /// Materialisation point: the full result as a dataframe.
     pub fn collect(&self) -> DfResult<DataFrame> {
-        self.with_lineage_recovery(|plan| self.session.query().collect(plan, self.key()))
+        self.session.query().collect(self.key())
     }
 
     /// `(rows, columns)` of the result — from handle metadata when the statement
@@ -343,12 +223,12 @@ impl PandasFrame {
 
     /// The first `k` rows, using the engine's prefix-prioritised path (§6.1.2).
     pub fn head(&self, k: usize) -> DfResult<DataFrame> {
-        self.with_lineage_recovery(|plan| self.session.query().head(plan, self.key(), k))
+        self.session.query().head(self.key(), k)
     }
 
     /// The last `k` rows.
     pub fn tail(&self, k: usize) -> DfResult<DataFrame> {
-        self.with_lineage_recovery(|plan| self.session.query().tail(plan, self.key(), k))
+        self.session.query().tail(self.key(), k)
     }
 
     /// The tabular view (prefix and suffix) the paper's Figure 1 shows after each step.
@@ -398,9 +278,7 @@ impl PandasFrame {
     /// // The first look at the file — the plan `trips.head(10)` runs — folds its LIMIT
     /// // into the scan leaf too, so only the chunks ten rows come from are parsed.
     /// let first_look_plan = trips.expr().clone().limit(10, false);
-    /// let first_look = session
-    ///     .query()
-    ///     .explain(&first_look_plan, &PlanKey::of(&first_look_plan));
+    /// let first_look = session.query().explain(&PlanKey::of(&first_look_plan));
     /// assert!(first_look.contains(
     ///     "SCAN_CSV trips.csv limit⇩[first 10] (1/4 chunks)  [~10 rows × 4 cols, ~127 B]"
     /// ));
@@ -417,7 +295,7 @@ impl PandasFrame {
     /// # Ok::<(), df_types::error::DfError>(())
     /// ```
     pub fn explain(&self) -> String {
-        self.session.query().explain(&self.expr, self.key())
+        self.session.query().explain(self.key())
     }
 
     /// Column label → known domain for every column, from handle metadata only —
@@ -500,7 +378,7 @@ impl PandasFrame {
 
     /// SELECTION with an arbitrary predicate.
     pub fn filter(&self, predicate: Predicate) -> PandasFrame {
-        self.derive(move |base| base.select(predicate.clone()))
+        self.derive(|base| base.select(predicate))
     }
 
     /// Keep rows where `column > value`.
@@ -545,7 +423,7 @@ impl PandasFrame {
     /// PROJECTION onto the named columns (`df[["a", "b"]]`).
     pub fn select(&self, columns: &[&str]) -> PandasFrame {
         let labels: Vec<Cell> = columns.iter().map(|c| Cell::Str((*c).into())).collect();
-        self.derive(move |base| base.project(ColumnSelector::ByLabels(labels.clone())))
+        self.derive(|base| base.project(ColumnSelector::ByLabels(labels)))
     }
 
     /// A single column as a one-column frame (`df["a"]`).
@@ -556,7 +434,7 @@ impl PandasFrame {
     /// Drop the named columns (pandas `drop(columns=...)`).
     pub fn drop_columns(&self, columns: &[&str]) -> PandasFrame {
         let labels: Vec<Cell> = columns.iter().map(|c| Cell::Str((*c).into())).collect();
-        self.derive(move |base| base.project(ColumnSelector::Excluding(labels.clone())))
+        self.derive(|base| base.project(ColumnSelector::Excluding(labels)))
     }
 
     /// Keep only numeric columns (what `cov`, `corr` and `describe` operate on).
@@ -569,7 +447,7 @@ impl PandasFrame {
     /// Replace nulls (pandas `fillna`) — Table 2: a MAP.
     pub fn fillna(&self, value: impl Into<Cell>) -> PandasFrame {
         let value = value.into();
-        self.derive(move |base| base.map(MapFunc::FillNull(value.clone())))
+        self.derive(|base| base.map(MapFunc::FillNull(value)))
     }
 
     /// Null-indicator mask (pandas `isna`) — Table 2: a MAP.
@@ -590,7 +468,7 @@ impl PandasFrame {
     /// Cast a column to a domain (pandas `astype`).
     pub fn astype(&self, column: &str, domain: Domain) -> PandasFrame {
         let cast = MapFunc::Cast(vec![(Cell::Str(column.into()), domain)]);
-        self.derive(move |base| base.map(cast.clone()))
+        self.derive(|base| base.map(cast))
     }
 
     /// Parse raw string columns into their induced domains (explicit schema induction).
@@ -612,10 +490,9 @@ impl PandasFrame {
         if !labels.iter().any(|l| l.group_key() == target_key) {
             return Err(DfError::column_not_found(column));
         }
-        let output_labels = labels.clone();
         let func = MapFunc::Custom {
             name: format!("map_column({column}, {name})"),
-            output_labels: output_labels.clone(),
+            output_labels: labels,
             output_domains: None,
             func: Arc::new(move |row: RowView<'_>| {
                 row.col_labels
@@ -631,7 +508,7 @@ impl PandasFrame {
                     .collect()
             }),
         };
-        Ok(self.derive(move |base| base.map(func.clone())))
+        Ok(self.derive(|base| base.map(func)))
     }
 
     /// Apply an arbitrary row function producing named output columns (pandas `apply`).
@@ -651,7 +528,7 @@ impl PandasFrame {
             output_domains: None,
             func: Arc::new(f),
         };
-        self.derive(move |base| base.map(func.clone()))
+        self.derive(|base| base.map(func))
     }
 
     /// Apply a per-cell function to every cell (pandas `applymap` / `transform`).
@@ -664,7 +541,7 @@ impl PandasFrame {
             name: name.to_string(),
             func: Arc::new(f),
         };
-        self.derive(move |base| base.map(func.clone()))
+        self.derive(|base| base.map(func))
     }
 
     /// Rename columns (pandas `rename(columns=...)`).
@@ -673,7 +550,7 @@ impl PandasFrame {
             .iter()
             .map(|(old, new)| (Cell::Str((*old).into()), Cell::Str((*new).into())))
             .collect();
-        self.derive(move |base| base.rename(mapping.clone()))
+        self.derive(|base| base.rename(mapping))
     }
 
     /// One-hot encode the given columns (pandas `get_dummies`); with an empty list,
@@ -701,11 +578,7 @@ impl PandasFrame {
                 categories,
             });
         }
-        Ok(self.derive(move |base| {
-            encodings
-                .iter()
-                .fold(base, |expr, encoding| expr.map(encoding.clone()))
-        }))
+        Ok(self.derive(|base| encodings.into_iter().fold(base, AlgebraExpr::map)))
     }
 
     // ------------------------------------------------------------------ reshaping
@@ -723,14 +596,14 @@ impl PandasFrame {
     /// Promote a column to the row labels (pandas `set_index`) — Table 2: TOLABELS.
     pub fn set_index(&self, column: &str) -> PandasFrame {
         let column = Cell::Str(column.into());
-        self.derive(move |base| base.to_labels(column.clone()))
+        self.derive(|base| base.to_labels(column))
     }
 
     /// Demote the row labels to a data column (pandas `reset_index`) — Table 2:
     /// FROMLABELS.
     pub fn reset_index(&self, name: &str) -> PandasFrame {
         let name = Cell::Str(name.into());
-        self.derive(move |base| base.from_labels(name.clone()))
+        self.derive(|base| base.from_labels(name))
     }
 
     /// Stable sort by columns (pandas `sort_values`).
@@ -740,7 +613,7 @@ impl PandasFrame {
             ascending: vec![ascending],
             stable: true,
         };
-        self.derive(move |base| base.sort(spec.clone()))
+        self.derive(|base| base.sort(spec))
     }
 
     /// Remove duplicate rows (pandas `drop_duplicates`).
@@ -769,9 +642,9 @@ impl PandasFrame {
         match plan {
             PivotPlan::Direct => {
                 let output_labels = self.distinct_values_of(&columns_cell)?;
-                Ok(self.derive(move |base| {
+                Ok(self.derive(|base| {
                     base.group_by(
-                        vec![index_cell.clone()],
+                        vec![index_cell],
                         vec![
                             Aggregation::of(columns_cell.clone(), AggFunc::Collect),
                             Aggregation::of(values_cell.clone(), AggFunc::Collect),
@@ -779,9 +652,9 @@ impl PandasFrame {
                         true,
                     )
                     .map(MapFunc::PivotFlatten {
-                        label_source: columns_cell.clone(),
-                        value_source: values_cell.clone(),
-                        output_labels: output_labels.clone(),
+                        label_source: columns_cell,
+                        value_source: values_cell,
+                        output_labels,
                     })
                 }))
             }
@@ -792,9 +665,9 @@ impl PandasFrame {
                 // first-occurrence order the direct plan produces so both plans are
                 // interchangeable.
                 let column_order = self.distinct_values_of(&columns_cell)?;
-                Ok(self.derive(move |base| {
+                Ok(self.derive(|base| {
                     base.group_by(
-                        vec![columns_cell.clone()],
+                        vec![columns_cell],
                         vec![
                             Aggregation::of(index_cell.clone(), AggFunc::Collect),
                             Aggregation::of(values_cell.clone(), AggFunc::Collect),
@@ -802,12 +675,12 @@ impl PandasFrame {
                         true,
                     )
                     .map(MapFunc::PivotFlatten {
-                        label_source: index_cell.clone(),
-                        value_source: values_cell.clone(),
-                        output_labels: output_labels.clone(),
+                        label_source: index_cell,
+                        value_source: values_cell,
+                        output_labels,
                     })
                     .transpose()
-                    .project(ColumnSelector::ByLabels(column_order.clone()))
+                    .project(ColumnSelector::ByLabels(column_order))
                 }))
             }
         }
@@ -817,23 +690,19 @@ impl PandasFrame {
 
     /// Ordered concatenation (pandas `append` / `pd.concat`).
     pub fn append(&self, other: &PandasFrame) -> PandasFrame {
-        self.derive2(other, |left, right| left.union(right))
+        self.derive(|left| left.union(other.expr.clone()))
     }
 
     /// Equi-join on shared columns (pandas `merge(on=...)`).
     pub fn merge_on(&self, other: &PandasFrame, on: &[&str], how: JoinType) -> PandasFrame {
         let keys: Vec<Cell> = on.iter().map(|c| Cell::Str((*c).into())).collect();
-        self.derive2(other, move |left, right| {
-            left.join(right, JoinOn::Columns(keys.clone()), how)
-        })
+        self.derive(|left| left.join(other.expr.clone(), JoinOn::Columns(keys), how))
     }
 
     /// Join on row labels (pandas `merge(left_index=True, right_index=True)`) —
     /// workflow step A2.
     pub fn merge_index(&self, other: &PandasFrame, how: JoinType) -> PandasFrame {
-        self.derive2(other, move |left, right| {
-            left.join(right, JoinOn::RowLabels, how)
-        })
+        self.derive(|left| left.join(other.expr.clone(), JoinOn::RowLabels, how))
     }
 
     // ------------------------------------------------------------------ group & aggregate
@@ -846,7 +715,7 @@ impl PandasFrame {
         keys_as_labels: bool,
     ) -> PandasFrame {
         let keys: Vec<Cell> = keys.iter().map(|c| Cell::Str((*c).into())).collect();
-        self.derive(move |base| base.group_by(keys.clone(), aggs.clone(), keys_as_labels))
+        self.derive(|base| base.group_by(keys, aggs, keys_as_labels))
     }
 
     /// Count rows per group — the Figure 2 "groupby (n)" query.
@@ -1002,7 +871,7 @@ impl PandasFrame {
         } else {
             ColumnSelector::ByLabels(columns.iter().map(|c| Cell::Str((*c).into())).collect())
         };
-        self.derive(move |base| base.window(selector.clone(), func.clone()))
+        self.derive(|base| base.window(selector, func))
     }
 
     // ------------------------------------------------------------------ linear algebra
@@ -1020,14 +889,15 @@ impl PandasFrame {
     // ------------------------------------------------------------------ helpers
 
     /// Distinct values of a column, in first-occurrence order (a PROJECTION +
-    /// DROP DUPLICATES sub-query executed through the session's engine, resuming from
+    /// DROP DUPLICATES sub-query executed through the session, which resumes from
     /// cached handles when any exist).
     pub fn distinct_values_of(&self, column: &Cell) -> DfResult<Vec<Cell>> {
         let expr = self
-            .exec_plan()
+            .expr
+            .clone()
             .project(ColumnSelector::ByLabels(vec![column.clone()]))
             .drop_duplicates();
-        let frame = self.session.query().collect(&expr, &PlanKey::of(&expr))?;
+        let frame = self.session.query().collect(&PlanKey::of(&expr))?;
         let mut seen: Vec<CellKey> = Vec::new();
         let mut out = Vec::new();
         for cell in frame.columns()[0].cells() {
@@ -1039,42 +909,6 @@ impl PandasFrame {
         }
         Ok(out)
     }
-}
-
-/// The scan leaf of an on-disk CSV statement: the canonical path, the parse options,
-/// and an identity naming the file's current state — mtime nanos, byte length, and on
-/// Unix the inode and ctime, which catch replace-by-rename and same-length rewrites —
-/// so editing or replacing the file gives the statement a new key while re-reading an
-/// unchanged file hits the cached one.
-fn scan_leaf(path: &std::path::Path, options: &CsvOptions) -> DfResult<df_core::ScanCsv> {
-    let metadata = std::fs::metadata(path)?;
-    let mtime = metadata
-        .modified()
-        .ok()
-        .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-        .map(|d| d.as_nanos())
-        .unwrap_or(0);
-    #[cfg(unix)]
-    let (inode, ctime) = {
-        use std::os::unix::fs::MetadataExt;
-        (
-            metadata.ino(),
-            metadata.ctime_nsec() as i128 + metadata.ctime() as i128 * 1_000_000_000,
-        )
-    };
-    #[cfg(not(unix))]
-    let (inode, ctime) = (0u64, 0i128);
-    let canonical = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
-    let identity = format!(
-        "mtime={mtime}&len={}&ino={inode}&ctime={ctime}",
-        metadata.len()
-    );
-    let options = df_core::ScanOptions {
-        delimiter: options.delimiter,
-        has_header: options.has_header,
-        infer_schema: options.infer_schema,
-    };
-    Ok(df_core::ScanCsv::new(canonical, options, identity))
 }
 
 /// Stream a partition grid to a CSV file band by band: the header once, then each
@@ -1589,9 +1423,8 @@ mod tests {
         }
         assert!(tampered > 0, "budgeted engine should have spilled");
 
-        // The session-level retry re-executes the rebased plan (same poisoned
-        // handle leaf) and fails again; the pandas layer then walks the lineage,
-        // evicts the ancestors, and recomputes the whole logical pipeline.
+        // Serving the statement meets a poisoned partition, so the session evicts
+        // it and every cached sub-plan and recomputes the whole logical pipeline.
         let out = tip.collect().unwrap();
         assert_eq!(out.shape(), (expected_rows, 2));
         assert_eq!(out.cell(0, 0).unwrap(), &cell(false));

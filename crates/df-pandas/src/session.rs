@@ -267,14 +267,8 @@ mod tests {
             ModinConfig::sequential().with_partition_size(32, 8),
             EvalMode::Eager,
         );
-        let bounded = out_of_core
-            .query()
-            .collect(&expr, &PlanKey::of(&expr))
-            .unwrap();
-        let unbounded = in_memory
-            .query()
-            .collect(&expr, &PlanKey::of(&expr))
-            .unwrap();
+        let bounded = out_of_core.query().collect(&PlanKey::of(&expr)).unwrap();
+        let unbounded = in_memory.query().collect(&PlanKey::of(&expr)).unwrap();
         assert!(bounded.same_data(&unbounded));
 
         let stats = out_of_core.spill_stats().expect("modin session has stats");

@@ -56,8 +56,8 @@
 //!     false,
 //! );
 //! let key = PlanKey::of(&expr);
-//! let first = alpha.query().collect(&expr, &key)?;
-//! let second = beta.query().collect(&expr, &key)?;
+//! let first = alpha.query().collect(&key)?;
+//! let second = beta.query().collect(&key)?;
 //! assert!(first.same_data(&second));
 //!
 //! // …executed once: beta was served alpha's result as a shared cache hit.

@@ -316,11 +316,11 @@ mod tests {
         let expr = group_expr(64);
         let first = alpha
             .query()
-            .collect(&expr, &PlanKey::of(&expr))
+            .collect(&PlanKey::of(&expr))
             .expect("alpha collects");
         let second = beta
             .query()
-            .collect(&expr, &PlanKey::of(&expr))
+            .collect(&PlanKey::of(&expr))
             .expect("beta collects");
         assert!(first.same_data(&second));
         let stats = service.stats();
@@ -359,7 +359,7 @@ mod tests {
         let expr = group_expr(48);
         let result = tenant
             .query()
-            .collect(&expr, &PlanKey::of(&expr))
+            .collect(&PlanKey::of(&expr))
             .expect("collects");
         assert_eq!(result.shape().0, 5);
     }
@@ -371,10 +371,7 @@ mod tests {
         // nothing is retained for the tenant.
         let thrifty = service.tenant_with_quota("thrifty", Some(1));
         let expr = group_expr(64);
-        let err = thrifty
-            .query()
-            .collect(&expr, &PlanKey::of(&expr))
-            .unwrap_err();
+        let err = thrifty.query().collect(&PlanKey::of(&expr)).unwrap_err();
         assert!(
             matches!(err, df_types::error::DfError::ResourceExhausted(_)),
             "{err}"
@@ -391,7 +388,7 @@ mod tests {
         // Another tenant is untouched by the neighbour's quota trouble.
         let roomy = service.tenant("roomy");
         let expr = group_expr(64);
-        assert!(roomy.query().collect(&expr, &PlanKey::of(&expr)).is_ok());
+        assert!(roomy.query().collect(&PlanKey::of(&expr)).is_ok());
     }
 
     #[test]
@@ -401,10 +398,7 @@ mod tests {
         // A second connection from the same tenant must not lift the cap.
         let again = service.tenant("thrifty");
         let expr = group_expr(64);
-        let err = again
-            .query()
-            .collect(&expr, &PlanKey::of(&expr))
-            .unwrap_err();
+        let err = again.query().collect(&PlanKey::of(&expr)).unwrap_err();
         assert!(
             matches!(err, df_types::error::DfError::ResourceExhausted(_)),
             "{err}"
@@ -418,7 +412,7 @@ mod tests {
         let expr = group_expr(64);
         tenant
             .query()
-            .collect(&expr, &PlanKey::of(&expr))
+            .collect(&PlanKey::of(&expr))
             .expect("collect before shutdown");
         let report = service.shutdown(Duration::from_secs(5));
         assert!(report.drained_cleanly && report.idle && !report.cancelled_stragglers);
@@ -426,10 +420,7 @@ mod tests {
         // The shared cache was cleared, and new statements are refused typed.
         assert_eq!(service.stats().cache.expect("cache").entries, 0);
         let late = group_expr(32);
-        let err = tenant
-            .query()
-            .collect(&late, &PlanKey::of(&late))
-            .unwrap_err();
+        let err = tenant.query().collect(&PlanKey::of(&late)).unwrap_err();
         assert!(err.is_admission(), "{err}");
     }
 }

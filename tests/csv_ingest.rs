@@ -1,7 +1,7 @@
 //! Acceptance suite for parallel out-of-core CSV ingest.
 //!
 //! The contract under test: the chunk-parallel reader
-//! (`ModinEngine::read_csv_handle` / `PandasFrame::read_csv_path`) is **cell-for-cell
+//! (`ModinEngine::ingest_csv` / `PandasFrame::read_csv_path`) is **cell-for-cell
 //! identical to the serial reader** — on every workload generator, on adversarial
 //! proptest inputs (quotes, delimiters, embedded newlines, CRLF, NaN/-0.0, untyped
 //! numeric-looking strings), across thread counts and chunk sizes, with and without
@@ -51,9 +51,12 @@ fn assert_parallel_matches_serial(name: &str, content: &str) {
                         .with_threads(threads)
                         .with_partition_size(band_rows, 32),
                 );
-                let handle = engine.read_csv_handle(&path, &options).unwrap();
-                assert_eq!(handle.shape(), serial.shape());
-                let parallel = handle.to_dataframe().unwrap();
+                let grid = engine.ingest_csv(&path, &options).unwrap();
+                assert_eq!(
+                    grid.band_row_counts().iter().sum::<usize>(),
+                    serial.n_rows()
+                );
+                let parallel = grid.assemble().unwrap();
                 assert!(
                     parallel.same_data(&serial),
                     "{name}: threads={threads} band_rows={band_rows} infer={infer_schema} \
@@ -124,9 +127,9 @@ fn engine_default_threads_follow_df_threads_matrix() {
     let path = write_temp("df-threads.csv", &content);
     let engine = ModinEngine::with_config(ModinConfig::default().with_partition_size(16, 32));
     let parallel = engine
-        .read_csv_handle(&path, &CsvOptions::default())
+        .ingest_csv(&path, &CsvOptions::default())
         .unwrap()
-        .to_dataframe()
+        .assemble()
         .unwrap();
     assert!(parallel.same_data(&serial));
     assert!(engine.ingest_stats().bands_parsed > 1);
@@ -160,9 +163,7 @@ fn budgeted_ingest_of_a_file_larger_than_the_budget() {
                 .with_partition_size(128, 32)
                 .with_memory_budget(budget),
         );
-        let handle = engine
-            .read_csv_handle(&path, &CsvOptions::default())
-            .unwrap();
+        let grid = engine.ingest_csv(&path, &CsvOptions::default()).unwrap();
         let spill = engine.spill_stats();
         assert!(
             spill.spill_outs > 0,
@@ -175,9 +176,12 @@ fn budgeted_ingest_of_a_file_larger_than_the_budget() {
         let ingest = engine.ingest_stats();
         assert!(ingest.bands_parsed >= 4, "too few bands: {ingest:?}");
         assert_eq!(ingest.ingest_bytes, content.len() as u64);
-        // The handle stays partitioned and spill-backed until a materialisation point.
-        assert_eq!(handle.shape(), serial.shape());
-        assert!(handle.to_dataframe().unwrap().same_data(&serial));
+        // The grid stays partitioned and spill-backed until a materialisation point.
+        assert_eq!(
+            grid.band_row_counts().iter().sum::<usize>(),
+            serial.n_rows()
+        );
+        assert!(grid.assemble().unwrap().same_data(&serial));
     }
     std::fs::remove_file(path).ok();
 }
@@ -191,7 +195,7 @@ fn pandas_read_csv_is_lazy_cached_and_invalidated_by_file_changes() {
     let path = write_temp("cached.csv", &content);
     let session = Session::modin();
     let frame = PandasFrame::read_csv_path(&session, &path, &CsvOptions::default()).unwrap();
-    // The statement is the partitioned scan handle: shape comes from metadata.
+    // The eager read executed the scan: shape comes from its cached handle's metadata.
     assert_eq!(frame.shape().unwrap(), (200, 2));
     let executions_after_first = session.stats().executions;
 
@@ -370,9 +374,9 @@ proptest! {
                     .with_partition_size(band_rows, 32),
             );
             let parallel = engine
-                .read_csv_handle(&path, &options)
+                .ingest_csv(&path, &options)
                 .unwrap()
-                .to_dataframe()
+                .assemble()
                 .unwrap();
             prop_assert!(
                 parallel.same_data(&serial),
@@ -444,6 +448,119 @@ fn ingested_handles_chain_into_later_statements() {
         "derived statement did not resume from the ingest handle"
     );
     std::fs::remove_file(path).ok();
+}
+
+/// `n` rows of `id,v` with `v = id * scale`; a different `scale` rewrites the file
+/// at a different length, so its state gets a new key.
+fn id_rows(n: usize, scale: usize) -> String {
+    (0..n).fold(String::from("id,v\n"), |mut content, i| {
+        content.push_str(&format!("{i},{}\n", i * scale));
+        content
+    })
+}
+
+#[test]
+fn a_superseded_csv_grid_is_freed_while_a_derived_statement_stays_cached() {
+    let path = write_temp("superseded.csv", &id_rows(400, 2));
+    let session = Session::modin_with(
+        ModinConfig::default()
+            .with_memory_budget(1 << 30)
+            .with_partition_size(32, 8),
+        df_engine::session::EvalMode::Eager,
+    );
+    let typed = CsvOptions {
+        infer_schema: true,
+        ..CsvOptions::default()
+    };
+    let stored = || {
+        let stats = session.spill_stats().unwrap();
+        stats.in_memory + stats.spilled
+    };
+    let read = PandasFrame::read_csv_path(&session, &path, &typed).unwrap();
+    let filtered = read.filter_gt("id", 10).unwrap();
+    assert_eq!(filtered.collect().unwrap().n_rows(), 389);
+    drop(read);
+    std::fs::write(&path, id_rows(400, 20)).unwrap();
+    let reread = PandasFrame::read_csv_path(&session, &path, &typed).unwrap();
+    assert_eq!(reread.shape().unwrap(), (400, 2));
+    // 13 bands of 32 rows each for the new scan and for the filter; the superseded
+    // scan's 13 are gone although the filter was derived from them.
+    assert_eq!(stored(), 26, "{:?}", session.spill_stats());
+    assert_eq!(session.query().cached_results(), 2);
+    // The filter is still served from the cache.
+    let executions = session.stats().executions;
+    assert_eq!(filtered.collect().unwrap().n_rows(), 389);
+    assert_eq!(session.stats().executions, executions);
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn a_lazy_session_evicts_a_superseded_scan() {
+    let path = write_temp("lazy-superseded.csv", &id_rows(400, 2));
+    let session = Session::modin_with(
+        ModinConfig::default().with_partition_size(32, 8),
+        df_engine::session::EvalMode::Lazy,
+    );
+    let read = PandasFrame::read_csv_path(&session, &path, &CsvOptions::default()).unwrap();
+    assert_eq!(read.collect().unwrap().n_rows(), 400);
+    std::fs::write(&path, id_rows(400, 20)).unwrap();
+    let reread = PandasFrame::read_csv_path(&session, &path, &CsvOptions::default()).unwrap();
+    assert_eq!(reread.collect().unwrap().cell(1, 1).unwrap(), &cell("20"));
+    assert_eq!(session.query().cached_results(), 1);
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn a_frame_read_before_its_file_changed_never_serves_the_new_rows() {
+    for mode in [
+        df_engine::session::EvalMode::Eager,
+        df_engine::session::EvalMode::Lazy,
+    ] {
+        for infer_schema in [true, false] {
+            let path = write_temp(
+                &format!("stale-{mode:?}-{infer_schema}.csv"),
+                &id_rows(400, 2),
+            );
+            let session =
+                Session::modin_with(ModinConfig::default().with_partition_size(32, 8), mode);
+            let options = CsvOptions {
+                infer_schema,
+                ..CsvOptions::default()
+            };
+            let v12 =
+                |frame: &PandasFrame| frame.collect().unwrap().cell(12, 1).unwrap().to_string();
+            let old = PandasFrame::read_csv_path(&session, &path, &options).unwrap();
+            assert_eq!(v12(&old), "24");
+            // Rewritten at the same length and with the same line breaks, so the old
+            // state's chunk plan still fits the new bytes; the explicit mtime makes the
+            // new state tell apart from the old on file systems with coarse timestamps.
+            std::fs::write(&path, id_rows(400, 2).replace('4', "5")).unwrap();
+            std::fs::File::options()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_modified(std::time::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30))
+                .unwrap();
+            let new = PandasFrame::read_csv_path(&session, &path, &options).unwrap();
+            assert_eq!(v12(&new), "25");
+            // The re-read superseded the old scan's cached result, so a statement over
+            // the old frame has to read the file again: it fails typed, and caches
+            // nothing, rather than read the new rows under the old file state's key.
+            let cached = session.query().cached_results();
+            for err in [
+                old.filter_gt("id", 10).unwrap().collect().unwrap_err(),
+                old.collect().unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, df_types::error::DfError::Io(m) if m.contains("changed")),
+                    "{mode:?} infer={infer_schema}: {err}"
+                );
+            }
+            assert_eq!(session.query().cached_results(), cached, "{mode:?}");
+            assert_eq!(v12(&new), "25");
+            std::fs::remove_file(path).ok();
+        }
+    }
 }
 
 #[test]

@@ -117,9 +117,9 @@ fn missing_spill_blocks_are_recomputed_from_lineage() {
     let base = PandasFrame::try_from_dataframe(&s, df).unwrap();
     let frame = base.isna();
     let baseline = frame.collect().unwrap();
-    // The `missing` action really deletes a spill file on disk, so the session's
-    // own retry (re-reading the same handle) fails too; only the pandas layer's
-    // lineage walk — evict the ancestors, replay the logical plan — can recover.
+    // The `missing` action really deletes a spill file on disk, so re-reading the
+    // same handle fails too; the session evicts the statement and its cached
+    // sub-plans and replays the logical plan.
     armed.rearm("spill.read=missing@1");
     let out = frame.collect().unwrap();
     assert!(out.same_data(&baseline), "lineage recompute diverged");
@@ -128,6 +128,48 @@ fn missing_spill_blocks_are_recomputed_from_lineage() {
         "no recovery recorded: {:?}",
         s.stats()
     );
+}
+
+#[test]
+fn a_csv_rooted_frame_recovers_from_a_corrupted_spill() {
+    let _armed = Armed::new("");
+    let mut csv = String::from("id,v\n");
+    for i in 0..400 {
+        csv.push_str(&format!("{i},{}\n", i * 2));
+    }
+    let path = std::env::temp_dir().join(format!("fault-scan-{}.csv", std::process::id()));
+    std::fs::write(&path, &csv).unwrap();
+    let options = CsvOptions {
+        infer_schema: true,
+        ..CsvOptions::default()
+    };
+    let serial = read_csv_str(&csv, &options).unwrap();
+    let s = Session::modin_with(
+        ModinConfig::default()
+            .with_memory_budget(1)
+            .with_partition_size(32, 8),
+        EvalMode::Eager,
+    );
+    let read = PandasFrame::read_csv_path(&s, &path, &options).unwrap();
+    // Append bytes to every spill file behind the scan's cached grid.
+    let dir = s.modin_engine().unwrap().store().unwrap().directory();
+    let mut tampered = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let file = entry.unwrap().path();
+        if file.is_file() {
+            let mut content = std::fs::read(&file).unwrap();
+            content.extend_from_slice(b"tampered");
+            std::fs::write(&file, content).unwrap();
+            tampered += 1;
+        }
+    }
+    assert!(tampered > 0, "a 1-byte budget spills every band");
+    // The scan is its own lineage: the file is read again.
+    assert!(read.collect().unwrap().same_data(&serial));
+    let filtered = read.filter_gt("id", 10).unwrap().collect().unwrap();
+    assert_eq!(filtered.n_rows(), 389);
+    assert!(s.stats().recoveries >= 1, "{:?}", s.stats());
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -165,14 +207,14 @@ fn ingest_chunk_faults_retry_transient_and_surface_permanent() {
         );
         // Transient chunk-read fault: absorbed by the ingest retry policy.
         armed.rearm("ingest.read=io_transient@1");
-        let handle = engine.read_csv_handle(&path, &options).unwrap();
+        let grid = engine.ingest_csv(&path, &options).unwrap();
         assert!(
-            handle.to_dataframe().unwrap().same_data(&serial),
+            grid.assemble().unwrap().same_data(&serial),
             "threads={threads}: retried ingest diverged from serial"
         );
         // Permanent fault: a typed non-transient error, not a panic.
         armed.rearm("ingest.read=io_full@1");
-        let err = engine.read_csv_handle(&path, &options).unwrap_err();
+        let err = engine.ingest_csv(&path, &options).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -185,8 +227,8 @@ fn ingest_chunk_faults_retry_transient_and_surface_permanent() {
         );
         // The engine survives the failed ingest.
         armed.disarm();
-        let clean = engine.read_csv_handle(&path, &options).unwrap();
-        assert!(clean.to_dataframe().unwrap().same_data(&serial));
+        let clean = engine.ingest_csv(&path, &options).unwrap();
+        assert!(clean.assemble().unwrap().same_data(&serial));
     }
     std::fs::remove_file(&path).ok();
 }

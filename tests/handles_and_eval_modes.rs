@@ -296,7 +296,7 @@ fn opportunistic_runs_single_flight_across_sessions_sharing_a_cache() {
     let expr = sort_statement(200);
     let reference = sort_engine();
     let expected = QuerySession::new(Arc::clone(&reference) as Arc<dyn Engine>, EvalMode::Lazy)
-        .collect(&expr, &PlanKey::of(&expr))
+        .collect(&PlanKey::of(&expr))
         .unwrap();
     let one_execution = reference.shuffles_dispatched();
     assert!(one_execution > 0, "a SORT over 13 bands must shuffle");
@@ -306,12 +306,12 @@ fn opportunistic_runs_single_flight_across_sessions_sharing_a_cache() {
     let a = tenant_session(&engine, &cache, "a", EvalMode::Opportunistic);
     let b = tenant_session(&engine, &cache, "b", EvalMode::Opportunistic);
     let lazy = tenant_session(&engine, &cache, "lazy", EvalMode::Lazy);
-    a.submit(&expr, &PlanKey::of(&expr)).unwrap();
-    b.submit(&expr, &PlanKey::of(&expr)).unwrap();
+    a.submit(&PlanKey::of(&expr)).unwrap();
+    b.submit(&PlanKey::of(&expr)).unwrap();
     // A lazy tenant collecting while the background run is in flight waits on it.
     for session in [&lazy, &a, &b] {
         assert!(session
-            .collect(&expr, &PlanKey::of(&expr))
+            .collect(&PlanKey::of(&expr))
             .unwrap()
             .same_data(&expected));
     }
@@ -333,9 +333,9 @@ fn a_finished_background_run_is_a_budgeted_cache_entry() {
     let cache = Arc::new(ResultCache::with_budget(None));
     let submitter = tenant_session(&engine, &cache, "submitter", EvalMode::Opportunistic);
     let reader = tenant_session(&engine, &cache, "reader", EvalMode::Lazy);
-    submitter.submit(&expr, &PlanKey::of(&expr)).unwrap();
+    submitter.submit(&PlanKey::of(&expr)).unwrap();
     // Blocks until the background run has published (or, failing that, runs it).
-    reader.handle(&expr, &PlanKey::of(&expr)).unwrap();
+    reader.handle(&PlanKey::of(&expr)).unwrap();
     let stats = cache.stats();
     assert_eq!(stats.entries, 1, "{stats:?}");
     assert!(stats.bytes > 0, "{stats:?}");
@@ -348,7 +348,7 @@ fn a_finished_background_run_is_a_budgeted_cache_entry() {
         .collect();
     assert_eq!(produced_by, vec![("submitter", stats.bytes)], "{stats:?}");
     assert_eq!(reader.stats().executions, 0, "{:?}", reader.stats());
-    submitter.collect(&expr, &PlanKey::of(&expr)).unwrap();
+    submitter.collect(&PlanKey::of(&expr)).unwrap();
     assert_eq!(submitter.stats().executions, 1);
     assert_eq!(submitter.stats().cache_hits, 1);
 }
@@ -378,17 +378,17 @@ fn a_cancelled_background_run_is_retried_after_reset() {
         Some(Arc::new(ReleaseSignal(released))),
     );
     session.cancel();
-    session.submit(&expr, &PlanKey::of(&expr)).unwrap();
+    session.submit(&PlanKey::of(&expr)).unwrap();
     // The background run has failed under the fired token before the reset; the
     // collect after it must not be served that stale failure.
     ended.recv_timeout(Duration::from_secs(60)).unwrap();
     session.reset_cancel();
     let out = session
-        .collect(&expr, &PlanKey::of(&expr))
+        .collect(&PlanKey::of(&expr))
         .expect("collect after reset_cancel retries the failed run");
     let expected = Session::reference()
         .query()
-        .collect(&expr, &PlanKey::of(&expr))
+        .collect(&PlanKey::of(&expr))
         .unwrap();
     assert!(out.same_data(&expected));
 }
@@ -469,8 +469,8 @@ fn one_hot_category_lists_of_equal_length_are_different_statements() {
         })
     };
     let (xy, pq) = (one_hot(["x", "y"]), one_hot(["p", "q"]));
-    session.query().collect(&xy, &PlanKey::of(&xy)).unwrap();
-    let out = session.query().collect(&pq, &PlanKey::of(&pq)).unwrap();
+    session.query().collect(&PlanKey::of(&xy)).unwrap();
+    let out = session.query().collect(&PlanKey::of(&pq)).unwrap();
     assert_eq!(out.col_labels().as_slice(), &[cell("c_p"), cell("c_q")]);
 }
 
@@ -485,12 +485,12 @@ fn tenants_sharing_a_cache_are_never_served_each_others_answers() {
     let texts = base.map(MapFunc::FillNull(cell("0")));
     let alpha = service.tenant("alpha");
     let beta = service.tenant("beta");
-    let filled = alpha.query().collect(&zeros, &PlanKey::of(&zeros)).unwrap();
+    let filled = alpha.query().collect(&PlanKey::of(&zeros)).unwrap();
     assert_eq!(filled.cell(1, 0).unwrap(), &cell(0));
-    let filled = beta.query().collect(&texts, &PlanKey::of(&texts)).unwrap();
+    let filled = beta.query().collect(&PlanKey::of(&texts)).unwrap();
     assert_eq!(filled.cell(1, 0).unwrap(), &cell("0"));
     // The same statement from the other tenant is still a shared hit.
-    beta.query().collect(&zeros, &PlanKey::of(&zeros)).unwrap();
+    beta.query().collect(&PlanKey::of(&zeros)).unwrap();
     let stats = service.stats();
     let executions: u64 = stats.tenants.iter().map(|(_, s)| s.executions).sum();
     assert_eq!(executions, 2, "{stats:?}");
@@ -536,10 +536,7 @@ fn a_lazy_scan_frame_and_its_expression_share_one_key() {
     let frame = PandasFrame::read_csv_path(&session, &path, &CsvOptions::default()).unwrap();
     let collected = frame.collect().unwrap();
     assert_eq!(session.stats().executions, 1);
-    let again = session
-        .query()
-        .collect(frame.expr(), &PlanKey::of(frame.expr()))
-        .unwrap();
+    let again = session.query().collect(&PlanKey::of(frame.expr())).unwrap();
     assert!(again.same_data(&collected));
     assert_eq!(session.stats().executions, 1, "{:?}", session.stats());
     std::fs::remove_file(path).ok();

@@ -141,11 +141,11 @@ fn eight_tenants_mixed_statements_match_serial_and_dedup() {
     let reference = serial_reference();
     let shared_expected: Vec<Arc<DataFrame>> = shared
         .iter()
-        .map(|e| Arc::new(reference.query().collect(e, &PlanKey::of(e)).unwrap()))
+        .map(|e| Arc::new(reference.query().collect(&PlanKey::of(e)).unwrap()))
         .collect();
     let unique_expected: Vec<Arc<DataFrame>> = uniques
         .iter()
-        .map(|e| Arc::new(reference.query().collect(e, &PlanKey::of(e)).unwrap()))
+        .map(|e| Arc::new(reference.query().collect(&PlanKey::of(e)).unwrap()))
         .collect();
 
     for threads in [1usize, 4] {
@@ -173,12 +173,10 @@ fn eight_tenants_mixed_statements_match_serial_and_dedup() {
                         barrier.wait();
                         for rep in 0..REPS {
                             for (i, expr) in shared.iter().enumerate() {
-                                let out = tenant
-                                    .query()
-                                    .collect(expr, &PlanKey::of(expr))
-                                    .unwrap_or_else(|e| {
-                                        panic!("tenant-{t} rep {rep} shared {i}: {e}")
-                                    });
+                                let out =
+                                    tenant.query().collect(&PlanKey::of(expr)).unwrap_or_else(
+                                        |e| panic!("tenant-{t} rep {rep} shared {i}: {e}"),
+                                    );
                                 assert!(
                                     out.same_data(&shared_expected[i]),
                                     "tenant-{t} rep {rep}: shared statement {i} diverged"
@@ -187,7 +185,7 @@ fn eight_tenants_mixed_statements_match_serial_and_dedup() {
                         }
                         let out = tenant
                             .query()
-                            .collect(&unique, &PlanKey::of(&unique))
+                            .collect(&PlanKey::of(&unique))
                             .unwrap_or_else(|e| panic!("tenant-{t} unique: {e}"));
                         assert!(
                             out.same_data(&unique_expected),
@@ -252,7 +250,7 @@ fn same_fingerprint_from_eight_tenants_executes_once() {
     let expected = Arc::new(
         serial_reference()
             .query()
-            .collect(&expr, &PlanKey::of(&expr))
+            .collect(&PlanKey::of(&expr))
             .unwrap(),
     );
 
@@ -275,7 +273,7 @@ fn same_fingerprint_from_eight_tenants_executes_once() {
                 barrier.wait();
                 let out = tenant
                     .query()
-                    .collect(&expr, &PlanKey::of(&expr))
+                    .collect(&PlanKey::of(&expr))
                     .expect("collect succeeds");
                 assert!(out.same_data(&expected), "tenant-{t} diverged");
             })
@@ -309,7 +307,7 @@ fn quota_violations_are_typed_and_never_disturb_neighbours() {
     let expected = Arc::new(
         serial_reference()
             .query()
-            .collect(&shared, &PlanKey::of(&shared))
+            .collect(&PlanKey::of(&shared))
             .unwrap(),
     );
 
@@ -320,16 +318,13 @@ fn quota_violations_are_typed_and_never_disturb_neighbours() {
 
     // The greedy tenant cannot *produce*: no result fits a 1-byte quota.
     let unique = unique_statement(160, 99);
-    let err = greedy
-        .query()
-        .collect(&unique, &PlanKey::of(&unique))
-        .unwrap_err();
+    let err = greedy.query().collect(&PlanKey::of(&unique)).unwrap_err();
     assert!(matches!(err, DfError::ResourceExhausted(_)), "{err}");
 
     // Its neighbour is untouched — produces and caches the shared statement.
     let out = normal
         .query()
-        .collect(&shared, &PlanKey::of(&shared))
+        .collect(&PlanKey::of(&shared))
         .expect("neighbour unaffected");
     assert!(out.same_data(&expected));
 
@@ -337,7 +332,7 @@ fn quota_violations_are_typed_and_never_disturb_neighbours() {
     // retains nothing, so no quota applies).
     let out = greedy
         .query()
-        .collect(&shared, &PlanKey::of(&shared))
+        .collect(&PlanKey::of(&shared))
         .expect("hits bypass quota");
     assert!(out.same_data(&expected));
 
@@ -378,7 +373,7 @@ fn shutdown_drains_in_flight_work_and_refuses_late_arrivals() {
                     let expr =
                         AlgebraExpr::literal(salted_frame(96, (t as i64) * 100_000 + round as i64))
                             .drop_duplicates();
-                    match tenant.query().collect(&expr, &PlanKey::of(&expr)) {
+                    match tenant.query().collect(&PlanKey::of(&expr)) {
                         Ok(out) => {
                             assert_eq!(out.n_rows(), 96, "tenant-{t} round {round}");
                             completed += 1;
@@ -413,7 +408,7 @@ fn shutdown_drains_in_flight_work_and_refuses_late_arrivals() {
     let err = service
         .tenant("latecomer")
         .query()
-        .collect(&late, &PlanKey::of(&late))
+        .collect(&PlanKey::of(&late))
         .unwrap_err();
     assert!(err.is_admission(), "{err}");
 }
@@ -434,13 +429,13 @@ fn shutdown_releases_finished_background_results() {
     service
         .tenant("submitter")
         .query()
-        .submit(&expr, &PlanKey::of(&expr))
+        .submit(&PlanKey::of(&expr))
         .unwrap();
     // Blocks until the background run has published its result.
     service
         .tenant("reader")
         .query()
-        .handle(&expr, &PlanKey::of(&expr))
+        .handle(&PlanKey::of(&expr))
         .unwrap();
     let report = service.shutdown(Duration::from_secs(30));
     assert!(report.idle, "{report:?}");

@@ -1,7 +1,8 @@
 //! A size ratchet with no knob. The numbers below are the current net library lines
-//! of the largest engine files and the result cache, and each crate's count of
-//! `pub mod`s and `pub` items. They only ratchet down: growth fails this suite, and a change that shrinks
-//! a file or a crate's public surface lowers its number here in the same change.
+//! of the largest engine files, the session, the result cache and the pandas frame,
+//! and each crate's count of `pub mod`s and `pub` items. They only ratchet down:
+//! growth fails this suite, and a change that shrinks a file or a crate's public
+//! surface lowers its number here in the same change.
 //!
 //! Counting rule (the same one behind the net-library-lines figures in CHANGES.md):
 //! per `.rs` file under a crate's `src/`, stop at a top-level `#[cfg(test)]` that is
@@ -14,12 +15,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Net lines of the files every performance item promises to shrink.
-const FILE_LINES: [(&str, usize); 5] = [
+const FILE_LINES: [(&str, usize); 6] = [
     ("crates/df-engine/src/engine.rs", 805),
     ("crates/df-engine/src/shuffle.rs", 864),
     ("crates/df-storage/src/spill.rs", 831),
-    ("crates/df-engine/src/session.rs", 345),
-    ("crates/df-engine/src/cache.rs", 377),
+    ("crates/df-engine/src/session.rs", 337),
+    ("crates/df-engine/src/cache.rs", 375),
+    ("crates/df-pandas/src/frame.rs", 589),
 ];
 
 /// `(crate, pub mod, pub items)`.
@@ -27,7 +29,7 @@ const CRATE_SURFACE: [(&str, usize, usize); 9] = [
     ("df-baseline", 0, 5),
     ("df-bench", 0, 10),
     ("df-core", 11, 174),
-    ("df-engine", 6, 116),
+    ("df-engine", 6, 113),
     ("df-pandas", 0, 95),
     ("df-service", 0, 26),
     ("df-storage", 3, 65),
