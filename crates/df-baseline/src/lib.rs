@@ -22,6 +22,8 @@
 
 mod row_table;
 
+use std::sync::Arc;
+
 use df_types::error::{DfError, DfResult};
 
 use df_core::algebra::AlgebraExpr;
@@ -167,35 +169,11 @@ impl BaselineEngine {
 
     /// Replace each child with a literal holding its eagerly computed value.
     fn materialize_children(&self, expr: &AlgebraExpr) -> DfResult<AlgebraExpr> {
-        let mut rewritten = expr.clone();
-        match &mut rewritten {
-            AlgebraExpr::Literal(_) | AlgebraExpr::Handle(_) | AlgebraExpr::ScanCsv(_) => {}
-            AlgebraExpr::Selection { input, .. }
-            | AlgebraExpr::Projection { input, .. }
-            | AlgebraExpr::DropDuplicates { input }
-            | AlgebraExpr::GroupBy { input, .. }
-            | AlgebraExpr::Sort { input, .. }
-            | AlgebraExpr::Rename { input, .. }
-            | AlgebraExpr::Window { input, .. }
-            | AlgebraExpr::Transpose { input }
-            | AlgebraExpr::Map { input, .. }
-            | AlgebraExpr::ToLabels { input, .. }
-            | AlgebraExpr::FromLabels { input, .. }
-            | AlgebraExpr::Limit { input, .. } => {
-                let value = self.eval(input)?;
-                **input = AlgebraExpr::literal(value);
-            }
-            AlgebraExpr::Union { left, right }
-            | AlgebraExpr::Difference { left, right }
-            | AlgebraExpr::CrossProduct { left, right }
-            | AlgebraExpr::Join { left, right, .. } => {
-                let left_value = self.eval(left)?;
-                let right_value = self.eval(right)?;
-                **left = AlgebraExpr::literal(left_value);
-                **right = AlgebraExpr::literal(right_value);
-            }
-        }
-        Ok(rewritten)
+        let inputs = expr.children().into_iter().map(|child| {
+            let value = self.eval(child)?;
+            Ok(Arc::new(AlgebraExpr::literal(value)))
+        });
+        Ok(expr.with_children(inputs.collect::<DfResult<Vec<_>>>()?))
     }
 }
 

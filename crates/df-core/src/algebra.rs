@@ -268,20 +268,6 @@ impl Predicate {
             _ => false,
         }
     }
-
-    /// True when the predicate never inspects cell *values* (only positions), in which
-    /// case schema induction can be skipped entirely (§5.1.1, "operations which merely
-    /// shuffle rows around").
-    pub fn is_position_only(&self) -> bool {
-        match self {
-            Predicate::True | Predicate::PositionRange { .. } => true,
-            Predicate::Not(inner) => inner.is_position_only(),
-            Predicate::And(a, b) | Predicate::Or(a, b) => {
-                a.is_position_only() && b.is_position_only()
-            }
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Debug for Predicate {
@@ -354,7 +340,7 @@ pub enum MapFunc {
         name: String,
         /// Output column labels (fixed arity, per the MAP definition).
         output_labels: Vec<Cell>,
-        /// Optional statically known output domains (lets the optimizer skip induction).
+        /// Optional statically known output domains, declared on the result, not induced.
         output_domains: Option<Vec<Domain>>,
         /// The row function.
         func: Arc<dyn Fn(RowView<'_>) -> Vec<Cell> + Send + Sync>,
@@ -369,19 +355,6 @@ pub enum MapFunc {
 }
 
 impl MapFunc {
-    /// The output domains of this map when they are statically known, letting the
-    /// planner skip schema induction on the result (§5.1.1: "UDFs with known output
-    /// types").
-    pub fn static_output_domain(&self) -> Option<Domain> {
-        match self {
-            MapFunc::IsNullMask => Some(Domain::Bool),
-            MapFunc::NumericAdd(_) | MapFunc::NumericMul(_) | MapFunc::NormalizeNumeric => {
-                Some(Domain::Float)
-            }
-            _ => None,
-        }
-    }
-
     /// True when the map keeps the input arity and column labels unchanged.
     pub fn preserves_arity(&self) -> bool {
         !matches!(
@@ -588,7 +561,8 @@ impl SortSpec {
 }
 
 /// An expression in the dataframe algebra. Executing an expression yields a
-/// [`DataFrame`].
+/// [`DataFrame`]. Children are held by `Arc`, so plans share subtrees: building on a
+/// plan, keying it or rewriting it copies only the nodes that change.
 #[derive(Debug, Clone)]
 pub enum AlgebraExpr {
     /// A literal (already materialised) dataframe. Stored behind `Arc` so expression
@@ -608,44 +582,44 @@ pub enum AlgebraExpr {
     /// SELECTION: keep the rows satisfying the predicate, preserving their order.
     Selection {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
         /// Row predicate.
         predicate: Predicate,
     },
     /// PROJECTION: keep (and reorder) the selected columns.
     Projection {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
         /// Column selector.
         columns: ColumnSelector,
     },
     /// UNION: ordered concatenation, left argument first (paper Table 1 footnote †).
     Union {
         /// Left input (its rows come first).
-        left: Box<AlgebraExpr>,
+        left: Arc<AlgebraExpr>,
         /// Right input.
-        right: Box<AlgebraExpr>,
+        right: Arc<AlgebraExpr>,
     },
     /// DIFFERENCE: rows of the left input not present in the right, in left order.
     Difference {
         /// Left input.
-        left: Box<AlgebraExpr>,
+        left: Arc<AlgebraExpr>,
         /// Right input.
-        right: Box<AlgebraExpr>,
+        right: Arc<AlgebraExpr>,
     },
     /// CROSS PRODUCT: nested-order pairing of left and right rows.
     CrossProduct {
         /// Left input (outer order).
-        left: Box<AlgebraExpr>,
+        left: Arc<AlgebraExpr>,
         /// Right input (inner order).
-        right: Box<AlgebraExpr>,
+        right: Arc<AlgebraExpr>,
     },
     /// JOIN: equi-join on columns or on row labels, ordered by the left argument.
     Join {
         /// Left input.
-        left: Box<AlgebraExpr>,
+        left: Arc<AlgebraExpr>,
         /// Right input.
-        right: Box<AlgebraExpr>,
+        right: Arc<AlgebraExpr>,
         /// Join keys.
         on: JoinOn,
         /// Join variant.
@@ -654,12 +628,12 @@ pub enum AlgebraExpr {
     /// DROP DUPLICATES: remove duplicate rows, keeping the first occurrence.
     DropDuplicates {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
     },
     /// GROUPBY: group on key columns (empty = one global group) and aggregate.
     GroupBy {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
         /// Grouping key columns (may be empty).
         keys: Vec<Cell>,
         /// Aggregations to compute per group.
@@ -671,21 +645,21 @@ pub enum AlgebraExpr {
     /// SORT: lexicographic stable sort producing a new order.
     Sort {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
         /// Sort specification.
         spec: SortSpec,
     },
     /// RENAME: change column labels.
     Rename {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
         /// `(old label, new label)` pairs.
         mapping: Vec<(Cell, Cell)>,
     },
     /// WINDOW: apply a sliding-window function to the selected columns.
     Window {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
         /// Columns to apply the window function to.
         columns: ColumnSelector,
         /// The window function.
@@ -694,19 +668,19 @@ pub enum AlgebraExpr {
     /// TRANSPOSE: swap rows and columns (data and metadata).
     Transpose {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
     },
     /// MAP: apply a function uniformly to every row.
     Map {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
         /// The row function.
         func: MapFunc,
     },
     /// TOLABELS: promote a data column to the row labels, removing it from the data.
     ToLabels {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
         /// The column to promote.
         column: Cell,
     },
@@ -714,7 +688,7 @@ pub enum AlgebraExpr {
     /// the row labels to positional ranks.
     FromLabels {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
         /// Label for the new column.
         new_column: Cell,
     },
@@ -723,7 +697,7 @@ pub enum AlgebraExpr {
     /// engines can prioritise prefix/suffix execution (§6.1.2).
     Limit {
         /// Input expression.
-        input: Box<AlgebraExpr>,
+        input: Arc<AlgebraExpr>,
         /// Number of rows to keep.
         k: usize,
         /// Keep the suffix instead of the prefix.
@@ -778,7 +752,7 @@ impl AlgebraExpr {
     }
 
     /// Child expressions (0 for literals, 1 for unary, 2 for binary operators).
-    pub fn children(&self) -> Vec<&AlgebraExpr> {
+    pub fn children(&self) -> Vec<&Arc<AlgebraExpr>> {
         match self {
             AlgebraExpr::Literal(_) | AlgebraExpr::Handle(_) | AlgebraExpr::ScanCsv(_) => vec![],
             AlgebraExpr::Selection { input, .. }
@@ -798,6 +772,41 @@ impl AlgebraExpr {
             | AlgebraExpr::CrossProduct { left, right }
             | AlgebraExpr::Join { left, right, .. } => vec![left, right],
         }
+    }
+
+    /// This operator over new inputs, given in [`AlgebraExpr::children`] order: the
+    /// node is copied, and every subtree below it is shared, not copied. The inputs are
+    /// drawn before the copy, so it holds no extra reference to the old ones meanwhile.
+    pub fn with_children(&self, children: impl IntoIterator<Item = Arc<AlgebraExpr>>) -> Self {
+        let children: Vec<_> = children.into_iter().collect();
+        let mut out = self.clone();
+        let mut children = children.into_iter();
+        let mut next = |slot: &mut Arc<AlgebraExpr>| {
+            *slot = children.next().expect("one new child per input");
+        };
+        match &mut out {
+            AlgebraExpr::Literal(_) | AlgebraExpr::Handle(_) | AlgebraExpr::ScanCsv(_) => {}
+            AlgebraExpr::Selection { input, .. }
+            | AlgebraExpr::Projection { input, .. }
+            | AlgebraExpr::DropDuplicates { input }
+            | AlgebraExpr::GroupBy { input, .. }
+            | AlgebraExpr::Sort { input, .. }
+            | AlgebraExpr::Rename { input, .. }
+            | AlgebraExpr::Window { input, .. }
+            | AlgebraExpr::Transpose { input }
+            | AlgebraExpr::Map { input, .. }
+            | AlgebraExpr::ToLabels { input, .. }
+            | AlgebraExpr::FromLabels { input, .. }
+            | AlgebraExpr::Limit { input, .. } => next(input),
+            AlgebraExpr::Union { left, right }
+            | AlgebraExpr::Difference { left, right }
+            | AlgebraExpr::CrossProduct { left, right }
+            | AlgebraExpr::Join { left, right, .. } => {
+                next(left);
+                next(right);
+            }
+        }
+        out
     }
 
     /// Total number of operator nodes in the expression tree (excluding the literal
@@ -836,7 +845,7 @@ impl AlgebraExpr {
     /// SELECTION on this expression.
     pub fn select(self, predicate: Predicate) -> Self {
         AlgebraExpr::Selection {
-            input: Box::new(self),
+            input: Arc::new(self),
             predicate,
         }
     }
@@ -844,40 +853,40 @@ impl AlgebraExpr {
     /// PROJECTION on this expression.
     pub fn project(self, columns: ColumnSelector) -> Self {
         AlgebraExpr::Projection {
-            input: Box::new(self),
+            input: Arc::new(self),
             columns,
         }
     }
 
     /// UNION with another expression.
-    pub fn union(self, right: AlgebraExpr) -> Self {
+    pub fn union(self, right: impl Into<Arc<AlgebraExpr>>) -> Self {
         AlgebraExpr::Union {
-            left: Box::new(self),
-            right: Box::new(right),
+            left: Arc::new(self),
+            right: right.into(),
         }
     }
 
     /// DIFFERENCE with another expression.
-    pub fn difference(self, right: AlgebraExpr) -> Self {
+    pub fn difference(self, right: impl Into<Arc<AlgebraExpr>>) -> Self {
         AlgebraExpr::Difference {
-            left: Box::new(self),
-            right: Box::new(right),
+            left: Arc::new(self),
+            right: right.into(),
         }
     }
 
     /// CROSS PRODUCT with another expression.
-    pub fn cross(self, right: AlgebraExpr) -> Self {
+    pub fn cross(self, right: impl Into<Arc<AlgebraExpr>>) -> Self {
         AlgebraExpr::CrossProduct {
-            left: Box::new(self),
-            right: Box::new(right),
+            left: Arc::new(self),
+            right: right.into(),
         }
     }
 
     /// JOIN with another expression.
-    pub fn join(self, right: AlgebraExpr, on: JoinOn, how: JoinType) -> Self {
+    pub fn join(self, right: impl Into<Arc<AlgebraExpr>>, on: JoinOn, how: JoinType) -> Self {
         AlgebraExpr::Join {
-            left: Box::new(self),
-            right: Box::new(right),
+            left: Arc::new(self),
+            right: right.into(),
             on,
             how,
         }
@@ -886,14 +895,14 @@ impl AlgebraExpr {
     /// DROP DUPLICATES on this expression.
     pub fn drop_duplicates(self) -> Self {
         AlgebraExpr::DropDuplicates {
-            input: Box::new(self),
+            input: Arc::new(self),
         }
     }
 
     /// GROUPBY on this expression.
     pub fn group_by(self, keys: Vec<Cell>, aggs: Vec<Aggregation>, keys_as_labels: bool) -> Self {
         AlgebraExpr::GroupBy {
-            input: Box::new(self),
+            input: Arc::new(self),
             keys,
             aggs,
             keys_as_labels,
@@ -903,7 +912,7 @@ impl AlgebraExpr {
     /// SORT on this expression.
     pub fn sort(self, spec: SortSpec) -> Self {
         AlgebraExpr::Sort {
-            input: Box::new(self),
+            input: Arc::new(self),
             spec,
         }
     }
@@ -911,7 +920,7 @@ impl AlgebraExpr {
     /// RENAME on this expression.
     pub fn rename(self, mapping: Vec<(Cell, Cell)>) -> Self {
         AlgebraExpr::Rename {
-            input: Box::new(self),
+            input: Arc::new(self),
             mapping,
         }
     }
@@ -919,7 +928,7 @@ impl AlgebraExpr {
     /// WINDOW on this expression.
     pub fn window(self, columns: ColumnSelector, func: WindowFunc) -> Self {
         AlgebraExpr::Window {
-            input: Box::new(self),
+            input: Arc::new(self),
             columns,
             func,
         }
@@ -928,14 +937,14 @@ impl AlgebraExpr {
     /// TRANSPOSE of this expression.
     pub fn transpose(self) -> Self {
         AlgebraExpr::Transpose {
-            input: Box::new(self),
+            input: Arc::new(self),
         }
     }
 
     /// MAP on this expression.
     pub fn map(self, func: MapFunc) -> Self {
         AlgebraExpr::Map {
-            input: Box::new(self),
+            input: Arc::new(self),
             func,
         }
     }
@@ -943,7 +952,7 @@ impl AlgebraExpr {
     /// TOLABELS on this expression.
     pub fn to_labels(self, column: impl Into<Cell>) -> Self {
         AlgebraExpr::ToLabels {
-            input: Box::new(self),
+            input: Arc::new(self),
             column: column.into(),
         }
     }
@@ -951,7 +960,7 @@ impl AlgebraExpr {
     /// FROMLABELS on this expression.
     pub fn from_labels(self, new_column: impl Into<Cell>) -> Self {
         AlgebraExpr::FromLabels {
-            input: Box::new(self),
+            input: Arc::new(self),
             new_column: new_column.into(),
         }
     }
@@ -959,7 +968,7 @@ impl AlgebraExpr {
     /// LIMIT (head/tail) on this expression.
     pub fn limit(self, k: usize, from_end: bool) -> Self {
         AlgebraExpr::Limit {
-            input: Box::new(self),
+            input: Arc::new(self),
             k,
             from_end,
         }
@@ -1031,12 +1040,10 @@ mod tests {
             value: cell(0),
         };
         assert!(pred.matches(0, row));
-        assert!(!pred.is_position_only());
         let positional = Predicate::And(
             Box::new(Predicate::PositionRange { start: 0, end: 5 }),
             Box::new(Predicate::True),
         );
-        assert!(positional.is_position_only());
         assert!(positional.matches(3, row));
         let negated = Predicate::Not(Box::new(Predicate::IsNull { column: cell("a") }));
         assert!(negated.matches(0, row));
@@ -1051,12 +1058,7 @@ mod tests {
     }
 
     #[test]
-    fn map_func_static_domains_and_arity() {
-        assert_eq!(
-            MapFunc::IsNullMask.static_output_domain(),
-            Some(Domain::Bool)
-        );
-        assert_eq!(MapFunc::StrUpper.static_output_domain(), None);
+    fn map_func_arity() {
         assert!(MapFunc::FillNull(Cell::Null).preserves_arity());
         assert!(!MapFunc::OneHot {
             column: cell("a"),

@@ -66,7 +66,7 @@ use df_core::{estimate, render_plan, ScanCsv, ScanOptions, ScanStats, DEFAULT_CE
 use crate::backend::{BackendHealth, BandTask, ExecBackend, ProcBackend, ThreadsBackend};
 use crate::executor::{default_threads, outputs, CheckIn, ParallelExecutor, StageResults};
 use crate::ingest::{self, IngestStats};
-use crate::optimizer::{optimize, OptimizerConfig, RewriteStats};
+use crate::optimizer::{optimize, RewriteStats};
 use crate::partition::{hstack_all, PartitionConfig, PartitionGrid, PartitionScheme};
 use crate::shuffle;
 
@@ -80,8 +80,9 @@ pub struct ModinConfig {
     pub partitioning: PartitionConfig,
     /// Default partitioning scheme for literals.
     pub scheme: PartitionScheme,
-    /// Logical rewrite rules to apply before execution.
-    pub optimizer: OptimizerConfig,
+    /// Whether the logical rewrite rules run before execution. Differential tests
+    /// turn them off for the unoptimised reference plan.
+    pub optimizer: bool,
     /// JOIN / DIFFERENCE build sides with at most this many rows are broadcast to
     /// every partition instead of hash-shuffling both inputs. Set to 0 to force the
     /// shuffle path (differential tests do this).
@@ -105,7 +106,7 @@ impl Default for ModinConfig {
             threads: default_threads(),
             partitioning: PartitionConfig::default(),
             scheme: PartitionScheme::Row,
-            optimizer: OptimizerConfig::default(),
+            optimizer: true,
             broadcast_threshold_rows: 4096,
             memory_budget_bytes: None,
             backend: BackendKind::from_env(),
@@ -453,9 +454,14 @@ impl ModinEngine {
         PartitionGrid::single_in(frame, self.store.as_ref())
     }
 
-    /// Run the optimizer alone (used by benches to report rewrite statistics).
+    /// The plan this engine runs for `expr`, and the rewrites that made it; benches
+    /// call it alone to report rewrite statistics.
     pub fn optimize_only(&self, expr: &AlgebraExpr) -> (AlgebraExpr, RewriteStats) {
-        optimize(expr, self.config.optimizer)
+        if self.config.optimizer {
+            optimize(expr)
+        } else {
+            (expr.clone(), RewriteStats::default())
+        }
     }
 
     /// Parallel, budget-aware CSV ingest straight into a partition grid: chunks are
@@ -493,7 +499,7 @@ impl ModinEngine {
 
     /// Execute an expression and keep the result partitioned.
     pub fn execute_partitioned(&self, expr: &AlgebraExpr) -> DfResult<PartitionGrid> {
-        let (optimized, stats) = optimize(expr, self.config.optimizer);
+        let (optimized, stats) = self.optimize_only(expr);
         self.note_rewrites(&stats);
         self.eval(&optimized)
     }
@@ -607,7 +613,7 @@ impl ModinEngine {
     /// execution that typically follows pays nothing extra).
     pub(crate) fn explain_plan(&self, expr: &AlgebraExpr) -> String {
         self.prime_scan_stats(expr);
-        let (optimized, stats) = optimize(expr, self.config.optimizer);
+        let (optimized, stats) = self.optimize_only(expr);
         let mut out = String::from("== logical plan ==\n");
         out.push_str(&render_plan(expr));
         out.push_str("== optimized plan ==\n");
@@ -746,19 +752,11 @@ impl ModinEngine {
             // semantics, and re-partition the result.
             other @ (AlgebraExpr::CrossProduct { .. } | AlgebraExpr::Window { .. }) => {
                 self.note_fallback();
-                let assembled = |child: &AlgebraExpr| -> DfResult<Box<AlgebraExpr>> {
+                let inputs = other.children().into_iter().map(|child| {
                     let value = self.eval(child)?.into_dataframe()?;
-                    Ok(Box::new(AlgebraExpr::literal(value)))
-                };
-                let mut rewritten = other.clone();
-                match &mut rewritten {
-                    AlgebraExpr::CrossProduct { left, right } => {
-                        *left = assembled(left)?;
-                        *right = assembled(right)?;
-                    }
-                    AlgebraExpr::Window { input, .. } => *input = assembled(input)?,
-                    _ => {}
-                }
+                    Ok(Arc::new(AlgebraExpr::literal(value)))
+                });
+                let rewritten = other.with_children(inputs.collect::<DfResult<Vec<_>>>()?);
                 self.repartition(&ops::execute_reference(&rewritten)?)
             }
         }
@@ -898,6 +896,9 @@ impl ModinEngine {
                 Ok(outputs(results))
             });
         }
+        if matches!(func, MapFunc::ParseRaw) {
+            return ingest::parse_raw(&self.executor, grid);
+        }
         // Row-generic maps need whole rows: work per row band.
         self.band_task("kernel.map", grid, task)
     }
@@ -1003,14 +1004,14 @@ impl Engine for ModinEngine {
         // Wrap in a LIMIT so the optimizer can push the prefix down through row-wise
         // operators (§6.1.2), then let the partition-aware prefix path finish the job.
         let limited = expr.clone().limit(k, false);
-        let (optimized, stats) = optimize(&limited, self.config.optimizer);
+        let (optimized, stats) = self.optimize_only(&limited);
         self.note_rewrites(&stats);
         self.eval(&optimized)?.into_dataframe()
     }
 
     fn execute_suffix(&self, expr: &AlgebraExpr, k: usize) -> DfResult<DataFrame> {
         let limited = expr.clone().limit(k, true);
-        let (optimized, stats) = optimize(&limited, self.config.optimizer);
+        let (optimized, stats) = self.optimize_only(&limited);
         self.note_rewrites(&stats);
         self.eval(&optimized)?.into_dataframe()
     }
@@ -1416,6 +1417,14 @@ mod tests {
         let (optimized, stats) = engine.optimize_only(&expr.clone().transpose().transpose());
         assert_eq!(stats.transpose_pairs_eliminated, 1);
         assert_eq!(optimized.transpose_count(), 0);
+        // With the optimizer off the plan runs as written.
+        let off = ModinEngine::with_config(ModinConfig {
+            optimizer: false,
+            ..ModinConfig::sequential()
+        });
+        let (plain, stats) = off.optimize_only(&expr.transpose().transpose());
+        assert_eq!(stats.total(), 0);
+        assert_eq!(plain.transpose_count(), 2);
     }
 
     #[test]
@@ -1482,7 +1491,7 @@ mod tests {
         // The same plan with every rewrite disabled parses the whole file and
         // filters afterwards — results must be cell-for-cell identical.
         let plain_config = ModinConfig {
-            optimizer: OptimizerConfig::disabled(),
+            optimizer: false,
             ..ModinConfig::sequential().with_partition_size(16, 2)
         };
         let plain_engine = ModinEngine::with_config(plain_config);

@@ -43,7 +43,7 @@ use df_types::InductionSummary;
 
 use crate::backend::BandTask;
 use crate::executor::{outputs, CheckIn, ParallelExecutor};
-use crate::partition::{Partition, PartitionConfig, PartitionGrid};
+use crate::partition::{hstack_all, Partition, PartitionConfig, PartitionGrid};
 
 /// Cumulative ingest counters, surfaced by `ModinEngine::ingest_stats` next to the
 /// spill and dispatch statistics (and asserted by the ingest equivalence suite).
@@ -147,6 +147,59 @@ pub(crate) fn ingest_csv_grid(
     }
     let bands = bands.into_iter().flatten().collect();
     Ok((PartitionGrid::from_band_partitions(bands), report))
+}
+
+/// `MAP ParseRaw` over a grid, in ingest's two reconcile stages, so that no band
+/// induces a domain from its own rows alone. Stage one folds each band's columns into
+/// their schema slots and [`InductionSummary`] by-products; the driver merges them in
+/// band order into the domain `Column::parse_in_place` resolves for the whole column
+/// (the slot every band knows alike, else the merged induction); stage two re-casts
+/// every band with those domains as a [`BandTask::ApplyDomains`] on the backend.
+pub(crate) fn parse_raw(
+    executor: &ParallelExecutor,
+    grid: PartitionGrid,
+) -> DfResult<PartitionGrid> {
+    let folded = executor.run_stage(
+        "kernel.parse_raw",
+        CheckIn::Frame,
+        grid.clone().into_blocks(),
+        |_, blocks| {
+            let band = hstack_all(blocks)?;
+            let columns = band.columns().iter();
+            let summaries: Vec<_> = columns
+                .map(|c| InductionSummary::of_cells(c.cells()))
+                .collect();
+            Ok((Vec::new(), (band.schema(), summaries)))
+        },
+    )?;
+    let mut states = folded.into_iter().map(|(_, state)| state);
+    let Some((mut known, mut summaries)) = states.next() else {
+        return Ok(grid);
+    };
+    for (schema, band) in states {
+        for (slot, domain) in known.iter_mut().zip(schema) {
+            if *slot != domain {
+                *slot = None;
+            }
+        }
+        for (summary, later) in summaries.iter_mut().zip(&band) {
+            summary.merge(later);
+        }
+    }
+    let domains = known.into_iter().zip(&summaries);
+    let task = BandTask::ApplyDomains(
+        domains
+            .map(|(k, s)| k.unwrap_or_else(|| s.finish()))
+            .collect(),
+    );
+    let place = executor.placed(&task);
+    let recast = executor.run_stage(
+        "kernel.parse_raw",
+        CheckIn::Frame,
+        grid.into_blocks(),
+        |i, blocks| place(i, vec![hstack_all(blocks)?]),
+    )?;
+    Ok(PartitionGrid::from_band_partitions(outputs(recast)))
 }
 
 /// `n` stage items that read no partition: a CSV chunk's worker reads its byte range

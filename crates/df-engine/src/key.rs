@@ -45,7 +45,8 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    /// The key of `plan`. It keeps a copy of the plan, which shares the plan's leaves.
+    /// The key of `plan`. It keeps a copy of the plan's root node, which shares
+    /// everything below it.
     pub fn of(plan: &AlgebraExpr) -> PlanKey {
         let mut e = ByteWriter::default();
         enc_plan(&mut e, plan);
@@ -56,7 +57,7 @@ impl PlanKey {
     }
 
     /// The logical plan this key names.
-    pub(crate) fn plan(&self) -> &AlgebraExpr {
+    pub(crate) fn plan(&self) -> &Arc<AlgebraExpr> {
         &self.plan
     }
 

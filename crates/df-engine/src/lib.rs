@@ -14,7 +14,7 @@
 //!   partition grid, with cross-band schema reconciliation (the paper's parallel-I/O
 //!   headline).
 //! * [`optimize`] — logical rewrite rules: transpose cancellation, selection fusion,
-//!   limit push-down, schema-induction deferral accounting and the Figure 8 pivot-axis
+//!   limit push-down, scan pushdown and the Figure 8 pivot-axis
 //!   choice (paper §5–6).
 //! * [`engine`] — [`ModinEngine`], the partitioned parallel implementation of
 //!   the dataframe algebra behind the shared [`df_core::Engine`] trait.
@@ -50,7 +50,7 @@ pub use executor::{default_threads, ParallelExecutor};
 pub use file_state::file_scan;
 pub use ingest::IngestStats;
 pub use key::PlanKey;
-pub use optimizer::{choose_pivot_plan, optimize, OptimizerConfig, PivotPlan, RewriteStats};
+pub use optimizer::{choose_pivot_plan, optimize, PivotPlan, RewriteStats};
 pub use partition::{Partition, PartitionConfig, PartitionGrid, PartitionHandle, PartitionScheme};
 pub use session::{EvalMode, QuerySession, SessionStats, StatementGate};
 pub use shuffle::{ShuffleKey, ShuffleOptions};

@@ -2,9 +2,8 @@
 //!
 //! These implement the planner-side ideas of paper §5 and §6:
 //!
-//! * **Transpose cancellation / pull-up** (§5.2.2) — `TRANSPOSE(TRANSPOSE(x)) → x`, and
-//!   per-cell MAPs commute with TRANSPOSE so the transpose can be pulled up (delaying
-//!   or eliminating physical reorientation).
+//! * **Transpose cancellation** (§5.2.2) — `TRANSPOSE(TRANSPOSE(x)) → x`, so a pair of
+//!   reorientations is never materialised.
 //! * **Selection fusion** — adjacent SELECTIONs combine into one conjunctive predicate,
 //!   so incrementally composed statements (§6.2) do not pay one pass per statement.
 //! * **Limit push-down** (§6.1.2) — a LIMIT (the `head`/`tail` inspection) pushes below
@@ -12,14 +11,19 @@
 //!   computes the rows that will be displayed — and a LIMIT that lands on a
 //!   [`ScanCsv`](df_core::ScanCsv) leaf folds into it, so the first look at a
 //!   file parses only the chunks its rows come from.
-//! * **Schema-induction deferral accounting** (§5.1.1) — the optimizer marks which
-//!   operators are type-agnostic so the engine can skip induction between them.
 //! * **Scan pushdown** — a SELECTION, PROJECTION or LIMIT sitting directly on a
 //!   [`ScanCsv`](df_core::ScanCsv) leaf folds *into* the leaf, so the parse loop
 //!   only materialises referenced columns and can skip whole chunks whose statistics
 //!   prove no row can match ([`df_core::chunk_may_match`]).
 //! * **Pivot axis choice** (Figure 8) — choose between pivoting on the requested column
 //!   or pivoting on the other axis and transposing the (much smaller) result.
+//!
+//! Each rule looks at one node and either rewrites it or declines; one top-down walker
+//! applies it to a whole plan. Plans share their subtrees through `Arc`, and a walk
+//! returns the very `Arc` it was given wherever nothing below changed, so a pass costs
+//! one visit per node and copies only the nodes on the path to a rewrite.
+
+use std::sync::Arc;
 
 use df_core::algebra::{AlgebraExpr, ColumnSelector, MapFunc, Predicate, WindowFunc};
 
@@ -36,9 +40,6 @@ pub struct RewriteStats {
     pub predicates_pushed: usize,
     /// PROJECTION column lists folded into a `ScanCsv` leaf.
     pub projections_pushed: usize,
-    /// Operators identified as type-agnostic (schema induction can be skipped before
-    /// them).
-    pub induction_skippable: usize,
 }
 
 impl RewriteStats {
@@ -52,190 +53,114 @@ impl RewriteStats {
     }
 }
 
-/// Which rewrite rules an optimization pass may apply. Tests toggle these: the
-/// differential suites use [`OptimizerConfig::disabled`] as the unoptimised reference
-/// plan, and the limit-pushdown suite switches `push_limits` alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptimizerConfig {
-    /// Enable `TRANSPOSE(TRANSPOSE(x)) → x`.
-    pub eliminate_double_transpose: bool,
-    /// Enable SELECTION fusion.
-    pub fuse_selections: bool,
-    /// Enable LIMIT push-down.
-    pub push_limits: bool,
-    /// Enable folding sargable SELECTION predicates into `ScanCsv` leaves.
-    pub push_scan_predicates: bool,
-    /// Enable folding by-label PROJECTIONs into `ScanCsv` leaves.
-    pub push_scan_projections: bool,
-}
+/// A rewrite rule: the replacement for one node, or `None` when the rule does not
+/// apply there.
+type Rule = fn(&AlgebraExpr) -> Option<Arc<AlgebraExpr>>;
 
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            eliminate_double_transpose: true,
-            fuse_selections: true,
-            push_limits: true,
-            push_scan_predicates: true,
-            push_scan_projections: true,
-        }
-    }
-}
-
-impl OptimizerConfig {
-    /// A configuration with every rule disabled (the unoptimised reference plan).
-    pub fn disabled() -> Self {
-        OptimizerConfig {
-            eliminate_double_transpose: false,
-            fuse_selections: false,
-            push_limits: false,
-            push_scan_predicates: false,
-            push_scan_projections: false,
-        }
-    }
-}
-
-/// Run the rewrite pipeline to fixpoint (bounded) and report what was done.
-pub fn optimize(expr: &AlgebraExpr, config: OptimizerConfig) -> (AlgebraExpr, RewriteStats) {
+/// Run every rewrite rule to fixpoint (bounded) and report what was done.
+pub fn optimize(expr: &AlgebraExpr) -> (AlgebraExpr, RewriteStats) {
     let mut stats = RewriteStats::default();
-    let mut current = expr.clone();
+    let mut current = Arc::new(expr.clone());
     // Rules only ever shrink or reorder the tree, so a small bounded loop reaches a
     // fixpoint; the bound guards against pathological interactions.
     for _ in 0..8 {
-        let mut changed = false;
-        if config.eliminate_double_transpose {
-            let (next, hits) = eliminate_double_transpose(&current);
-            if hits > 0 {
-                stats.transpose_pairs_eliminated += hits;
-                current = next;
-                changed = true;
-            }
+        let before = Arc::clone(&current);
+        for (rule, hits) in [
+            (
+                eliminate_double_transpose as Rule,
+                &mut stats.transpose_pairs_eliminated,
+            ),
+            (fuse_selections, &mut stats.selections_fused),
+            (push_limit, &mut stats.limits_pushed),
+            (push_scan_predicate, &mut stats.predicates_pushed),
+            (push_scan_projection, &mut stats.projections_pushed),
+        ] {
+            current = rewrite(&current, rule, hits);
         }
-        if config.fuse_selections {
-            let (next, hits) = fuse_selections(&current);
-            if hits > 0 {
-                stats.selections_fused += hits;
-                current = next;
-                changed = true;
-            }
-        }
-        if config.push_limits {
-            let (next, hits) = push_limits(&current);
-            if hits > 0 {
-                stats.limits_pushed += hits;
-                current = next;
-                changed = true;
-            }
-        }
-        if config.push_scan_predicates {
-            let (next, hits) = push_scan_predicates(&current);
-            if hits > 0 {
-                stats.predicates_pushed += hits;
-                current = next;
-                changed = true;
-            }
-        }
-        if config.push_scan_projections {
-            let (next, hits) = push_scan_projections(&current);
-            if hits > 0 {
-                stats.projections_pushed += hits;
-                current = next;
-                changed = true;
-            }
-        }
-        if !changed {
+        if Arc::ptr_eq(&before, &current) {
             break;
         }
     }
-    stats.induction_skippable = count_induction_skippable(&current);
-    (current, stats)
+    (AlgebraExpr::clone(&current), stats)
 }
 
-/// Rewrite children with `f`, preserving the operator at the root.
+/// Apply `rule` top-down: a node it rewrites is counted and walked again, and any
+/// other node keeps its operator and has its children walked.
+fn rewrite(expr: &Arc<AlgebraExpr>, rule: Rule, hits: &mut usize) -> Arc<AlgebraExpr> {
+    match rule(expr) {
+        Some(next) => {
+            *hits += 1;
+            rewrite(&next, rule, hits)
+        }
+        None => map_children(expr, &mut |child| rewrite(child, rule, hits)),
+    }
+}
+
+/// Rewrite children with `f`, preserving the operator at the root. When `f` returns
+/// every child unchanged, so is the result: `expr` itself, not a copy.
 pub(crate) fn map_children(
-    expr: &AlgebraExpr,
-    f: &mut impl FnMut(&AlgebraExpr) -> AlgebraExpr,
-) -> AlgebraExpr {
-    let mut out = expr.clone();
-    match &mut out {
-        AlgebraExpr::Literal(_) | AlgebraExpr::Handle(_) | AlgebraExpr::ScanCsv(_) => {}
-        AlgebraExpr::Selection { input, .. }
-        | AlgebraExpr::Projection { input, .. }
-        | AlgebraExpr::DropDuplicates { input }
-        | AlgebraExpr::GroupBy { input, .. }
-        | AlgebraExpr::Sort { input, .. }
-        | AlgebraExpr::Rename { input, .. }
-        | AlgebraExpr::Window { input, .. }
-        | AlgebraExpr::Transpose { input }
-        | AlgebraExpr::Map { input, .. }
-        | AlgebraExpr::ToLabels { input, .. }
-        | AlgebraExpr::FromLabels { input, .. }
-        | AlgebraExpr::Limit { input, .. } => {
-            **input = f(input);
-        }
-        AlgebraExpr::Union { left, right }
-        | AlgebraExpr::Difference { left, right }
-        | AlgebraExpr::CrossProduct { left, right }
-        | AlgebraExpr::Join { left, right, .. } => {
-            **left = f(left);
-            **right = f(right);
-        }
+    expr: &Arc<AlgebraExpr>,
+    f: &mut impl FnMut(&Arc<AlgebraExpr>) -> Arc<AlgebraExpr>,
+) -> Arc<AlgebraExpr> {
+    let children = expr.children();
+    let mapped: Vec<_> = children.iter().map(|child| f(child)).collect();
+    if mapped
+        .iter()
+        .zip(&children)
+        .all(|(new, old)| Arc::ptr_eq(new, old))
+    {
+        return Arc::clone(expr);
     }
-    out
+    Arc::new(expr.with_children(mapped))
 }
 
-fn eliminate_double_transpose(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
-    fn walk(expr: &AlgebraExpr, hits: &mut usize) -> AlgebraExpr {
-        if let AlgebraExpr::Transpose { input } = expr {
-            if let AlgebraExpr::Transpose { input: inner } = input.as_ref() {
-                *hits += 1;
-                return walk(inner, hits);
-            }
-        }
-        map_children(expr, &mut |child| walk(child, hits))
+fn eliminate_double_transpose(expr: &AlgebraExpr) -> Option<Arc<AlgebraExpr>> {
+    let AlgebraExpr::Transpose { input } = expr else {
+        return None;
+    };
+    match input.as_ref() {
+        AlgebraExpr::Transpose { input: inner } => Some(Arc::clone(inner)),
+        _ => None,
     }
-    let mut hits = 0;
-    let out = walk(expr, &mut hits);
-    (out, hits)
 }
 
 /// Fuse `σ_outer(σ_inner(x))` into `σ_{inner ∧ outer}(x)` — unless the outer predicate
 /// reads row positions: it numbers the rows the inner selection *kept*, the fused
 /// conjunction would number the rows of `x`. An inner positional predicate is fine
 /// (both forms number the rows of `x`).
-fn fuse_selections(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
-    fn walk(expr: &AlgebraExpr, hits: &mut usize) -> AlgebraExpr {
-        if let AlgebraExpr::Selection { input, predicate } = expr {
-            if let AlgebraExpr::Selection {
-                input: inner_input,
-                predicate: inner_predicate,
-            } = input.as_ref()
-            {
-                if !predicate.reads_position() {
-                    *hits += 1;
-                    // Inner predicate applies first, so it goes on the left of the AND.
-                    let fused = AlgebraExpr::Selection {
-                        input: inner_input.clone(),
-                        predicate: Predicate::And(
-                            Box::new(inner_predicate.clone()),
-                            Box::new(predicate.clone()),
-                        ),
-                    };
-                    return walk(&fused, hits);
-                }
-            }
-        }
-        map_children(expr, &mut |child| walk(child, hits))
+fn fuse_selections(expr: &AlgebraExpr) -> Option<Arc<AlgebraExpr>> {
+    let AlgebraExpr::Selection { input, predicate } = expr else {
+        return None;
+    };
+    let AlgebraExpr::Selection {
+        input: inner_input,
+        predicate: inner_predicate,
+    } = input.as_ref()
+    else {
+        return None;
+    };
+    if predicate.reads_position() {
+        return None;
     }
-    let mut hits = 0;
-    let out = walk(expr, &mut hits);
-    (out, hits)
+    // Inner predicate applies first, so it goes on the left of the AND.
+    Some(Arc::new(AlgebraExpr::Selection {
+        input: Arc::clone(inner_input),
+        predicate: Predicate::And(
+            Box::new(inner_predicate.clone()),
+            Box::new(predicate.clone()),
+        ),
+    }))
 }
 
 /// True when a prefix/suffix of the operator's output only needs the same prefix/suffix
 /// of its input (so LIMIT can move below it).
 fn limit_transparent(expr: &AlgebraExpr, from_end: bool) -> bool {
     match expr {
-        AlgebraExpr::Map { func, .. } => func.preserves_arity(),
+        // ParseRaw induces each column's domain over the rows it sees, so it must see
+        // all of them.
+        AlgebraExpr::Map { func, .. } => {
+            func.preserves_arity() && !matches!(func, MapFunc::ParseRaw)
+        }
         AlgebraExpr::Projection { .. } | AlgebraExpr::Rename { .. } => true,
         // Prefix-only: cumulative / trailing windows depend only on earlier rows, so a
         // head() needs just the head of the input. A tail() would need the full prefix,
@@ -257,45 +182,36 @@ fn limit_transparent(expr: &AlgebraExpr, from_end: bool) -> bool {
     }
 }
 
-fn push_limits(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
-    fn walk(expr: &AlgebraExpr, hits: &mut usize) -> AlgebraExpr {
-        if let AlgebraExpr::Limit { input, k, from_end } = expr {
-            // A LIMIT that reached a scan leaf folds into it: the scan evaluates its
-            // predicate and projection first and the limit last, which is exactly
-            // LIMIT above the leaf. A leaf that is already limited keeps the outer
-            // LIMIT above it.
-            if let AlgebraExpr::ScanCsv(scan) = input.as_ref() {
-                if scan.limit.is_none() {
-                    *hits += 1;
-                    return AlgebraExpr::scan_csv(scan.with_limit(*k, *from_end));
-                }
-            }
-            if limit_transparent(input, *from_end) {
-                *hits += 1;
-                // Swap: LIMIT(op(x)) → op(LIMIT(x)).
-                let mut swapped = input.as_ref().clone();
-                match &mut swapped {
-                    AlgebraExpr::Map { input: inner, .. }
-                    | AlgebraExpr::Projection { input: inner, .. }
-                    | AlgebraExpr::Rename { input: inner, .. }
-                    | AlgebraExpr::Window { input: inner, .. } => {
-                        let limited = AlgebraExpr::Limit {
-                            input: inner.clone(),
-                            k: *k,
-                            from_end: *from_end,
-                        };
-                        **inner = limited;
-                    }
-                    _ => unreachable!("limit_transparent covers only unary row-wise ops"),
-                }
-                return walk(&swapped, hits);
-            }
+/// Swap `LIMIT(op(x))` into `op(LIMIT(x))` below a [`limit_transparent`] operator. A
+/// LIMIT that reached a scan leaf folds into it instead: the scan evaluates its
+/// predicate and projection first and the limit last, which is exactly LIMIT above the
+/// leaf. A leaf that is already limited keeps the outer LIMIT above it.
+fn push_limit(expr: &AlgebraExpr) -> Option<Arc<AlgebraExpr>> {
+    let &AlgebraExpr::Limit {
+        ref input,
+        k,
+        from_end,
+    } = expr
+    else {
+        return None;
+    };
+    if let AlgebraExpr::ScanCsv(scan) = input.as_ref() {
+        if scan.limit.is_none() {
+            return Some(Arc::new(AlgebraExpr::scan_csv(
+                scan.with_limit(k, from_end),
+            )));
         }
-        map_children(expr, &mut |child| walk(child, hits))
     }
-    let mut hits = 0;
-    let out = walk(expr, &mut hits);
-    (out, hits)
+    if !limit_transparent(input, from_end) {
+        return None;
+    }
+    let inner = Arc::clone(input.children()[0]);
+    let limited = AlgebraExpr::Limit {
+        input: inner,
+        k,
+        from_end,
+    };
+    Some(Arc::new(input.with_children([Arc::new(limited)])))
 }
 
 /// Fold a SELECTION sitting directly on a `ScanCsv` leaf into the leaf, so the scan
@@ -313,75 +229,46 @@ fn push_limits(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
 ///   survive it. The algebra evaluates a predicate on a *missing* column as
 ///   all-false, so pushing a predicate below the projection that dropped its column
 ///   would resurrect rows the unpushed plan filters out.
-fn push_scan_predicates(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
-    fn walk(expr: &AlgebraExpr, hits: &mut usize) -> AlgebraExpr {
-        if let AlgebraExpr::Selection { input, predicate } = expr {
-            if let AlgebraExpr::ScanCsv(scan) = input.as_ref() {
-                if scan.predicate.is_none() && scan.limit.is_none() && predicate.scan_pushable() {
-                    if let Some(cols) = predicate.referenced_columns() {
-                        let survives_projection = match &scan.projection {
-                            None => true,
-                            Some(proj) => cols.iter().all(|c| proj.contains(c)),
-                        };
-                        if survives_projection {
-                            *hits += 1;
-                            return AlgebraExpr::scan_csv(scan.with_predicate(predicate.clone()));
-                        }
-                    }
-                }
-            }
-        }
-        map_children(expr, &mut |child| walk(child, hits))
+fn push_scan_predicate(expr: &AlgebraExpr) -> Option<Arc<AlgebraExpr>> {
+    let AlgebraExpr::Selection { input, predicate } = expr else {
+        return None;
+    };
+    let AlgebraExpr::ScanCsv(scan) = input.as_ref() else {
+        return None;
+    };
+    if scan.predicate.is_some() || scan.limit.is_some() || !predicate.scan_pushable() {
+        return None;
     }
-    let mut hits = 0;
-    let out = walk(expr, &mut hits);
-    (out, hits)
+    let cols = predicate.referenced_columns()?;
+    let survives_projection = match &scan.projection {
+        None => true,
+        Some(proj) => cols.iter().all(|c| proj.contains(c)),
+    };
+    survives_projection.then(|| {
+        Arc::new(AlgebraExpr::scan_csv(
+            scan.with_predicate(predicate.clone()),
+        ))
+    })
 }
 
 /// Fold a by-label PROJECTION sitting directly on a `ScanCsv` leaf into the leaf, so
 /// the parse loop only splits, allocates, and encodes the referenced columns. The scan
 /// still parses (but does not emit) any extra columns its own pushed predicate needs,
 /// which keeps `PROJECT(SELECT(scan))` pipelines fully foldable.
-fn push_scan_projections(expr: &AlgebraExpr) -> (AlgebraExpr, usize) {
-    fn walk(expr: &AlgebraExpr, hits: &mut usize) -> AlgebraExpr {
-        if let AlgebraExpr::Projection { input, columns } = expr {
-            if let AlgebraExpr::ScanCsv(scan) = input.as_ref() {
-                if scan.projection.is_none() {
-                    if let ColumnSelector::ByLabels(labels) = columns {
-                        *hits += 1;
-                        return AlgebraExpr::scan_csv(scan.with_projection(labels.clone()));
-                    }
-                }
-            }
-        }
-        map_children(expr, &mut |child| walk(child, hits))
-    }
-    let mut hits = 0;
-    let out = walk(expr, &mut hits);
-    (out, hits)
-}
-
-/// Count operators whose inputs never need schema induction (position-only selections,
-/// arity-preserving maps with statically known output types, projections, renames,
-/// limits, unions): paper §5.1.1's "rewrite rules to skip applying S".
-fn count_induction_skippable(expr: &AlgebraExpr) -> usize {
-    let own = match expr {
-        AlgebraExpr::Selection { predicate, .. } => usize::from(predicate.is_position_only()),
-        AlgebraExpr::Map { func, .. } => usize::from(
-            func.static_output_domain().is_some() || matches!(func, MapFunc::FillNull(_)),
-        ),
-        AlgebraExpr::Projection { .. }
-        | AlgebraExpr::Rename { .. }
-        | AlgebraExpr::Limit { .. }
-        | AlgebraExpr::Union { .. }
-        | AlgebraExpr::Transpose { .. } => 1,
-        _ => 0,
+fn push_scan_projection(expr: &AlgebraExpr) -> Option<Arc<AlgebraExpr>> {
+    let AlgebraExpr::Projection {
+        input,
+        columns: ColumnSelector::ByLabels(labels),
+    } = expr
+    else {
+        return None;
     };
-    own + expr
-        .children()
-        .iter()
-        .map(|c| count_induction_skippable(c))
-        .sum::<usize>()
+    match input.as_ref() {
+        AlgebraExpr::ScanCsv(scan) if scan.projection.is_none() => Some(Arc::new(
+            AlgebraExpr::scan_csv(scan.with_projection(labels.clone())),
+        )),
+        _ => None,
+    }
 }
 
 /// The two pivot plans of Figure 8.
@@ -430,7 +317,7 @@ mod tests {
     #[test]
     fn double_transpose_is_eliminated() {
         let expr = AlgebraExpr::literal(frame()).transpose().transpose();
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        let (optimized, stats) = optimize(&expr);
         assert_eq!(stats.transpose_pairs_eliminated, 1);
         assert_eq!(optimized.transpose_count(), 0);
         // Semantics preserved.
@@ -445,7 +332,7 @@ mod tests {
             .transpose()
             .transpose()
             .transpose();
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        let (optimized, stats) = optimize(&expr);
         assert_eq!(stats.transpose_pairs_eliminated, 1);
         assert_eq!(optimized.transpose_count(), 1);
     }
@@ -459,7 +346,7 @@ mod tests {
                 value: cell(1),
             })
             .select(Predicate::NotNull { column: cell("b") });
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        let (optimized, stats) = optimize(&expr);
         assert_eq!(stats.selections_fused, 1);
         assert_eq!(optimized.operator_count(), 1);
         assert!(execute_reference(&optimized)
@@ -473,7 +360,7 @@ mod tests {
             .map(MapFunc::IsNullMask)
             .project(ColumnSelector::All)
             .limit(2, false);
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        let (optimized, stats) = optimize(&expr);
         assert_eq!(stats.limits_pushed, 2);
         // The limit should now sit directly on the literal.
         fn limit_depth(expr: &AlgebraExpr) -> Option<usize> {
@@ -493,12 +380,12 @@ mod tests {
         let prefix = AlgebraExpr::literal(frame())
             .window(ColumnSelector::All, WindowFunc::CumSum)
             .limit(2, false);
-        let (_, prefix_stats) = optimize(&prefix, OptimizerConfig::default());
+        let (_, prefix_stats) = optimize(&prefix);
         assert_eq!(prefix_stats.limits_pushed, 1);
         let suffix = AlgebraExpr::literal(frame())
             .window(ColumnSelector::All, WindowFunc::CumSum)
             .limit(2, true);
-        let (optimized, suffix_stats) = optimize(&suffix, OptimizerConfig::default());
+        let (optimized, suffix_stats) = optimize(&suffix);
         assert_eq!(suffix_stats.limits_pushed, 0);
         assert!(execute_reference(&optimized)
             .unwrap()
@@ -506,33 +393,18 @@ mod tests {
     }
 
     #[test]
-    fn limit_does_not_push_below_selection_or_groupby() {
-        let expr = AlgebraExpr::literal(frame())
-            .select(Predicate::NotNull { column: cell("b") })
-            .limit(1, false);
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
-        assert_eq!(stats.limits_pushed, 0);
-        assert!(execute_reference(&optimized)
-            .unwrap()
-            .same_data(&execute_reference(&expr).unwrap()));
-    }
-
-    #[test]
-    fn disabled_config_applies_nothing() {
-        let expr = AlgebraExpr::literal(frame()).transpose().transpose();
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::disabled());
-        assert_eq!(stats.total(), 0);
-        assert_eq!(optimized.transpose_count(), 2);
-    }
-
-    #[test]
-    fn induction_skippable_counts_type_agnostic_operators() {
-        let expr = AlgebraExpr::literal(frame())
-            .select(Predicate::PositionRange { start: 0, end: 2 })
-            .map(MapFunc::IsNullMask)
-            .project(ColumnSelector::All);
-        let (_, stats) = optimize(&expr, OptimizerConfig::default());
-        assert_eq!(stats.induction_skippable, 3);
+    fn limit_does_not_push_below_selection_or_parse_raw() {
+        for expr in [
+            AlgebraExpr::literal(frame()).select(Predicate::NotNull { column: cell("b") }),
+            AlgebraExpr::literal(frame()).map(MapFunc::ParseRaw),
+        ] {
+            let expr = expr.limit(1, false);
+            let (optimized, stats) = optimize(&expr);
+            assert_eq!(stats.limits_pushed, 0);
+            assert!(execute_reference(&optimized)
+                .unwrap()
+                .same_data(&execute_reference(&expr).unwrap()));
+        }
     }
 
     fn scan() -> AlgebraExpr {
@@ -554,7 +426,7 @@ mod tests {
     #[test]
     fn selection_folds_into_scan_leaf() {
         let expr = scan().select(gt_a(1));
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        let (optimized, stats) = optimize(&expr);
         assert_eq!(stats.predicates_pushed, 1);
         match &optimized {
             AlgebraExpr::ScanCsv(s) => {
@@ -570,7 +442,7 @@ mod tests {
             .select(gt_a(1))
             .select(Predicate::NotNull { column: cell("b") })
             .project(ColumnSelector::ByLabels(vec![cell("b")]));
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        let (optimized, stats) = optimize(&expr);
         assert_eq!(stats.selections_fused, 1);
         assert_eq!(stats.predicates_pushed, 1);
         assert_eq!(stats.projections_pushed, 1);
@@ -593,7 +465,7 @@ mod tests {
             _ => unreachable!(),
         };
         let expr = pre_projected.select(gt_a(1));
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        let (optimized, stats) = optimize(&expr);
         assert_eq!(stats.predicates_pushed, 0);
         assert!(matches!(optimized, AlgebraExpr::Selection { .. }));
     }
@@ -608,7 +480,7 @@ mod tests {
             },
         ] {
             let expr = scan().select(predicate);
-            let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+            let (optimized, stats) = optimize(&expr);
             assert_eq!(stats.predicates_pushed, 0);
             assert!(matches!(optimized, AlgebraExpr::Selection { .. }));
         }
@@ -621,7 +493,7 @@ mod tests {
             .select(gt_a(1))
             .project(ColumnSelector::ByLabels(vec![cell("a")]))
             .limit(5, false);
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        let (optimized, stats) = optimize(&expr);
         assert_eq!(
             stats.limits_pushed, 2,
             "below PROJECTION, then into the leaf"
@@ -635,10 +507,7 @@ mod tests {
             other => panic!("expected a bare scan, got {}", other.name()),
         }
         // tail(k) folds too, and a second LIMIT stays above the limited leaf.
-        let (optimized, stats) = optimize(
-            &scan().limit(3, true).limit(2, false),
-            OptimizerConfig::default(),
-        );
+        let (optimized, stats) = optimize(&scan().limit(3, true).limit(2, false));
         assert_eq!(stats.limits_pushed, 1);
         match &optimized {
             AlgebraExpr::Limit {
@@ -657,7 +526,7 @@ mod tests {
     fn selection_above_a_limited_scan_stays_above_it() {
         // filter(head(5)) must not become head(5) of the filtered file.
         let expr = scan().limit(5, false).select(gt_a(1));
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        let (optimized, stats) = optimize(&expr);
         assert_eq!(stats.limits_pushed, 1);
         assert_eq!(stats.predicates_pushed, 0);
         match &optimized {
@@ -670,24 +539,6 @@ mod tests {
             },
             other => panic!("expected SELECTION over the scan, got {}", other.name()),
         }
-        // With push_limits off the LIMIT node stays and the leaf stays unlimited.
-        let config = OptimizerConfig {
-            push_limits: false,
-            ..OptimizerConfig::default()
-        };
-        let (optimized, stats) = optimize(&scan().limit(5, false), config);
-        assert_eq!(stats.limits_pushed, 0);
-        assert!(matches!(optimized, AlgebraExpr::Limit { .. }));
-    }
-
-    #[test]
-    fn disabled_config_leaves_scans_bare() {
-        let expr = scan()
-            .select(gt_a(1))
-            .project(ColumnSelector::ByLabels(vec![cell("a")]));
-        let (optimized, stats) = optimize(&expr, OptimizerConfig::disabled());
-        assert_eq!(stats.total(), 0);
-        assert_eq!(optimized.operator_count(), 2);
     }
 
     #[test]

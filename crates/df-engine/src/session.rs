@@ -551,19 +551,19 @@ impl QuerySession {
 /// cached sub-plan wins. Sub-plans are looked up by their runs of the key's bytes, and
 /// peeks count nothing; the statement's own key is never a proper sub-plan, so a
 /// producer is never served its own in-flight slot.
-fn rebase(cache: &ResultCache, key: &PlanKey) -> AlgebraExpr {
+fn rebase(cache: &ResultCache, key: &PlanKey) -> Arc<AlgebraExpr> {
     fn under(
         cache: &ResultCache,
-        plan: &AlgebraExpr,
+        plan: &Arc<AlgebraExpr>,
         sub_plans: &[(&[u8], usize)],
         next: &mut usize,
-    ) -> AlgebraExpr {
+    ) -> Arc<AlgebraExpr> {
         map_children(plan, &mut |child| {
             let (bytes, size) = sub_plans[*next];
             match cache.peek(bytes) {
                 Some(handle) => {
                     *next += size;
-                    AlgebraExpr::handle(handle)
+                    Arc::new(AlgebraExpr::handle(handle))
                 }
                 None => {
                     *next += 1;

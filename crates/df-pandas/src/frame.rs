@@ -47,7 +47,8 @@ use crate::session::Session;
 #[derive(Clone)]
 pub struct PandasFrame {
     session: Arc<Session>,
-    expr: AlgebraExpr,
+    /// The logical plan. A derived frame's plan holds its parent's by pointer.
+    expr: Arc<AlgebraExpr>,
     /// Memoised key of `expr`. Shared across clones so the (potentially deep) plan is
     /// encoded at most once per statement.
     key: Arc<OnceLock<PlanKey>>,
@@ -56,10 +57,10 @@ pub struct PandasFrame {
 impl PandasFrame {
     // ------------------------------------------------------------------ construction
 
-    fn from_expr(session: Arc<Session>, expr: AlgebraExpr) -> PandasFrame {
+    fn from_expr(session: Arc<Session>, expr: impl Into<Arc<AlgebraExpr>>) -> PandasFrame {
         PandasFrame {
             session,
-            expr,
+            expr: expr.into(),
             key: Arc::new(OnceLock::new()),
         }
     }
@@ -161,11 +162,16 @@ impl PandasFrame {
         Ok(frame)
     }
 
-    /// Derive a new statement by applying `build` to this frame's logical plan.
+    /// Derive a new statement by applying `build` to this frame's logical plan. The
+    /// new plan holds this one by pointer: `build` runs over a stand-in leaf, which
+    /// [`splice`] then swaps for this plan, so no node below the new ones is copied.
     /// Submit-time errors are recorded on the session and resurface at the next
     /// materialisation point.
     fn derive(&self, build: impl FnOnce(AlgebraExpr) -> AlgebraExpr) -> Self {
-        PandasFrame::from_expr(Arc::clone(&self.session), build(self.expr.clone())).submitted()
+        let stand_in = Arc::new(DataFrame::empty());
+        let built = Arc::new(build(AlgebraExpr::literal_arc(Arc::clone(&stand_in))));
+        let plan = splice(&built, &stand_in, &self.expr);
+        PandasFrame::from_expr(Arc::clone(&self.session), plan).submitted()
     }
 
     /// Schedule this statement. A lazy submit records nothing but the statement
@@ -314,11 +320,9 @@ impl PandasFrame {
     /// a single band back — and by inducing on the materialised frame otherwise.
     pub fn dtypes(&self) -> DfResult<Vec<(Cell, Domain)>> {
         if let Some(schema) = self.handle()?.schema() {
-            if schema.iter().all(|(_, domain)| domain.is_some()) {
-                return Ok(schema
-                    .into_iter()
-                    .map(|(label, domain)| (label, domain.expect("checked above")))
-                    .collect());
+            let known: Option<Vec<_>> = schema.into_iter().map(|(l, d)| Some((l, d?))).collect();
+            if let Some(known) = known {
+                return Ok(known);
             }
         }
         // Some column's domain is still unknown (raw Σ* data, or a handle without
@@ -636,73 +640,54 @@ impl PandasFrame {
         values: &str,
         plan: PivotPlan,
     ) -> DfResult<PandasFrame> {
-        let index_cell = Cell::Str(index.into());
-        let columns_cell = Cell::Str(columns.into());
-        let values_cell = Cell::Str(values.into());
-        match plan {
-            PivotPlan::Direct => {
-                let output_labels = self.distinct_values_of(&columns_cell)?;
-                Ok(self.derive(|base| {
-                    base.group_by(
-                        vec![index_cell],
-                        vec![
-                            Aggregation::of(columns_cell.clone(), AggFunc::Collect),
-                            Aggregation::of(values_cell.clone(), AggFunc::Collect),
-                        ],
-                        true,
-                    )
-                    .map(MapFunc::PivotFlatten {
-                        label_source: columns_cell,
-                        value_source: values_cell,
-                        output_labels,
-                    })
-                }))
+        let (index, columns) = (Cell::Str(index.into()), Cell::Str(columns.into()));
+        let values = Cell::Str(values.into());
+        // Group by one axis and spread the other into columns: `index` and `columns`
+        // directly, or the reverse and then a TRANSPOSE of the smaller result, whose
+        // columns are re-projected into the first-occurrence order the direct plan
+        // produces so both plans are interchangeable.
+        let (key, spread) = match plan {
+            PivotPlan::Direct => (index, columns.clone()),
+            PivotPlan::PivotOtherAxisThenTranspose => (columns.clone(), index),
+        };
+        let output_labels = self.distinct_values_of(&spread)?;
+        let column_order = match plan {
+            PivotPlan::Direct => None,
+            PivotPlan::PivotOtherAxisThenTranspose => Some(self.distinct_values_of(&columns)?),
+        };
+        Ok(self.derive(|base| {
+            let collect = |column: &Cell| Aggregation::of(column.clone(), AggFunc::Collect);
+            let pivoted = base
+                .group_by(vec![key], vec![collect(&spread), collect(&values)], true)
+                .map(MapFunc::PivotFlatten {
+                    label_source: spread,
+                    value_source: values,
+                    output_labels,
+                });
+            match column_order {
+                None => pivoted,
+                Some(order) => pivoted.transpose().project(ColumnSelector::ByLabels(order)),
             }
-            PivotPlan::PivotOtherAxisThenTranspose => {
-                let output_labels = self.distinct_values_of(&index_cell)?;
-                // After the final TRANSPOSE the column labels are the `columns` values
-                // in group (sorted) order; re-project them into the same
-                // first-occurrence order the direct plan produces so both plans are
-                // interchangeable.
-                let column_order = self.distinct_values_of(&columns_cell)?;
-                Ok(self.derive(|base| {
-                    base.group_by(
-                        vec![columns_cell],
-                        vec![
-                            Aggregation::of(index_cell.clone(), AggFunc::Collect),
-                            Aggregation::of(values_cell.clone(), AggFunc::Collect),
-                        ],
-                        true,
-                    )
-                    .map(MapFunc::PivotFlatten {
-                        label_source: index_cell,
-                        value_source: values_cell,
-                        output_labels,
-                    })
-                    .transpose()
-                    .project(ColumnSelector::ByLabels(column_order))
-                }))
-            }
-        }
+        }))
     }
 
     // ------------------------------------------------------------------ combining
 
     /// Ordered concatenation (pandas `append` / `pd.concat`).
     pub fn append(&self, other: &PandasFrame) -> PandasFrame {
-        self.derive(|left| left.union(other.expr.clone()))
+        self.derive(|left| left.union(Arc::clone(&other.expr)))
     }
 
     /// Equi-join on shared columns (pandas `merge(on=...)`).
     pub fn merge_on(&self, other: &PandasFrame, on: &[&str], how: JoinType) -> PandasFrame {
         let keys: Vec<Cell> = on.iter().map(|c| Cell::Str((*c).into())).collect();
-        self.derive(|left| left.join(other.expr.clone(), JoinOn::Columns(keys), how))
+        self.derive(|left| left.join(Arc::clone(&other.expr), JoinOn::Columns(keys), how))
     }
 
     /// Join on row labels (pandas `merge(left_index=True, right_index=True)`) —
     /// workflow step A2.
     pub fn merge_index(&self, other: &PandasFrame, how: JoinType) -> PandasFrame {
-        self.derive(|left| left.join(other.expr.clone(), JoinOn::RowLabels, how))
+        self.derive(|left| left.join(Arc::clone(&other.expr), JoinOn::RowLabels, how))
     }
 
     // ------------------------------------------------------------------ group & aggregate
@@ -892,9 +877,7 @@ impl PandasFrame {
     /// DROP DUPLICATES sub-query executed through the session, which resumes from
     /// cached handles when any exist).
     pub fn distinct_values_of(&self, column: &Cell) -> DfResult<Vec<Cell>> {
-        let expr = self
-            .expr
-            .clone()
+        let expr = AlgebraExpr::clone(&self.expr)
             .project(ColumnSelector::ByLabels(vec![column.clone()]))
             .drop_duplicates();
         let frame = self.session.query().collect(&PlanKey::of(&expr))?;
@@ -908,6 +891,26 @@ impl PandasFrame {
             }
         }
         Ok(out)
+    }
+}
+
+/// `node` with the `stand_in` literal replaced by `plan`. Only nodes a builder just
+/// made are rebuilt: a node shared with another plan (a frame's) holds no stand-in.
+fn splice(
+    node: &Arc<AlgebraExpr>,
+    stand_in: &Arc<DataFrame>,
+    plan: &Arc<AlgebraExpr>,
+) -> Arc<AlgebraExpr> {
+    match node.as_ref() {
+        AlgebraExpr::Literal(df) if Arc::ptr_eq(df, stand_in) => Arc::clone(plan),
+        _ if Arc::strong_count(node) > 1 => Arc::clone(node),
+        _ => {
+            let spliced = node
+                .children()
+                .into_iter()
+                .map(|c| splice(c, stand_in, plan));
+            Arc::new(node.with_children(spliced))
+        }
     }
 }
 

@@ -611,7 +611,17 @@ pub fn csv_chunk_stats(
 pub fn band_induction_summaries(band: &DataFrame) -> Vec<InductionSummary> {
     band.columns()
         .iter()
-        .map(|column| InductionSummary::of_strings(column.cells().iter().filter_map(Cell::as_str)))
+        .map(|column| {
+            let mut summary = InductionSummary::begin();
+            column
+                .cells()
+                .iter()
+                .filter_map(Cell::as_str)
+                .for_each(|raw| {
+                    summary.observe(raw);
+                });
+            summary
+        })
         .collect()
 }
 

@@ -193,6 +193,14 @@ fn step_table() -> &'static [[u8; STATE_COUNT]; Domain::ALL.len()] {
     })
 }
 
+/// `Domain::unify` over optional domains, `None` being the identity.
+fn unify(a: Option<Domain>, b: Option<Domain>) -> Option<Domain> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.unify(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// A composable summary of the schema induction scan over one *band* of a column.
 ///
 /// [`induce_from_strings`] is a left fold with `Domain::unify` plus a category
@@ -209,6 +217,11 @@ fn step_table() -> &'static [[u8; STATE_COUNT]; Domain::ALL.len()] {
 ///   the only fact the heuristic reads — whether the count stays below it);
 /// * the **non-null count** (additive).
 ///
+/// A band of cells ([`InductionSummary::of_cells`]) also records what decides between
+/// the string scan and [`induce_domain`] for a whole column: whether it has string
+/// cells, and the unify-fold of its other cells' natural domains. Those domains (bool,
+/// int, float, str, composite) widen along one chain, so that fold is associative.
+///
 /// Merging summaries in band order and finishing reproduces the serial scan's answer
 /// bit-for-bit, which is what lets parallel CSV ingest keep its promise of being
 /// cell-for-cell identical to the serial reader.
@@ -221,6 +234,11 @@ pub struct InductionSummary {
     distinct: HashSet<String>,
     /// Non-null values seen.
     non_null: usize,
+    /// Whether any summarised cell is a string.
+    has_str: bool,
+    /// The unify-fold of the natural domains of the non-null cells that are not
+    /// strings; `None` when there are none.
+    other: Option<Domain>,
 }
 
 impl Default for InductionSummary {
@@ -240,6 +258,8 @@ impl InductionSummary {
             transition,
             distinct: HashSet::new(),
             non_null: 0,
+            has_str: false,
+            other: None,
         }
     }
 
@@ -270,14 +290,18 @@ impl InductionSummary {
         numeric
     }
 
-    /// Summarise one band of raw strings (the per-band half of `S`).
-    pub fn of_strings<'a, I>(values: I) -> Self
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
+    /// Summarise one band of a column's cells, raw strings and typed cells alike: the
+    /// per-band half of the induction a column with no known domain runs.
+    pub fn of_cells(cells: &[Cell]) -> Self {
         let mut summary = InductionSummary::begin();
-        for raw in values {
-            summary.observe(raw);
+        for cell in cells {
+            match cell {
+                Cell::Str(raw) => {
+                    summary.has_str = true;
+                    summary.observe(raw);
+                }
+                other => summary.other = unify(summary.other, other.natural_domain()),
+            }
         }
         summary
     }
@@ -297,10 +321,21 @@ impl InductionSummary {
             self.distinct.insert(value.clone());
         }
         self.non_null += later.non_null;
+        self.has_str |= later.has_str;
+        self.other = unify(self.other, later.other);
     }
 
-    /// The domain the serial scan would have induced for the concatenated column.
+    /// The domain the serial scan would have induced for the concatenated column: the
+    /// string scan when every non-null cell is a string, and otherwise the unify-fold
+    /// of all natural domains.
     pub fn finish(&self) -> Domain {
+        if let Some(other) = self.other {
+            return if self.has_str {
+                other.unify(Domain::Str)
+            } else {
+                other
+            };
+        }
         match decode_state(self.transition[0]) {
             None => Domain::Str,
             Some(Domain::Str) => {
@@ -473,7 +508,7 @@ mod tests {
         let mine = THREAD_SCANS.with(std::cell::Cell::get);
         induce_from_strings(["1", "2"]);
         induce_domain(&[cell(1)]);
-        InductionSummary::of_strings(["x"]);
+        InductionSummary::of_cells(&[cell("x")]);
         assert_eq!(THREAD_SCANS.with(std::cell::Cell::get), mine + 3);
         assert!(induction_scan_count() >= before + 3);
     }
@@ -502,15 +537,44 @@ mod tests {
         assert!(value.is_some_and(f64::is_nan));
     }
 
+    fn strs(values: &[&str]) -> Vec<Cell> {
+        values.iter().map(|v| cell(*v)).collect()
+    }
+
+    #[test]
+    fn summaries_of_typed_and_mixed_cells_match_whole_column_induction() {
+        let bands: [&[&[Cell]]; 5] = [
+            &[&[cell("1"), cell("2")], &[cell("x"), cell("y")]],
+            &[&[cell(1)], &[cell("x")]],
+            &[&[cell(1), Cell::Null], &[cell(2.5)]],
+            &[&[cell(true)], &[Cell::Null], &[cell(3)]],
+            &[&[cell("NA")], &[cell(4)]],
+        ];
+        for split in bands {
+            let whole: Vec<Cell> = split.concat();
+            // What `Column::resolve_domain` runs over the whole column.
+            let expected = if whole.iter().any(|c| matches!(c, Cell::Str(_)))
+                && whole.iter().all(|c| matches!(c, Cell::Str(_) | Cell::Null))
+            {
+                induce_from_strings(whole.iter().filter_map(Cell::as_str))
+            } else {
+                induce_domain(whole.iter())
+            };
+            let mut merged = InductionSummary::empty();
+            for band in split {
+                merged.merge(&InductionSummary::of_cells(band));
+            }
+            assert_eq!(merged.finish(), expected, "{split:?}");
+        }
+    }
+
     /// Split `values` at every position (and at a few multi-way splits) and check the
     /// merged summaries agree with the serial scan.
     fn assert_summaries_match_serial(values: &[&str]) {
         let serial = induce_from_strings(values.iter().copied());
         for split in 0..=values.len() {
-            let mut merged = InductionSummary::of_strings(values[..split].iter().copied());
-            merged.merge(&InductionSummary::of_strings(
-                values[split..].iter().copied(),
-            ));
+            let mut merged = InductionSummary::of_cells(&strs(&values[..split]));
+            merged.merge(&InductionSummary::of_cells(&strs(&values[split..])));
             assert_eq!(
                 merged.finish(),
                 serial,
@@ -520,7 +584,7 @@ mod tests {
         for chunk in [1usize, 2, 3, 7] {
             let mut merged = InductionSummary::empty();
             for band in values.chunks(chunk.max(1)) {
-                merged.merge(&InductionSummary::of_strings(band.iter().copied()));
+                merged.merge(&InductionSummary::of_cells(&strs(band)));
             }
             assert_eq!(
                 merged.finish(),

@@ -28,7 +28,6 @@ use df_core::{ScanCsv, ScanOptions};
 use df_engine::engine::{ModinConfig, ModinEngine};
 use df_engine::partition::PartitionScheme;
 use df_engine::session::EvalMode;
-use df_engine::OptimizerConfig;
 use df_pandas::{PandasFrame, Session};
 use df_types::backend::BackendKind;
 use df_types::cell::{cell, Cell};
@@ -637,7 +636,7 @@ proptest! {
         let expr = AlgebraExpr::literal(ids(96)).select(inner).select(outer);
         let expected = ReferenceEngine.execute_collect(&expr).unwrap();
         for threads in [1usize, 4] {
-            for optimizer in [OptimizerConfig::default(), OptimizerConfig::disabled()] {
+            for optimizer in [true, false] {
                 let engine = ModinEngine::with_config(ModinConfig {
                     optimizer,
                     ..ModinConfig::default().with_threads(threads).with_partition_size(16, 4)
@@ -645,9 +644,84 @@ proptest! {
                 let got = engine.execute_collect(&expr).unwrap();
                 prop_assert!(
                     identical(&got, &expected),
-                    "threads={threads} optimizer={optimizer:?} diverged"
+                    "threads={threads} optimizer={optimizer} diverged"
                 );
             }
         }
     }
+}
+
+/// `infer_types` induces each column's domain over the whole column, as the reference
+/// does: not per band (a band of `"1"`s would parse to ints beside a band of `"x"`s),
+/// and not over the rows a `head` happens to need (LIMIT stays above `ParseRaw`).
+#[test]
+fn infer_types_answers_do_not_depend_on_bands_or_limits() {
+    let columns = || {
+        vec![
+            vec![cell("1"), cell("2"), cell("x"), cell("y")],
+            vec![cell("10"), cell("20"), cell("30"), cell("40")],
+            vec![cell(1), cell(2), cell(3), cell(4)],
+        ]
+    };
+    let typed = |session: &Arc<Session>| {
+        PandasFrame::from_columns(session, vec!["mixed", "numeric", "int"], columns())
+            .unwrap()
+            .infer_types()
+    };
+    let reference = typed(&Session::reference());
+    let expected = reference.collect().unwrap();
+    let expected_head = reference.head(2).unwrap();
+    assert_eq!(expected.columns()[0].cells(), columns()[0].as_slice());
+    for band_rows in [1usize, 2, 4096] {
+        for threads in [1usize, 4] {
+            for mode in [EvalMode::Eager, EvalMode::Lazy] {
+                let label = format!("band_rows={band_rows} threads={threads} {mode:?}");
+                let config = ModinConfig::default()
+                    .with_threads(threads)
+                    .with_partition_size(band_rows, 4);
+                let head = typed(&Session::modin_with(config.clone(), mode))
+                    .head(2)
+                    .unwrap();
+                assert!(identical(&head, &expected_head), "{label}: head\n{head}");
+                assert_eq!(head.schema(), expected_head.schema(), "{label}: head");
+                let got = typed(&Session::modin_with(config, mode)).collect().unwrap();
+                assert!(identical(&got, &expected), "{label}\n{got}");
+                assert_eq!(got.schema(), expected.schema(), "{label}");
+            }
+        }
+    }
+}
+
+/// A rewrite copies only the nodes on the path to what it changed, and a derived
+/// frame's plan holds its parent's plan itself, not a copy.
+#[test]
+fn rewrites_and_derived_frames_share_what_they_do_not_change() {
+    let literal = AlgebraExpr::literal(ids(64));
+    let chain = (0..800).fold(literal.clone(), |plan, i| {
+        plan.map(MapFunc::FillNull(cell(i as i64)))
+    });
+    let right = literal
+        .select(id_cmp(CmpOp::Ge, 8))
+        .select(id_cmp(CmpOp::Lt, 40));
+    let plan = chain.join(right, JoinOn::Columns(vec![cell("id")]), JoinType::Inner);
+    let (optimized, stats) = df_engine::optimize(&plan);
+    assert_eq!(stats.selections_fused, 1);
+    assert!(Arc::ptr_eq(plan.children()[0], optimized.children()[0]));
+
+    let session = Session::modin_with(ModinConfig::sequential(), EvalMode::Lazy);
+    let parent = PandasFrame::from_dataframe(&session, ids(64)).fillna(0);
+    let child = parent.fillna(1);
+    assert!(std::ptr::eq(
+        child.expr().children()[0].as_ref(),
+        parent.expr()
+    ));
+    let joined = child.merge_on(&parent, &["id"], JoinType::Inner);
+    assert!(std::ptr::eq(
+        joined.expr().children()[0].as_ref(),
+        child.expr()
+    ));
+    assert!(std::ptr::eq(
+        joined.expr().children()[1].as_ref(),
+        parent.expr()
+    ));
 }

@@ -25,7 +25,6 @@ use df_core::engine::{Engine, ReferenceEngine};
 use df_core::ops;
 use df_core::{ScanCsv, ScanOptions};
 use df_engine::engine::{ModinConfig, ModinEngine};
-use df_engine::OptimizerConfig;
 use df_storage::csv::{read_csv_str, CsvOptions};
 use df_types::cell::{cell, Cell};
 
@@ -113,7 +112,7 @@ fn assert_pushdown_equivalence(
                     config = config.with_memory_budget(bytes);
                 }
                 let plain_config = ModinConfig {
-                    optimizer: OptimizerConfig::disabled(),
+                    optimizer: false,
                     ..config.clone()
                 };
 
@@ -287,7 +286,7 @@ fn predicate_on_pruned_column_still_filters_before_projection() {
     let pushed = ModinEngine::with_config(ModinConfig::sequential().with_partition_size(8, 32))
         .execute_collect(&expr);
     let plain = ModinEngine::with_config(ModinConfig {
-        optimizer: OptimizerConfig::disabled(),
+        optimizer: false,
         ..ModinConfig::sequential().with_partition_size(8, 32)
     })
     .execute_collect(&expr);
@@ -394,7 +393,7 @@ fn limited_csv(rows: usize, float_row: usize) -> String {
 }
 
 /// One cell of the limited-scan matrix: `head(k)` / `tail(k)` with the limit folded
-/// into the leaf must equal the same statement with `push_limits` off (LIMIT above
+/// into the leaf must equal the same statement with the optimizer off (LIMIT above
 /// the unlimited scan) and the serial reference — cells, labels and dtypes. Returns
 /// the folded run's `bands_parsed`.
 #[allow(clippy::too_many_arguments)]
@@ -431,12 +430,10 @@ fn assert_limited_scan_equivalence(
         config = config.with_memory_budget((serial.approx_size_bytes() / 4).max(1));
     }
     let unfolded_config = ModinConfig {
-        optimizer: OptimizerConfig {
-            push_limits: false,
-            ..OptimizerConfig::default()
-        },
+        optimizer: false,
         ..config.clone()
     };
+    let unlimited_engine = ModinEngine::with_config(config.clone());
     let mut expr = scan_expr(&path, infer_schema, name);
     if let Some(pred) = predicate {
         expr = expr.select(pred.clone());
@@ -452,6 +449,7 @@ fn assert_limited_scan_equivalence(
     let mut folded = run(&folded_engine).unwrap();
     let unfolded_engine = ModinEngine::with_config(unfolded_config);
     let mut unfolded = run(&unfolded_engine).unwrap();
+    unlimited_engine.execute_collect(&expr).unwrap();
     std::fs::remove_file(path).ok();
 
     let context = format!(
@@ -484,7 +482,7 @@ fn assert_limited_scan_equivalence(
     // so the count is the unlimited scan's.
     prop_assert_eq!(
         folded_engine.pushdown_stats().chunks_skipped,
-        unfolded_engine.pushdown_stats().chunks_skipped
+        unlimited_engine.pushdown_stats().chunks_skipped
     );
     Ok(folded_engine.ingest_stats().bands_parsed)
 }

@@ -1,6 +1,6 @@
 //! A size ratchet with no knob. The numbers below are the current net library lines
-//! of the largest engine files, the session, the result cache and the pandas frame,
-//! and each crate's count of `pub mod`s and `pub` items. They only ratchet down:
+//! of the largest engine files, the session, the result cache, the pandas frame, the
+//! optimizer and the algebra, and each crate's count of `pub mod`s and `pub` items. They only ratchet down:
 //! growth fails this suite, and a change that shrinks a file or a crate's public
 //! surface lowers its number here in the same change.
 //!
@@ -15,21 +15,23 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Net lines of the files every performance item promises to shrink.
-const FILE_LINES: [(&str, usize); 6] = [
-    ("crates/df-engine/src/engine.rs", 805),
+const FILE_LINES: [(&str, usize); 8] = [
+    ("crates/df-engine/src/engine.rs", 804),
     ("crates/df-engine/src/shuffle.rs", 864),
     ("crates/df-storage/src/spill.rs", 831),
     ("crates/df-engine/src/session.rs", 337),
     ("crates/df-engine/src/cache.rs", 375),
-    ("crates/df-pandas/src/frame.rs", 589),
+    ("crates/df-pandas/src/frame.rs", 586),
+    ("crates/df-engine/src/optimizer.rs", 195),
+    ("crates/df-core/src/algebra.rs", 647),
 ];
 
 /// `(crate, pub mod, pub items)`.
 const CRATE_SURFACE: [(&str, usize, usize); 9] = [
     ("df-baseline", 0, 5),
     ("df-bench", 0, 10),
-    ("df-core", 11, 174),
-    ("df-engine", 6, 113),
+    ("df-core", 11, 173),
+    ("df-engine", 6, 111),
     ("df-pandas", 0, 95),
     ("df-service", 0, 26),
     ("df-storage", 3, 65),
